@@ -48,14 +48,6 @@ def scalar_of(field: Field, arr) -> Scalar:
     return Scalar(field, tuple(int(c) for c in np.asarray(arr)))
 
 
-def to_scalars(field: Field, arr):
-    """Convert the last axis of arr into Scalar objects (nested lists)."""
-    arr = np.asarray(arr)
-    if arr.ndim == 1:
-        return scalar_of(field, arr)
-    return [to_scalars(field, sub) for sub in arr]
-
-
 def is_zero(arr) -> bool:
     return not np.any(arr)
 
@@ -263,30 +255,6 @@ def _pivot_columns(basis: np.ndarray):
         nz = np.flatnonzero(np.any(row, axis=1))
         pivots.append(int(nz[0]))
     return pivots
-
-
-def sum_spaces(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    if A.shape[0] == 0:
-        return row_space(field, B)
-    if B.shape[0] == 0:
-        return row_space(field, A)
-    return row_space(field, np.concatenate([A, B], axis=0))
-
-
-def intersect_spaces(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Intersection of two row spaces via the kernel of the stacked system."""
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        return zeros(field, (0, A.shape[1]))
-    # x = a @ A = b @ B  <=>  (a, b) in kernel of [A^T | -B^T]
-    n = A.shape[1]
-    M = np.concatenate([A.transpose(1, 0, 2), (-B.transpose(1, 0, 2)) % field.p],
-                       axis=1)
-    ker = nullspace(field, M)
-    da = A.shape[0]
-    if ker.shape[0] == 0:
-        return zeros(field, (0, n))
-    vecs = fmatmul(field, ker[:, :da, :], A)
-    return row_space(field, vecs)
 
 
 def embed_array(small: Field, big: Field, arr: np.ndarray) -> np.ndarray:

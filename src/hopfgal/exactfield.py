@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    BadPrime,
     DivisionByZero,
     FieldMismatch,
     NotAnExtension,
@@ -24,6 +25,14 @@ from .errors import (
 )
 
 DEFAULT_SEED = 0
+
+# The int64 kernels sum up to MAX_INNER products of residues before they
+# reduce mod p: an inner dimension of at most DIM_CAP^2 = 512^2 (the
+# contraction over the basis pairs of an algebra at the dimension cap).
+# Such sums stay exact while MAX_INNER * (p - 1)^2 < 2^63; P_MAX is the
+# largest prime that satisfies this, and Field rejects larger primes.
+MAX_INNER = 512 ** 2
+P_MAX = 5931641
 
 
 def _is_prime(n: int) -> bool:
@@ -163,11 +172,16 @@ def _smallest_irreducible(p: int, k: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 class Field:
-    """A prime field F_p or an explicit extension F_{p^k} presented over F_p."""
+    """A prime field F_p or an explicit extension F_{p^k} presented over F_p.
+    p must be a prime no larger than P_MAX, else BadPrime."""
 
     __slots__ = ("p", "k", "modulus", "_red", "_red_rows", "_embed_cache")
 
     def __init__(self, p: int, k: int = 1, modulus=None):
+        if p > P_MAX:
+            raise BadPrime(
+                f"p = {p} exceeds P_MAX = {P_MAX}, the largest prime for "
+                "which the int64 kernels stay exact")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         if k < 1:

@@ -47,6 +47,16 @@ class Subspace:
         return ar.coords_in_row_space(self.field, self.basis, v)
 
 
+def check_lengths(data, shape: tuple, what: str):
+    """Check that nested lists from a JSON description have the lengths
+    `shape` along their leading axes, else ShapeMismatch."""
+    if len(data) != shape[0]:
+        raise ShapeMismatch(f"{what} has length {len(data)}, expected {shape[0]}")
+    if len(shape) > 1:
+        for row in data:
+            check_lengths(row, shape[1:], what)
+
+
 class SCAlgebra:
     """Associative unital algebra over a Field, given by a multiplication
     tensor and a unit vector."""
@@ -149,6 +159,11 @@ class SCAlgebra:
     def from_json(cls, data: dict) -> "SCAlgebra":
         f = Field.from_json(data["field"])
         n = int(data["dim"])
+        # check the declared size before building the n^3 nested list
+        if n > DIM_CAP:
+            raise DimCapExceeded(f"dimension {n} exceeds cap {DIM_CAP}")
+        check_lengths(data["mul"], (n, n, n), "mul")
+        check_lengths(data["unit"], (n,), "unit")
 
         def scal(x):
             return [int(x)] if not isinstance(x, list) else [int(c) for c in x]

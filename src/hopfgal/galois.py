@@ -12,8 +12,15 @@ Two product conventions are supported for the twisted product on R (x) H:
   "standard":  (a (x) g)(b (x) h) = a b sigma(g_1 (x) h_1) (x) g_2 h_2
   "paper":     (a (x) g)(b (x) h) = a b sigma(h_1 (x) g_1) (x) h_2 g_2
 
-cocycle_verify checks the associativity identity matching the chosen
-convention; for cocommutative H the two agree.
+Since R is commutative, the "paper" product of x and y is the "standard"
+product of y and x: the "paper" twisted product is the opposite algebra of
+the "standard" one.  So for a cleaving map gamma: H -> A with cocycle
+sigma, the "standard" twisted product rebuilds A and the "paper" one
+rebuilds A^op.  cocycle_verify checks the associativity identity matching
+the chosen convention; for cocommutative H the two agree.
+
+Every sum over the coproduct terms of two arguments runs through the one
+kernel hopf.convolution2.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .fdalg import (
     Subspace,
     algebra_verify,
     center,
+    check_lengths,
     subalgebra_on,
 )
 from .hopf import (
@@ -53,6 +61,7 @@ from .hopf import (
     conv_inverse,
     conv_unit,
     convolution,
+    convolution2,
     is_cocommutative,
 )
 
@@ -67,17 +76,22 @@ FULL_VERIFY_DIM = 81
 COCYCLE_TRIPLE_DIM = 12
 
 
-def _splits(row: np.ndarray):
-    """Nonzero entries of a comultiplication row (n, n, k), listed as
-    (a, b, coeff) triples."""
-    out = []
-    n = row.shape[0]
-    for a in range(n):
-        for b in range(n):
-            c = row[a, b]
-            if np.any(c):
-                out.append((a, b, c))
-    return out
+def _product_table(f: Field, m: np.ndarray, X: np.ndarray,
+                   Y: np.ndarray) -> np.ndarray:
+    """out[x, y] = m(X[x], Y[y]) for rows X (nX, nF, k), Y (nY, nG, k) and
+    an (nF, nG, nOut, k) structure tensor m; shape (nX, nY, nOut, k)."""
+    nX, nY = X.shape[0], Y.shape[0]
+    nF, nG, nOut = m.shape[:3]
+    T1 = ar.fmatmul(f, X, m.reshape(nF, nG * nOut, f.k))
+    T1 = T1.reshape(nX, nG, nOut, f.k).transpose(1, 0, 2, 3)
+    T2 = ar.fmatmul(f, Y, T1.reshape(nG, nX * nOut, f.k))
+    return T2.reshape(nY, nX, nOut, f.k).transpose(1, 0, 2, 3)
+
+
+def _counit_right(H: HopfAlgebra, X: np.ndarray) -> np.ndarray:
+    """The (nH, nH, n, k) table (x, y) -> eps(y) X[x] of rows X (nH, n, k):
+    as the second argument of convolution2 it leaves y unsplit."""
+    return ar.fmul(H.field, X[:, None, :, :], H.counit[None, :, None, :])
 
 
 class ComoduleAlgebra:
@@ -177,7 +191,8 @@ class ComoduleAlgebra:
 
 def coinvariants(CA: ComoduleAlgebra) -> Subspace:
     """The subspace {x in A : rho(x) = x (x) 1}; always a unital
-    subalgebra, which is asserted."""
+    subalgebra, which is checked (ShapeMismatch if not: the coaction
+    breaks the comodule-algebra axioms)."""
     f = CA.field
     nA, nH = CA.alg.dim, CA.hopf.dim
     M = CA.coaction.transpose(1, 2, 0, 3).copy()  # rows (a, u), unknown i
@@ -185,11 +200,13 @@ def coinvariants(CA: ComoduleAlgebra) -> Subspace:
     for a in range(nA):
         M[a, :, a] = ar.fsub(f, M[a, :, a], uH)
     sub = Subspace(f, nA, ar.nullspace(f, M.reshape(nA * nH, nA, f.k)))
-    assert sub.contains(CA.alg.unit), "unit is not coinvariant"
+    if not sub.contains(CA.alg.unit):
+        raise ShapeMismatch("unit is not coinvariant")
     for i in range(sub.dim):
         for j in range(sub.dim):
             prod = CA.alg.multiply(sub.basis[i], sub.basis[j])
-            assert sub.contains(prod), "coinvariants not closed under product"
+            if not sub.contains(prod):
+                raise ShapeMismatch("coinvariants not closed under product")
     return sub
 
 
@@ -297,6 +314,7 @@ class Cocycle:
         R = SCAlgebra.from_json(data["target"])
         f = H.field
         nH, nR = H.dim, R.dim
+        check_lengths(data["values"], (nH, nH, nR), "values")
 
         def scal(x):
             return [int(x)] if not isinstance(x, list) else [int(c) for c in x]
@@ -380,7 +398,6 @@ def cocycle_verify(sig: Cocycle, convention: str = "paper") -> list[str]:
         out.append("cocycle target algebra is not commutative")
         return out
     vals = sig.values
-    d = H.comul
     mulH = H.alg.mul
     # unit conditions sigma(h (x) 1) = sigma(1 (x) h) = eps(h) 1
     uH = H.alg.unit
@@ -404,16 +421,16 @@ def cocycle_verify(sig: Cocycle, convention: str = "paper") -> list[str]:
     A2 = ar.fmatmul(f, mulH.reshape(nH * nH, nH, f.k),
                     vals.transpose(1, 0, 2, 3).reshape(nH, nH * nR, f.k)
                     ).reshape(nH, nH, nH, nR, f.k)
-    splits = [_splits(d[i]) for i in range(nH)]
+    tables = {1: A1, 2: A2}
+    sides = {}
 
-    def side(pairs_a, pairs_b, first, second):
-        acc = ar.zeros(f, (nR,))
-        for (a1, a2, c1) in pairs_a:
-            for (b1, b2, c2) in pairs_b:
-                term = R.multiply(first(a1, b1), second(a2, b2))
-                c = ar.fmul(f, c1, c2)
-                acc = ar.fadd(f, acc, ar.fmul(f, c[None, :], term))
-        return acc
+    def side(table, u):
+        """side(a, u)[x, y] = sum sigma(x_1, y_1) A<a>[x_2, y_2, u], with
+        the third argument u held fixed."""
+        if (table, u) not in sides:
+            sides[table, u] = convolution2(H, vals, tables[table][:, :, u],
+                                           R.mul)
+        return sides[table, u]
 
     if nH <= COCYCLE_TRIPLE_DIM:
         triples = itertools.product(range(nH), repeat=3)
@@ -424,20 +441,12 @@ def cocycle_verify(sig: Cocycle, convention: str = "paper") -> list[str]:
     for (ih, ig, it) in triples:
         if convention == "standard":
             # sigma(h1, g1) sigma(h2 g2, t) = sigma(g1, t1) sigma(h, g2 t2)
-            lhs = side(splits[ih], splits[ig],
-                       lambda h1, g1: vals[h1, g1],
-                       lambda h2, g2: A1[h2, g2, it])
-            rhs = side(splits[ig], splits[it],
-                       lambda g1, t1: vals[g1, t1],
-                       lambda g2, t2: A2[g2, t2, ih])
+            lhs = side(1, it)[ih, ig]
+            rhs = side(2, ih)[ig, it]
         else:
             # sigma(h1, g1) sigma(t, h2 g2) = sigma(t1, h1) sigma(t2 h2, g)
-            lhs = side(splits[ih], splits[ig],
-                       lambda h1, g1: vals[h1, g1],
-                       lambda h2, g2: A2[h2, g2, it])
-            rhs = side(splits[it], splits[ih],
-                       lambda t1, h1: vals[t1, h1],
-                       lambda t2, h2: A1[t2, h2, ig])
+            lhs = side(2, it)[ih, ig]
+            rhs = side(1, ig)[it, ih]
         if np.any((lhs - rhs) % f.p):
             out.append(f"cocycle identity fails at triple ({ih},{ig},{it})")
             if len(out) >= 10:
@@ -454,8 +463,11 @@ def cocycle_verify(sig: Cocycle, convention: str = "paper") -> list[str]:
 def twisted_product(R: SCAlgebra, sig: Cocycle,
                     convention: str = "paper") -> SCAlgebra:
     """The algebra R #_sigma H on R (x) H; basis index r * dim(H) + i for
-    a_r (x) h_i.  The cocycle is verified first and associativity of the
-    result is re-verified; failure of either raises CocycleInvalid."""
+    a_r (x) h_i.  The "paper" convention gives the opposite algebra of the
+    "standard" one (see the module docstring): on the cocycle of a cleaving
+    map gamma: H -> A, "standard" rebuilds A and "paper" rebuilds A^op.
+    The cocycle is verified first and associativity of the result is
+    re-verified; failure of either raises CocycleInvalid."""
     f = sig.field
     H = sig.hopf
     if R.dim != sig.target.dim:
@@ -464,37 +476,25 @@ def twisted_product(R: SCAlgebra, sig: Cocycle,
     if msgs:
         raise CocycleInvalid("; ".join(msgs))
     nH, nR = H.dim, R.dim
-    mulH = H.alg.mul
-    splits = [_splits(H.comul[i]) for i in range(nH)]
     dim = nR * nH
+    # the outer product R x H -> R (x) H as a structure tensor
+    outer = ar.zeros(f, (nR, nH, dim))
+    r, t = np.divmod(np.arange(dim), nH)
+    outer[r, t, np.arange(dim), 0] = 1
+    # val[i, j] = (1 (x) h_i)(1 (x) h_j) = sum sigma(i_1, j_1) (x) i_2 j_2
+    val = convolution2(H, sig.values, H.alg.mul, outer)
+    if convention == "paper":
+        val = val.transpose(1, 0, 2, 3)
     # trip[r, s, r1, t] = coordinate t of a_r a_s a_r1 in R
     trip = ar.fmatmul(f, R.mul.reshape(nR * nR, nR, f.k),
                       R.mul.reshape(nR, nR * nR, f.k))
-    trip = trip.reshape(nR, nR, nR, nR, f.k)
-    mul = np.zeros((dim, dim, dim, f.k), dtype=np.int64)
-    for i in range(nH):
-        for j in range(nH):
-            # val[r1, m]: coefficient of a_r1 (x) h_m in (1 (x) h_i)(1 (x) h_j)
-            val = ar.zeros(f, (nR, nH))
-            if convention == "paper":
-                for (h1, h2, c2) in splits[j]:
-                    for (g1, g2, c1) in splits[i]:
-                        c = ar.fmul(f, c1, c2)
-                        blk = ar.fmul(f, sig.values[h1, g1][:, None, :],
-                                      mulH[h2, g2][None, :, :])
-                        val = ar.fadd(f, val, ar.fmul(f, c[None, None, :], blk))
-            else:
-                for (g1, g2, c1) in splits[i]:
-                    for (h1, h2, c2) in splits[j]:
-                        c = ar.fmul(f, c1, c2)
-                        blk = ar.fmul(f, sig.values[g1, h1][:, None, :],
-                                      mulH[g2, h2][None, :, :])
-                        val = ar.fadd(f, val, ar.fmul(f, c[None, None, :], blk))
-            for r in range(nR):
-                for s in range(nR):
-                    # out[t, m] = sum_r1 trip[r, s, r1, t] val[r1, m]
-                    out = ar.fmatmul(f, trip[r, s].transpose(1, 0, 2), val)
-                    mul[r * nH + i, s * nH + j] = out.reshape(dim, f.k)
+    trip = trip.reshape(nR, nR, nR, nR, f.k).transpose(0, 1, 3, 2, 4)
+    # mul[(r, i), (s, j), (t, m)] = sum_r1 trip[r, s, r1, t] val[i, j, (r1, m)]
+    val = val.reshape(nH * nH, nR, nH, f.k).transpose(1, 0, 2, 3)
+    mul = ar.fmatmul(f, trip.reshape(nR ** 3, nR, f.k),
+                     val.reshape(nR, nH ** 3, f.k))
+    mul = mul.reshape(nR, nR, nR, nH, nH, nH, f.k).transpose(
+        0, 3, 1, 4, 2, 5, 6).reshape(dim, dim, dim, f.k)
     unit = ar.fmul(f, R.unit[:, None, :],
                    H.alg.unit[None, :, :]).reshape(dim, f.k)
     labels = None
@@ -528,23 +528,6 @@ def _is_algebra_map(R: SCAlgebra, S: SCAlgebra, fmap: LinMap) -> bool:
     return True
 
 
-def _second_comul_splits(H: HopfAlgebra):
-    """Nonzero entries of the iterated comultiplication: per basis index i,
-    a list of (a, b, c, coeff) with h_i -> sum coeff h_a (x) h_b (x) h_c."""
-    f = H.field
-    d = H.comul
-    nH = H.dim
-    firsts = [_splits(d[i]) for i in range(nH)]
-    out = []
-    for i in range(nH):
-        rows = []
-        for (a, m, c1) in firsts[i]:
-            for (b, c, c2) in firsts[m]:
-                rows.append((a, b, c, ar.fmul(f, c1, c2)))
-        out.append(rows)
-    return out
-
-
 def cocycle_transform(sig: Cocycle, u: LinMap, convention: str = "paper"):
     """Gauge a cocycle by a convolution-invertible map u: H -> R:
 
@@ -559,40 +542,29 @@ def cocycle_transform(sig: Cocycle, u: LinMap, convention: str = "paper"):
     if u.matrix.shape != (nH, nR, f.k):
         raise ShapeMismatch("gauge map must go from H to the cocycle target")
     uinv = conv_inverse(H, R, u)
-    d2 = _second_comul_splits(H)
-    mulH = H.alg.mul
-    # Umul[x, y] = u(h_x h_y) in R
-    Umul = ar.fmatmul(f, mulH.reshape(nH * nH, nH, f.k),
+    # by coassociativity h_1 (x) h_2 (x) h_3 = h_1 (x) (h_2)_1 (x) (h_2)_2,
+    # so tau is a convolution of u^-1(g) u^-1(h) with the convolution
+    # inner(h, g) = sigma(h_1 (x) g_1) u(h_2 g_2)
+    Umul = ar.fmatmul(f, H.alg.mul.reshape(nH * nH, nH, f.k),
                       u.matrix).reshape(nH, nH, nR, f.k)
-    tau_vals = ar.zeros(f, (nH, nH, nR))
-    for ih in range(nH):
-        for ig in range(nH):
-            acc = ar.zeros(f, (nR,))
-            for (h1, h2, h3, c1) in d2[ih]:
-                for (g1, g2, g3, c2) in d2[ig]:
-                    term = R.multiply(uinv.matrix[g1], uinv.matrix[h1])
-                    term = R.multiply(term, sig.values[h2, g2])
-                    term = R.multiply(term, Umul[h3, g3])
-                    c = ar.fmul(f, c1, c2)
-                    acc = ar.fadd(f, acc, ar.fmul(f, c[None, :], term))
-            tau_vals[ih, ig] = acc
-    tau = Cocycle(H, R, tau_vals)
+    inner = convolution2(H, sig.values, Umul, R.mul)
+    heads = _product_table(f, R.mul, uinv.matrix, uinv.matrix)
+    tau = Cocycle(H, R, convolution2(H, heads.transpose(1, 0, 2, 3), inner,
+                                     R.mul))
     msgs = cocycle_verify(tau, convention)
     if msgs:
         raise CocycleInvalid("transformed cocycle fails: " + msgs[0])
     A_sig = twisted_product(R, sig, convention)
     A_tau = twisted_product(R, tau, convention)
     dim = nR * nH
-    phi = ar.zeros(f, (dim, dim))
-    dsplits = [_splits(H.comul[i]) for i in range(nH)]
-    for r in range(nR):
-        for i in range(nH):
-            row = ar.zeros(f, (nR, nH))
-            for (c1, c2, c) in dsplits[i]:
-                au = R.multiply(R.basis_vector(r), u.matrix[c1])
-                row[:, c2] = ar.fadd(f, row[:, c2],
-                                     ar.fmul(f, c[None, :], au))
-            phi[r * nH + i] = row.reshape(dim, f.k)
+    # phi(a_r (x) h_i) = sum a_r u(h_i1) (x) h_i2: with au[c1, r] = a_r u(h_c1),
+    # phi[(r, i), (t, c2)] = sum_c1 comul[i, c1, c2] au[c1, r, t]
+    au = ar.fmatmul(f, u.matrix, R.mul.transpose(1, 0, 2, 3).reshape(
+        nR, nR * nR, f.k)).reshape(nH, nR, nR, f.k)        # [c1, r, t]
+    phi = ar.fmatmul(f, H.comul.transpose(0, 2, 1, 3).reshape(nH * nH, nH, f.k),
+                     au.reshape(nH, nR * nR, f.k))          # [(i, c2), (r, t)]
+    phi = phi.reshape(nH, nH, nR, nR, f.k).transpose(2, 0, 3, 1, 4).reshape(
+        dim, dim, f.k)
     inv = ar.inv_matrix(f, phi)
     if inv is None:
         raise NotAnAlgebraMap("gauge map is not bijective")
@@ -685,31 +657,23 @@ def splitting_to_cocycle(sp: Splitting, convention: str = "paper",
     target_embedding."""
     f = sp.field
     CA = sp.CA
-    H = CA.hopf
-    nA, nH = CA.alg.dim, H.dim
-    mulH = H.alg.mul
+    H, A = CA.hopf, CA.alg
+    nA, nH = A.dim, H.dim
     g = sp.gamma.matrix
-    ginv = sp.inverse.matrix
-    splits = [_splits(H.comul[i]) for i in range(nH)]
+    heads = _product_table(f, A.mul, g, g)                  # gamma(x) gamma(y)
+    tails = ar.fmatmul(f, H.alg.mul.reshape(nH * nH, nH, f.k),
+                       sp.inverse.matrix)                   # gamma^-1(x y)
+    vals = convolution2(H, heads, tails.reshape(nH, nH, nA, f.k), A.mul)
+    vals = vals.reshape(nH * nH, nA, f.k)
     B = coinvariants(CA)
-    Balg, bbasis = subalgebra_on(CA.alg, B)
-    vals = ar.zeros(f, (nH, nH, B.dim))
-    for i in range(nH):
-        for j in range(nH):
-            acc = ar.zeros(f, (nA,))
-            for (h1, h2, c1) in splits[i]:
-                for (g1, g2, c2) in splits[j]:
-                    w = ar.fmatmul(f, mulH[h2, g2][None, :, :], ginv)[0]
-                    term = CA.alg.multiply(g[h1], g[g1])
-                    term = CA.alg.multiply(term, w)
-                    c = ar.fmul(f, c1, c2)
-                    acc = ar.fadd(f, acc, ar.fmul(f, c[None, :], term))
-            coords = B.coords(acc)
-            if coords is None:
-                raise ValuesNotInvariant(
-                    f"sigma value at pair ({i},{j}) is not coinvariant")
-            vals[i, j] = coords
-    sig = Cocycle(H, Balg, vals)
+    Balg, bbasis = subalgebra_on(A, B)
+    coords = ar.coords_in_row_space_many(f, B.basis, vals)
+    if coords is None:
+        bad = next(q for q in range(nH * nH) if B.coords(vals[q]) is None)
+        raise ValuesNotInvariant(
+            "sigma value at pair ({},{}) is not coinvariant".format(
+                *divmod(bad, nH)))
+    sig = Cocycle(H, Balg, coords.reshape(nH, nH, B.dim, f.k))
     sig.target_embedding = bbasis
     if verify is None:
         verify = nH <= COCYCLE_TRIPLE_DIM
@@ -733,64 +697,47 @@ def is_equivariant_map(H: HopfAlgebra, alpha: LinMap) -> bool:
     if M.shape[0] != nH * nH:
         raise ShapeMismatch("map must be defined on the tensor square of H")
     nT = M.shape[1]
-    Mr = M.reshape(nH, nH, nT, f.k)
-    d2 = _second_comul_splits(H)
-    S = H.antipode
-    for ib in range(nH):
-        w = {}
-        for ia in range(nH):
-            rhs = ar.zeros(f, (nT,))
-            for (a1, a2, a3, c) in d2[ia]:
-                key = (a1, a2)
-                if key not in w:
-                    # coords of h_a1 h_b S(h_a2)
-                    w[key] = H.alg.multiply(H.alg.mul[a1, ib], S[a2])
-                v = w[key]
-                img = ar.fmatmul(f, v[None, :, :], Mr[:, a3])[0]
-                rhs = ar.fadd(f, rhs, ar.fmul(f, c[None, :], img))
-            if np.any((Mr[ia, ib] - rhs) % f.p):
-                return False
-    return True
+    # by coassociativity a_1 (x) a_2 (x) a_3 = (a_1)_1 (x) (a_1)_2 (x) a_2:
+    # rhs[a, b] = sum over Delta(h_a) = x (x) a_3 of alpha(ad(x)(h_b) (x) a_3)
+    N = ar.fmatmul(f, _adjoint(H).reshape(nH * nH, nH, f.k),
+                   M.reshape(nH, nH * nT, f.k))             # [(x, b), (a3, t)]
+    N = N.reshape(nH, nH, nH, nT, f.k).transpose(0, 2, 1, 3, 4)
+    rhs = ar.fmatmul(f, H.comul.reshape(nH, nH * nH, f.k),
+                     N.reshape(nH * nH, nH * nT, f.k))      # [a, (b, t)]
+    return not np.any((M - rhs.reshape(nH * nH, nT, f.k)) % f.p)
+
+
+def _adjoint(H: HopfAlgebra) -> np.ndarray:
+    """ad[x, b] = x_1 h_b S(x_2) in H, as an (nH, nH, nH, k) table."""
+    return convolution2(H, H.alg.mul, _counit_right(H, H.antipode),
+                        H.alg.mul)
 
 
 def is_equivariant_splitting(sp: Splitting) -> bool:
     """Whether gamma(h_1 g S(h_2)) = gamma(h_1) gamma(g) gamma^-1(h_2) for
     all h, g; H must be cocommutative.  Computed along two independent
     routes (the direct identity, and the invariance law of the associated
-    cocycle) which are asserted to agree."""
+    cocycle) which must agree, else PremiseFailed."""
     f = sp.field
     CA = sp.CA
     H = CA.hopf
     if not is_cocommutative(H):
         raise NotCocommutative("equivariance requires a cocommutative H")
-    nA, nH = CA.alg.dim, H.dim
+    A = CA.alg
+    nH = H.dim
     g = sp.gamma.matrix
-    ginv = sp.inverse.matrix
-    S = H.antipode
-    splits = [_splits(H.comul[i]) for i in range(nH)]
-    direct = True
-    for ih in range(nH):
-        for ig in range(nH):
-            lhs = ar.zeros(f, (nA,))
-            rhs = ar.zeros(f, (nA,))
-            for (h1, h2, c) in splits[ih]:
-                w = H.alg.multiply(H.alg.mul[h1, ig], S[h2])
-                img = ar.fmatmul(f, w[None, :, :], g)[0]
-                lhs = ar.fadd(f, lhs, ar.fmul(f, c[None, :], img))
-                term = CA.alg.multiply(g[h1], g[ig])
-                term = CA.alg.multiply(term, ginv[h2])
-                rhs = ar.fadd(f, rhs, ar.fmul(f, c[None, :], term))
-            if np.any((lhs - rhs) % f.p):
-                direct = False
-                break
-        if not direct:
-            break
+    # lhs[h, g] = gamma(ad(h)(g)); rhs[h, g] = gamma(h_1) gamma(g) gamma^-1(h_2)
+    lhs = ar.fmatmul(f, _adjoint(H).reshape(nH * nH, nH, f.k), g)
+    rhs = convolution2(H, _product_table(f, A.mul, g, g),
+                       _counit_right(H, sp.inverse.matrix), A.mul)
+    direct = not np.any((lhs - rhs.reshape(lhs.shape)) % f.p)
     # independent route through the associated cocycle
     sig = splitting_to_cocycle(sp, verify=False)
     via_cocycle = is_equivariant_map(
         H, LinMap(f, sig.values.reshape(nH * nH, sig.target.dim, f.k)))
-    assert direct == via_cocycle, \
-        "equivariance criteria disagree: direct identity vs cocycle law"
+    if direct != via_cocycle:
+        raise PremiseFailed(
+            "equivariance criteria disagree: direct identity vs cocycle law")
     return direct
 
 
@@ -809,17 +756,7 @@ def lemma25_transfer_check(tau: Cocycle, pi: Cocycle, x,
     piinv = _sigma_conv_inverse(pi)
     if piinv is None:
         raise NotConvInvertible("pi has no convolution inverse")
-    splits = [_splits(H.comul[i]) for i in range(nH)]
-    prod = ar.zeros(f, (nH, nH, nR))
-    for i in range(nH):
-        for j in range(nH):
-            acc = ar.zeros(f, (nR,))
-            for (a, b, c1) in splits[i]:
-                for (cc, e, c2) in splits[j]:
-                    term = R.multiply(tau.values[a, cc], piinv[b, e])
-                    c = ar.fmul(f, c1, c2)
-                    acc = ar.fadd(f, acc, ar.fmul(f, c[None, :], term))
-            prod[i, j] = acc
+    prod = convolution2(H, tau.values, piinv, R.mul)
     if not is_equivariant_map(H, LinMap(f, prod.reshape(nH * nH, nR, f.k))):
         raise PremiseFailed("tau * pi^-1 is not equivariant")
     A_tau = twisted_product(R, tau, convention)

@@ -1,6 +1,6 @@
 """Hopf algebra structure on structure-constant algebras: axiom checking,
-the convolution algebra of linear maps, dual integrals, unimodularity, and
-group algebras.
+the convolution algebra of linear maps, the two-argument convolution over
+H (x) H, dual integrals, unimodularity, and group algebras.
 
 Comultiplication tensor convention: comul[i, a, b] is the coefficient of
 b_a (x) b_b in the coproduct of b_i.  The antipode matrix row i holds the
@@ -254,6 +254,70 @@ def convolution(H: HopfAlgebra, A: SCAlgebra, fmap: LinMap, g: LinMap) -> LinMap
     out = ar.fmatmul(f, H.comul.reshape(nH, nH * nH, f.k),
                      P.reshape(nH * nH, nA, f.k))
     return LinMap(f, out)
+
+
+# gathered term-pair temporaries of convolution2 hold at most this many
+# cells, or one table of the first argument if that is larger
+_CHUNK_CELLS = 1 << 18
+
+
+def convolution2(H: HopfAlgebra, F: np.ndarray, G: np.ndarray,
+                 m: np.ndarray) -> np.ndarray:
+    """The two-argument convolution over the coalgebra H (x) H:
+
+        out[i, j] = sum m(F(x_1, y_1), G(x_2, y_2))
+
+    over the coproduct terms Delta(h_i) = x_1 (x) x_2, Delta(h_j) =
+    y_1 (x) y_2.  F is (nH, nH, nF, k), G is (nH, nH, nG, k), and the
+    bilinear map m is an (nF, nG, nOut, k) structure tensor:
+    m(u, v) = sum u_a v_b m[a, b].  Returns (nH, nH, nOut, k)."""
+    f = H.field
+    p, k = f.p, f.k
+    nH = H.dim
+    nF, nG, nOut = m.shape[:3]
+    if F.shape != (nH, nH, nF, k) or G.shape != (nH, nH, nG, k):
+        raise ShapeMismatch("convolution2 operands do not match H and m")
+    # the coproduct as flat terms: term t of Delta(h_I[t]) is h_A[t] (x) h_B[t]
+    # with coefficient D[I[t], t]; the term pairs of (i, j) are the pairs
+    # (t, s) with I[t] = i and I[s] = j
+    I, A, B = np.nonzero(np.any(H.comul, axis=-1))
+    T = I.size
+    D = ar.zeros(f, (nH, T))
+    D[I, np.arange(T)] = H.comul[I, A, B]
+    # L[x nH + y] is the matrix of v -> m(F(h_x, h_y), v)
+    L = ar.fmatmul(f, F.reshape(nH * nH, nF, k),
+                   m.reshape(nF, nG * nOut, k)).reshape(nH * nH, nG, nOut, k)
+    Gf = G.reshape(nH * nH, nG, k)
+    pairs = max(nH * nH, _CHUNK_CELLS // max(nG * nOut * k, 1))
+    step = max(1, pairs // max(T, 1))
+    out = ar.zeros(f, (nH, nH * nOut))
+    for t0 in range(0, T, step):
+        t = slice(t0, min(t0 + step, T))
+        tc = t.stop - t0
+        # X[t, s] = m(F(h_A[t], h_A[s]), G(h_B[t], h_B[s]))
+        X = _rows_times_matrices(f, Gf[(B[t, None] * nH + B).ravel()],
+                                 L[(A[t, None] * nH + A).ravel()])
+        # weight by the coefficient of s and sum into column I[s], then by
+        # the coefficient of t into row I[t]
+        X = X.reshape(tc, T, nOut, k).transpose(1, 0, 2, 3)
+        Y = ar.fmatmul(f, D, X.reshape(T, tc * nOut, k))
+        Y = Y.reshape(nH, tc, nOut, k).transpose(1, 0, 2, 3)
+        out = (out + ar.fmatmul(f, D[:, t], Y.reshape(tc, nH * nOut, k))) % p
+    return out.reshape(nH, nH, nOut, k)
+
+
+def _rows_times_matrices(f: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise field products of rows a (P, g, k) with matrices
+    b (P, g, o, k): out[q] = a[q] @ b[q], shape (P, o, k)."""
+    p, k = f.p, f.k
+    if k == 1:
+        return (np.einsum("qg,qgo->qo", a[..., 0], b[..., 0]) % p)[..., None]
+    full = np.zeros(b.shape[:1] + b.shape[2:3] + (2 * k - 1,), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            full[..., i + j] += np.einsum("qg,qgo->qo", a[..., i],
+                                          b[..., j]) % p
+    return np.tensordot(full % p, f._red, axes=([-1], [0])) % p
 
 
 def conv_inverse(H: HopfAlgebra, A: SCAlgebra, fmap: LinMap) -> LinMap:

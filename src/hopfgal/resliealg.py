@@ -694,7 +694,8 @@ class Prop30Context:
     """Precomputed tensors for evaluating the twisted-product formula in
     bulk on a prime-field fiber.
 
-    Holds the fiber's structure constants, the u(L) structure constants,
+    Holds the fiber's structure constants (dense, and their nonzero
+    entries grouped by output coordinate), the u(L) structure constants,
     the matrix of gamma^{-1} on PBW labels, the binomial splitting lists of
     every label, and a cache of already-evaluated sigma scalars.  The
     per-pair evaluators below reproduce prop30_sigma / prop30_multiply
@@ -717,8 +718,18 @@ class Prop30Context:
         self.u0_flat = u0.reshape(N * N, N)
         self.mul_flat = F.alg.mul[:, :, :, 0].reshape(N * N, N)
         ginv = _pbw_inverse_rows(F)[:, :, 0]
-        # gamma^{-1}(e^b e^d) for every label pair, as U_lambda rows
-        self.tails = ar._imatmul(self.u0_flat, ginv, p)
+        # gamma^{-1}(e^b e^d) for every label pair, as U_lambda rows; one
+        # block per label b, so that no temporary is as large as the table
+        # (freed table-sized temporaries can stay resident)
+        self.tails = np.empty((N * N, N), dtype=np.int64)
+        for b in range(0, N * N, N):
+            self.tails[b:b + N] = ar._imatmul(self.u0_flat[b:b + N], ginv, p)
+        # the nonzero structure constants, ordered by output coordinate:
+        # column cols[c] holds mul_flat[rows[starts[c]:starts[c+1]], cols[c]]
+        out_col, pair = np.nonzero(self.mul_flat.T)
+        self._nz_rows = pair
+        self._nz_vals = self.mul_flat[pair, out_col]
+        self._nz_cols, self._nz_starts = np.unique(out_col, return_index=True)
         pascal = [[math.comb(a, b) % p for b in range(p + 1)] for a in range(p)]
         self.splits = []
         for alpha in F.labels:
@@ -753,7 +764,10 @@ class Prop30Context:
         tails = self.tails[(h2[:, None] * N + g2[None, :]).reshape(-1)]
         coeff = (c1[:, None] * c2[None, :]).reshape(-1) % p
         acc = ar._imatmul((heads * coeff[:, None]).T % p, tails, p)
-        vec = ar._imatmul(acc.reshape(1, N * N), self.mul_flat, p)[0]
+        # vec = acc (flattened) times mul_flat, over the nonzero entries only
+        vec = np.zeros(N, dtype=np.int64)
+        terms = acc.reshape(N * N)[self._nz_rows] * self._nz_vals
+        vec[self._nz_cols] = np.add.reduceat(terms, self._nz_starts) % p
         unit = self.F.index[(0,) * self.F.L.dim]
         if np.any(np.delete(vec, unit)):
             raise NotScalar(

@@ -177,6 +177,25 @@ def test_cocycle_check_invalid(capsys, tmp_path):
     assert code == 1 and json.loads(out)["issues"]
 
 
+def test_twist_rejects_dimension_over_cap(capsys, tmp_path):
+    # the declared dim is checked before anything of that size is built
+    from hopfgal.galois import splitting_to_cocycle
+    from hopfgal.resliealg import Fiber, FiberPoint, pbw_splitting
+
+    F = Fiber(speclab.borel_algebra(3), FiberPoint.make(Field(3), [1, 0]))
+    data = splitting_to_cocycle(pbw_splitting(F), "standard").to_json()
+    data["hopf"]["dim"] = 600
+    path = tmp_path / "big_cocycle.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "twist", "--cocycle", str(path))
+    assert code == 2 and "error: bad cocycle description" in err
+    data["hopf"]["dim"] = 9
+    data["values"] = data["values"][:-1]         # one row short
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "twist", "--cocycle", str(path))
+    assert code == 2 and "error: bad cocycle description" in err
+
+
 def test_twist_builds_f9(capsys, tmp_path):
     cpath, hpath, rpath = _f9_cocycle_files(tmp_path)
     code, out, _ = run(capsys, "twist", "--cocycle", cpath,

@@ -1,9 +1,24 @@
 import random
 
+import numpy as np
 import pytest
 
-from hopfgal.errors import DivisionByZero, FieldMismatch, ZeroPolynomial
-from hopfgal.exactfield import Field, Poly, field_arith, splitting_extension
+from hopfgal import _arrays as ar
+from hopfgal.errors import (
+    BadPrime,
+    DivisionByZero,
+    FieldMismatch,
+    ZeroPolynomial,
+)
+from hopfgal.exactfield import (
+    MAX_INNER,
+    P_MAX,
+    Field,
+    Poly,
+    _is_prime,
+    field_arith,
+    splitting_extension,
+)
 
 F3 = Field(3)
 F9 = Field(3, 2)
@@ -132,3 +147,27 @@ def test_element_enumeration_order():
 def test_poly_degree_sentinel():
     assert Poly(F3, []).degree == -1
     assert Poly.from_ints(F3, [0, 0, 2, 0]).degree == 2
+
+
+def test_prime_bound_is_the_largest_exact_prime():
+    assert _is_prime(P_MAX)
+    assert MAX_INNER * (P_MAX - 1) ** 2 < 2 ** 63
+    above = next(q for q in range(P_MAX + 1, 2 * P_MAX) if _is_prime(q))
+    assert MAX_INNER * (above - 1) ** 2 >= 2 ** 63
+    with pytest.raises(BadPrime):
+        Field(above)
+    with pytest.raises(BadPrime):
+        Field(2 ** 31 - 1)      # the int64 matmul overflowed here
+
+
+@pytest.mark.parametrize("p", [65537, P_MAX])
+def test_fmatmul_exact_up_to_the_prime_bound(p):
+    f = Field(p)
+    # all entries p - 1 = -1: each product is 1 mod p
+    A = np.full((2, 4, 1), p - 1, dtype=np.int64)
+    B = np.full((4, 2, 1), p - 1, dtype=np.int64)
+    assert np.array_equal(ar.fmatmul(f, A, B), np.full((2, 2, 1), 4))
+    # the longest inner dimension the bound covers
+    A = np.full((1, MAX_INNER, 1), p - 1, dtype=np.int64)
+    got = ar.fmatmul(f, A, A.transpose(1, 0, 2))
+    assert int(got[0, 0, 0]) == MAX_INNER % p

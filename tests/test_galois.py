@@ -258,6 +258,35 @@ def test_fiber_pbw_splitting_cocycle_matches_direct_formula():
             assert tuple(int(c) for c in sig.values[i, j, 0]) == s.coeffs
 
 
+@pytest.mark.parametrize("lie, point", [
+    (borel, (1, 0)),
+    (borel, (0, 1)),
+    (sl2, (1, 0, 0)),           # the sl2 cone point
+])
+def test_twisted_product_conventions_round_trip(lie, point):
+    # the cocycle of the PBW cleaving map twists back to the fiber under
+    # "standard" and to its opposite algebra under "paper"
+    F = fiber_algebra(lie(3), FiberPoint.make(F3, point))
+    sp = pbw_splitting(F)
+    for convention, want in (("standard", F.alg.mul),
+                             ("paper", F.alg.mul.transpose(1, 0, 2, 3))):
+        sig = splitting_to_cocycle(sp, convention=convention)
+        A = twisted_product(sig.target, sig, convention=convention)
+        assert np.array_equal(A.mul, want), convention
+
+
+def test_coinvariants_rejects_non_unital_coaction():
+    # every g goes to g (x) x with x the generator: the unit is not
+    # coinvariant, which is a typed error and not an assertion
+    Z2 = group_algebra(F3, cyclic_group_table(2))
+    rho = np.zeros((2, 2, 2, 1), dtype=np.int64)
+    for i in range(2):
+        rho[i, i, 1, 0] = 1
+    CA = ComoduleAlgebra(Z2.alg, Z2, rho, check=False)
+    with pytest.raises(ShapeMismatch):
+        coinvariants(CA)
+
+
 # ---------------------------------------------------------------------------
 # cocycle transform and pushforward
 # ---------------------------------------------------------------------------

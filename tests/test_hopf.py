@@ -5,11 +5,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfgal import Field
 from hopfgal import _arrays as ar
 from hopfgal import fdalg, hopf
 from hopfgal.errors import IntegralNotFound, NotAGroup, NotConvInvertible
+from hopfgal.resliealg import u_restricted
+from hopfgal.speclab import borel_algebra
 
 
 def s3_table():
@@ -267,3 +271,55 @@ def test_group_from_json():
     assert H.dim == 2
     with pytest.raises(NotAGroup):
         hopf.group_from_json(f, {"order": 3, "table": [[0, 1], [1, 0]]})
+
+
+# ---------------------------------------------------------------------------
+# the two-argument convolution
+# ---------------------------------------------------------------------------
+
+def convolution2_loop(H, F, G, m):
+    """Reference for hopf.convolution2, term by term: out[i, j] sums
+    m(F(x_1, y_1), G(x_2, y_2)) over the coproduct terms of h_i and h_j."""
+    f = H.field
+    n = H.dim
+    nF, nG, nOut = m.shape[:3]
+    terms = [[(a, b, H.comul[i, a, b]) for a in range(n) for b in range(n)
+              if np.any(H.comul[i, a, b])] for i in range(n)]
+    out = ar.zeros(f, (n, n, nOut))
+    for i in range(n):
+        for j in range(n):
+            for x1, x2, c1 in terms[i]:
+                for y1, y2, c2 in terms[j]:
+                    left = ar.fmatmul(f, F[x1, y1][None],
+                                      m.reshape(nF, nG * nOut, f.k))
+                    val = ar.fmatmul(f, G[x2, y2][None],
+                                     left.reshape(nG, nOut, f.k))[0]
+                    c = ar.fmul(f, c1, c2)
+                    out[i, j] = ar.fadd(f, out[i, j], ar.fmul(f, c[None], val))
+    return out
+
+
+_F9 = Field(3, 2)
+CONV2_HOPF = [hopf.group_algebra(f, hopf.cyclic_group_table(n))
+              for f in (Field(3), _F9) for n in range(1, 7)]
+CONV2_HOPF += [u_restricted(borel_algebra(3), f)[0] for f in (Field(3), _F9)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(H=st.sampled_from(CONV2_HOPF), product=st.sampled_from(["mul", "outer"]),
+       nR=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_convolution2_matches_term_by_term_loop(H, product, nR, seed):
+    f, n = H.field, H.dim
+    rng = np.random.default_rng(seed)
+    if product == "mul":
+        # sigma-like pairs multiplied in an algebra: m is H's own product
+        m = H.alg.mul
+    else:
+        # the R (x) H outer product of twisted_product, m(a_r, h_t) = a_r (x) h_t
+        m = ar.zeros(f, (nR, n, nR * n))
+        r, t = np.divmod(np.arange(nR * n), n)
+        m[r, t, np.arange(nR * n), 0] = 1
+    F = rng.integers(0, f.p, size=(n, n, m.shape[0], f.k))
+    G = rng.integers(0, f.p, size=(n, n, m.shape[1], f.k))
+    assert np.array_equal(hopf.convolution2(H, F, G, m),
+                          convolution2_loop(H, F, G, m))
