@@ -2,8 +2,15 @@
 
 Arrays carry a trailing axis of length field.k holding coefficient vectors
 over F_p (low degree first).  All kernels reduce mod p and mod the field
-modulus; elimination is vectorized over rows so that desk-scale systems
-(a few thousand rows) stay fast in pure numpy.
+modulus.  Products go through one integer matmul, `_imatmul`, which uses
+float64 BLAS whenever every dot product stays below 2^52 and is exact.
+
+Elimination is row-batched: `rref` folds ROW_BLOCK rows at a time into a
+running RREF basis.  Each block is reduced against the basis with one
+matmul, its remainder is eliminated one pivot at a time (on at most
+ROW_BLOCK rows), and the new pivot columns are cleared from the basis with
+one more matmul.  Tall systems such as the 15625 x 125 dual-integral system
+thus cost a few hundred small matmuls, not one full-height update per pivot.
 """
 
 from __future__ import annotations
@@ -13,11 +20,17 @@ import numpy as np
 from .errors import ShapeMismatch
 from .exactfield import Field, Scalar
 
+# rows folded into the running basis per step of rref
+ROW_BLOCK = 64
+
 
 def asarray(field: Field, data) -> np.ndarray:
-    """Coerce nested data (ints, coeff lists, or Scalars) to a (... , k) array."""
+    """Coerce nested data (ints, coeff lists, or Scalars) to a (... , k) array.
+    An int64 array already reduced mod p is returned as is, not copied."""
     if isinstance(data, np.ndarray) and data.dtype == np.int64:
         if data.shape[-1:] == (field.k,):
+            if data.size == 0 or (data.min() >= 0 and data.max() < field.p):
+                return data
             return data % field.p
     def conv(x):
         if isinstance(x, Scalar):
@@ -46,14 +59,6 @@ def unit_scalar(field: Field, value=1) -> np.ndarray:
 
 def scalar_of(field: Field, arr) -> Scalar:
     return Scalar(field, tuple(int(c) for c in np.asarray(arr)))
-
-
-def is_zero(arr) -> bool:
-    return not np.any(arr)
-
-
-def fneg(field: Field, a):
-    return (-a) % field.p
 
 
 def fadd(field: Field, a, b):
@@ -90,16 +95,18 @@ def fmatmul(field: Field, A, B):
     return np.tensordot(full % p, field._red, axes=([-1], [0])) % p
 
 
-def _imatmul(a, b, p):
-    """Exact integer matmul mod p; uses float64 BLAS when bounds are safe."""
+def _imatmul(a, b, mod):
+    """Exact integer matmul mod `mod` of operands with entries in [0, mod),
+    batched over leading axes as np.matmul; uses float64 BLAS when every
+    dot product stays below 2^52."""
     inner = a.shape[-1]
     # the float64 BLAS path wins only on large products; small integer
     # matmuls are exact and avoid the conversion overhead
-    if a.size * b.shape[-1] > 32768 and inner * (p - 1) * (p - 1) < 2 ** 52:
+    if a.size * b.shape[-1] > 32768 and inner * (mod - 1) * (mod - 1) < 2 ** 52:
         c = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     else:
         c = a @ b
-    return c % p
+    return c % mod
 
 
 def scalar_inv(field: Field, a) -> np.ndarray:
@@ -112,20 +119,51 @@ def _outer(field: Field, col, row):
 
 
 def rref(field: Field, M: np.ndarray):
-    """Reduced row echelon form of M (m, n, k).  Returns (R, pivot_columns)."""
+    """Reduced row echelon form of M (m, n, k).  Returns (R, pivot_columns).
+
+    Rows are folded into a running RREF basis ROW_BLOCK at a time: a block
+    is reduced against the basis by one fmatmul, its remainder is brought to
+    RREF by single-pivot elimination, and the new pivot columns are cleared
+    from the basis by one more fmatmul.  The RREF of a row space is unique,
+    so R and the pivots do not depend on the blocking."""
     p = field.p
-    M = M.copy() % p
+    m, n = M.shape[0], M.shape[1]
+    if m <= ROW_BLOCK:
+        return _rref_rows(field, M % p)
+    basis, pivots = zeros(field, (0, n)), []
+    for s in range(0, m, ROW_BLOCK):
+        if len(pivots) == n:
+            break
+        block = M[s:s + ROW_BLOCK] % p
+        if pivots:
+            block = (block - fmatmul(field, block[:, pivots], basis)) % p
+        new, new_pivots = _rref_rows(field, block)
+        if not new_pivots:
+            continue
+        if pivots:
+            basis = (basis - fmatmul(field, basis[:, new_pivots], new)) % p
+        pivots = pivots + new_pivots
+        order = np.argsort(pivots, kind="stable")
+        basis = np.concatenate([basis, new])[order]
+        pivots = [pivots[i] for i in order]
+    return basis, pivots
+
+
+def _rref_rows(field: Field, M: np.ndarray):
+    """rref by single-pivot elimination, each pivot updating every row; M is
+    reduced mod p and is overwritten."""
+    p = field.p
     m, n = M.shape[0], M.shape[1]
     pivots = []
     r = 0
-    for c in range(n):
-        if r >= m:
+    c = 0
+    while r < m and c < n:
+        # the next pivot column is the first nonzero one below row r
+        nz = np.flatnonzero(np.any(M[r:, c:, :], axis=(0, 2)))
+        if nz.size == 0:
             break
-        nz = np.any(M[r:, c, :], axis=1)
-        idx = np.flatnonzero(nz)
-        if idx.size == 0:
-            continue
-        i = r + int(idx[0])
+        c += int(nz[0])
+        i = r + int(np.flatnonzero(np.any(M[r:, c, :], axis=1))[0])
         if i != r:
             M[[r, i]] = M[[i, r]]
         inv = scalar_inv(field, M[r, c])
@@ -135,11 +173,8 @@ def rref(field: Field, M: np.ndarray):
         M = (M - _outer(field, factors, M[r])) % p
         pivots.append(c)
         r += 1
-    # drop zero rows
-    nz_rows = np.any(M.reshape(m, -1), axis=1)
-    keep = np.flatnonzero(nz_rows)
-    R = M[: len(pivots)] if np.all(nz_rows[: len(pivots)]) else M[keep]
-    return R, pivots
+        c += 1
+    return M[:r], pivots
 
 
 def rank(field: Field, M: np.ndarray) -> int:

@@ -99,3 +99,9 @@ class TooManyPoints(HopfgalError):
 
 class RelationCheckFailed(HopfgalError):
     pass
+
+
+class RadicalChainFailed(HopfgalError):
+    """The generalized-trace chain for the radical broke an invariant it
+    relies on: a trace not divisible, a space not an ideal, or an endpoint
+    that is not nilpotent."""

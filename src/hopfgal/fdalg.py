@@ -17,6 +17,7 @@ from . import _arrays as ar
 from .errors import (
     DimCapExceeded,
     NotAnExtension,
+    RadicalChainFailed,
     ShapeMismatch,
     SplittingCapExceeded,
 )
@@ -24,6 +25,8 @@ from .exactfield import Field, Poly
 
 DIM_CAP = 512
 SPLITTING_DEGREE_CAP = 12
+# cells of one stack of matrices raised to a power in the radical chain
+STACK_CELLS = 1 << 21
 
 
 class Subspace:
@@ -318,10 +321,9 @@ def _radical_prime(A: SCAlgebra) -> np.ndarray:
     valid in characteristic p (iterated p-power trace corrections)."""
     f = A.field
     p, n = f.p, A.dim
-    # integer lifts of left-multiplication matrices of the basis
-    # left multiplication by basis vector i is the slice mul[i] as [j, m]
-    lmats = A.mul[:, :, :, 0].transpose(0, 2, 1).copy()  # (i, m, j)
-    # columns act on column vectors: (L x)_m = sum_j L[m,j] x_j
+    # mul[i] as [j, m] is the transpose of left multiplication by b_i on
+    # column vectors; traces of powers do not see the transpose
+    lmats_t = A.mul[:, :, :, 0].reshape(n, n * n)
 
     space = ar.zeros(f, (n, n))
     for i in range(n):
@@ -329,17 +331,19 @@ def _radical_prime(A: SCAlgebra) -> np.ndarray:
 
     def f_i_values(vecs, i):
         """(Tr(lift(L_vec)^(p^i)) / p^i) mod p for each row of vecs (d, n, 1)."""
-        Ls = np.tensordot(vecs[:, :, 0], lmats, axes=([1], [0]))  # (d, n, n)
+        d = vecs.shape[0]
         mod = p ** (i + 1)
-        out = []
-        for L in Ls % mod:
-            W = L
-            for _ in range(i):
-                W = _int_matrix_power(W, p, mod)
-            tr = int(np.trace(W)) % mod
-            assert tr % (p ** i) == 0, "generalized trace not divisible"
-            out.append((tr // (p ** i)) % p)
-        return out
+        # integer lifts of all d left multiplications, then their p^i-th
+        # powers mod p^(i+1), a stack of at most STACK_CELLS cells at a time
+        W = ar._imatmul(vecs[:, :, 0], lmats_t, mod).reshape(d, n, n)
+        rows = max(1, STACK_CELLS // (n * n))
+        tr = np.concatenate([
+            np.trace(_stack_power(W[s:s + rows], p ** i, mod), axis1=1, axis2=2)
+            for s in range(0, d, rows)]) % mod
+        if np.any(tr % (p ** i)):
+            raise RadicalChainFailed(
+                f"level-{i} generalized trace not divisible by {p}^{i}")
+        return (tr // (p ** i)) % p
 
     # the chain stabilizes at the radical after l+1 refinements where
     # p^l <= n < p^(l+1)
@@ -352,15 +356,14 @@ def _radical_prime(A: SCAlgebra) -> np.ndarray:
             break
         # the level map is additive and F_p-linear on the current ideal, so
         # evaluating it on the ideal basis determines all constraint entries
-        vals = f_i_values(space, level)
+        valv = f_i_values(space, level)
         # all products space[r] * b_s at once: prods[r, s, m]
         prods = ar.fmatmul(f, space, A.mul.reshape(n, n * n, 1))
         prods = prods.reshape(d, n, n, 1)
         cc = ar.coords_in_row_space_many(f, space, prods.reshape(d * n, n, 1))
         if cc is None:
-            raise RuntimeError("trace-chain space is not an ideal")
+            raise RadicalChainFailed("trace-chain space is not an ideal")
         coords = cc.reshape(d, n, d, 1)[:, :, :, 0]  # (r, s, t): ideal coords
-        valv = np.array(vals, dtype=np.int64)
         # constraint per s on unknowns r: sum_t coords[r, s, t] vals[t]
         M = (np.tensordot(coords, valv, axes=([2], [0])) % p).T[:, :, None]
         ker = ar.nullspace(f, M)  # coordinates in the ideal basis
@@ -371,14 +374,16 @@ def _radical_prime(A: SCAlgebra) -> np.ndarray:
     return space
 
 
-def _int_matrix_power(W, e, mod):
-    out = np.eye(W.shape[0], dtype=np.int64)
-    base = W % mod
+def _stack_power(W, e, mod):
+    """W[t]^e mod `mod` for each matrix of the stack W (d, n, n)."""
+    out = None
+    base = W
     while e:
         if e & 1:
-            out = (out @ base) % mod
-        base = (base @ base) % mod
+            out = base if out is None else ar._imatmul(out, base, mod)
         e >>= 1
+        if e:
+            base = ar._imatmul(base, base, mod)
     return out
 
 
@@ -394,7 +399,7 @@ def radical(A: SCAlgebra) -> Subspace:
     sub = Subspace(f, A.dim, vecs)
     # sanity: the result must be nilpotent (guards the chain endpoint)
     if not _is_nilpotent_subspace(A, sub.basis):
-        raise RuntimeError("radical chain produced a non-nilpotent space")
+        raise RadicalChainFailed("radical chain produced a non-nilpotent space")
     return sub
 
 

@@ -1,0 +1,154 @@
+"""Elimination kernels against a pure-Python Gauss-Jordan reference built on
+Field.cmul / Field.cinv, over small and large primes and extension degrees,
+on row counts that cover zero, one and several row blocks of rref."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopfgal import Field
+from hopfgal import _arrays as ar
+from hopfgal.exactfield import P_MAX
+
+# extension degree shrinks as p grows, to keep the reference loops fast
+FIELDS = [Field(p, k) for p, k in [(2, 1), (2, 4), (3, 1), (3, 3), (5, 1),
+                                   (5, 2), (7, 1), (7, 2), (65537, 1),
+                                   (65537, 2), (P_MAX, 1)]]
+
+
+def to_rows(M):
+    return [[tuple(int(c) for c in x) for x in row] for row in M]
+
+
+def to_array(field, rows, n):
+    out = ar.zeros(field, (len(rows), n))
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            out[i, j] = x
+    return out
+
+
+def gauss_jordan(field, rows, n):
+    """Reduced row echelon rows and pivot columns, one pivot at a time."""
+    rows = [list(r) for r in rows]
+    zero = field.czero
+    pivots = []
+    r = 0
+    for c in range(n):
+        i = next((i for i in range(r, len(rows)) if rows[i][c] != zero), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = field.cinv(rows[r][c])
+        rows[r] = [field.cmul(inv, x) for x in rows[r]]
+        for j in range(len(rows)):
+            fac = rows[j][c]
+            if j != r and fac != zero:
+                rows[j] = [field.csub(x, field.cmul(fac, y))
+                           for x, y in zip(rows[j], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def null_basis(field, R, pivots, n):
+    """Kernel basis of the rref rows R: one vector per free column."""
+    out = []
+    for c in (c for c in range(n) if c not in pivots):
+        v = [field.czero] * n
+        v[c] = field.cone
+        for row, pc in zip(R, pivots):
+            v[pc] = field.cneg(row[c])
+        out.append(v)
+    return out
+
+
+@st.composite
+def systems(draw):
+    """(field, M): an (m, n, k) matrix, often rank-deficient, with zero rows."""
+    field = draw(st.sampled_from(FIELDS))
+    m = draw(st.integers(1, 200))
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p, k = field.p, field.k
+    if draw(st.booleans()):
+        # product of thin random matrices: rank at most r
+        r = draw(st.integers(0, 6))
+        A = rng.integers(0, p, size=(m, r, k))
+        B = rng.integers(0, p, size=(r, n, k))
+        M = ar.fmatmul(field, A, B) if r else ar.zeros(field, (m, n))
+    else:
+        M = rng.integers(0, p, size=(m, n, k))
+    M[rng.random(m) < draw(st.sampled_from([0.0, 0.2, 0.9]))] = 0
+    return field, M
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=systems())
+def test_rref_matches_gauss_jordan(case):
+    field, M = case
+    n = M.shape[1]
+    R, pivots = ar.rref(field, M)
+    ref_rows, ref_pivots = gauss_jordan(field, to_rows(M), n)
+    assert pivots == ref_pivots
+    assert np.array_equal(R, to_array(field, ref_rows, n))
+    # the single-pivot routine over all rows gives the same bits
+    R1, pivots1 = ar._rref_rows(field, M % field.p)
+    assert pivots1 == pivots and np.array_equal(R1, R)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=systems())
+def test_nullspace_matches_gauss_jordan(case):
+    field, M = case
+    n = M.shape[1]
+    ref_rows, ref_pivots = gauss_jordan(field, to_rows(M), n)
+    ref_null = null_basis(field, ref_rows, ref_pivots, n)
+    want, _ = gauss_jordan(field, ref_null, n)
+    got = ar.nullspace(field, M)
+    assert np.array_equal(got, to_array(field, want, n))
+    if got.shape[0]:
+        assert not np.any(ar.fmatmul(field, M, got.transpose(1, 0, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=systems(), consistent=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_solve_matches_gauss_jordan(case, consistent, seed):
+    field, M = case
+    m, n = M.shape[0], M.shape[1]
+    rng = np.random.default_rng(seed)
+    if consistent:
+        x0 = rng.integers(0, field.p, size=(n, 1, field.k))
+        b = ar.fmatmul(field, M, x0)[:, 0]
+    else:
+        b = rng.integers(0, field.p, size=(m, field.k))
+    aug = [row + [tuple(int(c) for c in b[i])] for i, row in enumerate(to_rows(M))]
+    ref_rows, ref_pivots = gauss_jordan(field, aug, n + 1)
+    got = ar.solve(field, M, b)
+    if n in ref_pivots:
+        assert got is None and not consistent
+        return
+    want = [field.czero] * n
+    for row, pc in zip(ref_rows, ref_pivots):
+        want[pc] = row[n]
+    assert np.array_equal(got, to_array(field, [want], n)[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(FIELDS), m=st.integers(1, 12), r=st.integers(1, 12),
+       n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_fmatmul_matches_cmul_sums(field, m, r, n, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, field.p, size=(m, r, field.k))
+    B = rng.integers(0, field.p, size=(r, n, field.k))
+    rows_a, rows_b = to_rows(A), to_rows(B)
+    want = []
+    for i in range(m):
+        row = []
+        for j in range(n):
+            acc = field.czero
+            for t in range(r):
+                acc = field.cadd(acc, field.cmul(rows_a[i][t], rows_b[t][j]))
+            row.append(acc)
+        want.append(row)
+    assert np.array_equal(ar.fmatmul(field, A, B), to_array(field, want, n))

@@ -10,7 +10,13 @@ import pytest
 from hopfgal import Field, Poly
 from hopfgal import fdalg
 from hopfgal import _arrays as ar
-from hopfgal.errors import ShapeMismatch, SplittingCapExceeded
+from hopfgal.errors import (
+    HopfgalError,
+    RadicalChainFailed,
+    ShapeMismatch,
+    SplittingCapExceeded,
+)
+from hopfgal.exactfield import P_MAX
 
 
 def matrix_algebra(field, n):
@@ -175,6 +181,64 @@ def test_radical_over_extension_field():
     rad = fdalg.radical(A)
     assert rad.dim == 2
     check_radical_certificate(A, rad)
+
+
+@pytest.mark.parametrize("p", [65537, P_MAX])
+def test_radical_dual_numbers_at_large_primes(p):
+    # tiny products take the int64 matmul
+    A = dual_numbers(Field(p))
+    rad = fdalg.radical(A)
+    assert rad.dim == 1
+    assert rad.contains(A.basis_vector(1))
+    check_radical_certificate(A, rad)
+
+
+@pytest.mark.parametrize("p, float_path", [(65537, True), (P_MAX, False)])
+def test_radical_on_both_matmul_paths(p, float_path):
+    # F_p^128 x F_p[t]/(t^2): the trace lifts have inner dimension 130,
+    # where 130 (p - 1)^2 < 2^52 holds at 65537 and fails at P_MAX
+    n = 130
+    assert (n * (p - 1) ** 2 < 2 ** 52) == float_path
+    f = Field(p)
+    mul = np.zeros((n, n, n, 1), dtype=np.int64)
+    idx = np.arange(n - 2)
+    mul[idx, idx, idx, 0] = 1
+    u, t = n - 2, n - 1
+    mul[u, u, u, 0] = mul[u, t, t, 0] = mul[t, u, t, 0] = 1
+    unit = np.zeros((n, 1), dtype=np.int64)
+    unit[:u + 1, 0] = 1
+    A = fdalg.SCAlgebra(f, mul, unit)
+    rad = fdalg.radical(A)
+    assert rad.dim == 1
+    assert rad.contains(A.basis_vector(t))
+
+
+def test_radical_deep_trace_chain():
+    # F_2[Z/8]: 2^3 <= 8 runs the chain to level 3, mod 2^4 = 16; the radical
+    # is the augmentation ideal
+    f = Field(2)
+    A = cyclic_group_algebra(f, 8)
+    rad = fdalg.radical(A)
+    assert rad.dim == 7
+    assert rad.contains((A.basis_vector(1) - A.unit) % 2)
+    check_radical_certificate(A, rad)
+
+
+def test_radical_chain_failure_is_a_typed_error(monkeypatch):
+    A = dual_numbers(Field(3))
+    monkeypatch.setattr(fdalg, "_is_nilpotent_subspace", lambda A, basis: False)
+    with pytest.raises(RadicalChainFailed):
+        fdalg.radical(A)
+    assert issubclass(RadicalChainFailed, HopfgalError)
+
+
+def test_scalgebra_keeps_reduced_input_and_reduces_the_rest():
+    f = Field(5)
+    A = cyclic_group_algebra(f, 3)
+    B = fdalg.SCAlgebra(f, A.mul, A.unit)
+    assert np.shares_memory(B.mul, A.mul) and np.shares_memory(B.unit, A.unit)
+    C = fdalg.SCAlgebra(f, A.mul + 5, A.unit - 5)
+    assert np.array_equal(C.mul, A.mul) and np.array_equal(C.unit, A.unit)
 
 
 def test_quotient_algebra_of_dual_numbers():
