@@ -128,8 +128,6 @@ def rref(field: Field, M: np.ndarray):
     so R and the pivots do not depend on the blocking."""
     p = field.p
     m, n = M.shape[0], M.shape[1]
-    if m <= ROW_BLOCK:
-        return _rref_rows(field, M % p)
     basis, pivots = zeros(field, (0, n)), []
     for s in range(0, m, ROW_BLOCK):
         if len(pivots) == n:

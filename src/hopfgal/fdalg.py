@@ -25,8 +25,6 @@ from .exactfield import Field, Poly
 
 DIM_CAP = 512
 SPLITTING_DEGREE_CAP = 12
-# cells of one stack of matrices raised to a power in the radical chain
-STACK_CELLS = 1 << 21
 
 
 class Subspace:
@@ -334,12 +332,9 @@ def _radical_prime(A: SCAlgebra) -> np.ndarray:
         d = vecs.shape[0]
         mod = p ** (i + 1)
         # integer lifts of all d left multiplications, then their p^i-th
-        # powers mod p^(i+1), a stack of at most STACK_CELLS cells at a time
+        # powers mod p^(i+1) as one stack
         W = ar._imatmul(vecs[:, :, 0], lmats_t, mod).reshape(d, n, n)
-        rows = max(1, STACK_CELLS // (n * n))
-        tr = np.concatenate([
-            np.trace(_stack_power(W[s:s + rows], p ** i, mod), axis1=1, axis2=2)
-            for s in range(0, d, rows)]) % mod
+        tr = np.trace(_stack_power(W, p ** i, mod), axis1=1, axis2=2) % mod
         if np.any(tr % (p ** i)):
             raise RadicalChainFailed(
                 f"level-{i} generalized trace not divisible by {p}^{i}")
