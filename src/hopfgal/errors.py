@@ -105,3 +105,10 @@ class RadicalChainFailed(HopfgalError):
     """The generalized-trace chain for the radical broke an invariant it
     relies on: a trace not divisible, a space not an ideal, or an endpoint
     that is not nilpotent."""
+
+
+class ConsistencyCheckFailed(HopfgalError):
+    """A computed result contradicts a property the theory guarantees for
+    it: block dimensions that do not add up, an idempotent lift that does
+    not converge, a degenerate Frobenius form on a fiber.  It points at a
+    defect in the computation, not at bad input."""

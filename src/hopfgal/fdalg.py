@@ -15,6 +15,7 @@ import numpy as np
 
 from . import _arrays as ar
 from .errors import (
+    ConsistencyCheckFailed,
     DimCapExceeded,
     NotAnExtension,
     RadicalChainFailed,
@@ -399,13 +400,16 @@ def radical(A: SCAlgebra) -> Subspace:
 
 
 def _product_space(A: SCAlgebra, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    if U.shape[0] == 0 or V.shape[0] == 0:
-        return ar.zeros(A.field, (0, A.dim))
-    prods = []
-    for i in range(U.shape[0]):
-        for j in range(V.shape[0]):
-            prods.append(A._pair_product(U[i], V[j]))
-    return ar.row_space(A.field, np.stack(prods))
+    """RREF basis of the span of all products u v, u a row of U, v of V."""
+    f, n = A.field, A.dim
+    d = U.shape[0]
+    if d == 0 or V.shape[0] == 0:
+        return ar.zeros(f, (0, n))
+    # X[i, b] = u_i e_b, then u_i v_j = sum_b v_j[b] X[i, b]: all products
+    # as two matmuls
+    X = ar.fmatmul(f, U, A.mul.reshape(n, n * n, f.k)).reshape(d, n, n, f.k)
+    prods = ar.fmatmul(f, V, X.transpose(1, 0, 2, 3).reshape(n, d * n, f.k))
+    return ar.row_space(f, prods.reshape(-1, n, f.k))
 
 
 def _is_nilpotent_subspace(A: SCAlgebra, basis: np.ndarray) -> bool:
@@ -539,7 +543,7 @@ def _primitive_idempotents_split_commutative(E: SCAlgebra):
             minpoly = _minimal_polynomial(E, z, unit, basis)
             fac = minpoly.factor()
             if any(g.degree > 1 or m > 1 for g, m in fac):
-                raise RuntimeError("component not split semisimple")
+                raise ConsistencyCheckFailed("component not split semisimple")
             if len(fac) <= 1:
                 continue
             for g, _ in fac:
@@ -563,7 +567,8 @@ def _primitive_idempotents_split_commutative(E: SCAlgebra):
             split = True
             break
         if not split:
-            raise RuntimeError("no basis element splits a non-local component")
+            raise ConsistencyCheckFailed(
+                "no basis element splits a non-local component")
     return done
 
 
@@ -582,13 +587,16 @@ def _minimal_polynomial(A: SCAlgebra, z: np.ndarray, unit: np.ndarray,
             # dependence: solve for coefficients
             M = np.stack(powers).transpose(1, 0, 2)
             sol = ar.solve(f, M, cur)
-            assert sol is not None
+            if sol is None:
+                raise ConsistencyCheckFailed(
+                    "dependent power is not a combination of the lower ones")
             coeffs = [-ar.scalar_of(f, sol[i]) for i in range(len(powers))]
             coeffs.append(f.one)
             return Poly(f, coeffs)
         powers.append(cur)
         if len(powers) > space.shape[0] + 1:
-            raise RuntimeError("minimal polynomial search exceeded dimension")
+            raise ConsistencyCheckFailed(
+                "minimal polynomial search exceeded dimension")
 
 
 def central_idempotents(A: SCAlgebra) -> list[np.ndarray]:
@@ -618,14 +626,16 @@ def central_idempotents(A: SCAlgebra) -> list[np.ndarray]:
     idems = []
     for eb in prims_B:
         lift = ar.solve(f, proj.transpose(1, 0, 2), eb)
-        assert lift is not None
+        if lift is None:
+            raise ConsistencyCheckFailed(
+                "idempotent of the quotient has no preimage in the center")
         e = lift
         for _ in range(2 * (ZA.dim + 2)):
             if not np.any((ZA._pair_product(e, e) - e) % f.p):
                 break
             e = ZA.power(e, f.p)
         else:
-            raise RuntimeError("idempotent lifting did not converge")
+            raise ConsistencyCheckFailed("idempotent lifting did not converge")
         # into A coordinates
         idems.append(ar.fmatmul(f, e[None, :, :], zbasis)[0])
     idems.sort(key=lambda v: v.reshape(-1).tolist())
@@ -644,7 +654,8 @@ def block_decompose(A: SCAlgebra) -> BlockReport:
     rep = BlockReport(center_dim=center(A).dim, blocks=dims)
     total = sum(dims)
     if total != A.dim:
-        raise RuntimeError(f"block dimensions {dims} do not sum to {A.dim}")
+        raise ConsistencyCheckFailed(
+            f"block dimensions {dims} do not sum to {A.dim}")
     return rep
 
 
@@ -696,9 +707,10 @@ def simples(A: SCAlgebra, allow_extension: bool = True) -> BlockReport:
             f"{SPLITTING_DEGREE_CAP}")
     blocks = base_blocks if deg == 1 else block_ideals(extend_scalars(Asemi, big))
     if any(center(blk).dim != 1 for blk, _, _ in blocks):
-        raise RuntimeError("predicted splitting extension did not split")
+        raise ConsistencyCheckFailed(
+            "predicted splitting extension did not split")
     if any(math.isqrt(blk.dim) ** 2 != blk.dim for blk, _, _ in blocks):
-        raise RuntimeError("split block dimension is not a square")
+        raise ConsistencyCheckFailed("split block dimension is not a square")
     dims = sorted(math.isqrt(blk.dim) for blk, _, _ in blocks)
     if rad.dim == 0:
         # A equals its semisimple quotient: the blocks and center computed

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import _arrays as ar
 from .errors import (
+    ConsistencyCheckFailed,
     IntegralNotFound,
     NotAGroup,
     NotConvInvertible,
@@ -401,8 +402,9 @@ def is_unimodular_s2(H: HopfAlgebra) -> tuple[bool, bool, bool]:
                       lam.functional[:, None, :]).reshape(n, n, f.k)
     lambda_symmetric = not np.any((vals - vals.transpose(1, 0, 2)) % f.p)
     if unimodular and s2_is_id and not lambda_symmetric:
-        raise RuntimeError("unimodular with involutive antipode but the dual "
-                           "integral is not symmetric")
+        raise ConsistencyCheckFailed(
+            "unimodular with involutive antipode but the dual integral is "
+            "not symmetric")
     return unimodular, s2_is_id, lambda_symmetric
 
 

@@ -8,6 +8,14 @@ coalgebra splitting, and the cocycle-formula product used as a cross-check.
 PBW monomials are written e^alpha = e_1^{a_1} ... e_n^{a_n} in the fixed
 basis order; fiber basis labels run over 0 <= a_i < p in lexicographic order
 (last exponent fastest).
+
+The structure tensor of a fiber is built by a chain of sparse products: the
+engine supplies only the n left-generator matrices (row t is e_i e^t), and
+each slab mul[alpha] is mul[alpha - delta_i] times the matrix of e_i, for
+the first nonzero exponent a_i of alpha.  The dict engine stays the
+reference arithmetic: tests compare the tensor with it, and it still
+computes the antipode and gamma^{-1} rows, the Prop. 30 oracles and
+`Fiber.element_from_dict`.
 """
 
 from __future__ import annotations
@@ -400,7 +408,14 @@ def pbw_labels(p: int, n: int) -> list[tuple]:
 
 class Fiber:
     """The reduced algebra U_lambda on the PBW basis {e^alpha : 0 <= a_i < p},
-    together with the data needed for its u(L)-comodule structure."""
+    together with the data needed for its u(L)-comodule structure.
+
+    `alg.mul[alpha]` (row beta is e^alpha e^beta) is built in label order as
+    mul[alpha - delta_i] @ Lambda_i, where i is the first nonzero exponent of
+    alpha (so e^alpha = e_i e^(alpha - delta_i)) and Lambda_i, the matrix of
+    left multiplication by e_i, is held in CSR form.  The straightening
+    engine (`engine`) computes only those n matrices, n p^n products in all;
+    each step is a sparse product with temporaries of one (p^n, p^n) slab."""
 
     def __init__(self, L: RestrictedLie, point: FiberPoint):
         field = point.field
@@ -424,38 +439,34 @@ class Fiber:
     def _build_algebra(self) -> SCAlgebra:
         f = self.field
         p, n, dim = self.L.p, self.L.dim, self.dim
-        k = f.k
-        eng = self.engine
-        index = self.index
-        mul = np.zeros((dim, dim, dim, k), dtype=np.int64)
-        labels = self.labels
-        for ia, alpha in enumerate(labels):
-            # row[beta] = e^alpha e^beta, filled in lex order: each beta with
-            # largest nonzero index j extends row[beta - delta_j]
-            row = {labels[0]: {alpha: eng.cone}}
-            tgt = mul[ia]
-            if k == 1:
-                for t, c in row[labels[0]].items():
-                    tgt[0, index[t], 0] = c
-            else:
-                for t, c in row[labels[0]].items():
-                    tgt[0, index[t]] = c
-            for ib in range(1, dim):
-                beta = labels[ib]
-                j = max(t for t in range(n) if beta[t])
-                prev = beta[:j] + (beta[j] - 1,) + beta[j + 1:]
-                cur = eng.rmul_elem(row[prev], j)
-                row[beta] = cur
-                if k == 1:
-                    for t, c in cur.items():
-                        tgt[ib, index[t], 0] = c
-                else:
-                    for t, c in cur.items():
-                        tgt[ib, index[t]] = c
-        unit = np.zeros((dim, k), dtype=np.int64)
+        mul = np.zeros((dim, dim, dim, f.k), dtype=np.int64)
+        mul[0, np.arange(dim), np.arange(dim), 0] = 1
+        gens = [self._left_generator(i) for i in range(n)]
+        # mul[alpha] = mul[alpha - delta_i] @ Lambda_i, i the first nonzero
+        # exponent of alpha; alpha - delta_i comes earlier in label order
+        for ia in range(1, dim):
+            i = next(t for t in range(n) if self.labels[ia][t])
+            _slab_times_csr(f, mul[ia - p ** (n - 1 - i)], gens[i], mul[ia])
+        unit = np.zeros((dim, f.k), dtype=np.int64)
         unit[0, 0] = 1
-        return SCAlgebra(f, mul, unit, labels=[list(a) for a in labels],
+        return SCAlgebra(f, mul, unit, labels=[list(a) for a in self.labels],
                          check_shapes=False)
+
+    def _left_generator(self, i: int):
+        """Left multiplication by e_i on the PBW basis as a CSR matrix
+        (row pointers, columns, (nnz, k) values): row t is e_i e^t, from the
+        straightening engine."""
+        eng, index, k = self.engine, self.index, self.field.k
+        delta = tuple(int(t == i) for t in range(self.L.dim))
+        indptr, cols, vals = [0], [], []
+        for beta in self.labels:
+            for t, c in eng.mul_label({delta: eng.cone}, beta).items():
+                cols.append(index[t])
+                vals.append((c,) if k == 1 else c)
+            indptr.append(len(cols))
+        return (np.array(indptr, dtype=np.int64),
+                np.array(cols, dtype=np.int64),
+                np.array(vals, dtype=np.int64).reshape(len(cols), k))
 
     def binomial_tensor(self) -> np.ndarray:
         """T[i, a, b] with e^alpha |-> sum over splittings beta + gamma =
@@ -493,6 +504,34 @@ class Fiber:
         return out
 
 
+def _slab_times_csr(field: Field, slab: np.ndarray, csr, out: np.ndarray):
+    """out (d, d, k) = slab (d, d, k) @ the CSR matrix `csr`, over the
+    nonzeros of slab only.
+
+    Each output cell is accumulated by np.bincount with float64 weights.
+    That is exact: a cell sums at most d field products, each reduced below
+    p, and d = p^n <= DIM_CAP = 512 forces p <= 509, so every sum stays
+    below 512 * 509 < 2^18, far inside float64's 2^53 integers."""
+    indptr, cols, vals = csr
+    d = slab.shape[0]
+    r, t = np.divmod(np.flatnonzero(
+        slab[:, :, 0] if field.k == 1 else slab.any(axis=2)), d)
+    # nonzero m of the slab meets the counts[m] entries of CSR row t[m]:
+    # its terms are src == m, reading CSR entries pos
+    counts = indptr[t + 1] - indptr[t]
+    first = np.cumsum(counts) - counts
+    src = np.repeat(np.arange(r.size), counts)
+    pos = np.arange(src.size) + np.repeat(indptr[t] - first, counts)
+    cells = r[src] * d + cols[pos]
+    terms = ar.fmul(field, slab[r, t][src], vals[pos])
+    # out is zero on entry: only the cells that received terms are written
+    # (a cell listed twice gets the same value twice)
+    flat = out.reshape(d * d, field.k)
+    for c in range(field.k):
+        acc = np.bincount(cells, weights=terms[:, c], minlength=d * d)
+        flat[cells, c] = acc[cells].astype(np.int64) % field.p
+
+
 def fiber_algebra(L: RestrictedLie, point: FiberPoint) -> Fiber:
     return Fiber(L, point)
 
@@ -504,7 +543,7 @@ def fiber_algebra(L: RestrictedLie, point: FiberPoint) -> Fiber:
 def u_restricted(L: RestrictedLie, field: Field | None = None):
     """The restricted enveloping algebra u(L) = U_0 with its Hopf structure:
     generators primitive, eps(e_i) = 0, S(e_i) = -e_i."""
-    from .hopf import HopfAlgebra, hopf_verify
+    from .hopf import HopfAlgebra
 
     field = field or L.field
     zero = FiberPoint.make(field, [0] * L.dim)
@@ -516,18 +555,7 @@ def u_restricted(L: RestrictedLie, field: Field | None = None):
     counit[0, 0] = 1
     # antipode: antimultiplicative extension of S(e_i) = -e_i; on a PBW
     # monomial this is the sign-scaled reversed product
-    antipode = ar.zeros(f, (dim, dim))
-    eng = F.engine
-    for ia, alpha in enumerate(F.labels):
-        elem = eng.unit()
-        for j in range(L.dim - 1, -1, -1):
-            for _ in range(alpha[j]):
-                elem = eng.rmul_elem(elem, j)
-        sign = (-1) ** (sum(alpha) % 2)
-        if sign < 0:
-            elem = eng.scale(elem, eng.cneg(eng.cone))
-        antipode[ia] = F.element_from_dict(elem)
-    H = HopfAlgebra(F.alg, comul, counit, antipode)
+    H = HopfAlgebra(F.alg, comul, counit, _pbw_inverse_rows(F))
     return H, F
 
 
@@ -565,8 +593,10 @@ def pbw_splitting(F: Fiber, CA=None):
 
 
 def _pbw_inverse_rows(F: Fiber) -> np.ndarray:
-    """gamma^{-1}(e^alpha) for every PBW label: the reversed signed product,
-    reduced in U_lambda.  Rows are U_lambda coordinate vectors."""
+    """The reversed signed product (-1)^|alpha| e_n^{a_n} ... e_1^{a_1} of
+    every PBW label, reduced in U_lambda: gamma^{-1}(e^alpha) for the PBW
+    splitting, and on the zero fiber the antipode of u(L).  Rows are
+    U_lambda coordinate vectors."""
     f = F.field
     eng = F.engine
     inv = ar.zeros(f, (F.dim, F.dim))

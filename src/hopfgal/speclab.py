@@ -28,6 +28,8 @@ import numpy as np
 from . import _arrays as ar
 from .errors import (
     BadPrime,
+    ConsistencyCheckFailed,
+    PremiseFailed,
     RelationCheckFailed,
     ShapeMismatch,
     TooManyPoints,
@@ -64,6 +66,14 @@ MAX_SCAN_POINTS = 10_000
 # built-in algebras
 # ---------------------------------------------------------------------------
 
+def _verified(L: RestrictedLie) -> RestrictedLie:
+    """L itself, after restricted_verify finds no defect in it."""
+    problems = restricted_verify(L)
+    if problems:
+        raise PremiseFailed(f"built-in algebra is not restricted: {problems}")
+    return L
+
+
 def sl2_algebra(p: int) -> RestrictedLie:
     """sl2 over F_p on the basis (e, f, h): [e,f]=h, [h,e]=-2e, [h,f]=2f,
     e^[p]=f^[p]=0, h^[p]=h.
@@ -83,9 +93,7 @@ def sl2_algebra(p: int) -> RestrictedLie:
     bracket[1, 2, 1] = p - 2
     pmap = np.zeros((3, 3), dtype=np.int64)
     pmap[2, 2] = 1
-    L = RestrictedLie(p, bracket, pmap, labels=("e", "f", "h"))
-    assert not restricted_verify(L)
-    return L
+    return _verified(RestrictedLie(p, bracket, pmap, labels=("e", "f", "h")))
 
 
 def borel_algebra(p: int) -> RestrictedLie:
@@ -98,9 +106,7 @@ def borel_algebra(p: int) -> RestrictedLie:
     bracket[1, 0, 1] = p - 1
     pmap = np.zeros((2, 2), dtype=np.int64)
     pmap[0, 0] = 1
-    L = RestrictedLie(p, bracket, pmap, labels=("h", "e"))
-    assert not restricted_verify(L)
-    return L
+    return _verified(RestrictedLie(p, bracket, pmap, labels=("h", "e")))
 
 
 def lie_kind(L: RestrictedLie) -> str | None:
@@ -327,14 +333,14 @@ def fiber_report(L: RestrictedLie, point: FiberPoint,
         big = Field(point.field.p, point.field.k * rep.splitting_degree)
         block_dims = block_decompose(extend_scalars(A, big)).blocks
     if sum(block_dims) != A.dim:
-        raise RuntimeError("block dimensions do not add up to the fiber "
-                           "dimension")
+        raise ConsistencyCheckFailed("block dimensions do not add up to the "
+                                     "fiber dimension")
     H, lam = shared if shared is not None else _shared_hopf(L, point.field)
     CA = ComoduleAlgebra(A, H, F.binomial_tensor(), check=False)
     s = frobenius_form(CA, lam)
     rank, _ = form_rank(s)
     if rank != A.dim:
-        raise RuntimeError(
+        raise ConsistencyCheckFailed(
             f"bilinear form of fiber {point.values} has rank {rank}, "
             f"expected the full dimension {A.dim}")
     stratum = None

@@ -11,6 +11,7 @@ from hopfgal import Field, Poly
 from hopfgal import fdalg
 from hopfgal import _arrays as ar
 from hopfgal.errors import (
+    ConsistencyCheckFailed,
     HopfgalError,
     RadicalChainFailed,
     ShapeMismatch,
@@ -230,6 +231,29 @@ def test_radical_chain_failure_is_a_typed_error(monkeypatch):
     with pytest.raises(RadicalChainFailed):
         fdalg.radical(A)
     assert issubclass(RadicalChainFailed, HopfgalError)
+
+
+def test_product_space_matches_pairwise_products():
+    # the batched span of all u v equals the span of the d^2 pair products
+    rng = np.random.default_rng(11)
+    for A in (upper_triangular_2(Field(5)), matrix_algebra(Field(3, 2), 2),
+              cyclic_group_algebra(Field(2), 8)):
+        f, n = A.field, A.dim
+        for du, dv in ((1, 1), (2, 3), (n, n)):
+            U = rng.integers(0, f.p, (du, n, f.k))
+            V = rng.integers(0, f.p, (dv, n, f.k))
+            pairwise = np.stack([A._pair_product(u, v) for u in U for v in V])
+            assert np.array_equal(fdalg._product_space(A, U, V),
+                                  ar.row_space(f, pairwise))
+        assert fdalg._product_space(A, U[:0], V).shape == (0, n, f.k)
+
+
+def test_block_dimension_mismatch_is_a_typed_error(monkeypatch):
+    A = matrix_algebra(Field(3), 2)
+    monkeypatch.setattr(fdalg, "central_idempotents", lambda A: [])
+    with pytest.raises(ConsistencyCheckFailed):
+        fdalg.block_decompose(A)
+    assert issubclass(ConsistencyCheckFailed, HopfgalError)
 
 
 def test_scalgebra_keeps_reduced_input_and_reduces_the_rest():

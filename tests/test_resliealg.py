@@ -10,6 +10,7 @@ from hopfgal import Field
 from hopfgal import _arrays as ar
 from hopfgal import fdalg, hopf, resliealg
 from hopfgal.errors import DimCapExceeded, ShapeMismatch
+from hopfgal.speclab import sl2_algebra
 
 
 def sl2(p=3):
@@ -157,6 +158,65 @@ def test_dim_cap():
     f = Field(3)
     with pytest.raises(DimCapExceeded):
         resliealg.fiber_algebra(abelian6, resliealg.FiberPoint.make(f, [0] * 6))
+
+
+def assert_engine_products(F, pairs):
+    """F.alg.mul[a, b] is the straightening engine's e^alpha e^beta."""
+    eng = F.engine
+    for a, b in pairs:
+        elem = eng.mul_label({F.labels[a]: eng.cone}, F.labels[b])
+        assert np.array_equal(F.alg.mul[a, b], F.element_from_dict(elem)), \
+            (F.point.values, F.labels[a], F.labels[b])
+
+
+def all_pairs(F):
+    return [(a, b) for a in range(F.dim) for b in range(F.dim)]
+
+
+def test_fiber_build_matches_engine_sl2_p3():
+    f = Field(3)
+    for lam in ([0, 0, 1], [1, 0, 0], [0, 0, 0]):  # regular, cone, zero
+        F = resliealg.fiber_algebra(sl2(3), resliealg.FiberPoint.make(f, lam))
+        assert_engine_products(F, all_pairs(F))
+
+
+def test_fiber_build_matches_engine_sl2_f9():
+    # one point per stratum and splitting degree, on the (e, f, h) basis
+    f9 = Field(3, 2)
+    L = sl2_algebra(3)
+    for lam in ([[0, 0], [0, 0], [0, 1]], [[1, 2], [0, 2], [0, 0]],
+                [[0, 0], [0, 0], [1, 0]], [[1, 0], [0, 0], [0, 0]],
+                [[0, 0], [0, 0], [0, 0]]):
+        F = resliealg.fiber_algebra(L, resliealg.FiberPoint.make(f9, lam))
+        assert_engine_products(F, all_pairs(F))
+
+
+def test_fiber_build_matches_engine_borel():
+    for p in (3, 5):
+        f = Field(p)
+        for lam in ([0, 0], [1, 0], [p - 1, 2]):
+            F = resliealg.fiber_algebra(borel(p),
+                                        resliealg.FiberPoint.make(f, lam))
+            assert_engine_products(F, all_pairs(F))
+
+
+def test_fiber_build_matches_engine_one_generator_p101():
+    # x^[p] = x, so x^p = x + lambda: products wrap around at exponent p
+    p = 101
+    L = resliealg.RestrictedLie(p, np.zeros((1, 1, 1)), np.ones((1, 1)))
+    F = resliealg.fiber_algebra(L, resliealg.FiberPoint.make(Field(p), [7]))
+    assert F.dim == p
+    assert_engine_products(F, all_pairs(F))
+
+
+def test_fiber_build_matches_engine_sl2_p5_seeded_pairs():
+    rng = random.Random(5)
+    f = Field(5)
+    for lam in ([1, 2, 3], [0, 0, 1]):
+        F = resliealg.fiber_algebra(sl2(5), resliealg.FiberPoint.make(f, lam))
+        pairs = [(rng.randrange(F.dim), rng.randrange(F.dim))
+                 for _ in range(300)]
+        assert_engine_products(F, pairs + [(F.dim - 1, F.dim - 1)])
 
 
 def test_u_restricted_is_hopf():

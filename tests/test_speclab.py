@@ -6,6 +6,7 @@ import pytest
 from hopfgal import _arrays as ar
 from hopfgal.errors import (
     BadPrime,
+    PremiseFailed,
     RelationCheckFailed,
     TooManyPoints,
     UnknownKind,
@@ -41,6 +42,13 @@ def test_borel_structure():
     assert L.bracket[0, 1, 1] == 1 and L.pmap[0, 0] == 1
     with pytest.raises(BadPrime):
         sl.borel_algebra(2)
+
+
+def test_builtin_algebra_self_check_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(sl, "restricted_verify", lambda L: ["broken"])
+    for build in (sl.sl2_algebra, sl.borel_algebra):
+        with pytest.raises(PremiseFailed):
+            build(3)
 
 
 def test_lie_kind():
