@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -49,11 +48,15 @@ from .resliealg import (
 from . import speclab
 
 
+# the largest dim_cap a configuration may set: the exactness bounds of the
+# field kernels and the allocation guards assume dimensions up to 512
+MAX_DIM_CAP = 512
+
+
 @dataclass
 class Config:
     eq3_convention: str = "paper"       # or "standard"
-    seed: int = 0
-    dim_cap: int = 512
+    dim_cap: int = MAX_DIM_CAP
     output: str = "json"                # or "csv"
     splitting_degree_cap: int = 12
 
@@ -68,8 +71,17 @@ class Config:
                 if not hasattr(cfg, name):
                     raise ValueError(f"unknown config key {key!r}")
                 setattr(cfg, name, value)
-        if "HOPFGAL_SEED" in os.environ:
-            cfg.seed = int(os.environ["HOPFGAL_SEED"])
+        for name in ("dim_cap", "splitting_degree_cap"):
+            value = getattr(cfg, name)
+            # bool is a subclass of int but not a cap
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not 1 <= cfg.dim_cap <= MAX_DIM_CAP:
+            raise ValueError(
+                f"dim_cap must lie in 1..{MAX_DIM_CAP}, got {cfg.dim_cap}")
+        if cfg.splitting_degree_cap < 1:
+            raise ValueError(f"splitting_degree_cap must be at least 1, "
+                             f"got {cfg.splitting_degree_cap}")
         if cfg.eq3_convention not in ("paper", "standard"):
             raise ValueError(
                 f"eq3_convention must be paper or standard, "

@@ -11,6 +11,7 @@ field are bit-identical.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from functools import lru_cache
 
@@ -619,10 +620,6 @@ class Poly:
             acc = acc * a + c
         return acc
 
-    def evaluate_matrix(self, mat: np.ndarray, mulmat, addmat) -> np.ndarray:
-        """Horner evaluation where mulmat/addmat are caller-supplied matrix ops."""
-        raise NotImplementedError
-
     def map_field(self, big: Field) -> "Poly":
         return Poly(big, [self.field.embed(c, big) for c in self.coeffs])
 
@@ -756,26 +753,13 @@ class Poly:
         return sorted(out, key=lambda s: s.coeffs)
 
 
-def lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // _gcd_int(out, v)
-    return out
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def splitting_extension(f: Poly, seed: int = DEFAULT_SEED) -> Field:
     """Smallest-degree extension of f's field (presented over the prime field)
     in which f splits into linear factors."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial has no splitting field")
     degrees = [g.degree for g, _ in f.factor(seed)]
-    d = lcm(degrees) if degrees else 1
+    d = math.lcm(*degrees)
     base = f.field
     if d == 1:
         return base

@@ -77,6 +77,8 @@ class SCAlgebra:
         self.mul = mul
         self.unit = unit
         self.labels = list(labels) if labels is not None else None
+        # set by center(); nothing mutates an algebra after construction
+        self._center = None
 
     # -- basic operations ----------------------------------------------------
 
@@ -187,6 +189,7 @@ class BlockReport:
     blocks: list[int] | None = None
     simple_dims: list[int] | None = None
     splitting_degree: int | None = None
+    split_blocks: int | None = None
 
     def to_json(self) -> dict:
         return {
@@ -196,6 +199,7 @@ class BlockReport:
             "blocks": self.blocks,
             "simple_dims": self.simple_dims,
             "splitting_degree": self.splitting_degree,
+            "split_blocks": self.split_blocks,
         }
 
 
@@ -247,7 +251,10 @@ def algebra_verify(A: SCAlgebra, max_reports: int = 20) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def center(A: SCAlgebra) -> Subspace:
-    """Solution space of [x, b_i] = 0 for all basis elements."""
+    """Solution space of [x, b_i] = 0 for all basis elements, computed once
+    per algebra and kept on it."""
+    if A._center is not None:
+        return A._center
     f = A.field
     n = A.dim
     # constraint on x: sum_j x_j (mul[j,i,m] - mul[i,j,m]) = 0 for all (i,m),
@@ -265,7 +272,8 @@ def center(A: SCAlgebra) -> Subspace:
         if coeffs.shape[0] == basis.shape[0]:
             continue
         basis = ar.row_space(f, ar.fmatmul(f, coeffs, basis))
-    return Subspace(f, n, basis)
+    A._center = Subspace(f, n, basis)
+    return A._center
 
 
 def _restrict_scalars(A: SCAlgebra):
@@ -399,17 +407,24 @@ def radical(A: SCAlgebra) -> Subspace:
     return sub
 
 
-def _product_space(A: SCAlgebra, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """RREF basis of the span of all products u v, u a row of U, v of V."""
+def _products(A: SCAlgebra, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """All products u v, u a row of U and v a row of V, as a (len U, len V,
+    n, k) array."""
     f, n = A.field, A.dim
     d = U.shape[0]
-    if d == 0 or V.shape[0] == 0:
-        return ar.zeros(f, (0, n))
     # X[i, b] = u_i e_b, then u_i v_j = sum_b v_j[b] X[i, b]: all products
     # as two matmuls
     X = ar.fmatmul(f, U, A.mul.reshape(n, n * n, f.k)).reshape(d, n, n, f.k)
     prods = ar.fmatmul(f, V, X.transpose(1, 0, 2, 3).reshape(n, d * n, f.k))
-    return ar.row_space(f, prods.reshape(-1, n, f.k))
+    return prods.reshape(V.shape[0], d, n, f.k).transpose(1, 0, 2, 3)
+
+
+def _product_space(A: SCAlgebra, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """RREF basis of the span of all products u v, u a row of U, v of V."""
+    f, n = A.field, A.dim
+    if U.shape[0] == 0 or V.shape[0] == 0:
+        return ar.zeros(f, (0, n))
+    return ar.row_space(f, _products(A, U, V).reshape(-1, n, f.k))
 
 
 def _is_nilpotent_subspace(A: SCAlgebra, basis: np.ndarray) -> bool:
@@ -440,30 +455,19 @@ def quotient_algebra(A: SCAlgebra, ideal: Subspace):
     """(B, proj) with B = A/ideal and proj an (n, m, k) matrix sending
     coordinates of A onto coordinates of B (rows act from the left:
     image = v @ proj)."""
-    f = A.field
-    n = A.dim
+    f, n = A.field, A.dim
     I = ideal.basis
-    pivots = set(ar._pivot_columns(I)) if I.shape[0] else set()
-    complement = [c for c in range(n) if c not in pivots]
+    pivots = ar._pivot_columns(I)
+    complement = sorted(set(range(n)) - set(pivots))
     m = len(complement)
-    # reduction of an arbitrary vector mod the ideal: subtract pivot rows
+    # b_c for c off the pivots is the c-th quotient coordinate; the ideal's
+    # pivot rows give b_pc == -sum_c I[r, c] b_c modulo the ideal
     proj = ar.zeros(f, (n, m))
-    for idx, c in enumerate(complement):
-        proj[c, idx, 0] = 1
-    if I.shape[0]:
-        for rrow, pc in enumerate(ar._pivot_columns(I)):
-            # b_pc == -sum over complement of I[rrow, c] b_c (mod ideal)
-            for idx, c in enumerate(complement):
-                proj[pc, idx] = (-I[rrow, c]) % f.p
-    lifts = ar.zeros(f, (m, n))
-    for idx, c in enumerate(complement):
-        lifts[idx, c, 0] = 1
-    X = ar.fmatmul(f, lifts, A.mul.reshape(n, n * n, f.k)).reshape(m, n, n, f.k)
-    if m:
-        mul = np.stack([ar.fmatmul(f, ar.fmatmul(f, lifts, X[i]), proj)
-                        for i in range(m)])
-    else:
-        mul = np.zeros((0, 0, 0, f.k), dtype=np.int64)
+    proj[complement, np.arange(m), 0] = 1
+    proj[pivots] = (-I[:, complement]) % f.p
+    # the lifts b_c of the quotient basis multiply by A's own table
+    lifted = A.mul[np.ix_(complement, complement)].reshape(m * m, n, f.k)
+    mul = ar.fmatmul(f, lifted, proj).reshape(m, m, m, f.k)
     unit = ar.fmatmul(f, A.unit[None, :, :], proj)[0]
     B = SCAlgebra(f, mul, unit)
     return B, proj
@@ -481,12 +485,8 @@ def subalgebra_on(A: SCAlgebra, sub: Subspace, unit_vec: np.ndarray | None = Non
     ucoords = ar.coords_in_row_space(f, basis, unit_vec)
     if ucoords is None:
         raise ShapeMismatch("unit does not lie in the subspace")
-    n = A.dim
-    # batch the pairwise products: X[i, b] = coords of b_i e_b in A, then
-    # prods[i, j] = coords of b_i b_j
-    X = ar.fmatmul(f, basis, A.mul.reshape(n, n * n, f.k)).reshape(m, n, n, f.k)
-    prods = np.stack([ar.fmatmul(f, basis, X[i]) for i in range(m)])
-    coords = ar.coords_in_row_space_many(f, basis, prods.reshape(m * m, n, f.k))
+    prods = _products(A, basis, basis).reshape(m * m, A.dim, f.k)
+    coords = ar.coords_in_row_space_many(f, basis, prods)
     if coords is None:
         raise ShapeMismatch("subspace is not multiplicatively closed")
     mul = coords.reshape(m, m, m, f.k)
@@ -685,48 +685,59 @@ def extend_scalars(A: SCAlgebra, big: Field) -> SCAlgebra:
     return SCAlgebra(big, mul, unit, labels=A.labels)
 
 
-def simples(A: SCAlgebra, allow_extension: bool = True) -> BlockReport:
+def simples(A: SCAlgebra) -> BlockReport:
     """Dimensions of the simple modules of A over a minimal splitting
-    extension, with the extension degree used."""
+    extension, with the extension degree, all computed over the base field
+    F_q.
+
+    A finite division ring is a field (Wedderburn), so a block B of A/J(A)
+    is M_r(F_{q^d}) with d = dim Z(B) and dim B = d r^2.  Over F_{q^m} with
+    d | m it splits into d copies of M_r, so B contributes d simples of
+    dim r, and the minimal splitting degree is the lcm of the d.
+
+    split_blocks is the number of blocks of A over that extension.
+    Z(A)/J(Z(A)) is the product of the residue fields F_{q^d_e} of A's
+    blocks, each splitting into d_e blocks, so the count is
+    dim Z(A) - dim J(Z(A)), and J(Z(A)) = Z(A) n J(A)."""
     f = A.field
     rad = radical(A)
-    Asemi, _ = quotient_algebra(A, rad)
-    base_blocks = block_ideals(Asemi)
-    # each semisimple block is a matrix algebra over its center, which is a
-    # finite field; the minimal splitting extension degree is the lcm of the
-    # center degrees
-    base_cdims = [center(blk).dim for blk, _, _ in base_blocks]
-    deg = math.lcm(*base_cdims) if base_cdims else 1
-    if deg > 1 and not allow_extension:
-        raise SplittingCapExceeded("algebra does not split over its base "
-                                   "field and extension is disabled")
-    big = f if deg == 1 else Field(f.p, f.k * deg)
-    if big.k > SPLITTING_DEGREE_CAP:
-        raise SplittingCapExceeded(
-            f"splitting needs total degree {big.k}, cap is "
-            f"{SPLITTING_DEGREE_CAP}")
-    blocks = base_blocks if deg == 1 else block_ideals(extend_scalars(Asemi, big))
-    if any(center(blk).dim != 1 for blk, _, _ in blocks):
+    Z = center(A)
+    S = A if rad.dim == 0 else quotient_algebra(A, rad)[0]
+    SZ = center(S)
+    sizes, degs, dims = [], [], []
+    for e in central_idempotents(S):
+        L = S._lmat(e)
+        size = ar.rank(f, L)
+        # the rows z L = e z span Z(S) e, the center of the block S e
+        d = ar.rank(f, ar.fmatmul(f, SZ.basis, L))
+        r = math.isqrt(size // d)
+        if d * r * r != size:
+            raise ConsistencyCheckFailed(
+                f"semisimple block of dim {size} is not a matrix algebra "
+                f"over its {d}-dimensional center")
+        sizes.append(size)
+        degs.append(d)
+        dims += [r] * d
+    if sum(sizes) != S.dim:
         raise ConsistencyCheckFailed(
-            "predicted splitting extension did not split")
-    if any(math.isqrt(blk.dim) ** 2 != blk.dim for blk, _, _ in blocks):
-        raise ConsistencyCheckFailed("split block dimension is not a square")
-    dims = sorted(math.isqrt(blk.dim) for blk, _, _ in blocks)
-    if rad.dim == 0:
-        # A equals its semisimple quotient: the blocks and center computed
-        # for the quotient are A's own
-        base_block_dims = [blk.dim for blk, _, _ in base_blocks]
-        center_dim = sum(base_cdims)
-    else:
-        base_block_dims = block_decompose(A).blocks
-        center_dim = center(A).dim
+            f"semisimple block dimensions {sizes} do not sum to {S.dim}")
+    deg = math.lcm(*degs)
+    if f.k * deg > SPLITTING_DEGREE_CAP:
+        raise SplittingCapExceeded(
+            f"splitting needs total degree {f.k * deg}, cap is "
+            f"{SPLITTING_DEGREE_CAP}")
+    # a semisimple A is its own quotient S
+    blocks = sizes if rad.dim == 0 else block_decompose(A).blocks
+    # dim Z - dim (Z n J) = dim (Z + J) - dim J
+    split_blocks = ar.rank(f, np.concatenate([Z.basis, rad.basis])) - rad.dim
     return BlockReport(
-        center_dim=center_dim,
+        center_dim=Z.dim,
         radical_dim=rad.dim,
         semisimple=rad.dim == 0,
-        blocks=base_block_dims,
+        blocks=blocks,
         splitting_degree=deg,
-        simple_dims=dims,
+        simple_dims=sorted(dims),
+        split_blocks=split_blocks,
     )
 
 

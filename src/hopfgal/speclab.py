@@ -37,16 +37,12 @@ from .errors import (
 )
 from .exactfield import Field, Poly, Scalar, splitting_extension
 from .fdalg import (
-    SCAlgebra,
     Subspace,
-    block_decompose,
     center,
-    extend_scalars,
     form_is_symmetric,
     form_rank,
     quotient_algebra,
     simples,
-    subalgebra_on,
 )
 from .hopf import LinMap, cyclic_group_table, group_algebra, left_integral_dual
 from .galois import (
@@ -314,6 +310,10 @@ def fiber_report(L: RestrictedLie, point: FiberPoint,
     dimensions, the rank and symmetry of the bilinear form built from the
     dual integral, and (for sl2) the stratum and degree-p relation check.
 
+    `blocks` counts the blocks over the splitting field, where each block
+    carries one simple module type: dim Z(A) - dim J(Z(A)), as the residue
+    field F_{q^d} of each base-field block splits into d blocks there.
+
     A form rank below the fiber dimension would contradict the
     nondegeneracy the construction guarantees, so it raises instead of
     being reported."""
@@ -321,20 +321,6 @@ def fiber_report(L: RestrictedLie, point: FiberPoint,
     F = Fiber(L, point)
     A = F.alg
     rep = simples(A)
-    # count blocks over the splitting extension, where the center is split
-    # and every block carries a single simple module type
-    if rep.splitting_degree == 1:
-        block_dims = rep.blocks
-    elif rep.semisimple:
-        # over the splitting extension each block is a full matrix algebra
-        # carrying one simple module, so the split block dims are squares
-        block_dims = [d * d for d in rep.simple_dims]
-    else:
-        big = Field(point.field.p, point.field.k * rep.splitting_degree)
-        block_dims = block_decompose(extend_scalars(A, big)).blocks
-    if sum(block_dims) != A.dim:
-        raise ConsistencyCheckFailed("block dimensions do not add up to the "
-                                     "fiber dimension")
     H, lam = shared if shared is not None else _shared_hopf(L, point.field)
     CA = ComoduleAlgebra(A, H, F.binomial_tensor(), check=False)
     s = frobenius_form(CA, lam)
@@ -355,7 +341,7 @@ def fiber_report(L: RestrictedLie, point: FiberPoint,
         center_dim=rep.center_dim,
         radical_dim=rep.radical_dim,
         semisimple=rep.semisimple,
-        blocks=len(block_dims),
+        blocks=rep.split_blocks,
         simple_dims=rep.simple_dims,
         frobenius_rank=rank,
         frobenius_symmetric=form_is_symmetric(s),

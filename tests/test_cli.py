@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hopfgal import _arrays as ar
-from hopfgal import cli, speclab
+from hopfgal import cli, fdalg, speclab
 from hopfgal.exactfield import Field
 from hopfgal.fdalg import SCAlgebra, simples
 from hopfgal.galois import Cocycle, group_quotient_coaction
@@ -256,18 +256,32 @@ def test_winding_not_found(capsys, sl2_file):
 
 def test_config_defaults():
     cfg = cli.Config.load(None)
-    assert (cfg.eq3_convention, cfg.seed, cfg.dim_cap, cfg.output,
-            cfg.splitting_degree_cap) == ("paper", 0, 512, "json", 12)
+    assert (cfg.eq3_convention, cfg.dim_cap, cfg.output,
+            cfg.splitting_degree_cap) == ("paper", 512, "json", 12)
 
 
-def test_config_seed_env(monkeypatch, tmp_path):
+def test_config_file_values(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"seed": 5, "output": "csv"}))
+    path.write_text(json.dumps({"output": "csv", "dim_cap": 100,
+                                "splitting-degree-cap": 6}))
     cfg = cli.Config.load(str(path))
-    assert cfg.seed == 5 and cfg.output == "csv"
-    monkeypatch.setenv("HOPFGAL_SEED", "17")
-    cfg = cli.Config.load(str(path))
-    assert cfg.seed == 17
+    assert (cfg.output, cfg.dim_cap, cfg.splitting_degree_cap) == \
+        ("csv", 100, 6)
+
+
+@pytest.mark.parametrize("settings", [
+    {"dim_cap": "big"}, {"dim_cap": 100000}, {"dim_cap": 0},
+    {"dim_cap": True}, {"dim_cap": 27.0}, {"splitting_degree_cap": 0},
+    {"splitting_degree_cap": "12"}, {"seed": 5},
+])
+def test_config_bad_values_exit_2(capsys, tmp_path, borel_file, settings):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(settings))
+    code, out, err = run(capsys, "--config", str(path), "verify-lie",
+                         borel_file)
+    assert code == 2 and "bad configuration" in err and out == ""
+    # a rejected configuration sets no cap
+    assert (fdalg.DIM_CAP, fdalg.SPLITTING_DEGREE_CAP) == (512, 12)
 
 
 def test_config_unknown_key(capsys, tmp_path, borel_file):

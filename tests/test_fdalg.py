@@ -121,6 +121,20 @@ def test_center_of_upper_triangular():
     assert fdalg.center(A).dim == 1
 
 
+def test_center_is_computed_once_per_algebra(monkeypatch):
+    A = upper_triangular_2(Field(3))
+    solves = []
+    nullspace = ar.nullspace
+    monkeypatch.setattr(
+        ar, "nullspace", lambda f, M: solves.append(1) or nullspace(f, M))
+    Z = fdalg.center(A)
+    count = len(solves)
+    assert count > 0 and fdalg.center(A) is Z and len(solves) == count
+    # an algebra built from the same arrays has its own center
+    B = fdalg.SCAlgebra(A.field, A.mul, A.unit)
+    assert fdalg.center(B) is not Z and len(solves) > count
+
+
 def check_radical_certificate(A, rad):
     """Independent certification: rad is a nilpotent two-sided ideal and the
     quotient admits a separability idempotent."""
@@ -246,6 +260,40 @@ def test_product_space_matches_pairwise_products():
             assert np.array_equal(fdalg._product_space(A, U, V),
                                   ar.row_space(f, pairwise))
         assert fdalg._product_space(A, U[:0], V).shape == (0, n, f.k)
+
+
+def test_subalgebra_and_quotient_tables_match_pairwise_products():
+    for A in (upper_triangular_2(Field(5)), matrix_algebra(Field(3, 2), 2),
+              cyclic_group_algebra(Field(2), 8),
+              cyclic_group_algebra(Field(3), 4)):
+        f, n = A.field, A.dim
+        # on the center and on each block ideal:
+        # basis_i basis_j = sum_m mul[i, j, m] basis_m
+        subs = [fdalg.subalgebra_on(A, fdalg.center(A))]
+        subs += [(B, basis) for B, basis, _ in fdalg.block_ideals(A)]
+        for B, basis in subs:
+            for i in range(B.dim):
+                for j in range(B.dim):
+                    assert np.array_equal(
+                        ar.fmatmul(f, B.mul[i, j][None], basis)[0],
+                        A._pair_product(basis[i], basis[j]))
+        # quotients by the radical and by each proper block ideal:
+        # proj(b_a) proj(b_b) = proj(b_a b_b) on all basis pairs
+        ideals = [fdalg.radical(A)] + [
+            fdalg.Subspace(f, n, A._lmat(e))
+            for e in fdalg.central_idempotents(A)]
+        for ideal in ideals:
+            if ideal.dim == n:
+                continue
+            Q, proj = fdalg.quotient_algebra(A, ideal)
+            image = [ar.fmatmul(f, A.basis_vector(a)[None], proj)[0]
+                     for a in range(n)]
+            for a in range(n):
+                for b in range(n):
+                    prod = A._pair_product(A.basis_vector(a), A.basis_vector(b))
+                    assert np.array_equal(
+                        Q._pair_product(image[a], image[b]),
+                        ar.fmatmul(f, prod[None], proj)[0])
 
 
 def test_block_dimension_mismatch_is_a_typed_error(monkeypatch):

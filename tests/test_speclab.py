@@ -1,9 +1,13 @@
 """Tests for the built-in examples, fiber reports, and the scanner."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from hopfgal import _arrays as ar
+from hopfgal import fdalg
 from hopfgal.errors import (
     BadPrime,
     PremiseFailed,
@@ -13,6 +17,7 @@ from hopfgal.errors import (
 )
 from hopfgal.exactfield import Field
 from hopfgal.fdalg import Subspace, radical, subalgebra_on
+from hopfgal.hopf import cyclic_group_table, group_algebra
 from hopfgal.resliealg import Fiber, FiberPoint, restricted_verify
 from hopfgal import speclab as sl
 
@@ -323,3 +328,90 @@ def test_group_bundle_constant_center():
     assert gb.fiber_dims == [3, 3, 3]
     assert gb.center_dims == [3, 3, 3]
     assert gb.center_dim_constant and gb.equivariant
+
+
+# ---------------------------------------------------------------------------
+# simples and blocks over the base field vs the scalar-extension route
+# ---------------------------------------------------------------------------
+
+# one sl2 p=3 fiber of each kind over F_9, as coefficient lists c0 + c1 t:
+# regular with splitting degree 1, 2 and 3, cone, zero
+F9_KINDS = [
+    [[0, 0], [0, 0], [0, 1]],
+    [[1, 2], [0, 2], [0, 0]],
+    [[0, 0], [0, 0], [1, 0]],
+    [[1, 0], [0, 0], [0, 0]],
+    [[0, 0], [0, 0], [0, 0]],
+]
+
+
+def _extension_route(A, degree):
+    """Simple dims and block count of A over F_{q^degree}, from A and its
+    semisimple quotient rebuilt over that field."""
+    f = A.field
+    big = Field(f.p, f.k * degree)
+    semi, _ = fdalg.quotient_algebra(A, radical(A))
+    dims = []
+    for blk, _, _ in fdalg.block_ideals(fdalg.extend_scalars(semi, big)):
+        # the predicted extension splits every block: its center is the field
+        assert fdalg.center(blk).dim == 1
+        assert math.isqrt(blk.dim) ** 2 == blk.dim
+        dims.append(math.isqrt(blk.dim))
+    blocks = fdalg.block_decompose(fdalg.extend_scalars(A, big)).blocks
+    return sorted(dims), len(blocks)
+
+
+def _oracle_cases():
+    F3, F9 = Field(3), Field(3, 2)
+    sl2, borel = sl.sl2_algebra(3), sl.borel_algebra(3)
+    cases = [(sl2, FiberPoint.make(F3, v))
+             for v in itertools.product(range(3), repeat=3)]
+    cases += [(sl2, FiberPoint.make(F9, [F9.scalar(c) for c in v]))
+              for v in F9_KINDS]
+    cases += [(borel, FiberPoint.make(F3, v))
+              for v in itertools.product(range(3), repeat=2)]
+    return cases
+
+
+def test_simples_and_blocks_match_the_extension_route():
+    seen_degrees = set()
+    for L, point in _oracle_cases():
+        A = Fiber(L, point).alg
+        rep = fdalg.simples(A)
+        seen_degrees.add((rep.semisimple, rep.splitting_degree))
+        assert _extension_route(A, rep.splitting_degree) == \
+            (rep.simple_dims, rep.split_blocks), point.values
+    # F_3[Z/12] and F_2[Z/14] are non-semisimple with degree 2 and 3
+    for p, n, degree in ((3, 12, 2), (2, 14, 3)):
+        A = group_algebra(Field(p), cyclic_group_table(n)).alg
+        rep = fdalg.simples(A)
+        assert (rep.semisimple, rep.splitting_degree) == (False, degree)
+        assert _extension_route(A, degree) == \
+            (rep.simple_dims, rep.split_blocks)
+    assert {(True, 1), (True, 2), (True, 3), (False, 1), (False, 3)} \
+        <= seen_degrees
+
+
+def test_simples_and_fiber_report_do_not_extend_scalars(monkeypatch):
+    def refuse(A, big):
+        raise AssertionError("scalar extension called")
+
+    monkeypatch.setattr(fdalg, "extend_scalars", refuse)
+    F9 = Field(3, 2)
+    # a degree-3 regular sl2 point over F_9: three simples of dim 3 over
+    # F_{9^3}, three blocks there
+    L = sl.sl2_algebra(3)
+    point = FiberPoint.make(F9, [F9.scalar(c) for c in F9_KINDS[2]])
+    rep = fdalg.simples(Fiber(L, point).alg)
+    assert (rep.splitting_degree, rep.simple_dims, rep.blocks,
+            rep.split_blocks) == (3, [3, 3, 3], [27], 3)
+    report = sl.fiber_report(L, point)
+    assert (report.blocks, report.simple_dims) == (3, [3, 3, 3])
+    # Borel (1, 0) over F_3: A/J(A) is F_27, so three simples of dim 1 over
+    # F_27, but Z(A) = F_3 keeps A a single block there
+    B = sl.borel_algebra(3)
+    point = FiberPoint.make(Field(3), (1, 0))
+    rep = fdalg.simples(Fiber(B, point).alg)
+    assert (rep.radical_dim, rep.splitting_degree, rep.simple_dims,
+            rep.blocks, rep.split_blocks) == (6, 3, [1, 1, 1], [9], 1)
+    assert sl.fiber_report(B, point).blocks == 1
