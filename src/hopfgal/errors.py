@@ -57,10 +57,6 @@ class NotAlgebraMap(HopfgalError):
     pass
 
 
-class ValuesNotInvariant(HopfgalError):
-    pass
-
-
 class ValueNotInvariant(HopfgalError):
     pass
 
@@ -74,10 +70,6 @@ class PremiseFailed(HopfgalError):
 
 
 class NoOneDimRep(HopfgalError):
-    pass
-
-
-class NotAnAlgebraMap(HopfgalError):
     pass
 
 

@@ -58,12 +58,6 @@ def _ptrim(c):
     return c
 
 
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                   for i in range(n)])
-
-
 def _psub(a, b, p):
     n = max(len(a), len(b))
     return _ptrim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p

@@ -89,7 +89,8 @@ class SCAlgebra:
     def _pair_product(self, x, y):
         f = self.field
         # contract i then j against the tensor
-        t = ar.fmatmul(f, x[None, :, :], self.mul.reshape(self.dim, -1, f.k))
+        t = ar.fmatmul(f, x[None, :, :],
+                       self.mul.reshape(self.dim, self.dim ** 2, f.k))
         t = t.reshape(self.dim, self.dim, f.k)
         out = ar.fmatmul(f, y[None, :, :], t)
         return out[0]
@@ -102,13 +103,15 @@ class SCAlgebra:
     def _lmat(self, x):
         f = self.field
         # L[j, m] = sum_i x_i mul[i, j, m]
-        out = ar.fmatmul(f, x[None, :, :], self.mul.reshape(self.dim, -1, f.k))
+        out = ar.fmatmul(f, x[None, :, :],
+                         self.mul.reshape(self.dim, self.dim ** 2, f.k))
         return out.reshape(self.dim, self.dim, f.k)
 
     def right_mult_matrix(self, x: np.ndarray) -> np.ndarray:
         f = self.field
         # R[i, m] = sum_j x_j mul[i, j, m]
-        t = self.mul.transpose(1, 0, 2, 3).reshape(self.dim, -1, f.k)
+        t = self.mul.transpose(1, 0, 2, 3).reshape(
+            self.dim, self.dim ** 2, f.k)
         out = ar.fmatmul(f, x[None, :, :], t)
         return out.reshape(self.dim, self.dim, f.k)
 
@@ -129,8 +132,10 @@ class SCAlgebra:
 
     def scalar_coeff(self, v: np.ndarray):
         """If v is a scalar multiple of the unit, return that (k,) coefficient
-        array, else None."""
+        array, else None; 0 in the zero algebra."""
         f = self.field
+        if self.dim == 0:
+            return ar.zeros(f, ())
         nz = np.flatnonzero(np.any(self.unit, axis=1))
         i = int(nz[0])
         c = ar.fmul(f, v[i][None, :],
@@ -229,12 +234,12 @@ def algebra_verify(A: SCAlgebra, max_reports: int = 20) -> list[str]:
     if np.any((uR - eye) % f.p):
         out.append("unit: right multiplication by the unit is not the identity")
     # associativity, one defect tensor slice at a time to bound memory
-    mulflat = A.mul.reshape(n, -1, f.k)
+    mulflat = A.mul.reshape(n, n * n, f.k)
     for i in range(n):
         # lhs[j,k',m] = sum_t mul[i,j,t] mul[t,k',m]
         lhs = ar.fmatmul(f, A.mul[i], mulflat).reshape(n, n, n, f.k)
         # rhs[j,k',m] = sum_t mul[j,k',t] mul[i,t,m]
-        rhs = ar.fmatmul(f, A.mul[:, :, :, :].reshape(-1, n, f.k).reshape(n * n, n, f.k),
+        rhs = ar.fmatmul(f, A.mul.reshape(n * n, n, f.k),
                          A.mul[i]).reshape(n, n, n, f.k)
         bad = np.argwhere(np.any((lhs - rhs) % f.p, axis=3))
         for j, kk, _ in bad[:1]:
@@ -601,7 +606,9 @@ def _minimal_polynomial(A: SCAlgebra, z: np.ndarray, unit: np.ndarray,
 
 def central_idempotents(A: SCAlgebra) -> list[np.ndarray]:
     """Complete list of orthogonal primitive central idempotents, summing to
-    the unit, ordered by their coordinate vectors."""
+    the unit, ordered by their coordinate vectors (none if A = 0)."""
+    if A.dim == 0:
+        return []
     f = A.field
     Z = center(A)
     ZA, zbasis = subalgebra_on(A, Z)

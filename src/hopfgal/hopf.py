@@ -37,14 +37,6 @@ class LinMap:
         if self.matrix.ndim != 3:
             raise ShapeMismatch("linear map matrix must be 2-d over the field")
 
-    @property
-    def source_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def target_dim(self) -> int:
-        return self.matrix.shape[1]
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         return ar.fmatmul(self.field, v[None, :, :], self.matrix)[0]
 

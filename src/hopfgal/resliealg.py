@@ -468,28 +468,34 @@ class Fiber:
                 np.array(cols, dtype=np.int64),
                 np.array(vals, dtype=np.int64).reshape(len(cols), k))
 
+    def splittings(self):
+        """Every splitting beta + gamma = alpha of the PBW labels whose
+        coefficient prod binom(alpha_t, beta_t) is nonzero mod p, as arrays
+        (alpha, beta, gamma, coefficient) of label indices sorted by alpha,
+        then beta.  Built from the Pascal table one coordinate at a time."""
+        p = self.L.p
+        pascal = np.zeros((p, p), dtype=np.int64)
+        pascal[:, 0] = 1
+        for a in range(1, p):
+            pascal[a, 1:] = (pascal[a - 1, 1:] + pascal[a - 1, :-1]) % p
+        a1, b1 = np.nonzero(pascal)
+        alpha = beta = gamma = np.zeros(1, dtype=np.int64)
+        coef = np.ones(1, dtype=np.int64)
+        for _ in range(self.L.dim):
+            alpha = (alpha[:, None] * p + a1).reshape(-1)
+            beta = (beta[:, None] * p + b1).reshape(-1)
+            gamma = (gamma[:, None] * p + (a1 - b1)).reshape(-1)
+            coef = (coef[:, None] * pascal[a1, b1] % p).reshape(-1)
+        order = np.lexsort((beta, alpha))
+        return alpha[order], beta[order], gamma[order], coef[order]
+
     def binomial_tensor(self) -> np.ndarray:
         """T[i, a, b] with e^alpha |-> sum over splittings beta + gamma =
         alpha of prod binom(alpha_t, beta_t); this is both the u(L) coproduct
         and the U_lambda coaction in PBW coordinates."""
-        f = self.field
-        p, n, dim = self.L.p, self.L.dim, self.dim
-        pascal = np.zeros((p, p), dtype=np.int64)
-        for a in range(p):
-            pascal[a, 0] = 1
-            for b in range(1, a + 1):
-                pascal[a, b] = (pascal[a - 1, b - 1] + pascal[a - 1, b]) % p
-        T = np.zeros((dim, dim, dim, f.k), dtype=np.int64)
-        index = self.index
-        for ia, alpha in enumerate(self.labels):
-            ranges = [range(a + 1) for a in alpha]
-            for beta in itertools.product(*ranges):
-                coef = 1
-                for t in range(n):
-                    coef = (coef * pascal[alpha[t], beta[t]]) % p
-                if coef:
-                    gamma = tuple(alpha[t] - beta[t] for t in range(n))
-                    T[ia, index[beta], index[gamma], 0] = coef
+        alpha, beta, gamma, coef = self.splittings()
+        T = ar.zeros(self.field, (self.dim, self.dim, self.dim))
+        T[alpha, beta, gamma, 0] = coef
         return T
 
     def element_from_dict(self, elem: dict) -> np.ndarray:
@@ -506,7 +512,7 @@ class Fiber:
 
 def _slab_times_csr(field: Field, slab: np.ndarray, csr, out: np.ndarray):
     """out (d, d, k) = slab (d, d, k) @ the CSR matrix `csr`, over the
-    nonzeros of slab only.
+    nonzeros of slab only; returns out.
 
     Each output cell is accumulated by np.bincount with float64 weights.
     That is exact: a cell sums at most d field products, each reduced below
@@ -516,12 +522,8 @@ def _slab_times_csr(field: Field, slab: np.ndarray, csr, out: np.ndarray):
     d = slab.shape[0]
     r, t = np.divmod(np.flatnonzero(
         slab[:, :, 0] if field.k == 1 else slab.any(axis=2)), d)
-    # nonzero m of the slab meets the counts[m] entries of CSR row t[m]:
-    # its terms are src == m, reading CSR entries pos
-    counts = indptr[t + 1] - indptr[t]
-    first = np.cumsum(counts) - counts
-    src = np.repeat(np.arange(r.size), counts)
-    pos = np.arange(src.size) + np.repeat(indptr[t] - first, counts)
+    # nonzero m of the slab meets the entries of CSR row t[m]
+    src, pos = _csr_expand(indptr, t)
     cells = r[src] * d + cols[pos]
     terms = ar.fmul(field, slab[r, t][src], vals[pos])
     # out is zero on entry: only the cells that received terms are written
@@ -530,6 +532,18 @@ def _slab_times_csr(field: Field, slab: np.ndarray, csr, out: np.ndarray):
     for c in range(field.k):
         acc = np.bincount(cells, weights=terms[:, c], minlength=d * d)
         flat[cells, c] = acc[cells].astype(np.int64) % field.p
+    return out
+
+
+def _csr_expand(indptr: np.ndarray, rows: np.ndarray):
+    """The entries of the CSR rows `rows`, in order, as (src, pos): CSR
+    entry pos[e] lies in row rows[src[e]]."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    src = np.arange(rows.size).repeat(counts)
+    pos = (starts - counts.cumsum() + counts).repeat(counts)
+    pos += np.arange(pos.size)
+    return src, pos
 
 
 def fiber_algebra(L: RestrictedLie, point: FiberPoint) -> Fiber:
@@ -625,6 +639,23 @@ def _u_engine(F: Fiber) -> _Engine:
     return eng
 
 
+def _split_pairs(F: Fiber, ix: int, iy: int):
+    """(x_1, x_2, y_1, y_2, c) over the splittings x_1 + x_2 = e^alpha and
+    y_1 + y_2 = e^beta as exponent tuples, with c the product of their
+    nonzero binomial coefficients mod p."""
+    p, n = F.L.p, F.L.dim
+
+    def splits(alpha):
+        for b in itertools.product(*[range(a + 1) for a in alpha]):
+            c = math.prod(math.comb(a, t) for a, t in zip(alpha, b)) % p
+            if c:
+                yield b, tuple(alpha[t] - b[t] for t in range(n)), c
+
+    for x1, x2, c1 in splits(F.labels[ix]):
+        for y1, y2, c2 in splits(F.labels[iy]):
+            yield x1, x2, y1, y2, c1 * c2 % p
+
+
 def prop30_sigma(F: Fiber, ix: int, iy: int):
     """sigma(e^alpha (x) e^beta) = gamma(x_1) gamma(y_1) gamma^{-1}(x_2 y_2)
     evaluated in U_lambda and certified to be a scalar; returns that Scalar.
@@ -633,47 +664,31 @@ def prop30_sigma(F: Fiber, ix: int, iy: int):
     inverse of gamma is the signed reversed product reduced in U_lambda.
     """
     f = F.field
-    alpha, beta = F.labels[ix], F.labels[iy]
     eng = F.engine          # U_lambda arithmetic
     ueng = _u_engine(F)     # u(L) arithmetic
     n = F.L.dim
-    p = F.L.p
-    pascal = [[math.comb(a, b) % p for b in range(p + 1)] for a in range(p)]
     acc: dict = {}
-    for b1 in itertools.product(*[range(a + 1) for a in alpha]):
-        c1 = 1
-        for t in range(n):
-            c1 = (c1 * pascal[alpha[t]][b1[t]]) % p
-        if not c1:
-            continue
-        a2 = tuple(alpha[t] - b1[t] for t in range(n))
-        for b2 in itertools.product(*[range(a + 1) for a in beta]):
-            c2 = 1
-            for t in range(n):
-                c2 = (c2 * pascal[beta[t]][b2[t]]) % p
-            if not c2:
-                continue
-            y2 = tuple(beta[t] - b2[t] for t in range(n))
-            # x2 y2 in u(L)
-            prod = ueng.mul_label({a2: ueng.cone}, y2)
-            # gamma(x1) gamma(y1) in U_lambda
-            head = eng.mul_label({b1: eng.cone}, b2)
-            # apply gamma^{-1} to each u(L) term and multiply on the right
-            for gterm, gc in prod.items():
-                tail = eng.unit()
-                for j in range(n - 1, -1, -1):
-                    for _ in range(gterm[j]):
-                        tail = eng.rmul_elem(tail, j)
-                if sum(gterm) % 2:
-                    tail = eng.scale(tail, eng.cneg(eng.cone))
-                piece = eng.multiply(head, tail)
-                coef = eng.cmul(eng.cfrom(c1 * c2), gc)
-                acc = eng._axpy(acc, coef, piece)
+    for b1, a2, b2, y2, c in _split_pairs(F, ix, iy):
+        # x2 y2 in u(L)
+        prod = ueng.mul_label({a2: ueng.cone}, y2)
+        # gamma(x1) gamma(y1) in U_lambda
+        head = eng.mul_label({b1: eng.cone}, b2)
+        # apply gamma^{-1} to each u(L) term and multiply on the right
+        for gterm, gc in prod.items():
+            tail = eng.unit()
+            for j in range(n - 1, -1, -1):
+                for _ in range(gterm[j]):
+                    tail = eng.rmul_elem(tail, j)
+            if sum(gterm) % 2:
+                tail = eng.scale(tail, eng.cneg(eng.cone))
+            piece = eng.multiply(head, tail)
+            acc = eng._axpy(acc, eng.cmul(eng.cfrom(c), gc), piece)
     unit_label = F.labels[0]
     for alpha_t, c in acc.items():
         if alpha_t != unit_label and c != eng.czero:
             raise NotScalar(
-                f"sigma({alpha},{beta}) has a non-scalar component at {alpha_t}")
+                f"sigma({F.labels[ix]},{F.labels[iy]}) has a non-scalar "
+                f"component at {alpha_t}")
     c = acc.get(unit_label, eng.czero)
     cc = (c,) if f.k == 1 else c
     return Scalar(f, tuple(cc))
@@ -684,53 +699,43 @@ def prop30_multiply(F: Fiber, ix: int, iy: int, sigma_cache=None) -> np.ndarray:
     basis elements of u(L), valued in U_lambda coordinates.  Must reproduce
     the fiber's structure constants."""
     f = F.field
-    alpha, beta = F.labels[ix], F.labels[iy]
-    n, p = F.L.dim, F.L.p
     ueng = _u_engine(F)
-    pascal = [[math.comb(a, b) % p for b in range(p + 1)] for a in range(p)]
     out = ar.zeros(f, (F.dim,))
-    for b1 in itertools.product(*[range(a + 1) for a in alpha]):
-        c1 = 1
-        for t in range(n):
-            c1 = (c1 * pascal[alpha[t]][b1[t]]) % p
-        if not c1:
-            continue
-        a2 = tuple(alpha[t] - b1[t] for t in range(n))
-        for b2 in itertools.product(*[range(a + 1) for a in beta]):
-            c2 = 1
-            for t in range(n):
-                c2 = (c2 * pascal[beta[t]][b2[t]]) % p
-            if not c2:
-                continue
-            y2 = tuple(beta[t] - b2[t] for t in range(n))
-            key = (F.index[b1], F.index[b2])
-            if sigma_cache is not None and key in sigma_cache:
-                s = sigma_cache[key]
-            else:
-                s = prop30_sigma(F, key[0], key[1])
-                if sigma_cache is not None:
-                    sigma_cache[key] = s
-            prod = ueng.mul_label({a2: ueng.cone}, y2)
-            weight = s * f.scalar(c1 * c2)
-            wc = np.array(weight.coeffs, dtype=np.int64)
-            for term, c in prod.items():
-                cc = np.array((c,) if f.k == 1 else c, dtype=np.int64)
-                contrib = ar.fmul(f, wc[None, :], cc[None, :])[0]
-                out[F.index[term]] = ar.fadd(f, out[F.index[term]], contrib)
+    for b1, a2, b2, y2, c in _split_pairs(F, ix, iy):
+        key = (F.index[b1], F.index[b2])
+        if sigma_cache is not None and key in sigma_cache:
+            s = sigma_cache[key]
+        else:
+            s = prop30_sigma(F, key[0], key[1])
+            if sigma_cache is not None:
+                sigma_cache[key] = s
+        prod = ueng.mul_label({a2: ueng.cone}, y2)
+        wc = np.array((s * f.scalar(c)).coeffs, dtype=np.int64)
+        for term, gc in prod.items():
+            cc = np.array((gc,) if f.k == 1 else gc, dtype=np.int64)
+            contrib = ar.fmul(f, wc[None, :], cc[None, :])[0]
+            out[F.index[term]] = ar.fadd(f, out[F.index[term]], contrib)
     return out
 
 
-class Prop30Context:
-    """Precomputed tensors for evaluating the twisted-product formula in
-    bulk on a prime-field fiber.
+# cost bound of one chunk of a batched sigma evaluation: N^2 accumulator
+# cells per pair plus N per term
+SIGMA_CHUNK_CELLS = 2 ** 18
 
-    Holds the fiber's structure constants (dense, and their nonzero
-    entries grouped by output coordinate), the u(L) structure constants,
-    the matrix of gamma^{-1} on PBW labels, the binomial splitting lists of
-    every label, and a cache of already-evaluated sigma scalars.  The
-    per-pair evaluators below reproduce prop30_sigma / prop30_multiply
-    exactly but replace the term-by-term straightening with gathered
-    matrix products, which is what makes dimension p^n = 125 tractable."""
+
+class Prop30Context:
+    """Prop. 30's x o y = sigma(x_1, y_1) x_2 y_2 on a prime-field fiber of
+    dimension N, evaluated in batches on sparse rows.
+
+    sigma(x, y) sums U_lambda products head * tail over the splittings: the
+    head e^{x_1} e^{y_1} is a row of the fiber's mul, the tail
+    gamma^{-1}(x_2 y_2) a u(L) product mapped by gamma^{-1}.  Heads, tails
+    and the splittings of every label are CSR rows (a head or a tail has
+    about 7 nonzeros of 125 at p = 5).  Sigma values live in an (N, N)
+    table, -1 where not yet evaluated; `multiply` reads its values from the
+    table, evaluates the missing ones in one `_evaluate` call and sums the
+    u(L) rows x_2 y_2 once.  prop30_sigma / prop30_multiply are the oracle.
+    """
 
     def __init__(self, F: Fiber):
         f = F.field
@@ -738,87 +743,125 @@ class Prop30Context:
             raise ShapeMismatch(
                 "the vectorized twisted-product formula is implemented for "
                 "prime fields; use prop30_multiply elsewhere")
-        p, n = F.L.p, F.L.dim
-        N = F.dim
-        self.F = F
-        self.p = p
-        self.N = N
-        zero = FiberPoint.make(f, [0] * n)
-        u0 = Fiber(F.L, zero).alg.mul[:, :, :, 0]
-        self.u0_flat = u0.reshape(N * N, N)
-        self.mul_flat = F.alg.mul[:, :, :, 0].reshape(N * N, N)
-        ginv = _pbw_inverse_rows(F)[:, :, 0]
-        # gamma^{-1}(e^b e^d) for every label pair, as U_lambda rows; one
-        # block per label b, so that no temporary is as large as the table
-        # (freed table-sized temporaries can stay resident)
-        self.tails = np.empty((N * N, N), dtype=np.int64)
-        for b in range(0, N * N, N):
-            self.tails[b:b + N] = ar._imatmul(self.u0_flat[b:b + N], ginv, p)
-        # the nonzero structure constants, ordered by output coordinate:
-        # column cols[c] holds mul_flat[rows[starts[c]:starts[c+1]], cols[c]]
-        out_col, pair = np.nonzero(self.mul_flat.T)
-        self._nz_rows = pair
-        self._nz_vals = self.mul_flat[pair, out_col]
-        self._nz_cols, self._nz_starts = np.unique(out_col, return_index=True)
-        pascal = [[math.comb(a, b) % p for b in range(p + 1)] for a in range(p)]
-        self.splits = []
-        for alpha in F.labels:
-            first, second, coeff = [], [], []
-            for b in itertools.product(*[range(a + 1) for a in alpha]):
-                c = 1
-                for t in range(n):
-                    c = (c * pascal[alpha[t]][b[t]]) % p
-                if not c:
-                    continue
-                rest = tuple(alpha[t] - b[t] for t in range(n))
-                first.append(F.index[b])
-                second.append(F.index[rest])
-                coeff.append(c)
-            self.splits.append((np.array(first), np.array(second),
-                                np.array(coeff, dtype=np.int64)))
-        self.sigma = {}
+        p, N = F.L.p, F.dim
+        self.F, self.p, self.N = F, p, N
+        u0 = Fiber(F.L, FiberPoint.make(f, [0] * F.L.dim)).alg.mul
+        self.u0_flat = u0[:, :, :, 0].reshape(N * N, N)
+        self._mul = _csr_rows([F.alg.mul[:, :, :, 0].reshape(N * N, N)])
+        indptr, cols, vals = _csr_rows([_pbw_inverse_rows(F)[:, :, 0]])
+        ginv = indptr, cols, vals[:, None]
+        # tails gamma^{-1}(e^b e^d) for every label pair: block b is the
+        # u(L) slab of e^b times gamma^{-1}
+        self._tails = _csr_rows(
+            _slab_times_csr(f, u0[b], ginv, ar.zeros(f, (N, N)))[:, :, 0]
+            for b in range(N))
+        # the splittings x_1 + x_2 = a of label a: CSR row a lists their
+        # labels x_1, x_2 and binomial coefficients
+        a, self._x1, self._x2, self._binom = F.splittings()
+        self._splits = np.searchsorted(a, np.arange(N + 1))
+        self._nsplit = np.diff(self._splits)
+        self.sigma = np.full((N, N), -1, dtype=np.int64)
+
+    def _evaluate(self, x: np.ndarray, y: np.ndarray):
+        """Evaluate the missing sigma(x[t], y[t]) into the table; NotScalar
+        names the first of these pairs whose value is not a scalar.
+
+        Every head nonzero of a term meets every tail nonzero of it; the
+        products are summed per (pair, i, j) cell by bincount and the cells
+        contracted with the rows of mul.  Chunks cost SIGMA_CHUNK_CELLS.
+        The batch is topped up with the other missing pairs of the rows x to
+        the end of the last chunk, so a row-by-row sweep makes one call per
+        chunk; a top-up pair that is not a scalar stays unevaluated.
+
+        float64 sums are exact: N = p^n <= DIM_CAP = 512 forces p <= 509, a
+        cell sums at most N^2 products of three residues (< 2^18 * 509^3 <
+        2^46) and an output coordinate N^2 products of two (< 2^36)."""
+        p, N = self.p, self.N
+        NN = N * N
+        sp, x1, x2, binom = self._splits, self._x1, self._x2, self._binom
+        mptr, mcols, mvals = self._mul
+        tptr, tcols, tvals = self._tails
+        need = x.size
+        rows = np.unique(x)
+        more = self.sigma[rows] < 0
+        more[np.searchsorted(rows, x), y] = False
+        mr, my = np.nonzero(more)
+        x, y = np.concatenate([x, rows[mr]]), np.concatenate([y, my])
+        cost = NN + N * self._nsplit[x] * self._nsplit[y]
+        chunk = (cost.cumsum() - cost) // SIGMA_CHUNK_CELLS
+        stop = np.searchsorted(chunk, chunk[need - 1], side="right")
+        cuts = (np.flatnonzero(chunk[1:stop] != chunk[:stop - 1]) + 1).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [stop]):
+            cx, cy = x[lo:hi], y[lo:hi]
+            # the terms (u, v) of each pair: u runs over the splittings of
+            # its x, v over those of its y
+            pu, u = _csr_expand(sp, cx)
+            tu, v = _csr_expand(sp, cy[pu])
+            pair, u = pu[tu], u[tu]
+            coef = binom[u] * binom[v] % p
+            heads = x1[u] * N + x1[v]
+            tails = x2[u] * N + x2[v]
+            # every head nonzero of a term meets every tail nonzero of it
+            th, hpos = _csr_expand(mptr, heads)
+            e, tpos = _csr_expand(tptr, tails[th])
+            th, hpos = th[e], hpos[e]
+            acc = np.bincount(
+                (pair[th] * N + mcols[hpos]) * N + tcols[tpos],
+                weights=coef[th] * mvals[hpos] * tvals[tpos],
+                minlength=cx.size * NN)
+            # contract the nonzero (pair, i, j) cells with the rows of mul
+            cells = np.flatnonzero(acc)
+            c, pos = _csr_expand(mptr, cells % NN)
+            vec = np.bincount(
+                cells[c] // NN * N + mcols[pos],
+                weights=(acc[cells].astype(np.int64) % p)[c] * mvals[pos],
+                minlength=cx.size * N)
+            vec = vec.astype(np.int64).reshape(cx.size, N) % p
+            # label 0 is the unit
+            scalar = ~vec[:, 1:].any(axis=1)
+            self.sigma[cx[scalar], cy[scalar]] = vec[scalar, 0]
+            bad = np.flatnonzero(~scalar[:need - lo])
+            if bad.size:
+                labels = self.F.labels
+                raise NotScalar(
+                    f"sigma({labels[cx[bad[0]]]},{labels[cy[bad[0]]]}) has "
+                    "a non-scalar component")
 
     def sigma_value(self, ix: int, iy: int) -> int:
-        """sigma(e^alpha (x) e^beta) as a base-field integer, evaluated as
-        sum over splittings of gamma(x1) gamma(y1) gamma^{-1}(x2 y2) and
-        certified to be a scalar."""
-        key = (ix, iy)
-        cached = self.sigma.get(key)
-        if cached is not None:
-            return cached
-        p, N = self.p, self.N
-        h1, h2, c1 = self.splits[ix]
-        g1, g2, c2 = self.splits[iy]
-        # all (x1, y1) head products and (x2 y2) tails, as gathered rows
-        heads = self.mul_flat[(h1[:, None] * N + g1[None, :]).reshape(-1)]
-        tails = self.tails[(h2[:, None] * N + g2[None, :]).reshape(-1)]
-        coeff = (c1[:, None] * c2[None, :]).reshape(-1) % p
-        acc = ar._imatmul((heads * coeff[:, None]).T % p, tails, p)
-        # vec = acc (flattened) times mul_flat, over the nonzero entries only
-        vec = np.zeros(N, dtype=np.int64)
-        terms = acc.reshape(N * N)[self._nz_rows] * self._nz_vals
-        vec[self._nz_cols] = np.add.reduceat(terms, self._nz_starts) % p
-        unit = self.F.index[(0,) * self.F.L.dim]
-        if np.any(np.delete(vec, unit)):
-            raise NotScalar(
-                f"sigma({self.F.labels[ix]},{self.F.labels[iy]}) has a "
-                "non-scalar component")
-        val = int(vec[unit])
-        self.sigma[key] = val
-        return val
+        """sigma(e^alpha (x) e^beta) as a base-field integer, certified to
+        be a scalar."""
+        if self.sigma[ix, iy] < 0:
+            self._evaluate(np.array([ix]), np.array([iy]))
+        return int(self.sigma[ix, iy])
 
     def multiply(self, ix: int, iy: int) -> np.ndarray:
         """x o y = sigma(x_1 (x) y_1) x_2 y_2 for basis elements, in
         U_lambda coordinates; must reproduce the fiber's structure
         constants."""
         p, N = self.p, self.N
-        b1, a2, c1 = self.splits[ix]
-        b2, y2, c2 = self.splits[iy]
-        out = np.zeros(N, dtype=np.int64)
-        for u in range(len(b1)):
-            svals = np.array([self.sigma_value(int(b1[u]), int(v))
-                              for v in b2], dtype=np.int64)
-            rows = self.u0_flat[int(a2[u]) * N + y2]
-            w = (c1[u] * c2 % p) * svals % p
-            out = (out + w @ rows) % p
-        return out[:, None]
+        u = slice(self._splits[ix], self._splits[ix + 1])
+        v = slice(self._splits[iy], self._splits[iy + 1])
+        x1, y1 = self._x1[u, None], self._x1[None, v]
+        s = self.sigma[x1, y1]
+        if s.min() < 0:
+            mu, mv = np.nonzero(s < 0)
+            self._evaluate(x1[mu, 0], y1[0, mv])
+            s = self.sigma[x1, y1]
+        w = self._binom[u, None] * self._binom[None, v] % p * s % p
+        rows = self.u0_flat[self._x2[u, None] * N + self._x2[None, v]]
+        return (w.reshape(-1) @ rows.reshape(-1, N) % p)[:, None]
+
+
+def _csr_rows(blocks):
+    """CSR (row pointers, columns, values) of the dense 2-D blocks stacked
+    in order."""
+    rows, cols, vals, n = [], [], [], 0
+    for B in blocks:
+        nz = np.flatnonzero(B != 0)
+        r, c = np.divmod(nz, B.shape[1])
+        rows.append(r + n)
+        cols.append(c)
+        vals.append(B.reshape(-1)[nz])
+        n += B.shape[0]
+    indptr = np.searchsorted(np.concatenate(rows), np.arange(n + 1))
+    return indptr, np.concatenate(cols), np.concatenate(vals)

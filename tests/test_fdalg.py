@@ -554,3 +554,27 @@ def test_random_commutative_radical_properties():
         rad = fdalg.radical(A)
         assert rad.dim == deg - sqfree_deg, (p, trial)
         check_radical_certificate(A, rad)
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(3, 2)])
+def test_zero_algebra_gives_empty_results(field):
+    """A / A is the zero algebra: products, multiplication matrices,
+    powers and the structure report are empty, not numpy errors."""
+    A = dual_numbers(field)
+    full = fdalg.Subspace(field, 2, ar.asarray(
+        field, np.eye(2, dtype=np.int64)[:, :, None]
+        * np.eye(1, field.k, dtype=np.int64)[0]))
+    Z, proj = fdalg.quotient_algebra(A, full)
+    assert Z.dim == 0 and proj.shape == (2, 0, field.k)
+    z = ar.zeros(field, (0,))
+    assert Z.multiply(z, z).shape == (0, field.k)
+    assert Z.power(z, 5).shape == (0, field.k)
+    assert Z.left_mult_matrix(z).shape == (0, 0, field.k)
+    assert Z.right_mult_matrix(z).shape == (0, 0, field.k)
+    assert fdalg.algebra_verify(Z) == []
+    assert fdalg.central_idempotents(Z) == []
+    assert fdalg.block_decompose(Z).blocks == []
+    rep = fdalg.simples(Z)
+    assert (rep.center_dim, rep.radical_dim, rep.semisimple) == (0, 0, True)
+    assert (rep.blocks, rep.simple_dims, rep.split_blocks) == ([], [], 0)
+    assert rep.splitting_degree == 1

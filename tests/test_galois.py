@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hopfgal import _arrays as ar
+from hopfgal import galois
 from hopfgal.errors import (
     CocycleInvalid,
     NoOneDimRep,
@@ -10,7 +11,6 @@ from hopfgal.errors import (
     PremiseFailed,
     ShapeMismatch,
     ValueNotInvariant,
-    ValuesNotInvariant,
 )
 from hopfgal.exactfield import Field
 from hopfgal.fdalg import (
@@ -110,6 +110,51 @@ def test_comodule_verify_group(z4_over_z2):
     bad = np.zeros((4, 4, 2, 1), dtype=np.int64)
     with pytest.raises(ShapeMismatch):
         ComoduleAlgebra(Z4.alg, Z2, bad)
+
+
+def _m2_with_unit_basis():
+    """M_2(F_3) on the basis 1, E_00, E_01, E_10."""
+    E = np.eye(2, dtype=np.int64)
+    basis = [E, np.outer(E[0], E[0]), np.outer(E[0], E[1]),
+             np.outer(E[1], E[0])]
+    mul = np.zeros((4, 4, 4, 1), dtype=np.int64)
+    for i in range(4):
+        for j in range(4):
+            P = basis[i] @ basis[j]
+            mul[i, j, :, 0] = [P[1, 1], P[0, 0] - P[1, 1], P[0, 1], P[1, 0]]
+    return SCAlgebra(F3, mul % 3, [[1], [0], [0], [0]])
+
+
+@pytest.mark.parametrize("algebra, grading, want", [
+    # F_3[Z/4]: commutative, so the failing pairs are symmetric
+    (lambda: group_algebra(F3, cyclic_group_table(4)).alg, [0, 1, 1, 0],
+     [(1, 1), (3, 1)]),
+    # M_2: E_00 E_01 = E_01 fails while E_01 E_00 = 0 holds
+    (_m2_with_unit_basis, [0, 1, 0, 0], [(1, 1), (2, 3), (3, 1)]),
+])
+def test_algebra_map_check_reports_a_non_additive_grading(
+        monkeypatch, algebra, grading, want):
+    """Grading A by a non-additive function onto Z/2 passes the counit,
+    coassociativity and unit checks but is not an algebra map; each
+    failing i is reported at its first failing j, within the budget,
+    whatever the block size of the check."""
+    A = algebra()
+    Z2 = group_algebra(F3, cyclic_group_table(2))
+    rho = np.zeros((4, 4, 2, 1), dtype=np.int64)
+    for i, d in enumerate(grading):
+        rho[i, i, d, 0] = 1
+    want = [f"coaction is not an algebra map at pair ({i},{j})"
+            for i, j in want]
+    for cells in (galois.ALGEBRA_MAP_CELLS, 8, 1):
+        monkeypatch.setattr(galois, "ALGEBRA_MAP_CELLS", cells)
+        CA = ComoduleAlgebra(A, Z2, rho, check=False)
+        assert CA.verify() == want
+        assert CA.verify(max_reports=2) == want[:2]
+        assert CA.verify(max_reports=0) == want[:1]
+        assert CA.verify(full=False) == []
+        with pytest.raises(ShapeMismatch) as err:
+            ComoduleAlgebra(A, Z2, rho)
+        assert str(err.value) == "; ".join(want)
 
 
 def test_regular_coaction_is_comodule(z4_over_z2):

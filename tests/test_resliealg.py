@@ -1,6 +1,8 @@
 """Restricted Lie algebra and PBW engine tests, including the confluence
 oracle and the cocycle-formula product cross-check."""
 
+import itertools
+import math
 import random
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hopfgal import Field
 from hopfgal import _arrays as ar
 from hopfgal import fdalg, hopf, resliealg
-from hopfgal.errors import DimCapExceeded, ShapeMismatch
+from hopfgal.errors import DimCapExceeded, NotScalar, ShapeMismatch
 from hopfgal.speclab import sl2_algebra
 
 
@@ -331,3 +333,124 @@ def test_from_json_spec_format():
     assert np.array_equal(L.bracket, sl2(3).bracket)
     assert np.array_equal(L.pmap, sl2(3).pmap)
     assert resliealg.restricted_verify(L) == []
+
+
+def _binomial_tensor_loop(F):
+    """The splitting tensor by a loop over every splitting of every label."""
+    p, n = F.L.p, F.L.dim
+    T = np.zeros((F.dim,) * 3 + (F.field.k,), dtype=np.int64)
+    for ia, alpha in enumerate(F.labels):
+        for beta in itertools.product(*[range(a + 1) for a in alpha]):
+            coef = 1
+            for t in range(n):
+                coef = coef * math.comb(alpha[t], beta[t]) % p
+            if coef:
+                gamma = tuple(a - b for a, b in zip(alpha, beta))
+                T[ia, F.index[beta], F.index[gamma], 0] = coef
+    return T
+
+
+@pytest.mark.parametrize("lie, field, point", [
+    (sl2(3), Field(3), [1, 0, 0]),
+    (sl2(5), Field(5), [0, 0, 1]),
+    (borel(5), Field(5), [2, 1]),
+    (sl2(3), Field(3, 2), [0, 1, 0]),
+])
+def test_binomial_tensor_matches_splitting_loop(lie, field, point):
+    F = resliealg.fiber_algebra(lie, resliealg.FiberPoint.make(field, point))
+    T = F.binomial_tensor()
+    assert T.dtype == np.int64
+    assert np.array_equal(T, _binomial_tensor_loop(F))
+
+
+def _one_generator(p):
+    # x^[p] = x: U_lambda = F_p[x] / (x^p - x - lambda)
+    return resliealg.RestrictedLie(p, np.zeros((1, 1, 1)), np.ones((1, 1)),
+                                   labels=["x"])
+
+
+def _check_prop30_context(F, pairs, oracle=True):
+    """Prop30Context against the dict engine on `pairs` (if `oracle`), and
+    its products against the fiber's structure constants."""
+    ctx = resliealg.Prop30Context(F)
+    cache = {}
+    for i, j in pairs:
+        got = ctx.multiply(i, j)
+        assert np.array_equal(got, F.alg.mul[i, j]), (i, j)
+        if oracle:
+            want = resliealg.prop30_sigma(F, i, j).coeffs
+            assert (ctx.sigma_value(i, j),) == want, (i, j)
+            eng = resliealg.prop30_multiply(F, i, j, sigma_cache=cache)
+            assert np.array_equal(got, eng), (i, j)
+    # a fresh context reached through products alone agrees as well
+    fresh = resliealg.Prop30Context(F)
+    for i, j in pairs:
+        assert np.array_equal(fresh.multiply(i, j), F.alg.mul[i, j]), (i, j)
+        assert fresh.sigma_value(i, j) == ctx.sigma_value(i, j)
+
+
+def test_prop30_context_matches_engine_on_all_borel_f3_points():
+    f = Field(3)
+    pairs = [(i, j) for i in range(9) for j in range(9)]
+    for point in itertools.product(range(3), repeat=2):
+        F = resliealg.fiber_algebra(borel(3),
+                                    resliealg.FiberPoint.make(f, point))
+        _check_prop30_context(F, pairs)
+
+
+def test_prop30_context_matches_engine_on_borel_p5():
+    F = resliealg.fiber_algebra(borel(5),
+                                resliealg.FiberPoint.make(Field(5), [3, 2]))
+    rng = random.Random(305)
+    pairs = [(rng.randrange(25), rng.randrange(25)) for _ in range(8)]
+    _check_prop30_context(F, pairs)
+    _check_prop30_context(F, [(24, 24), (0, 24), (24, 0)], oracle=False)
+
+
+def test_prop30_context_matches_engine_at_p101():
+    F = resliealg.fiber_algebra(
+        _one_generator(101), resliealg.FiberPoint.make(Field(101), [1]))
+    rng = random.Random(1101)
+    small = [(rng.randrange(12), rng.randrange(12)) for _ in range(6)]
+    _check_prop30_context(F, small)
+    large = [(rng.randrange(20, 45), rng.randrange(20, 45)) for _ in range(3)]
+    _check_prop30_context(F, large + [(100, 0), (0, 100), (100, 1), (1, 100)],
+                          oracle=False)
+
+
+def test_prop30_context_rejects_a_non_scalar_sigma():
+    F = resliealg.fiber_algebra(borel(3),
+                                resliealg.FiberPoint.make(Field(3), [1, 2]))
+
+    def corrupted():
+        # the tail gamma^{-1}(e^(0,1) e^(0,0)) = -e^(0,1) of the term
+        # (x_1, x_2) = (1, e^(0,1)) of sigma(e^(0,1), 1): change its value
+        ctx = resliealg.Prop30Context(F)
+        indptr, cols, vals = ctx._tails
+        row = F.index[(0, 1)] * F.dim + F.index[(0, 0)]
+        assert indptr[row + 1] - indptr[row] == 1
+        vals[indptr[row]] = (vals[indptr[row]] + 1) % 3
+        return ctx
+
+    x, one = F.index[(0, 1)], F.index[(0, 0)]
+    with pytest.raises(NotScalar, match=r"sigma\(\(0, 1\),\(0, 0\)\)"):
+        corrupted().sigma_value(x, one)
+    with pytest.raises(NotScalar, match=r"sigma\(\(0, 1\),\(0, 0\)\)"):
+        corrupted().multiply(x, one)
+    # uncorrupted, the same pair is the counit value 0
+    assert resliealg.Prop30Context(F).sigma_value(x, one) == 0
+
+
+@pytest.mark.parametrize("cells", [1, 3000])
+def test_prop30_context_chunking_does_not_change_results(monkeypatch, cells):
+    F = resliealg.fiber_algebra(sl2(3),
+                                resliealg.FiberPoint.make(Field(3), [1, 0, 0]))
+    ctx = resliealg.Prop30Context(F)
+    want_sigma = np.array([[ctx.sigma_value(i, j) for j in range(27)]
+                           for i in range(27)])
+    want = [ctx.multiply(i, j) for i in range(27) for j in range(27)]
+    monkeypatch.setattr(resliealg, "SIGMA_CHUNK_CELLS", cells)
+    ctx = resliealg.Prop30Context(F)
+    got = [ctx.multiply(i, j) for i in range(27) for j in range(27)]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(ctx.sigma, want_sigma)
