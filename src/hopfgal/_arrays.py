@@ -51,6 +51,12 @@ def zeros(field: Field, shape) -> np.ndarray:
     return np.zeros(tuple(shape) + (field.k,), dtype=np.int64)
 
 
+def identity(field: Field, n: int) -> np.ndarray:
+    out = zeros(field, (n, n))
+    out[np.arange(n), np.arange(n), 0] = 1
+    return out
+
+
 def unit_scalar(field: Field, value=1) -> np.ndarray:
     out = np.zeros(field.k, dtype=np.int64)
     out[0] = int(value) % field.p
@@ -109,6 +115,18 @@ def _imatmul(a, b, mod):
     return c % mod
 
 
+def binary_power(x, e: int, mul, last=None):
+    """x^e for e >= 1 by left-to-right square and multiply under the
+    associative product mul(a, b).  `last(a, b)`, when given, computes the
+    final product in its place (say, only its trace); e = 1 returns x."""
+    ops = "".join("sm" if bit == "1" else "s" for bit in bin(e)[3:])
+    acc = x
+    for t, op in enumerate(ops):
+        step = last if last is not None and t == len(ops) - 1 else mul
+        acc = step(acc, acc) if op == "s" else step(acc, x)
+    return acc
+
+
 def scalar_inv(field: Field, a) -> np.ndarray:
     return np.array(field.cinv(tuple(int(c) for c in a)), dtype=np.int64)
 
@@ -125,8 +143,10 @@ def rref(field: Field, M: np.ndarray):
     is reduced against the basis by one fmatmul, its remainder is brought to
     RREF by single-pivot elimination, and the new pivot columns are cleared
     from the basis by one more fmatmul.  The RREF of a row space is unique,
-    so R and the pivots do not depend on the blocking."""
+    so R and the pivots do not depend on the blocking.  All-zero rows are
+    dropped first: they add nothing to the row space."""
     p = field.p
+    M = M[M.any(axis=(1, 2))]
     m, n = M.shape[0], M.shape[1]
     basis, pivots = zeros(field, (0, n)), []
     for s in range(0, m, ROW_BLOCK):
@@ -217,9 +237,7 @@ def solve(field: Field, M: np.ndarray, b: np.ndarray):
 def inv_matrix(field: Field, M: np.ndarray) -> np.ndarray | None:
     """Inverse of a square matrix (n, n, k), or None if singular."""
     n = M.shape[0]
-    eye = zeros(field, (n, n))
-    for i in range(n):
-        eye[i, i, 0] = 1
+    eye = identity(field, n)
     aug = np.concatenate([M, eye], axis=1)
     R, pivots = rref(field, aug)
     if pivots != list(range(n)):
@@ -240,8 +258,7 @@ def coords_in_row_space(field: Field, basis: np.ndarray, v: np.ndarray):
     pivots = _pivot_columns(basis)
     if len(set(pivots)) == d:
         sub = basis[:, pivots, :]
-        eye = zeros(field, (d, d))
-        eye[np.arange(d), np.arange(d), 0] = 1
+        eye = identity(field, d)
         if np.array_equal(sub, eye):
             # basis is in rref: the only candidate coordinates are the pivot
             # entries of v, so a residual check settles membership
@@ -267,8 +284,7 @@ def coords_in_row_space_many(field: Field, basis: np.ndarray, V: np.ndarray):
     pivots = _pivot_columns(basis)
     if len(set(pivots)) == d:
         sub = basis[:, pivots, :]
-        eye = zeros(field, (d, d))
-        eye[np.arange(d), np.arange(d), 0] = 1
+        eye = identity(field, d)
         if np.array_equal(sub, eye):
             coords = V[:, pivots, :].copy()
             residual = (V - fmatmul(field, coords, basis)) % field.p

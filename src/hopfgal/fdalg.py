@@ -61,14 +61,16 @@ def check_lengths(data, shape: tuple, what: str):
 
 class SCAlgebra:
     """Associative unital algebra over a Field, given by a multiplication
-    tensor and a unit vector."""
+    tensor and a unit vector.  check=False vouches that both are int64,
+    of shapes (n, n, n, k) and (n, k) and reduced: no pass over them."""
 
     def __init__(self, field: Field, mul: np.ndarray, unit: np.ndarray,
-                 labels=None, check_shapes: bool = True):
-        mul = ar.asarray(field, mul)
-        unit = ar.asarray(field, unit)
+                 labels=None, check: bool = True):
+        if check:
+            mul = ar.asarray(field, mul)
+            unit = ar.asarray(field, unit)
         n = unit.shape[0]
-        if check_shapes and mul.shape != (n, n, n, field.k):
+        if check and mul.shape != (n, n, n, field.k):
             raise ShapeMismatch(f"mul tensor {mul.shape} vs dim {n}")
         if n > DIM_CAP:
             raise DimCapExceeded(f"dimension {n} exceeds cap {DIM_CAP}")
@@ -116,14 +118,9 @@ class SCAlgebra:
         return out.reshape(self.dim, self.dim, f.k)
 
     def power(self, x: np.ndarray, e: int) -> np.ndarray:
-        result = self.unit.copy()
-        base = x
-        while e:
-            if e & 1:
-                result = self._pair_product(result, base)
-            base = self._pair_product(base, base)
-            e >>= 1
-        return result
+        if e == 0:
+            return self.unit.copy()
+        return ar.binary_power(x, e, self._pair_product)
 
     def basis_vector(self, i: int) -> np.ndarray:
         v = ar.zeros(self.field, (self.dim,))
@@ -226,9 +223,7 @@ def algebra_verify(A: SCAlgebra, max_reports: int = 20) -> list[str]:
     out = []
     uL = A._lmat(A.unit)
     uR = A.right_mult_matrix(A.unit)
-    eye = ar.zeros(f, (n, n))
-    for i in range(n):
-        eye[i, i, 0] = 1
+    eye = ar.identity(f, n)
     if np.any((uL - eye) % f.p):
         out.append("unit: left multiplication by the unit is not the identity")
     if np.any((uR - eye) % f.p):
@@ -265,8 +260,7 @@ def center(A: SCAlgebra) -> Subspace:
     # constraint on x: sum_j x_j (mul[j,i,m] - mul[i,j,m]) = 0 for all (i,m),
     # imposed one basis element at a time so the working space shrinks early
     K = (A.mul.transpose(1, 0, 2, 3) - A.mul) % f.p  # K[i][j, m], rows j
-    basis = ar.zeros(f, (n, n))
-    basis[np.arange(n), np.arange(n), 0] = 1
+    basis = ar.identity(f, n)
     for i in range(n):
         if basis.shape[0] == 0:
             break
@@ -329,71 +323,78 @@ def _restrict_scalars(A: SCAlgebra):
 
 
 def _radical_prime(A: SCAlgebra) -> np.ndarray:
-    """Radical of an algebra over a prime field, by generalized trace maps
-    valid in characteristic p (iterated p-power trace corrections)."""
+    """Radical of an algebra over a prime field, as an RREF basis, by the
+    generalized trace chain of Cohen, Ivanyos and Wales (JPAA 117/118, 1997).
+
+    Level i = 0 .. l, p^l <= n < p^(l+1), cuts the ideal I down to the kernel
+    of (x, y) -> f_i(xy), f_i(v) = Tr(lift(L_v)^(p^i)) / p^i mod p.  Level 0
+    is linear: f_0(v) = v . t, t_i = sum_j mul[i,j,j].  A full-rank I is the
+    identity, so its lifts, products and coordinates are mul itself.  A
+    non-divisible trace or a non-ideal I raises RadicalChainFailed."""
     f = A.field
     p, n = f.p, A.dim
+    mul = A.mul[:, :, :, 0]
     # mul[i] as [j, m] is the transpose of left multiplication by b_i on
     # column vectors; traces of powers do not see the transpose
-    lmats_t = A.mul[:, :, :, 0].reshape(n, n * n)
-
-    space = ar.zeros(f, (n, n))
-    for i in range(n):
-        space[i, i, 0] = 1  # current ideal, rref rows
-
-    def f_i_values(vecs, i):
-        """(Tr(lift(L_vec)^(p^i)) / p^i) mod p for each row of vecs (d, n, 1)."""
-        d = vecs.shape[0]
-        mod = p ** (i + 1)
-        # integer lifts of all d left multiplications, then their p^i-th
-        # powers mod p^(i+1) as one stack
-        W = ar._imatmul(vecs[:, :, 0], lmats_t, mod).reshape(d, n, n)
-        tr = np.trace(_stack_power(W, p ** i, mod), axis1=1, axis2=2) % mod
-        if np.any(tr % (p ** i)):
-            raise RadicalChainFailed(
-                f"level-{i} generalized trace not divisible by {p}^{i}")
-        return (tr // (p ** i)) % p
-
-    # the chain stabilizes at the radical after l+1 refinements where
-    # p^l <= n < p^(l+1)
+    traces = np.trace(mul, axis1=1, axis2=2) % p
+    space = ar.identity(f, n)  # current ideal, rref rows
     l = 0
     while p ** (l + 1) <= n:
         l += 1
-    for level in range(l + 1):
+    for i in range(l + 1):
         d = space.shape[0]
         if d == 0:
             break
+        full = _full_rank(space)
         # the level map is additive and F_p-linear on the current ideal, so
-        # evaluating it on the ideal basis determines all constraint entries
-        valv = f_i_values(space, level)
-        # all products space[r] * b_s at once: prods[r, s, m]
-        prods = ar.fmatmul(f, space, A.mul.reshape(n, n * n, 1))
-        prods = prods.reshape(d, n, n, 1)
-        cc = ar.coords_in_row_space_many(f, space, prods.reshape(d * n, n, 1))
-        if cc is None:
-            raise RadicalChainFailed("trace-chain space is not an ideal")
-        coords = cc.reshape(d, n, d, 1)[:, :, :, 0]  # (r, s, t): ideal coords
+        # its values on the ideal basis determine all constraint entries
+        if i == 0:
+            valv = space[:, :, 0] @ traces % p
+        else:
+            e, mod = p ** i, p ** (i + 1)
+            # integer lifts of the d left multiplications
+            W = mul if full else ar._imatmul(
+                space[:, :, 0], mul.reshape(n, n * n), mod).reshape(d, n, n)
+            tr = _stack_trace_power(W, e, mod)
+            if np.any(tr % e):
+                raise RadicalChainFailed(
+                    f"level-{i} generalized trace not divisible by {p}^{i}")
+            valv = tr // e % p
+        if full:
+            coords = mul
+        else:
+            # all products space[r] * b_s at once: prods[r, s, m]
+            prods = ar.fmatmul(f, space, A.mul.reshape(n, n * n, 1))
+            cc = ar.coords_in_row_space_many(f, space,
+                                             prods.reshape(d * n, n, 1))
+            if cc is None:
+                raise RadicalChainFailed("trace-chain space is not an ideal")
+            coords = cc.reshape(d, n, d)  # (r, s, t): ideal coordinates
         # constraint per s on unknowns r: sum_t coords[r, s, t] vals[t]
-        M = (np.tensordot(coords, valv, axes=([2], [0])) % p).T[:, :, None]
+        M = (coords.reshape(d * n, d) @ valv % p).reshape(d, n).T[:, :, None]
         ker = ar.nullspace(f, M)  # coordinates in the ideal basis
         if ker.shape[0] == 0:
-            space = ar.zeros(f, (0, n))
-            break
-        space = ar.row_space(f, ar.fmatmul(f, ker, space))
+            return ar.zeros(f, (0, n))
+        space = ker if full else ar.row_space(f, ar.fmatmul(f, ker, space))
     return space
 
 
-def _stack_power(W, e, mod):
-    """W[t]^e mod `mod` for each matrix of the stack W (d, n, n)."""
-    out = None
-    base = W
-    while e:
-        if e & 1:
-            out = base if out is None else ar._imatmul(out, base, mod)
-        e >>= 1
-        if e:
-            base = ar._imatmul(base, base, mod)
-    return out
+def _full_rank(space: np.ndarray) -> bool:
+    """Whether an RREF basis is full rank, and so the identity matrix."""
+    return space.shape[0] == space.shape[1]
+
+
+def _stack_trace_power(W, e, mod):
+    """Tr(W[t]^e) mod `mod` for each matrix of the stack W (d, n, n), with
+    entries in [0, mod).  Square and multiply ends in the sum Tr(A B) =
+    sum(A * B^T) instead of its last product.  The sum is exact in int64
+    when n^2 mod^2 < 2^63; the trace chain has mod <= n^2 <= 2^18 at every
+    level i >= 1 (mod = p^(i+1) with p^i <= n)."""
+    if e == 1:
+        return np.trace(W, axis1=1, axis2=2) % mod
+    return ar.binary_power(
+        W, e, lambda a, b: ar._imatmul(a, b, mod),
+        last=lambda a, b: np.einsum("tjk,tkj->t", a, b) % mod)
 
 
 def radical(A: SCAlgebra) -> Subspace:
@@ -532,9 +533,7 @@ def _primitive_idempotents_split_commutative(E: SCAlgebra):
     distinct linear factors)."""
     f = E.field
     # represent each component by (basis rows inside E, unit vector inside E)
-    full = ar.zeros(f, (E.dim, E.dim))
-    for i in range(E.dim):
-        full[i, i, 0] = 1
+    full = ar.identity(f, E.dim)
     comps = [(full, E.unit)]
     done = []
     while comps:

@@ -129,9 +129,7 @@ class ComoduleAlgebra:
         eps = self.hopf.counit
         ce = ar.fmatmul(f, rho.reshape(nA * nA, nH, f.k),
                         eps[:, None, :]).reshape(nA, nA, f.k)
-        eye = ar.zeros(f, (nA, nA))
-        for i in range(nA):
-            eye[i, i, 0] = 1
+        eye = ar.identity(f, nA)
         if np.any((ce - eye) % f.p):
             out.append("coaction counit law fails")
         # coassociativity: (rho (x) id) rho = (id (x) Delta) rho
@@ -834,9 +832,7 @@ def find_one_dim_rep(F):
     if rows:
         basis = ar.nullspace(f, np.stack(rows))
     else:
-        basis = ar.zeros(f, (n, n))
-        for i in range(n):
-            basis[i, i, 0] = 1
+        basis = ar.identity(f, n)
     dfree = basis.shape[0]
     if f.order ** dfree > 10000:
         raise NoOneDimRep(

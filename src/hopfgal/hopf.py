@@ -148,9 +148,7 @@ def hopf_verify(H: HopfAlgebra, max_reports: int = 20) -> list[str]:
     right = ar.fmatmul(f, eps[None, :, :],
                        d.transpose(2, 0, 1, 3).reshape(n, n * n, f.k))
     right = right.reshape(n, n, f.k)  # [i, a]
-    eye = ar.zeros(f, (n, n))
-    for i in range(n):
-        eye[i, i, 0] = 1
+    eye = ar.identity(f, n)
     if np.any((left - eye) % f.p):
         out.append("counit law (eps (x) id) fails")
     if np.any((right - eye) % f.p):
@@ -384,9 +382,7 @@ def is_unimodular_s2(H: HopfAlgebra) -> tuple[bool, bool, bool]:
     unimodular = (left.shape[0] == right.shape[0]
                   and not np.any((left - right) % f.p))
     S2 = ar.fmatmul(f, H.antipode, H.antipode)
-    eye = ar.zeros(f, (n, n))
-    for i in range(n):
-        eye[i, i, 0] = 1
+    eye = ar.identity(f, n)
     s2_is_id = not np.any((S2 - eye) % f.p)
     lam = left_integral_dual(H)
     # vals[i, j] = Lambda(b_i b_j)

@@ -414,8 +414,11 @@ class Fiber:
     mul[alpha - delta_i] @ Lambda_i, where i is the first nonzero exponent of
     alpha (so e^alpha = e_i e^(alpha - delta_i)) and Lambda_i, the matrix of
     left multiplication by e_i, is held in CSR form.  The straightening
-    engine (`engine`) computes only those n matrices, n p^n products in all;
-    each step is a sparse product with temporaries of one (p^n, p^n) slab."""
+    engine (`engine`) computes only those n matrices, n p^n products in all.
+    Each step multiplies a sparse row, kept as the cells and values its own
+    step computed, by a CSR Lambda_i (`_sparse_times_csr`) and scatters the
+    result once into the dense tensor; a parent row lies at most p^(n-1)
+    rows back, so only the last p^(n-1) sparse rows are kept."""
 
     def __init__(self, L: RestrictedLie, point: FiberPoint):
         field = point.field
@@ -440,17 +443,23 @@ class Fiber:
         f = self.field
         p, n, dim = self.L.p, self.L.dim, self.dim
         mul = np.zeros((dim, dim, dim, f.k), dtype=np.int64)
-        mul[0, np.arange(dim), np.arange(dim), 0] = 1
+        mul[0] = ar.identity(f, dim)
         gens = [self._left_generator(i) for i in range(n)]
-        # mul[alpha] = mul[alpha - delta_i] @ Lambda_i, i the first nonzero
-        # exponent of alpha; alpha - delta_i comes earlier in label order
+        # the sparse rows (sorted flat cells beta dim + gamma, values)
+        rows = {0: (np.arange(dim) * (dim + 1),
+                    np.tile(ar.unit_scalar(f), (dim, 1)))}
         for ia in range(1, dim):
+            # mul[alpha] = mul[alpha - delta_i] @ Lambda_i, i the first
+            # nonzero exponent of alpha; no later row needs row ia - p^(n-1)
             i = next(t for t in range(n) if self.labels[ia][t])
-            _slab_times_csr(f, mul[ia - p ** (n - 1 - i)], gens[i], mul[ia])
-        unit = np.zeros((dim, f.k), dtype=np.int64)
+            cells, vals = rows[ia] = _sparse_times_csr(
+                f, dim, *rows[ia - p ** (n - 1 - i)], gens[i])
+            rows.pop(ia - p ** (n - 1), None)
+            mul[ia].reshape(dim * dim, f.k)[cells] = vals
+        unit = ar.zeros(f, (dim,))
         unit[0, 0] = 1
         return SCAlgebra(f, mul, unit, labels=[list(a) for a in self.labels],
-                         check_shapes=False)
+                         check=False)
 
     def _left_generator(self, i: int):
         """Left multiplication by e_i on the PBW basis as a CSR matrix
@@ -510,29 +519,27 @@ class Fiber:
         return out
 
 
-def _slab_times_csr(field: Field, slab: np.ndarray, csr, out: np.ndarray):
-    """out (d, d, k) = slab (d, d, k) @ the CSR matrix `csr`, over the
-    nonzeros of slab only; returns out.
-
-    Each output cell is accumulated by np.bincount with float64 weights.
-    That is exact: a cell sums at most d field products, each reduced below
-    p, and d = p^n <= DIM_CAP = 512 forces p <= 509, so every sum stays
-    below 512 * 509 < 2^18, far inside float64's 2^53 integers."""
-    indptr, cols, vals = csr
-    d = slab.shape[0]
-    r, t = np.divmod(np.flatnonzero(
-        slab[:, :, 0] if field.k == 1 else slab.any(axis=2)), d)
-    # nonzero m of the slab meets the entries of CSR row t[m]
+def _sparse_times_csr(field: Field, n: int, cells: np.ndarray,
+                      vals: np.ndarray, csr):
+    """X @ C for a sparse X with n columns, given as the flat cells r n + t
+    of its nonzeros and their (nnz, k) values, and an (n, n) CSR matrix C;
+    the product comes back in the same form, its cells sorted and nonzero.
+    Terms are summed per cell in int64: at most n <= DIM_CAP = 512 of them,
+    each below p^2 < 2^46 (p <= P_MAX), so every sum stays below 2^55."""
+    indptr, cols, cvals = csr
+    r, t = np.divmod(cells, n)
+    # nonzero m of X meets the entries of CSR row t[m]
     src, pos = _csr_expand(indptr, t)
-    cells = r[src] * d + cols[pos]
-    terms = ar.fmul(field, slab[r, t][src], vals[pos])
-    # out is zero on entry: only the cells that received terms are written
-    # (a cell listed twice gets the same value twice)
-    flat = out.reshape(d * d, field.k)
-    for c in range(field.k):
-        acc = np.bincount(cells, weights=terms[:, c], minlength=d * d)
-        flat[cells, c] = acc[cells].astype(np.int64) % field.p
-    return out
+    out = r[src] * n + cols[pos]
+    # over F_p the products are reduced once, after the sum
+    terms = (vals[src] * cvals[pos] if field.k == 1
+             else ar.fmul(field, vals[src], cvals[pos]))
+    order = np.argsort(out)
+    out = out[order]
+    start = np.flatnonzero(np.diff(out, prepend=-1))
+    acc = np.add.reduceat(terms[order], start, axis=0) % field.p
+    keep = acc.any(axis=1)
+    return out[start[keep]], acc[keep]
 
 
 def _csr_expand(indptr: np.ndarray, rows: np.ndarray):
@@ -599,9 +606,7 @@ def pbw_splitting(F: Fiber, CA=None):
         CA = fiber_coaction(F)
     f = F.field
     dim = F.dim
-    gamma = ar.zeros(f, (dim, dim))
-    for i in range(dim):
-        gamma[i, i, 0] = 1
+    gamma = ar.identity(f, dim)
     return Splitting(CA, LinMap(f, gamma),
                      inverse=LinMap(f, _pbw_inverse_rows(F)))
 
@@ -747,14 +752,22 @@ class Prop30Context:
         self.F, self.p, self.N = F, p, N
         u0 = Fiber(F.L, FiberPoint.make(f, [0] * F.L.dim)).alg.mul
         self.u0_flat = u0[:, :, :, 0].reshape(N * N, N)
-        self._mul = _csr_rows([F.alg.mul[:, :, :, 0].reshape(N * N, N)])
-        indptr, cols, vals = _csr_rows([_pbw_inverse_rows(F)[:, :, 0]])
-        ginv = indptr, cols, vals[:, None]
-        # tails gamma^{-1}(e^b e^d) for every label pair: block b is the
-        # u(L) slab of e^b times gamma^{-1}
-        self._tails = _csr_rows(
-            _slab_times_csr(f, u0[b], ginv, ar.zeros(f, (N, N)))[:, :, 0]
-            for b in range(N))
+        mul = F.alg.mul.reshape(-1)
+        nz = np.flatnonzero(mul)
+        self._mul = _csr_rows(N * N, N, nz, mul[nz])
+        ginv = _pbw_inverse_rows(F).reshape(-1, 1)
+        nz = np.flatnonzero(ginv)
+        ginv = _csr_rows(N, N, nz, ginv[nz])
+        # tails gamma^{-1}(e^b e^d) for every label pair: the u(L) slabs of
+        # e^b times gamma^{-1}, a few per product to keep temporaries small
+        cells, vals, step = [], [], max(1, 2 ** 16 // (N * N))
+        for b in range(0, N, step):
+            slab = u0[b:b + step].reshape(-1, 1)
+            nz = np.flatnonzero(slab)
+            c, v = _sparse_times_csr(f, N, nz, slab[nz], ginv)
+            cells.append(c + b * N * N)
+            vals.append(v[:, 0])
+        self._tails = _csr_rows(N * N, N, *map(np.concatenate, (cells, vals)))
         # the splittings x_1 + x_2 = a of label a: CSR row a lists their
         # labels x_1, x_2 and binomial coefficients
         a, self._x1, self._x2, self._binom = F.splittings()
@@ -852,16 +865,7 @@ class Prop30Context:
         return (w.reshape(-1) @ rows.reshape(-1, N) % p)[:, None]
 
 
-def _csr_rows(blocks):
-    """CSR (row pointers, columns, values) of the dense 2-D blocks stacked
-    in order."""
-    rows, cols, vals, n = [], [], [], 0
-    for B in blocks:
-        nz = np.flatnonzero(B != 0)
-        r, c = np.divmod(nz, B.shape[1])
-        rows.append(r + n)
-        cols.append(c)
-        vals.append(B.reshape(-1)[nz])
-        n += B.shape[0]
-    indptr = np.searchsorted(np.concatenate(rows), np.arange(n + 1))
-    return indptr, np.concatenate(cols), np.concatenate(vals)
+def _csr_rows(m: int, n: int, cells: np.ndarray, vals: np.ndarray):
+    """CSR (row pointers, columns, values) of the (m, n) matrix with
+    nonzeros `vals` at the sorted flat cells r n + c."""
+    return np.searchsorted(cells, np.arange(m + 1) * n), cells % n, vals

@@ -20,6 +20,7 @@ Conventions fixed here:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 
@@ -204,20 +205,6 @@ def sl2_central_elements(F: Fiber) -> CentralElements:
     return CentralElements(x, y, z, t_vec, t_op)
 
 
-def _matpow(f: Field, M: np.ndarray, e: int) -> np.ndarray:
-    n = M.shape[0]
-    out = ar.zeros(f, (n, n))
-    for i in range(n):
-        out[i, i, 0] = 1
-    base = M
-    while e:
-        if e & 1:
-            out = ar.fmatmul(f, out, base)
-        base = ar.fmatmul(f, base, base)
-        e >>= 1
-    return out
-
-
 def sl2_eq4_check(F: Fiber):
     """Whether m(T) = T^p - 2 T^{(p+1)/2} + T - (z^2 - 4xy) annihilates the
     multiplication operator of t, together with the root profile of m over
@@ -227,7 +214,9 @@ def sl2_eq4_check(F: Fiber):
     p = F.L.p
     c = ce.z * ce.z - f.scalar(4) * ce.x * ce.y
     T = ce.t_op
-    M = (_matpow(f, T, p) - 2 * _matpow(f, T, (p + 1) // 2) + T) % p
+    matmul = functools.partial(ar.fmatmul, f)
+    M = (ar.binary_power(T, p, matmul)
+         - 2 * ar.binary_power(T, (p + 1) // 2, matmul) + T) % p
     n = T.shape[0]
     for i in range(n):
         M[i, i] = (M[i, i] - np.array(c.coeffs, dtype=np.int64)) % p
@@ -537,11 +526,13 @@ def baby_verma_oracle(p: int, lam, weight) -> BabyVerma:
         return out
 
     comm = (ar.fmatmul(big, E, Fm) - ar.fmatmul(big, Fm, E)) % p
+    matmul = functools.partial(ar.fmatmul, big)
     checks = [
         (comm, Hm, "[E,F] = H"),
-        (_matpow(big, E, p), scal_id(le), "E^p = lambda_e"),
-        (_matpow(big, Fm, p), scal_id(lf), "F^p = lambda_f"),
-        ((_matpow(big, Hm, p) - Hm) % p, scal_id(lh), "H^p - H = lambda_h"),
+        (ar.binary_power(E, p, matmul), scal_id(le), "E^p = lambda_e"),
+        (ar.binary_power(Fm, p, matmul), scal_id(lf), "F^p = lambda_f"),
+        ((ar.binary_power(Hm, p, matmul) - Hm) % p, scal_id(lh),
+         "H^p - H = lambda_h"),
     ]
     for got, want, label in checks:
         if np.any((got - want) % p):
@@ -553,9 +544,7 @@ def matrix_algebra_rank(field: Field, mats) -> int:
     """Dimension of the unital algebra of n x n matrices generated by the
     given (n, n, k) matrices."""
     n = mats[0].shape[0]
-    ident = ar.zeros(field, (n, n))
-    for i in range(n):
-        ident[i, i, 0] = 1
+    ident = ar.identity(field, n)
     span = ar.row_space(field, np.stack(
         [ident.reshape(n * n, field.k)]
         + [m.reshape(n * n, field.k) for m in mats]))

@@ -152,3 +152,20 @@ def test_fmatmul_matches_cmul_sums(field, m, r, n, seed):
             row.append(acc)
         want.append(row)
     assert np.array_equal(ar.fmatmul(field, A, B), to_array(field, want, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=systems(), extra=st.integers(1, 150), seed=st.integers(0, 2 ** 32 - 1))
+def test_rref_ignores_interleaved_zero_rows(case, extra, seed):
+    # rref drops all-zero rows before folding blocks; rows that are zero only
+    # mod p (multiples of p) must not change the result either
+    field, M = case
+    m, n, k = M.shape
+    rng = np.random.default_rng(seed)
+    keep = np.zeros(m + extra, dtype=bool)
+    keep[rng.choice(m + extra, m, replace=False)] = True
+    padded = field.p * rng.integers(0, 2, size=(m + extra, n, k))
+    padded[keep] = M
+    R, pivots = ar.rref(field, M)
+    R2, pivots2 = ar.rref(field, padded)
+    assert pivots2 == pivots and np.array_equal(R2, R)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hopfgal import Field, Poly
-from hopfgal import fdalg
+from hopfgal import fdalg, resliealg
 from hopfgal import _arrays as ar
 from hopfgal.errors import (
     ConsistencyCheckFailed,
@@ -18,6 +18,7 @@ from hopfgal.errors import (
     SplittingCapExceeded,
 )
 from hopfgal.exactfield import P_MAX
+from hopfgal.speclab import sl2_algebra
 
 
 def matrix_algebra(field, n):
@@ -578,3 +579,79 @@ def test_zero_algebra_gives_empty_results(field):
     assert (rep.center_dim, rep.radical_dim, rep.semisimple) == (0, 0, True)
     assert (rep.blocks, rep.simple_dims, rep.split_blocks) == ([], [], 0)
     assert rep.splitting_degree == 1
+
+
+def test_binary_power_square_and_multiply():
+    for e in range(1, 70):
+        calls = []
+
+        def mul(a, b):
+            calls.append((a, b))
+            return a * b
+
+        assert ar.binary_power(3, e, mul) == 3 ** e
+        # (bit length - 1) squarings and (popcount - 1) multiplications
+        assert len(calls) == e.bit_length() + bin(e).count("1") - 2
+        got = ar.binary_power(3, e, mul, last=lambda a, b: ("last", a * b))
+        assert got == (3 if e == 1 else ("last", 3 ** e))
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 5, 9, 25, 27, 49])
+def test_stack_trace_power_matches_trace_of_power(e):
+    # level i of the trace chain raises to e = p^i mod p^(i+1), with
+    # p^i <= n (the level bound); level 0 is e = 1
+    p = next((q for q in (2, 3, 5, 7) if e % q == 0), 5)
+    mod, n = p * e, max(e, 4)
+    rng = np.random.default_rng(e)
+    W = rng.integers(0, mod, size=(3, n, n))
+    power = W
+    for _ in range(e - 1):
+        power = power @ W % mod
+    assert np.array_equal(fdalg._stack_trace_power(W, e, mod),
+                          np.trace(power, axis1=1, axis2=2) % mod)
+
+
+def test_stack_trace_power_sum_is_exact_at_the_bound():
+    # n = DIM_CAP and mod = n^2, every entry mod - 1: the final sum is
+    # n^2 (mod - 1)^2 < 2^54, exact in int64
+    n = fdalg.DIM_CAP
+    mod = n * n
+    W = np.full((1, n, n), mod - 1, dtype=np.int64)
+    want = n * n * (mod - 1) ** 2 % mod
+    assert fdalg._stack_trace_power(W, 2, mod).tolist() == [want]
+
+
+def _sl2_fiber(p, point):
+    return resliealg.Fiber(sl2_algebra(p),
+                           resliealg.FiberPoint.make(Field(p), point))
+
+
+def assert_nilpotent_ideal(A, rad):
+    """rad is a nilpotent two-sided ideal, checked with batched products."""
+    f, n = A.field, A.dim
+    ident = ar.identity(f, n)
+    for U, V in ((rad.basis, ident), (ident, rad.basis)):
+        prods = fdalg._product_space(A, U, V)
+        assert ar.rank(f, np.concatenate([rad.basis, prods])) == rad.dim
+    assert fdalg._is_nilpotent_subspace(A, rad.basis)
+
+
+# regular, cone and zero sl2 points; the radical has dim p^3 minus the sum
+# of the squares of the simple dimensions
+@pytest.mark.parametrize("p, point, rad_dim", [
+    (3, [0, 0, 1], 0), (3, [1, 0, 0], 9), (3, [0, 0, 0], 13),
+    (5, [0, 0, 1], 0), (5, [1, 0, 0], 50), (5, [0, 0, 0], 70),
+])
+def test_radical_full_rank_step_matches_generic_path(monkeypatch, p, point,
+                                                     rad_dim):
+    A = _sl2_fiber(p, point).alg
+    rad = fdalg.radical(A)
+    monkeypatch.setattr(fdalg, "_full_rank", lambda space: False)
+    generic = fdalg.radical(A)
+    assert rad.dim == rad_dim
+    assert np.array_equal(rad.basis, generic.basis)
+    if p == 3:
+        check_radical_certificate(A, rad)
+    else:
+        # the separability system of a dim-125 quotient has 125^4 cells
+        assert_nilpotent_ideal(A, rad)

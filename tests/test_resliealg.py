@@ -7,11 +7,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfgal import Field
 from hopfgal import _arrays as ar
 from hopfgal import fdalg, hopf, resliealg
 from hopfgal.errors import DimCapExceeded, NotScalar, ShapeMismatch
+from hopfgal.exactfield import P_MAX
 from hopfgal.speclab import sl2_algebra
 
 
@@ -219,6 +222,48 @@ def test_fiber_build_matches_engine_sl2_p5_seeded_pairs():
         pairs = [(rng.randrange(F.dim), rng.randrange(F.dim))
                  for _ in range(300)]
         assert_engine_products(F, pairs + [(F.dim - 1, F.dim - 1)])
+
+
+def test_fiber_build_matches_engine_four_generators():
+    # sl2 + a central x with x^[p] = x: a parent row lies up to p^3 = 27
+    # rows back, the longest reach of the chain's kept rows
+    p = 3
+    L2 = sl2(p)
+    c = np.zeros((4, 4, 4), dtype=np.int64)
+    c[:3, :3, :3] = L2.bracket
+    P = np.zeros((4, 4), dtype=np.int64)
+    P[:3, :3] = L2.pmap
+    P[3, 3] = 1
+    L = resliealg.RestrictedLie(p, c, P, labels=["e", "h", "f", "x"])
+    rng = random.Random(4)
+    for lam in ([1, 0, 0, 2], [0, 0, 0, 0]):
+        F = resliealg.fiber_algebra(L, resliealg.FiberPoint.make(Field(p), lam))
+        pairs = [(rng.randrange(F.dim), rng.randrange(F.dim))
+                 for _ in range(300)]
+        assert_engine_products(F, pairs + [(F.dim - 1, F.dim - 1)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.sampled_from([Field(2), Field(3, 2), Field(5), Field(7, 3),
+                              Field(509), Field(P_MAX)]),
+       m=st.integers(1, 30), n=st.integers(1, 30),
+       density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sparse_times_csr_matches_dense_product(field, m, n, density, seed):
+    p, k = field.p, field.k
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, p, (m, n, k)) * (rng.random((m, n, 1)) < density)
+    C = rng.integers(0, p, (n, n, k)) * (rng.random((n, n, 1)) < density)
+    # X's cells in any order, C in CSR form
+    xc = rng.permutation(np.flatnonzero(X.any(axis=2)))
+    cc = np.flatnonzero(C.any(axis=2))
+    csr = (np.searchsorted(cc // n, np.arange(n + 1)), cc % n,
+           C.reshape(n * n, k)[cc])
+    cells, vals = resliealg._sparse_times_csr(
+        field, n, xc, X.reshape(m * n, k)[xc], csr)
+    want = ar.fmatmul(field, X, C).reshape(m * n, k)
+    nz = np.flatnonzero(want.any(axis=1))
+    assert np.array_equal(cells, nz) and np.array_equal(vals, want[nz])
 
 
 def test_u_restricted_is_hopf():
