@@ -7,7 +7,8 @@ results on request); diagnostics go to standard error.  Exit codes:
 File formats are the JSON schemas of the owning modules: restricted Lie
 algebras and Hopf algebras use their to_json layout, cocycles embed their
 Hopf algebra and target ring, and a splitting file has the keys
-"alg", "hopf", "coaction", "gamma".
+"alg", "hopf", "coaction", "gamma", the last two as whole (..., k)
+coefficient arrays.
 """
 
 from __future__ import annotations
@@ -19,13 +20,10 @@ import json
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _arrays as ar
 from . import fdalg, resliealg
 from .errors import HopfgalError, NoOneDimRep
 from .exactfield import Field
-from .fdalg import SCAlgebra, form_is_symmetric, form_rank
+from .fdalg import SCAlgebra, decode_array, form_is_symmetric, form_rank
 from .galois import (
     ComoduleAlgebra,
     Cocycle,
@@ -37,7 +35,7 @@ from .galois import (
     twisted_product,
     winding_iso,
 )
-from .hopf import HopfAlgebra, hopf_verify, left_integral_dual
+from .hopf import HopfAlgebra, LinMap, hopf_verify, left_integral_dual
 from .resliealg import (
     Fiber,
     FiberPoint,
@@ -62,15 +60,22 @@ class Config:
 
     @classmethod
     def load(cls, path: str | None) -> "Config":
-        cfg = cls()
+        data = {}
         if path is not None:
             with open(path) as fh:
                 data = json.load(fh)
-            for key, value in data.items():
-                name = key.replace("-", "_")
-                if not hasattr(cfg, name):
-                    raise ValueError(f"unknown config key {key!r}")
-                setattr(cfg, name, value)
+        return cls.from_json(data)
+
+    @classmethod
+    def from_json(cls, data) -> "Config":
+        if not isinstance(data, dict):
+            raise ValueError("a configuration is a JSON object")
+        cfg = cls()
+        for key, value in data.items():
+            name = key.replace("-", "_")
+            if not hasattr(cfg, name):
+                raise ValueError(f"unknown config key {key!r}")
+            setattr(cfg, name, value)
         for name in ("dim_cap", "splitting_degree_cap"):
             value = getattr(cfg, name)
             # bool is a subclass of int but not a cap
@@ -100,14 +105,20 @@ def _emit(obj):
     sys.stdout.write(json.dumps(obj, indent=2, sort_keys=False) + "\n")
 
 
-def _load_json(path: str, what: str):
+def _load(path: str, what: str, parse):
+    """parse() of the JSON in a file ("-" is standard input); an unreadable
+    or malformed file exits with code 2."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
+            data = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                data = json.load(fh)
+        return parse(data)
     except (OSError, json.JSONDecodeError) as exc:
         raise SystemExit(_fail2(f"cannot read {what} from {path}: {exc}"))
+    except (KeyError, ValueError, TypeError, HopfgalError) as exc:
+        raise SystemExit(_fail2(f"bad {what} description in {path}: {exc}"))
 
 
 def _fail2(msg: str) -> int:
@@ -144,12 +155,7 @@ def _parse_lambda(text: str, field: Field):
 
 
 def _load_lie(path: str | None) -> RestrictedLie:
-    data = _load_json(path if path is not None else "-", "Lie algebra")
-    try:
-        L = RestrictedLie.from_json(data)
-    except (KeyError, ValueError, TypeError, HopfgalError) as exc:
-        raise SystemExit(_fail2(f"bad Lie algebra description: {exc}"))
-    return L
+    return _load(path or "-", "Lie algebra", RestrictedLie.from_json)
 
 
 def _fiber_point(args, L: RestrictedLie):
@@ -172,11 +178,7 @@ def _fiber_point(args, L: RestrictedLie):
 # ---------------------------------------------------------------------------
 
 def cmd_verify_hopf(args, cfg: Config) -> int:
-    data = _load_json(args.file, "Hopf algebra")
-    try:
-        H = HopfAlgebra.from_json(data)
-    except (KeyError, ValueError, TypeError, HopfgalError) as exc:
-        return _fail2(f"bad Hopf algebra description in {args.file}: {exc}")
+    H = _load(args.file, "Hopf algebra", HopfAlgebra.from_json)
     issues = hopf_verify(H)
     _emit({"operation": "verify-hopf", "ok": not issues, "issues": issues})
     return 0 if not issues else 1
@@ -217,9 +219,8 @@ def cmd_scan(args, cfg: Config) -> int:
                       f"p = {L.p}")
     points = None
     if args.points:
-        raw = _load_json(args.points, "point list")
-        points = [tuple(field.scalar(tuple(c) if isinstance(c, list) else c)
-                        for c in row) for row in raw]
+        points = _load(args.points, "point list",
+                       lambda raw: _parse_points(raw, field, L.dim))
     result = speclab.scan(L, field, points=points)
     if cfg.output == "csv":
         _emit_csv(result.reports)
@@ -228,16 +229,32 @@ def cmd_scan(args, cfg: Config) -> int:
     return 0
 
 
+def _parse_points(raw, field: Field, n: int):
+    """Points as lists of n coordinates, each an integer or a list of
+    integer coefficients."""
+    def coord(c):
+        if type(c) is int or (isinstance(c, list) and all(
+                type(x) is int for x in c)):
+            return field.scalar(c)
+        raise ValueError(f"coordinate {c!r} is not an integer or a "
+                         "coefficient list")
+
+    if not isinstance(raw, list) or any(
+            not isinstance(row, list) or len(row) != n for row in raw):
+        raise ValueError(f"points must be a list of lists of {n} coordinates")
+    return [tuple(coord(c) for c in row) for row in raw]
+
+
 def cmd_twist(args, cfg: Config) -> int:
-    sig = _load_cocycle(args.cocycle)
+    sig = _load(args.cocycle, "cocycle", Cocycle.from_json)
     if args.hopf:
-        H = HopfAlgebra.from_json(_load_json(args.hopf, "Hopf algebra"))
+        H = _load(args.hopf, "Hopf algebra", HopfAlgebra.from_json)
         if H.dim != sig.hopf.dim or H.field != sig.hopf.field:
             return _fail2("the --hopf file does not match the cocycle's "
                           "Hopf algebra")
     ring = sig.target
     if args.ring:
-        ring = SCAlgebra.from_json(_load_json(args.ring, "coefficient ring"))
+        ring = _load(args.ring, "coefficient ring", SCAlgebra.from_json)
         if ring.dim != sig.target.dim or ring.field != sig.target.field:
             return _fail2("the --ring file does not match the cocycle's "
                           "target ring")
@@ -251,38 +268,29 @@ def cmd_twist(args, cfg: Config) -> int:
     return 0
 
 
-def _load_cocycle(path: str) -> Cocycle:
-    data = _load_json(path, "cocycle")
-    try:
-        return Cocycle.from_json(data)
-    except (KeyError, ValueError, TypeError, HopfgalError) as exc:
-        raise SystemExit(_fail2(f"bad cocycle description in {path}: {exc}"))
-
-
 def cmd_cocycle_check(args, cfg: Config) -> int:
-    sig = _load_cocycle(args.file)
+    sig = _load(args.file, "cocycle", Cocycle.from_json)
     issues = cocycle_verify(sig, convention=cfg.eq3_convention)
     _emit({"operation": "cocycle-check", "ok": not issues,
            "convention": cfg.eq3_convention, "issues": issues})
     return 0 if not issues else 1
 
 
+def _parse_splitting(data) -> Splitting:
+    alg = SCAlgebra.from_json(data["alg"])
+    H = HopfAlgebra.from_json(data["hopf"])
+    f, nA, nH = alg.field, alg.dim, H.dim
+    # coaction and gamma are whole (..., k) arrays: integer leaves for any k
+    prime = Field(f.p)
+    rho = decode_array(prime, data["coaction"], (nA, nA, nH, f.k), "coaction")
+    gamma = decode_array(prime, data["gamma"], (nH, nA, f.k), "gamma")
+    CA = ComoduleAlgebra(alg, H, rho[..., 0])
+    return Splitting(CA, LinMap(f, gamma[..., 0]))
+
+
 def cmd_equivariant_check(args, cfg: Config) -> int:
-    data = _load_json(args.splitting, "splitting")
-    try:
-        alg = SCAlgebra.from_json(data["alg"])
-        H = HopfAlgebra.from_json(data["hopf"])
-        rho = ar.asarray(alg.field, data["coaction"])
-        gamma = ar.asarray(alg.field, data["gamma"])
-        from .hopf import LinMap
-        CA = ComoduleAlgebra(alg, H, rho)
-        sp = Splitting(CA, LinMap(alg.field, gamma))
-    except (KeyError, ValueError, TypeError, HopfgalError) as exc:
-        return _fail2(f"bad splitting description in {args.splitting}: {exc}")
-    try:
-        flag = is_equivariant_splitting(sp)
-    except HopfgalError as exc:
-        return _fail2(f"equivariant-check on {args.splitting}: {exc}")
+    sp = _load(args.splitting, "splitting", _parse_splitting)
+    flag = is_equivariant_splitting(sp)
     _emit({"operation": "equivariant-check", "equivariant": bool(flag)})
     return 0 if flag else 1
 
@@ -414,15 +422,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = Config.load(args.config)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _fail2(f"bad configuration: {exc}")
-    if args.eq3_convention:
-        cfg.eq3_convention = args.eq3_convention
-    if args.output:
-        cfg.output = args.output
-    cfg.apply_caps()
-    try:
+        cfg = (_load(args.config, "configuration", Config.from_json)
+               if args.config else Config())
+        if args.eq3_convention:
+            cfg.eq3_convention = args.eq3_convention
+        if args.output:
+            cfg.output = args.output
+        cfg.apply_caps()
         return args.func(args, cfg)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

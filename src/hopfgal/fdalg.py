@@ -52,11 +52,35 @@ class Subspace:
 def check_lengths(data, shape: tuple, what: str):
     """Check that nested lists from a JSON description have the lengths
     `shape` along their leading axes, else ShapeMismatch."""
-    if len(data) != shape[0]:
-        raise ShapeMismatch(f"{what} has length {len(data)}, expected {shape[0]}")
+    if not isinstance(data, list) or len(data) != shape[0]:
+        raise ShapeMismatch(f"{what} is not a list of length {shape[0]}")
     if len(shape) > 1:
         for row in data:
             check_lengths(row, shape[1:], what)
+
+
+def encode_array(field: Field, arr: np.ndarray):
+    """Nested lists of a coefficient array (..., k) for JSON: integer
+    leaves if k = 1, length-k coefficient lists if k > 1."""
+    return arr[..., 0].tolist() if field.k == 1 else arr.tolist()
+
+
+def decode_array(field: Field, data, shape: tuple, what: str) -> np.ndarray:
+    """Inverse of encode_array: nested lists of lengths `shape` with integer
+    leaves if k = 1 and length-k integer lists if k > 1, as a reduced
+    (*shape, k) array; any other input raises ShapeMismatch."""
+    check_lengths(data, shape, what)
+    if 0 in shape:
+        return np.zeros(shape + (field.k,), dtype=np.int64)
+    want = shape if field.k == 1 else shape + (field.k,)
+    try:
+        arr = np.array(data)
+    except (ValueError, OverflowError) as exc:
+        raise ShapeMismatch(f"{what} entries are malformed: {exc}") from None
+    if arr.shape != want or arr.dtype.kind != "i":
+        raise ShapeMismatch(f"{what} entries must be " + (
+            "integers" if field.k == 1 else f"lists of {field.k} integers"))
+    return arr.astype(np.int64).reshape(shape + (field.k,)) % field.p
 
 
 class SCAlgebra:
@@ -147,15 +171,11 @@ class SCAlgebra:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        k = self.field.k
-        def scal(x):
-            return int(x[0]) if k == 1 else [int(c) for c in x]
         out = {
             "field": self.field.to_json(),
             "dim": self.dim,
-            "unit": [scal(self.unit[i]) for i in range(self.dim)],
-            "mul": [[[scal(self.mul[i, j, m]) for m in range(self.dim)]
-                     for j in range(self.dim)] for i in range(self.dim)],
+            "unit": encode_array(self.field, self.unit),
+            "mul": encode_array(self.field, self.mul),
         }
         if self.labels is not None:
             out["labels"] = self.labels
@@ -168,18 +188,8 @@ class SCAlgebra:
         # check the declared size before building the n^3 nested list
         if n > DIM_CAP:
             raise DimCapExceeded(f"dimension {n} exceeds cap {DIM_CAP}")
-        check_lengths(data["mul"], (n, n, n), "mul")
-        check_lengths(data["unit"], (n,), "unit")
-
-        def scal(x):
-            return [int(x)] if not isinstance(x, list) else [int(c) for c in x]
-
-        mul = np.array([[[scal(data["mul"][i][j][m]) for m in range(n)]
-                         for j in range(n)] for i in range(n)],
-                       dtype=np.int64) % f.p
-        unit = np.array([scal(data["unit"][i]) for i in range(n)],
-                        dtype=np.int64) % f.p
-        return cls(f, mul.reshape(n, n, n, f.k), unit.reshape(n, f.k),
+        return cls(f, decode_array(f, data["mul"], (n, n, n), "mul"),
+                   decode_array(f, data["unit"], (n,), "unit"),
                    labels=data.get("labels"))
 
 
@@ -275,51 +285,21 @@ def center(A: SCAlgebra) -> Subspace:
     return A._center
 
 
-def _restrict_scalars(A: SCAlgebra):
-    """View A over F_{p^k} as an algebra over F_p of dimension n*k.
-
-    Returns (B, to_base, from_base) where to_base maps an (n, k) vector to an
-    (n*k, 1) vector and from_base inverts it.
-    """
+def _restrict_scalars(A: SCAlgebra) -> SCAlgebra:
+    """View A over F_{p^k} as an algebra over F_p of dimension n*k, on the
+    basis b_i t^a with index i*k + a: an (n, k) vector of A is the (n*k, 1)
+    vector of the result, and back by reshaping."""
     f = A.field
     p, k, n = f.p, f.k, A.dim
     if k == 1:
-        return A, (lambda v: v), (lambda v: v)
-    prime = Field(p)
-    # basis b_i t^a ; index i*k + a
-    # (b_i t^a)(b_j t^b) = sum_m mul[i,j,m] t^(a+b) b_m
-    red = f._red  # (2k-1, k)
-    mul = np.zeros((n * k, n * k, n * k, 1), dtype=np.int64)
-    for a in range(k):
-        for b in range(k):
-            # t^(a+b) coefficient vector
-            tv = red[a + b]  # (k,)
-            # coeff of b_m t^c : sum over products mul[i,j,m] (coeff vec) * tv
-            # mul[i,j,m] is a poly in t of degree < k: multiply by tv (poly)
-            for c1 in range(k):
-                if not np.any(A.mul[..., c1]):
-                    continue
-                for c2 in range(k):
-                    if tv[c2] == 0:
-                        continue
-                    contrib = (A.mul[..., c1] * int(tv[c2])) % p
-                    # t^(c1+c2) reduces again
-                    rv = red[c1 + c2]
-                    for c3 in range(k):
-                        if rv[c3]:
-                            mul[a::k, b::k, c3::k, 0] = (
-                                mul[a::k, b::k, c3::k, 0]
-                                + contrib * int(rv[c3])) % p
-    unit = A.unit.reshape(n * k, 1).astype(np.int64)
-    B = SCAlgebra(prime, mul, unit)
-
-    def to_base(v):
-        return v.reshape(n * k, 1)
-
-    def from_base(v):
-        return v.reshape(n, k)
-
-    return B, to_base, from_base
+        return A
+    # (b_i t^a)(b_j t^b) = sum_m mul[i,j,m] t^(a+b) b_m, with mul[i,j,m] =
+    # sum_c1 mul[i,j,m,c1] t^c1: T[c1, a, b, c] is coefficient c of t^(c1+a+b)
+    a_b = np.add.outer(np.arange(k), np.arange(k))
+    T = ar.fmul(f, np.eye(k, dtype=np.int64)[:, None, None], f._red[a_b][None])
+    mul = np.tensordot(A.mul, T, axes=([3], [0])) % p    # [i, j, m, a, b, c]
+    mul = mul.transpose(0, 3, 1, 4, 2, 5).reshape(n * k, n * k, n * k, 1)
+    return SCAlgebra(Field(p), mul, A.unit.reshape(n * k, 1))
 
 
 def _radical_prime(A: SCAlgebra) -> np.ndarray:
@@ -401,12 +381,10 @@ def radical(A: SCAlgebra) -> Subspace:
     """The Jacobson radical, computed by a positive-characteristic-correct
     generalized-trace chain over the prime field."""
     f = A.field
-    B, to_base, from_base = _restrict_scalars(A)
-    rad_base = _radical_prime(B)
+    rad_base = _radical_prime(_restrict_scalars(A))
     if rad_base.shape[0] == 0:
         return Subspace(f, A.dim, ar.zeros(f, (0, A.dim)))
-    vecs = np.stack([from_base(rad_base[i]) for i in range(rad_base.shape[0])])
-    sub = Subspace(f, A.dim, vecs)
+    sub = Subspace(f, A.dim, rad_base.reshape(-1, A.dim, f.k))
     # sanity: the result must be nilpotent (guards the chain endpoint)
     if not _is_nilpotent_subspace(A, sub.basis):
         raise RadicalChainFailed("radical chain produced a non-nilpotent space")
@@ -443,13 +421,30 @@ def _is_nilpotent_subspace(A: SCAlgebra, basis: np.ndarray) -> bool:
 
 
 def is_ideal(A: SCAlgebra, sub: Subspace) -> bool:
-    for i in range(A.dim):
-        b = A.basis_vector(i)
-        for j in range(sub.dim):
-            if not sub.contains(A._pair_product(b, sub.basis[j])):
-                return False
-            if not sub.contains(A._pair_product(sub.basis[j], b)):
-                return False
+    """Whether the subspace is closed under products with A on both sides."""
+    f, n = A.field, A.dim
+    eye = ar.identity(f, n)
+    prods = np.concatenate([_products(A, eye, sub.basis).reshape(-1, n, f.k),
+                            _products(A, sub.basis, eye).reshape(-1, n, f.k)])
+    return ar.coords_in_row_space_many(f, sub.basis, prods) is not None
+
+
+def _is_algebra_map(R: SCAlgebra, S: SCAlgebra, fmap) -> bool:
+    """Whether the linear map fmap: R -> S (a LinMap) sends 1 to 1 and
+    b_i b_j to fmap(b_i) fmap(b_j) for all i, j, checked on blocks of i of
+    at most 2^20 product cells."""
+    f = R.field
+    M = fmap.matrix
+    n, nS = R.dim, S.dim
+    if np.any((ar.fmatmul(f, R.unit[None], M)[0] - S.unit) % f.p):
+        return False
+    step = max(1, 2 ** 20 // max(n * nS, nS * nS, 1))
+    for lo in range(0, n, step):
+        I = slice(lo, min(lo + step, n))
+        lhs = ar.fmatmul(f, R.mul[I].reshape(-1, n, f.k), M)
+        rhs = _products(S, M[I], M).reshape(lhs.shape)
+        if np.any((lhs - rhs) % f.p):
+            return False
     return True
 
 
@@ -512,7 +507,7 @@ def _nilradical_commutative(C: SCAlgebra) -> Subspace:
     m = 0
     while p ** m < max(n, 2):
         m += 1
-    B, to_base, from_base = _restrict_scalars(C)
+    B = _restrict_scalars(C)
     N = B.dim
     cols = []
     for i in range(N):
@@ -523,8 +518,7 @@ def _nilradical_commutative(C: SCAlgebra) -> Subspace:
     ker = ar.nullspace(B.field, M)
     if ker.shape[0] == 0:
         return Subspace(f, n, ar.zeros(f, (0, n)))
-    vecs = np.stack([from_base(ker[i]) for i in range(ker.shape[0])])
-    return Subspace(f, n, vecs)
+    return Subspace(f, n, ker.reshape(-1, n, f.k))
 
 
 def _primitive_idempotents_split_commutative(E: SCAlgebra):

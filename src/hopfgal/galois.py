@@ -26,7 +26,6 @@ kernel hopf.convolution2.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -47,9 +46,12 @@ from .fdalg import (
     BilForm,
     SCAlgebra,
     Subspace,
+    _is_algebra_map,
+    _products,
     algebra_verify,
     center,
-    check_lengths,
+    decode_array,
+    encode_array,
     subalgebra_on,
 )
 from .hopf import (
@@ -206,11 +208,9 @@ def coinvariants(CA: ComoduleAlgebra) -> Subspace:
     sub = Subspace(f, nA, ar.nullspace(f, M.reshape(nA * nH, nA, f.k)))
     if not sub.contains(CA.alg.unit):
         raise ShapeMismatch("unit is not coinvariant")
-    for i in range(sub.dim):
-        for j in range(sub.dim):
-            prod = CA.alg.multiply(sub.basis[i], sub.basis[j])
-            if not sub.contains(prod):
-                raise ShapeMismatch("coinvariants not closed under product")
+    prods = _products(CA.alg, sub.basis, sub.basis).reshape(-1, nA, f.k)
+    if ar.coords_in_row_space_many(f, sub.basis, prods) is None:
+        raise ShapeMismatch("coinvariants not closed under product")
     return sub
 
 
@@ -289,44 +289,19 @@ class Cocycle:
     def field(self) -> Field:
         return self.hopf.field
 
-    def pair(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """sigma(u (x) v) for coordinate vectors u, v in H, as an (nR, k)
-        coordinate vector in R."""
-        f = self.field
-        nH, nR = self.hopf.dim, self.target.dim
-        t = ar.fmatmul(f, u[None, :, :],
-                       self.values.reshape(nH, nH * nR, f.k))
-        return ar.fmatmul(f, v[None, :, :], t.reshape(nH, nR, f.k))[0]
-
     def to_json(self) -> dict:
-        k = self.field.k
-
-        def scal(x):
-            return int(x[0]) if k == 1 else [int(c) for c in x]
-
-        nH, nR = self.hopf.dim, self.target.dim
         return {
             "hopf": self.hopf.to_json(),
             "target": self.target.to_json(),
-            "values": [[[scal(self.values[i, j, r]) for r in range(nR)]
-                        for j in range(nH)] for i in range(nH)],
+            "values": encode_array(self.field, self.values),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "Cocycle":
         H = HopfAlgebra.from_json(data["hopf"])
         R = SCAlgebra.from_json(data["target"])
-        f = H.field
-        nH, nR = H.dim, R.dim
-        check_lengths(data["values"], (nH, nH, nR), "values")
-
-        def scal(x):
-            return [int(x)] if not isinstance(x, list) else [int(c) for c in x]
-
-        vals = np.array([[[scal(data["values"][i][j][r]) for r in range(nR)]
-                          for j in range(nH)] for i in range(nH)],
-                        dtype=np.int64) % f.p
-        return cls(H, R, vals.reshape(nH, nH, nR, f.k))
+        return cls(H, R, decode_array(H.field, data["values"],
+                                      (H.dim, H.dim, R.dim), "values"))
 
 
 def trivial_cocycle(H: HopfAlgebra, R: SCAlgebra) -> Cocycle:
@@ -514,23 +489,6 @@ def twisted_product(R: SCAlgebra, sig: Cocycle,
 # ---------------------------------------------------------------------------
 # cocycle equivalence and pushforward
 # ---------------------------------------------------------------------------
-
-def _is_algebra_map(R: SCAlgebra, S: SCAlgebra, fmap: LinMap) -> bool:
-    f = R.field
-    M = fmap.matrix
-    img_unit = ar.fmatmul(f, R.unit[None, :, :], M)[0]
-    if np.any((img_unit - S.unit) % f.p):
-        return False
-    nS = S.dim
-    for i in range(R.dim):
-        lhs = ar.fmatmul(f, R.mul[i], M)
-        fi = ar.fmatmul(f, M[i][None, :, :],
-                        S.mul.reshape(nS, nS * nS, f.k)).reshape(nS, nS, f.k)
-        rhs = ar.fmatmul(f, M, fi)
-        if np.any((lhs - rhs) % f.p):
-            return False
-    return True
-
 
 def cocycle_transform(sig: Cocycle, u: LinMap, convention: str = "paper"):
     """Gauge a cocycle by a convolution-invertible map u: H -> R:
@@ -868,8 +826,9 @@ def winding_iso(F, alpha=None) -> LinMap:
       e^gamma -> sum over beta <= gamma of
                  binom(gamma, beta) alpha^beta e^(gamma - beta).
 
-    The result is verified to be a bijective algebra map; raises
-    NotAlgebraMap otherwise and NoOneDimRep if no alpha exists."""
+    The matrix is scattered from the binomial splittings of F.splittings().
+    It is verified to be a bijective algebra map (fdalg._is_algebra_map);
+    raises NotAlgebraMap otherwise and NoOneDimRep if no alpha exists."""
     from .resliealg import Fiber, FiberPoint
 
     f = F.field
@@ -879,31 +838,20 @@ def winding_iso(F, alpha=None) -> LinMap:
         alpha = find_one_dim_rep(F)
     else:
         alpha = [f.scalar(a) for a in alpha]
-    dim = F.dim
-    W = ar.zeros(f, (dim, dim))
-    for ig, gamma in enumerate(F.labels):
-        for beta in itertools.product(*[range(gv + 1) for gv in gamma]):
-            c = 1
-            for t in range(n):
-                c = (c * math.comb(gamma[t], beta[t])) % p
-            if not c:
-                continue
-            s = f.scalar(c)
-            for t in range(n):
-                for _ in range(beta[t]):
-                    s = s * alpha[t]
-            rest = tuple(gamma[t] - beta[t] for t in range(n))
-            j = F.index[rest]
-            W[ig, j] = ar.fadd(f, W[ig, j],
-                               np.array(s.coeffs, dtype=np.int64))
-    F0 = Fiber(L, FiberPoint.make(f, [0] * n))
-    for i in range(dim):
-        lhs = ar.fmatmul(f, F.alg.mul[i], W)
-        for j in range(dim):
-            rhs = F0.alg.multiply(W[i], W[j])
-            if np.any((lhs[j] - rhs) % f.p):
-                raise NotAlgebraMap(
-                    f"winding map fails multiplicativity at pair ({i},{j})")
+    # apow[b] = alpha^beta for the label beta of index b
+    labels = np.array(F.labels)
+    apow = np.tile(ar.unit_scalar(f), (F.dim, 1))
+    for t in range(n):
+        pows = [ar.unit_scalar(f)]
+        for _ in range(1, p):
+            pows.append(ar.fmul(f, pows[-1], np.array(alpha[t].coeffs)))
+        apow = ar.fmul(f, apow, np.stack(pows)[labels[:, t]])
+    gamma, beta, rest, coef = F.splittings()
+    W = ar.zeros(f, (F.dim, F.dim))
+    W[gamma, rest] = apow[beta] * coef[:, None] % p
+    F0 = F if F.point.is_zero() else Fiber(L, FiberPoint.make(f, [0] * n))
+    if not _is_algebra_map(F.alg, F0.alg, LinMap(f, W)):
+        raise NotAlgebraMap("winding map is not an algebra map")
     if ar.inv_matrix(f, W) is None:
         raise NotAlgebraMap("winding map is not bijective")
     return LinMap(f, W)

@@ -436,8 +436,6 @@ class Fiber:
         self.dim = dim
         self.engine = _Engine(L, field, lam=list(point.values))
         self.alg = self._build_algebra()
-        self._coaction = None
-        self._splitting = None
 
     def _build_algebra(self) -> SCAlgebra:
         f = self.field

@@ -298,3 +298,104 @@ def test_convention_flag_applies(capsys, tmp_path):
                        "cocycle-check", cpath)
     data = json.loads(out)
     assert code == 0 and data["convention"] == "standard"
+
+
+# ---------------------------------------------------------------------------
+# malformed input files
+# ---------------------------------------------------------------------------
+
+def _valid_objects():
+    """A valid JSON object of each file format."""
+    f = Field(3)
+    Z4 = group_algebra(f, cyclic_group_table(4))
+    Z2 = group_algebra(f, cyclic_group_table(2))
+    CA = group_quotient_coaction(Z4, [0, 1, 0, 1], Z2)
+    gamma = ar.zeros(f, (2, 4))
+    gamma[0, 0, 0] = gamma[1, 1, 0] = 1
+    R = SCAlgebra(f, np.ones((1, 1, 1, 1), dtype=np.int64),
+                  np.ones((1, 1), dtype=np.int64))
+    vals = ar.zeros(f, (2, 2, 1))
+    vals[..., 0] = [[[1], [1]], [[1], [2]]]
+    return {
+        "lie": speclab.sl2_algebra(3).to_json(),
+        "hopf": Z2.to_json(),
+        "ring": R.to_json(),
+        "cocycle": Cocycle(Z2, R, vals).to_json(),
+        "splitting": {"alg": Z4.alg.to_json(), "hopf": Z2.to_json(),
+                      "coaction": CA.coaction.tolist(),
+                      "gamma": gamma.tolist()},
+    }
+
+
+# file-taking argument -> (argv, with "FILE" for the malformed file, the
+# file's format, a required key, a key whose list is cut one short)
+FILE_ARGS = {
+    "verify-hopf": (["verify-hopf", "FILE"], "hopf", "mul", "comul"),
+    "verify-lie": (["verify-lie", "FILE"], "lie", "p", "basis"),
+    "fiber --lie": (["fiber", "--lie", "FILE", "--lambda", "0,0,1"],
+                    "lie", "p", "basis"),
+    "frobenius --lie": (["frobenius", "--lie", "FILE", "--lambda", "1,0,0"],
+                        "lie", "p", "basis"),
+    "winding --lie": (["winding", "--lie", "FILE", "--lambda", "0,0,0"],
+                      "lie", "p", "basis"),
+    "scan --lie": (["scan", "--lie", "FILE", "--field", "3"],
+                   "lie", "p", "basis"),
+    "scan --points": (["scan", "--lie", "LIE", "--field", "3",
+                       "--points", "FILE"], "points", None, None),
+    "twist --cocycle": (["twist", "--cocycle", "FILE"],
+                        "cocycle", "values", "values"),
+    "twist --hopf": (["twist", "--cocycle", "COCYCLE", "--hopf", "FILE"],
+                     "hopf", "mul", "comul"),
+    "twist --ring": (["twist", "--cocycle", "COCYCLE", "--ring", "FILE"],
+                     "ring", "mul", "mul"),
+    "cocycle-check": (["cocycle-check", "FILE"], "cocycle", "hopf", "values"),
+    "equivariant-check --splitting": (
+        ["equivariant-check", "--splitting", "FILE"],
+        "splitting", "gamma", "gamma"),
+    "--config": (["--config", "FILE", "verify-lie", "LIE"],
+                 "config", None, None),
+}
+
+# the four malformed inputs of the formats that are not a JSON object
+# with lists: a list of points, and a configuration (which has no
+# required key and no lists, so an unknown key and a list value stand in)
+SPECIAL = {
+    "points": {"wrong-type": {"p": [0, 0, 1]}, "missing-key": [0, 0, 1],
+               "wrong-lengths": [[0, 0]], "non-numeric": [["a", 0, 1]]},
+    "config": {"wrong-type": [1, 2], "missing-key": {"bogus": 1},
+               "wrong-lengths": {"dim_cap": [512]}},
+}
+
+
+def _malformed(fmt, kind, key, short):
+    if kind == "not-json":
+        return "{broken"
+    if fmt in SPECIAL:
+        return json.dumps(SPECIAL[fmt][kind])
+    if kind == "wrong-type":
+        return json.dumps([1, 2, 3])
+    obj = _valid_objects()[fmt]
+    if kind == "missing-key":
+        del obj[key]
+    else:
+        obj[short] = obj[short][:-1]
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("arg, kind", [
+    (arg, kind) for arg, (_, fmt, _, _) in FILE_ARGS.items()
+    for kind in ["not-json", "wrong-type", "missing-key", "wrong-lengths"]
+    + (["non-numeric"] if fmt == "points" else [])])
+def test_malformed_file_exits_2(capsys, tmp_path, arg, kind):
+    argv, fmt, key, short = FILE_ARGS[arg]
+    bad = tmp_path / "bad.json"
+    bad.write_text(_malformed(fmt, kind, key, short))
+    valid = _valid_objects()
+    files = {"FILE": str(bad)}
+    for name, fmt_ in (("LIE", "lie"), ("COCYCLE", "cocycle")):
+        path = tmp_path / f"{fmt_}.json"
+        path.write_text(json.dumps(valid[fmt_]))
+        files[name] = str(path)
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -211,8 +211,11 @@ def test_radical_dual_numbers_at_large_primes(p):
 
 @pytest.mark.parametrize("p, float_path", [(65537, True), (P_MAX, False)])
 def test_radical_on_both_matmul_paths(p, float_path):
-    # F_p^128 x F_p[t]/(t^2): the trace lifts have inner dimension 130,
-    # where 130 (p - 1)^2 < 2^52 holds at 65537 and fails at P_MAX
+    # F_p^128 x F_p[t]/(t^2) with p > n = 130: the trace chain has only its
+    # linear level 0, so no trace lift is multiplied.  The two _imatmul
+    # branches are reached by the products of the radical's nilpotency
+    # check, of inner dimension 130, where 130 (p - 1)^2 < 2^52 holds at
+    # 65537 (float64) and fails at P_MAX (int64)
     n = 130
     assert (n * (p - 1) ** 2 < 2 ** 52) == float_path
     f = Field(p)
@@ -655,3 +658,97 @@ def test_radical_full_rank_step_matches_generic_path(monkeypatch, p, point,
     else:
         # the separability system of a dim-125 quotient has 125^4 cells
         assert_nilpotent_ideal(A, rad)
+
+
+# ---------------------------------------------------------------------------
+# restriction of scalars, ideals, algebra maps, the JSON codec
+# ---------------------------------------------------------------------------
+
+def restrict_scalars_loop(A):
+    """Reference for fdalg._restrict_scalars: (b_i t^a)(b_j t^b) is
+    mul[i, j, m] t^(a+b) b_m, one pair (a, b) at a time."""
+    f, n, k = A.field, A.dim, A.field.k
+    mul = np.zeros((n * k, n * k, n * k, 1), dtype=np.int64)
+    for a in range(k):
+        for b in range(k):
+            mul[a::k, b::k, :, 0] = ar.fmul(f, A.mul, f._red[a + b]).reshape(
+                n, n, n * k)
+    return mul
+
+
+@pytest.mark.parametrize("build", [
+    lambda: resliealg.Fiber(sl2_algebra(3), resliealg.FiberPoint.make(
+        Field(3, 2), [[0, 1], 0, [1, 2]])).alg,
+    lambda: matrix_algebra(Field(5, 2), 2),
+    lambda: cyclic_group_algebra(Field(2, 3), 6),
+])
+def test_restrict_scalars_multiplies_as_the_algebra(build):
+    # an (n, k) vector of A is the (n k, 1) vector of the restriction
+    A = build()
+    f, n = A.field, A.dim
+    B = fdalg._restrict_scalars(A)
+    assert (B.dim, B.field) == (n * f.k, Field(f.p))
+    assert np.array_equal(B.mul, restrict_scalars_loop(A))
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        x, y = rng.integers(0, f.p, size=(2, n, f.k))
+        got = B.multiply(x.reshape(n * f.k, 1), y.reshape(n * f.k, 1))
+        assert np.array_equal(got, A.multiply(x, y).reshape(n * f.k, 1))
+    assert np.array_equal(B.unit, A.unit.reshape(n * f.k, 1))
+
+
+def test_is_ideal_rejects_one_sided_ideals():
+    f = Field(3)
+    A = upper_triangular_2(f)
+    assert fdalg.is_ideal(A, fdalg.radical(A))
+    # in M_2 (basis E11, E12, E21, E22) the matrices with zero second
+    # column form a left ideal, those with zero second row a right ideal
+    M2 = matrix_algebra(f, 2)
+    for rows in ([0, 2], [0, 1]):
+        sub = fdalg.Subspace(f, 4, ar.identity(f, 4)[rows])
+        assert not fdalg.is_ideal(M2, sub)
+    assert fdalg.is_ideal(M2, fdalg.Subspace(f, 4, ar.identity(f, 4)))
+
+
+def test_is_algebra_map_over_several_blocks():
+    # dim 125: the products are checked in two blocks of rows, 67 and 58
+    from hopfgal.hopf import LinMap
+
+    n = 125
+    A = _sl2_fiber(5, [0, 0, 0]).alg
+    f = A.field
+    eye = ar.identity(f, n)
+    assert fdalg._is_algebra_map(A, A, LinMap(f, eye))
+    assert not fdalg._is_algebra_map(A, A, LinMap(f, 2 * eye % f.p))
+    # on F_5^125 (orthogonal idempotents e_i) a unital map that fails only
+    # on products among e_122, e_123, e_124, all in the last block
+    mul = np.zeros((n, n, n, 1), dtype=np.int64)
+    mul[np.arange(n), np.arange(n), np.arange(n)] = 1
+    D = fdalg.SCAlgebra(f, mul, np.ones((n, 1), dtype=np.int64))
+    M = eye.copy()
+    M[124, 123] = 1              # e_124 -> e_124 + e_123
+    M[122, 123] = f.p - 1        # e_122 -> e_122 - e_123
+    assert not fdalg._is_algebra_map(D, D, LinMap(f, M))
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(3, 2)])
+def test_json_codec_round_trip(field):
+    rng = np.random.default_rng(1)
+    arr = rng.integers(0, field.p, size=(2, 3, field.k))
+    data = fdalg.encode_array(field, arr)
+    leaf = data[0][0]
+    assert isinstance(leaf, int) if field.k == 1 else leaf == list(arr[0, 0])
+    assert np.array_equal(fdalg.decode_array(field, data, (2, 3), "x"), arr)
+    assert fdalg.decode_array(field, [], (0,), "x").shape == (0, field.k)
+
+
+@pytest.mark.parametrize("field, data", [
+    (Field(3), {"a": 1}), (Field(3), [1, 2]), (Field(3), [[1, 2], [1]]),
+    (Field(3), [[1, 2.5]]), (Field(3), [[1, "2"]]), (Field(3), [[True, False]]),
+    (Field(3), [[[1], [2]]]), (Field(3), [[1, None]]), (Field(3), [[2 ** 70, 1]]),
+    (Field(3, 2), [[1, 2]]), (Field(3, 2), [[[1, 2], [1, 2, 0]]]),
+    (Field(3, 2), [[[1, 2], [1]]]), (Field(3, 2), [[[1, 2], "ab"]]),
+])
+def test_json_codec_rejects_malformed_data(field, data):
+    with pytest.raises(ShapeMismatch):
+        fdalg.decode_array(field, data, (1, 2), "x")

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -578,3 +581,41 @@ def test_winding_zero_fiber_is_identity_like():
     for i in range(9):
         ident[i, i, 0] = 1
     assert np.array_equal(iso.matrix, ident)
+
+
+def winding_loop(F, alpha):
+    """Reference for winding_iso, monomial by monomial: row gamma holds
+    binom(gamma, beta) alpha^beta at e^(gamma - beta) for all beta <= gamma."""
+    f, p = F.field, F.L.p
+    W = ar.zeros(f, (F.dim, F.dim))
+    for ig, gamma in enumerate(F.labels):
+        for beta in itertools.product(*[range(g + 1) for g in gamma]):
+            c = math.prod(math.comb(g, b) for g, b in zip(gamma, beta)) % p
+            if not c:
+                continue
+            s = f.scalar(c)
+            for a, b in zip(alpha, beta):
+                s = s * a ** b
+            rest = tuple(g - b for g, b in zip(gamma, beta))
+            W[ig, F.index[rest]] = np.array(s.coeffs)
+    return W
+
+
+def winding_cases():
+    """Borel points with every alpha over F_3, F_9, F_5 and F_7 (lambda_h =
+    a^p - a for alpha = (a, 0)), and the sl2 zero fibers at p = 3 and 5."""
+    F9 = Field(3, 2)
+    for f in (F3, F9, Field(5), Field(7)):
+        for a in f.elements():
+            lam = (a.frobenius() - a, f.scalar(0))
+            yield fiber_algebra(borel(f.p), FiberPoint(f, lam)), [a, f.zero]
+    for p in (3, 5):
+        yield fiber_algebra(sl2(p), FiberPoint.make(Field(p), [0, 0, 0])), None
+
+
+def test_winding_matches_monomial_loop():
+    for F, alpha in winding_cases():
+        W = winding_iso(F, alpha).matrix
+        if alpha is None:
+            alpha = find_one_dim_rep(F)
+        assert np.array_equal(W, winding_loop(F, alpha))

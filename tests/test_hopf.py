@@ -90,6 +90,72 @@ def test_broken_coassociativity_is_flagged():
     assert hopf.hopf_verify(broken) != []
 
 
+def transported(H, phi):
+    """H's algebra and antipode with H's coalgebra moved along the linear
+    bijection phi: Delta' = (phi (x) phi) Delta phi^-1, eps' = eps phi^-1.
+    Delta' is coassociative and counital; it is multiplicative only if phi
+    is compatible with the product."""
+    f = H.field
+    inv = ar.inv_matrix(f, phi)[..., 0]
+    comul = np.einsum("ia,abc,bx,cy->ixy", inv, H.comul[..., 0],
+                      phi[..., 0], phi[..., 0]) % f.p
+    counit = inv @ H.counit[:, 0] % f.p
+    return hopf.HopfAlgebra(H.alg, comul[..., None], counit[:, None],
+                            H.antipode)
+
+
+def hopf_mutant(kind):
+    """F_3[Z/3] (basis 1, g, g^2) with one structure map broken."""
+    f = Field(3)
+    H = hopf.group_algebra(f, hopf.cyclic_group_table(3))
+    phi = ar.identity(f, 3)
+    if kind == "comul":
+        # g^2 -> 2 g + 2 g^2 keeps eps but is not an algebra map
+        phi[2] = [[0], [2], [2]]
+        return transported(H, phi)
+    if kind == "counit":
+        # g -> 2 g changes eps, which then fails eps(g g^2) = eps(g) eps(g^2)
+        phi[1] = [[0], [2], [0]]
+        return transported(H, phi)
+    if kind == "left_counit":
+        # Delta(x) = x (x) 1 is a right-counital, coassociative algebra map;
+        # S = eta eps satisfies only the (S (x) id) antipode axiom
+        comul = ar.zeros(f, (3, 3, 3))
+        comul[np.arange(3), np.arange(3), 0, 0] = 1
+        S = ar.zeros(f, (3, 3))
+        S[:, 0, 0] = 1
+        return hopf.HopfAlgebra(H.alg, comul, H.counit, S)
+    return hopf.HopfAlgebra(H.alg, H.comul, H.counit, phi)  # S = id
+
+
+@pytest.mark.parametrize("kind, reports", [
+    ("comul", [
+        "regular coaction: coaction is not an algebra map at pair (1,1)",
+        "regular coaction: coaction is not an algebra map at pair (2,1)",
+        "antipode axiom (S (x) id) fails at basis index 2",
+        "antipode axiom (id (x) S) fails at basis index 2"]),
+    ("counit", [
+        "regular coaction: coaction is not an algebra map at pair (1,2)",
+        "regular coaction: coaction is not an algebra map at pair (2,1)",
+        "counit is not an algebra map"]),
+    ("left_counit", [
+        "counit law (eps (x) id) fails",
+        "antipode axiom (id (x) S) fails at basis index 1"]),
+    ("antipode", [
+        "antipode axiom (S (x) id) fails at basis index 1",
+        "antipode axiom (id (x) S) fails at basis index 1"]),
+])
+def test_hopf_verify_reports_each_broken_axiom(kind, reports):
+    assert hopf.hopf_verify(hopf_mutant(kind)) == reports
+
+
+def test_hopf_verify_accepts_restricted_enveloping_algebras():
+    # Delta is checked as the regular coaction of u(L) on itself
+    for L, f in ((borel_algebra(3), Field(3, 2)), (borel_algebra(5), Field(5))):
+        H, _ = u_restricted(L, f)
+        assert hopf.hopf_verify(H) == []
+
+
 def test_convolution_antipode_axiom():
     # id * S = unit of the convolution algebra
     f = Field(3)
