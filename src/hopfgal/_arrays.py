@@ -5,6 +5,10 @@ over F_p (low degree first).  All kernels reduce mod p and mod the field
 modulus.  Products go through one integer matmul, `_imatmul`, which uses
 float64 BLAS whenever every dot product stays below 2^52 and is exact.
 
+Sparse rows are CSR triples (row pointers, columns, (nnz, k) values);
+`csr_expand` lists the entries of chosen rows, the step of every row-wise
+sparse product in the package, and `scatter_add` sums terms into cells.
+
 Elimination is row-batched: `rref` folds ROW_BLOCK rows at a time into a
 running RREF basis.  Each block is reduced against the basis with one
 matmul, its remainder is eliminated one pivot at a time (on at most
@@ -304,6 +308,38 @@ def _pivot_columns(basis: np.ndarray):
         nz = np.flatnonzero(np.any(row, axis=1))
         pivots.append(int(nz[0]))
     return pivots
+
+
+def csr_rows(m: int, n: int, cells: np.ndarray, vals: np.ndarray):
+    """CSR (row pointers, columns, values) of the (m, n) matrix with
+    nonzeros `vals` at the sorted flat cells r n + c."""
+    return np.searchsorted(cells, np.arange(m + 1) * n), cells % n, vals
+
+
+def csr(X: np.ndarray):
+    """CSR rows of a dense (m, n, k) array, values (nnz, k)."""
+    cells = np.flatnonzero(X.any(axis=-1))
+    return csr_rows(X.shape[0], X.shape[1], cells,
+                    X.reshape(-1, X.shape[-1])[cells])
+
+
+def csr_expand(indptr: np.ndarray, rows: np.ndarray):
+    """The entries of the CSR rows `rows`, in order, as (src, pos): CSR
+    entry pos[e] lies in row rows[src[e]]."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    src = np.arange(rows.size).repeat(counts)
+    pos = (starts - counts.cumsum() + counts).repeat(counts)
+    pos += np.arange(pos.size)
+    return src, pos
+
+
+def scatter_add(out: np.ndarray, cells: np.ndarray, vals: np.ndarray):
+    """out[cells[e]] += vals[e] in int64, repeated cells summed, for a
+    contiguous out (N, k) and vals (E, k)."""
+    k = out.shape[-1]
+    np.add.at(out.reshape(-1), (cells[:, None] * k + np.arange(k)).reshape(-1),
+              vals.reshape(-1))
 
 
 def embed_array(small: Field, big: Field, arr: np.ndarray) -> np.ndarray:

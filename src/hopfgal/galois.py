@@ -19,8 +19,9 @@ sigma, the "standard" twisted product rebuilds A and the "paper" one
 rebuilds A^op.  cocycle_verify checks the associativity identity matching
 the chosen convention; for cocommutative H the two agree.
 
-Every sum over the coproduct terms of two arguments runs through the one
-kernel hopf.convolution2.
+Every sum over the terms of two arguments of a coaction (Delta, or the
+coaction rho of a comodule algebra) runs through the one kernel
+hopf.convolution2.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .hopf import (
     Integral,
     LinMap,
     conv_inverse,
+    coaction_terms,
     conv_unit,
     convolution,
     convolution2,
@@ -75,20 +77,8 @@ FULL_VERIFY_DIM = 81
 # beyond it a fixed deterministic sample of triples is used
 COCYCLE_TRIPLE_DIM = 12
 
-# cells of one block of the algebra-map check's G table
+# cells of one block of the coassociativity and algebra-map checks
 ALGEBRA_MAP_CELLS = 2 ** 20
-
-
-def _product_table(f: Field, m: np.ndarray, X: np.ndarray,
-                   Y: np.ndarray) -> np.ndarray:
-    """out[x, y] = m(X[x], Y[y]) for rows X (nX, nF, k), Y (nY, nG, k) and
-    an (nF, nG, nOut, k) structure tensor m; shape (nX, nY, nOut, k)."""
-    nX, nY = X.shape[0], Y.shape[0]
-    nF, nG, nOut = m.shape[:3]
-    T1 = ar.fmatmul(f, X, m.reshape(nF, nG * nOut, f.k))
-    T1 = T1.reshape(nX, nG, nOut, f.k).transpose(1, 0, 2, 3)
-    T2 = ar.fmatmul(f, Y, T1.reshape(nG, nX * nOut, f.k))
-    return T2.reshape(nY, nX, nOut, f.k).transpose(1, 0, 2, 3)
 
 
 def _counit_right(H: HopfAlgebra, X: np.ndarray) -> np.ndarray:
@@ -134,19 +124,9 @@ class ComoduleAlgebra:
         eye = ar.identity(f, nA)
         if np.any((ce - eye) % f.p):
             out.append("coaction counit law fails")
-        # coassociativity: (rho (x) id) rho = (id (x) Delta) rho
-        d = self.hopf.comul
-        for i in range(nA):
-            # lhs[a, u, v] = sum_m rho[i, m, v] rho[m, a, u]
-            lhs = ar.fmatmul(f, rho[i].transpose(1, 0, 2),
-                             rho.reshape(nA, nA * nH, f.k))
-            lhs = lhs.reshape(nH, nA, nH, f.k).transpose(1, 2, 0, 3)
-            # rhs[a, u, v] = sum_t rho[i, a, t] d[t, u, v]
-            rhs = ar.fmatmul(f, rho[i], d.reshape(nH, nH * nH, f.k))
-            rhs = rhs.reshape(nA, nH, nH, f.k)
-            if np.any((lhs - rhs) % f.p):
-                out.append(f"coaction coassociativity fails at basis index {i}")
-                break
+        i = self._first_coassociativity_failure()
+        if i is not None:
+            out.append(f"coaction coassociativity fails at basis index {i}")
         # rho(1) = 1 (x) 1
         r1 = ar.fmatmul(f, self.alg.unit[None, :, :],
                         rho.reshape(nA, nA * nH, f.k)).reshape(nA, nH, f.k)
@@ -157,42 +137,65 @@ class ComoduleAlgebra:
         if full is None:
             full = nA <= FULL_VERIFY_DIM
         if full:
-            out.extend(self._verify_algebra_map(max_reports - len(out)))
+            bad = self._verify_algebra_map()
+            out += [f"coaction is not an algebra map at pair "
+                    f"({i},{np.argmax(bad[i])})" for i in np.flatnonzero(
+                        bad.any(axis=1))][:max(max_reports - len(out), 1)]
         return out
 
-    def _verify_algebra_map(self, budget: int = 10) -> list[str]:
-        """rho(b_i b_j) = rho(b_i) rho(b_j) on all basis pairs; one report
-        per i, for its first failing j.
-
-        rho(b_i) rho(b_j)[a, u] = sum G_j[a, a1, u2] C_i[a1, u2, u] with
-        G_j[a, a1, u2] = sum_a2 rho[j, a2, u2] mulA[a1, a2, a] and
-        C_i[a1, u2, u] = sum_u1 rho[i, a1, u1] mulH[u1, u2, u].  G is built
-        once per block of j, of at most ALGEBRA_MAP_CELLS cells, and each
-        block meets each C_i in one product."""
+    def _first_coassociativity_failure(self) -> int | None:
+        """The first i with (rho (x) id) rho(b_i) != (id (x) Delta) rho(b_i),
+        or None, on the terms b_a (x) h_u of rho(b_i): the left side sends
+        each to rho(b_a) (x) h_u, the right side to b_a (x) Delta(h_u).
+        Blocks of i hold at most ALGEBRA_MAP_CELLS cells (i, a, u, v)."""
         f = self.field
         nA, nH = self.alg.dim, self.hopf.dim
-        rho = self.coaction
+        ptr, I, A, U, c = coaction_terms(self.coaction)
+        dptr, _, U1, U2, d = coaction_terms(self.hopf.comul)
+        step = max(1, ALGEBRA_MAP_CELLS // (nA * nH * nH))
+        for lo in range(0, nA, step):
+            hi = min(lo + step, nA)
+            t = np.arange(ptr[lo], ptr[hi])
+            diff = ar.zeros(f, ((hi - lo) * nA * nH * nH,))
+            e, s = ar.csr_expand(ptr, A[t])
+            te = t[e]
+            ar.scatter_add(diff, (((I[te] - lo) * nA + A[s]) * nH + U[s])
+                           * nH + U[te], ar.fmul(f, c[te], c[s]))
+            e, s = ar.csr_expand(dptr, U[t])
+            te = t[e]
+            ar.scatter_add(diff, (((I[te] - lo) * nA + A[te]) * nH + U1[s])
+                           * nH + U2[s], f.p - ar.fmul(f, c[te], d[s]))
+            bad = np.flatnonzero(
+                np.remainder(diff, f.p, out=diff).reshape(hi - lo, -1).any(1))
+            if bad.size:
+                return lo + int(bad[0])
+        return None
+
+    def _verify_algebra_map(self) -> np.ndarray:
+        """The (nA, nA) table of the pairs (i, j) with rho(b_i b_j) !=
+        rho(b_i) rho(b_j).  rho(b_i) rho(b_j) is hopf.convolution2 over rho
+        with F = mulA, G = mulH and m the outer product A x H -> A (x) H,
+        computed for blocks of i of at most ALGEBRA_MAP_CELLS cells
+        (i, j, a, u); rho(b_i b_j) = sum_c mulA[i, j, c] rho(b_c) is
+        subtracted from it on the terms of rho."""
+        f = self.field
+        nA, nH = self.alg.dim, self.hopf.dim
         mulA = self.alg.mul
-        rflat = rho.reshape(nA, nA * nH, f.k)
-        mulA_r = mulA.transpose(1, 0, 2, 3).reshape(nA, nA * nA, f.k)
-        mulH_r = self.hopf.alg.mul.reshape(nH, nH * nH, f.k)
-        step = max(1, ALGEBRA_MAP_CELLS // (nH * nA * nA))
+        ptr, _, A, U, c = coaction_terms(self.coaction)
+        step = max(1, ALGEBRA_MAP_CELLS // (nA * nA * nH))
         bad = np.zeros((nA, nA), dtype=bool)
         for lo in range(0, nA, step):
             J = slice(lo, min(lo + step, nA))
-            m = J.stop - lo
-            G = ar.fmatmul(f, rho[J].transpose(0, 2, 1, 3).reshape(
-                m * nH, nA, f.k), mulA_r)
-            G = G.reshape(m, nH, nA, nA, f.k).transpose(0, 3, 2, 1, 4)
-            G = G.reshape(m * nA, nA * nH, f.k)          # rows (j, a)
-            for i in range(nA):
-                lhs = ar.fmatmul(f, mulA[i, J], rflat)
-                C = ar.fmatmul(f, rho[i], mulH_r).reshape(nA * nH, nH, f.k)
-                rhs = ar.fmatmul(f, G, C).reshape(m, nA * nH, f.k)
-                bad[i, J] = ((lhs - rhs) % f.p).any(axis=(1, 2))
-        return [f"coaction is not an algebra map at pair "
-                f"({i},{np.argmax(bad[i])})"
-                for i in np.flatnonzero(bad.any(axis=1))][:max(budget, 1)]
+            diff = convolution2(self, mulA, self.hopf.alg.mul, None, J)
+            # q = (i - lo) nA + j meets the terms of rho(b_c), c in b_i b_j
+            prods = mulA[J].reshape(-1, nA, f.k)
+            q, r = np.nonzero(prods.any(axis=-1))
+            e, s = ar.csr_expand(ptr, r)
+            ar.scatter_add(diff.reshape(-1, f.k),
+                           (q[e] * nA + A[s]) * nH + U[s],
+                           f.p - ar.fmul(f, prods[q[e], r[e]], c[s]))
+            bad[J] = np.remainder(diff, f.p, out=diff).any(axis=(2, 3))
+        return bad
 
 
 def coinvariants(CA: ComoduleAlgebra) -> Subspace:
@@ -202,9 +205,8 @@ def coinvariants(CA: ComoduleAlgebra) -> Subspace:
     f = CA.field
     nA, nH = CA.alg.dim, CA.hopf.dim
     M = CA.coaction.transpose(1, 2, 0, 3).copy()  # rows (a, u), unknown i
-    uH = CA.hopf.alg.unit
-    for a in range(nA):
-        M[a, :, a] = ar.fsub(f, M[a, :, a], uH)
+    ix = np.arange(nA)
+    M[ix, :, ix] = (M[ix, :, ix] - CA.hopf.alg.unit) % f.p
     sub = Subspace(f, nA, ar.nullspace(f, M.reshape(nA * nH, nA, f.k)))
     if not sub.contains(CA.alg.unit):
         raise ShapeMismatch("unit is not coinvariant")
@@ -220,12 +222,23 @@ def _canonical_map_matrix(CA: ComoduleAlgebra) -> np.ndarray:
     f = CA.field
     nA, nH = CA.alg.dim, CA.hopf.dim
     rho_flat = CA.coaction.transpose(0, 2, 1, 3).reshape(nA * nH, nA, f.k)
-    rows = []
-    for i in range(nA):
-        # block[(j, u), a] = sum_a0 rho[j, a0, u] mulA[i, a0, a]
-        B = ar.fmatmul(f, rho_flat, CA.alg.mul[i]).reshape(nA, nH, nA, f.k)
-        rows.append(B.transpose(0, 2, 1, 3).reshape(nA, nA * nH, f.k))
-    return np.concatenate(rows, axis=0)
+    # B[(j, u), (i, a)] = sum_a0 rho[j, a0, u] mulA[i, a0, a]
+    B = ar.fmatmul(f, rho_flat, CA.alg.mul.transpose(1, 0, 2, 3).reshape(
+        nA, nA * nA, f.k))
+    return B.reshape(nA, nH, nA, nA, f.k).transpose(2, 0, 3, 1, 4).reshape(
+        nA * nA, nA * nH, f.k)
+
+
+def _balanced_relations(A: SCAlgebra, Bbasis: np.ndarray) -> np.ndarray:
+    """RREF basis of the relations x b (x) y - x (x) b y, b a row of Bbasis,
+    that cut A (x)_B A out of A (x) A (coordinate a nA + c)."""
+    f, nA = A.field, A.dim
+    eye = ar.identity(f, nA)
+    ix = np.arange(nA)
+    rels = ar.zeros(f, (Bbasis.shape[0], nA, nA, nA, nA))  # [t, i, j, a, c]
+    rels[:, :, ix, :, ix] = _products(A, eye, Bbasis).transpose(1, 0, 2, 3)
+    rels[:, ix, :, ix] = (rels[:, ix, :, ix] - _products(A, Bbasis, eye)) % f.p
+    return ar.row_space(f, rels.reshape(-1, nA * nA, f.k))
 
 
 def galois_check(CA: ComoduleAlgebra) -> bool:
@@ -245,19 +258,7 @@ def galois_check(CA: ComoduleAlgebra) -> bool:
             not Z.contains(B.basis[i]) for i in range(B.dim)):
         raise InvariantsNotCentralScalars(
             "coinvariants are neither the scalars nor central commutative")
-    # relative tensor A (x)_B A: quotient of A (x) A by x b (x) y - x (x) b y
-    rels = []
-    for t in range(B.dim):
-        bvec = B.basis[t]
-        for i in range(nA):
-            xb = CA.alg.multiply(CA.alg.basis_vector(i), bvec)
-            for j in range(nA):
-                by = CA.alg.multiply(bvec, CA.alg.basis_vector(j))
-                v = ar.zeros(f, (nA, nA))
-                v[:, j] = xb
-                v[i] = ar.fsub(f, v[i], by)
-                rels.append(v.reshape(nA * nA, f.k))
-    R = ar.row_space(f, np.stack(rels))
+    R = _balanced_relations(CA.alg, B.basis)
     rel_dim = nA * nA - R.shape[0]
     # can must kill the relations (so it factors through the quotient);
     # bijectivity then means matching dimension plus surjectivity
@@ -324,12 +325,10 @@ def _sigma_conv_matrix(H: HopfAlgebra, R: SCAlgebra,
     X = ar.fmatmul(f, d.transpose(0, 2, 1, 3).reshape(nH * nH, nH, f.k),
                    vals.reshape(nH, nH * nR, f.k))
     X = X.reshape(nH * nH, nH, nR, f.k)
-    T = np.zeros((nH * nH, nH, nH, nR, f.k), dtype=np.int64)
-    for j in range(nH):
-        # T[(i, b), j, e, r1] = sum_c X[(i, b), c, r1] d[j, c, e]
-        Y = ar.fmatmul(
-            f, X.transpose(0, 2, 1, 3).reshape(nH * nH * nR, nH, f.k), d[j])
-        T[:, j] = Y.reshape(nH * nH, nR, nH, f.k).transpose(0, 2, 1, 3)
+    # T[(i, b), j, e, r1] = sum_c X[(i, b), c, r1] d[j, c, e]
+    T = ar.fmatmul(f, X.transpose(0, 2, 1, 3).reshape(nH * nH * nR, nH, f.k),
+                   d.transpose(1, 0, 2, 3).reshape(nH, nH * nH, f.k))
+    T = T.reshape(nH * nH, nR, nH, nH, f.k).transpose(0, 2, 3, 1, 4)
     # multiply into R: coefficient sum_r1 T[..., r1] mulR[r1, r2, r3]
     N = nH * nH * nH * nH
     K = ar.fmatmul(f, T.reshape(N, nR, f.k), R.mul.reshape(nR, nR * nR, f.k))
@@ -400,36 +399,31 @@ def cocycle_verify(sig: Cocycle, convention: str = "paper") -> list[str]:
     A2 = ar.fmatmul(f, mulH.reshape(nH * nH, nH, f.k),
                     vals.transpose(1, 0, 2, 3).reshape(nH, nH * nR, f.k)
                     ).reshape(nH, nH, nH, nR, f.k)
-    tables = {1: A1, 2: A2}
-    sides = {}
-
-    def side(table, u):
-        """side(a, u)[x, y] = sum sigma(x_1, y_1) A<a>[x_2, y_2, u], with
-        the third argument u held fixed."""
-        if (table, u) not in sides:
-            sides[table, u] = convolution2(H, vals, tables[table][:, :, u],
-                                           R.mul)
-        return sides[table, u]
-
+    # S<a>[x, y, u] = sum sigma(x_1, y_1) A<a>[x_2, y_2, u] for every u at
+    # once: m multiplies in R, mR[r, (u, r1), (u, r2)] = mulR[r, r1, r2]
+    mR = ar.zeros(f, (nR, nH, nR, nH, nR))
+    ix = np.arange(nH)
+    mR[:, ix, :, ix] = R.mul
+    mR = mR.reshape(nR, nH * nR, nH * nR, f.k)
+    S1, S2 = (convolution2(H, vals, T.reshape(nH, nH, nH * nR, f.k), mR
+                           ).reshape(nH, nH, nH, nR, f.k) for T in (A1, A2))
+    if convention == "standard":
+        # sigma(h1, g1) sigma(h2 g2, t) = sigma(g1, t1) sigma(h, g2 t2)
+        lhs, rhs = S1, S2.transpose(2, 0, 1, 3, 4)
+    else:
+        # sigma(h1, g1) sigma(t, h2 g2) = sigma(t1, h1) sigma(t2 h2, g)
+        lhs, rhs = S2, S1.transpose(1, 2, 0, 3, 4)
+    bad = ((lhs - rhs) % f.p).any(axis=(3, 4))
     if nH <= COCYCLE_TRIPLE_DIM:
-        triples = itertools.product(range(nH), repeat=3)
+        triples = np.argwhere(bad).tolist()
     else:
         rng = np.random.default_rng(0)
-        triples = [tuple(int(x) for x in rng.integers(0, nH, 3))
-                   for _ in range(60)]
-    for (ih, ig, it) in triples:
-        if convention == "standard":
-            # sigma(h1, g1) sigma(h2 g2, t) = sigma(g1, t1) sigma(h, g2 t2)
-            lhs = side(1, it)[ih, ig]
-            rhs = side(2, ih)[ig, it]
-        else:
-            # sigma(h1, g1) sigma(t, h2 g2) = sigma(t1, h1) sigma(t2 h2, g)
-            lhs = side(2, it)[ih, ig]
-            rhs = side(1, ig)[it, ih]
-        if np.any((lhs - rhs) % f.p):
-            out.append(f"cocycle identity fails at triple ({ih},{ig},{it})")
-            if len(out) >= 10:
-                return out
+        triples = [t for t in rng.integers(0, nH, (60, 3)).tolist()
+                   if bad[tuple(t)]]
+    out += [f"cocycle identity fails at triple ({ih},{ig},{it})"
+            for ih, ig, it in triples][:10 - len(out)]
+    if len(out) >= 10:
+        return out
     if _sigma_conv_inverse(sig) is None:
         out.append("sigma is not convolution invertible")
     return out
@@ -456,12 +450,9 @@ def twisted_product(R: SCAlgebra, sig: Cocycle,
         raise CocycleInvalid("; ".join(msgs))
     nH, nR = H.dim, R.dim
     dim = nR * nH
-    # the outer product R x H -> R (x) H as a structure tensor
-    outer = ar.zeros(f, (nR, nH, dim))
-    r, t = np.divmod(np.arange(dim), nH)
-    outer[r, t, np.arange(dim), 0] = 1
     # val[i, j] = (1 (x) h_i)(1 (x) h_j) = sum sigma(i_1, j_1) (x) i_2 j_2
-    val = convolution2(H, sig.values, H.alg.mul, outer)
+    # in R (x) H, m the outer product
+    val = convolution2(H, sig.values, H.alg.mul, None)
     if convention == "paper":
         val = val.transpose(1, 0, 2, 3)
     # trip[r, s, r1, t] = coordinate t of a_r a_s a_r1 in R
@@ -510,7 +501,7 @@ def cocycle_transform(sig: Cocycle, u: LinMap, convention: str = "paper"):
     Umul = ar.fmatmul(f, H.alg.mul.reshape(nH * nH, nH, f.k),
                       u.matrix).reshape(nH, nH, nR, f.k)
     inner = convolution2(H, sig.values, Umul, R.mul)
-    heads = _product_table(f, R.mul, uinv.matrix, uinv.matrix)
+    heads = _products(R, uinv.matrix, uinv.matrix)
     tau = Cocycle(H, R, convolution2(H, heads.transpose(1, 0, 2, 3), inner,
                                      R.mul))
     msgs = cocycle_verify(tau, convention)
@@ -593,15 +584,15 @@ class Splitting:
         g = self.gamma.matrix
         rho = CA.coaction
         d = H.comul
-        for i in range(nH):
-            # rho(gamma(h_i)) vs (gamma (x) id) Delta(h_i)
-            lhs = ar.fmatmul(f, g[i][None, :, :],
-                             rho.reshape(nA, nA * nH, f.k)
-                             ).reshape(nA, nH, f.k)
-            rhs = ar.fmatmul(f, d[i].transpose(1, 0, 2), g).transpose(1, 0, 2)
-            if np.any((lhs - rhs) % f.p):
-                raise ShapeMismatch(
-                    f"splitting is not a comodule map at basis index {i}")
+        # rho(gamma(h_i)) vs (gamma (x) id) Delta(h_i), [i, a, u]
+        lhs = ar.fmatmul(f, g, rho.reshape(nA, nA * nH, f.k))
+        rhs = ar.fmatmul(f, d.transpose(0, 2, 1, 3).reshape(nH * nH, nH, f.k),
+                         g).reshape(nH, nH, nA, f.k).transpose(0, 2, 1, 3)
+        bad = np.flatnonzero(((lhs.reshape(rhs.shape) - rhs) % f.p).any(
+            axis=(1, 2, 3)))
+        if bad.size:
+            raise ShapeMismatch(
+                f"splitting is not a comodule map at basis index {bad[0]}")
         unit = conv_unit(H, CA.alg)
         left = convolution(H, CA.alg, self.gamma, self.inverse)
         right = convolution(H, CA.alg, self.inverse, self.gamma)
@@ -622,7 +613,7 @@ def splitting_to_cocycle(sp: Splitting, convention: str = "paper",
     H, A = CA.hopf, CA.alg
     nA, nH = A.dim, H.dim
     g = sp.gamma.matrix
-    heads = _product_table(f, A.mul, g, g)                  # gamma(x) gamma(y)
+    heads = _products(A, g, g)                              # gamma(x) gamma(y)
     tails = ar.fmatmul(f, H.alg.mul.reshape(nH * nH, nH, f.k),
                        sp.inverse.matrix)                   # gamma^-1(x y)
     vals = convolution2(H, heads, tails.reshape(nH, nH, nA, f.k), A.mul)
@@ -690,7 +681,7 @@ def is_equivariant_splitting(sp: Splitting) -> bool:
     g = sp.gamma.matrix
     # lhs[h, g] = gamma(ad(h)(g)); rhs[h, g] = gamma(h_1) gamma(g) gamma^-1(h_2)
     lhs = ar.fmatmul(f, _adjoint(H).reshape(nH * nH, nH, f.k), g)
-    rhs = convolution2(H, _product_table(f, A.mul, g, g),
+    rhs = convolution2(H, _products(A, g, g),
                        _counit_right(H, sp.inverse.matrix), A.mul)
     direct = not np.any((lhs - rhs.reshape(lhs.shape)) % f.p)
     # independent route through the associated cocycle
@@ -728,11 +719,9 @@ def lemma25_transfer_check(tau: Cocycle, pi: Cocycle, x,
         raise ShapeMismatch("element must be given in R (x) H coordinates")
 
     def central(A, v):
-        for i in range(A.dim):
-            b = A.basis_vector(i)
-            if np.any((A.multiply(v, b) - A.multiply(b, v)) % f.p):
-                return False
-        return True
+        eye = ar.identity(f, A.dim)
+        return not np.any((_products(A, v[None], eye)[0]
+                           - _products(A, eye, v[None])[:, 0]) % f.p)
 
     ct = central(A_tau, xv)
     cp = central(A_pi, xv)

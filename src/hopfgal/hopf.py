@@ -1,6 +1,6 @@
 """Hopf algebra structure on structure-constant algebras: axiom checking,
 the convolution algebra of linear maps, the two-argument convolution over
-H (x) H, dual integrals, unimodularity, and group algebras.
+the terms of a coaction, dual integrals, unimodularity, and group algebras.
 
 Comultiplication tensor convention: comul[i, a, b] is the coefficient of
 b_a (x) b_b in the coproduct of b_i.  The antipode matrix row i holds the
@@ -121,7 +121,6 @@ def hopf_verify(H: HopfAlgebra, max_reports: int = 20) -> list[str]:
 
     f = H.field
     n = H.dim
-    mul = H.alg.mul
     out = list(algebra_verify(H.alg, max_reports=max_reports))
     if out:
         return out
@@ -138,24 +137,15 @@ def hopf_verify(H: HopfAlgebra, max_reports: int = 20) -> list[str]:
                            LinMap(f, eps[:, None])):
         out.append("counit is not an algebra map")
 
-    # antipode axiom: m (S (x) id) Delta = eta eps = m (id (x) S) Delta
-    S = H.antipode
-    dflat = H.comul.reshape(n, n * n, f.k)
-    target = ar.fmul(f, eps[:, None, :], H.alg.unit[None, :, :])  # [i, m]
-    # left[i, m] = sum_{a,b,t} d[i,a,b] S[a,t] mul[t,b,m]
-    SB = ar.fmatmul(f, S, mul.reshape(n, n * n, f.k)).reshape(n, n, n, f.k)
-    # SB[a, b, m] = S(b_a) b_b coords
-    left = ar.fmatmul(f, dflat, SB.reshape(n * n, n, f.k))  # [i, m]
-    if np.any((left - target) % f.p):
-        bad = np.argwhere(np.any((left - target) % f.p, axis=2))
-        out.append(f"antipode axiom (S (x) id) fails at basis index {int(bad[0][0])}")
-    BS = ar.fmatmul(
-        f, S, mul.transpose(1, 0, 2, 3).reshape(n, n * n, f.k))
-    BS = BS.reshape(n, n, n, f.k).transpose(1, 0, 2, 3)  # [a, b, m] = b_a S(b_b)
-    right = ar.fmatmul(f, dflat, BS.reshape(n * n, n, f.k))
-    if np.any((right - target) % f.p):
-        bad = np.argwhere(np.any((right - target) % f.p, axis=2))
-        out.append(f"antipode axiom (id (x) S) fails at basis index {int(bad[0][0])}")
+    # antipode axiom: S * id = eta eps = id * S in the convolution algebra
+    S, ident = LinMap(f, H.antipode), LinMap(f, ar.identity(f, n))
+    unit = conv_unit(H, H.alg).matrix
+    for side, (a, b) in (("S (x) id", (S, ident)), ("id (x) S", (ident, S))):
+        conv = convolution(H, H.alg, a, b).matrix
+        bad = np.flatnonzero(((conv - unit) % f.p).any(axis=(1, 2)))
+        if bad.size:
+            out.append(f"antipode axiom ({side}) fails at basis index "
+                       f"{bad[0]}")
     return out
 
 
@@ -180,78 +170,101 @@ def convolution(H: HopfAlgebra, A: SCAlgebra, fmap: LinMap, g: LinMap) -> LinMap
     nH, nA = H.dim, A.dim
     if fmap.matrix.shape != (nH, nA, f.k) or g.matrix.shape != (nH, nA, f.k):
         raise ShapeMismatch("convolution operands must map H into A")
-    # P[a, b, c] = coords of f(b_a) g(b_b) in A
+    # X[a, m2, c] = coords of f(b_a) b_m2, then P[b, a, c] = coords of
+    # f(b_a) g(b_b) in A
     X = ar.fmatmul(f, fmap.matrix, A.mul.reshape(nA, nA * nA, f.k))
-    X = X.reshape(nH, nA, nA, f.k)  # [a, m2, c]
-    P = np.stack([ar.fmatmul(f, g.matrix, X[a]) for a in range(nH)])
-    # out[i, c] = sum_{a,b} comul[i,a,b] P[a,b,c]
-    out = ar.fmatmul(f, H.comul.reshape(nH, nH * nH, f.k),
-                     P.reshape(nH * nH, nA, f.k))
+    P = ar.fmatmul(f, g.matrix, X.reshape(nH, nA, nA, f.k).transpose(
+        1, 0, 2, 3).reshape(nA, nH * nA, f.k))
+    # out[i, c] = sum_{a,b} comul[i,a,b] P[b,a,c]
+    D = H.comul.transpose(0, 2, 1, 3).reshape(nH, nH * nH, f.k)
+    out = ar.fmatmul(f, D, P.reshape(nH * nH, nA, f.k))
     return LinMap(f, out)
 
 
-# gathered term-pair temporaries of convolution2 hold at most this many
-# cells, or one table of the first argument if that is larger
-_CHUNK_CELLS = 1 << 18
+# expanded terms (term pair, F, G and m entry) of one chunk of convolution2
+CONV_CHUNK_TERMS = 2 ** 16
 
 
-def convolution2(H: HopfAlgebra, F: np.ndarray, G: np.ndarray,
-                 m: np.ndarray) -> np.ndarray:
-    """The two-argument convolution over the coalgebra H (x) H:
+def coaction_terms(rho: np.ndarray):
+    """The nonzero terms of rho (n, nL, nR, k) as CSR rows (ptr, I, A, B,
+    coef): term t, ptr[i] <= t < ptr[i + 1], is coef[t] b_A[t] (x) h_B[t]
+    in rho(b_i), i = I[t]."""
+    I, A, B = np.nonzero(rho.any(axis=-1))
+    ptr = np.searchsorted(I, np.arange(rho.shape[0] + 1))
+    return ptr, I, A, B, rho[I, A, B]
 
-        out[i, j] = sum m(F(x_1, y_1), G(x_2, y_2))
 
-    over the coproduct terms Delta(h_i) = x_1 (x) x_2, Delta(h_j) =
-    y_1 (x) y_2.  F is (nH, nH, nF, k), G is (nH, nH, nG, k), and the
-    bilinear map m is an (nF, nG, nOut, k) structure tensor:
-    m(u, v) = sum u_a v_b m[a, b].  Returns (nH, nH, nOut, k)."""
-    f = H.field
+def convolution2(C, F: np.ndarray, G: np.ndarray, m: np.ndarray | None,
+                 rows: slice = slice(None)) -> np.ndarray:
+    """The two-argument convolution over a coaction,
+
+        out[i, j] = sum m(F(x_1, y_1), G(x_2, y_2)),
+
+    over the terms x_1 (x) x_2 of rho(b_i) and y_1 (x) y_2 of rho(b_j),
+    rho (n, nL, nR, k) the comul of a HopfAlgebra C (its regular coaction)
+    or C.coaction of a ComoduleAlgebra.  F is (nL, nL, nF, k), G is
+    (nR, nR, nG, k) and m an (nF, nG, nOut, k) structure tensor,
+    m(u, v) = sum u_a v_b m[a, b], or None for the outer product u (x) v
+    (index a nG + b).  Returns out[rows], rows a slice of consecutive i:
+    (len(rows), n, nOut, k).
+
+    Products of sparse rows (Gustavson, ACM TOMS 4(3), 1978): each term
+    pair meets the entries of F(x_1, y_1), each of those the entries of
+    G(x_2, y_2), each such (a, b) those of m[a, b].  Chunks are runs of t
+    cut where the running count of expanded terms passes a multiple of
+    CONV_CHUNK_TERMS; t counts T pairs plus, per pair, nnz F nnz G times
+    the longest row of m.  Exact for p <= P_MAX < 2^23: each term is reduced
+    below p and each chunk reduces the rows it touched, so an int64 cell
+    holds a residue plus one chunk's terms, below 2^63 for chunks under
+    2^40 terms (a chunk's terms are all held in memory at once)."""
+    f = C.field
     p, k = f.p, f.k
-    nH = H.dim
-    nF, nG, nOut = m.shape[:3]
-    if F.shape != (nH, nH, nF, k) or G.shape != (nH, nH, nG, k):
-        raise ShapeMismatch("convolution2 operands do not match H and m")
-    # the coproduct as flat terms: term t of Delta(h_I[t]) is h_A[t] (x) h_B[t]
-    # with coefficient D[I[t], t]; the term pairs of (i, j) are the pairs
-    # (t, s) with I[t] = i and I[s] = j
-    I, A, B = np.nonzero(np.any(H.comul, axis=-1))
+    rho = C.comul if isinstance(C, HopfAlgebra) else C.coaction
+    n, nL, nR = rho.shape[:3]
+    nF, nG = F.shape[-2], G.shape[-2]
+    if (F.shape != (nL, nL, nF, k) or G.shape != (nR, nR, nG, k) or (
+            m is not None and m.shape[:2] + m.shape[3:] != (nF, nG, k))):
+        raise ShapeMismatch("convolution2 operands do not match the "
+                            "coaction and m")
+    if m is None:
+        nOut = nF * nG
+        mptr, mcol = np.arange(nOut + 1), np.arange(nOut)
+        mval = np.tile(ar.unit_scalar(f), (nOut, 1))
+    else:
+        nOut = m.shape[2]
+        mptr, mcol, mval = ar.csr(m.reshape(nF * nG, nOut, k))
+    ptr, I, A, B, coef = coaction_terms(rho)
     T = I.size
-    D = ar.zeros(f, (nH, T))
-    D[I, np.arange(T)] = H.comul[I, A, B]
-    # L[x nH + y] is the matrix of v -> m(F(h_x, h_y), v)
-    L = ar.fmatmul(f, F.reshape(nH * nH, nF, k),
-                   m.reshape(nF, nG * nOut, k)).reshape(nH * nH, nG, nOut, k)
-    Gf = G.reshape(nH * nH, nG, k)
-    pairs = max(nH * nH, _CHUNK_CELLS // max(nG * nOut * k, 1))
-    step = max(1, pairs // max(T, 1))
-    out = ar.zeros(f, (nH, nH * nOut))
-    for t0 in range(0, T, step):
-        t = slice(t0, min(t0 + step, T))
-        tc = t.stop - t0
-        # X[t, s] = m(F(h_A[t], h_A[s]), G(h_B[t], h_B[s]))
-        X = _rows_times_matrices(f, Gf[(B[t, None] * nH + B).ravel()],
-                                 L[(A[t, None] * nH + A).ravel()])
-        # weight by the coefficient of s and sum into column I[s], then by
-        # the coefficient of t into row I[t]
-        X = X.reshape(tc, T, nOut, k).transpose(1, 0, 2, 3)
-        Y = ar.fmatmul(f, D, X.reshape(T, tc * nOut, k))
-        Y = Y.reshape(nH, tc, nOut, k).transpose(1, 0, 2, 3)
-        out = (out + ar.fmatmul(f, D[:, t], Y.reshape(tc, nH * nOut, k))) % p
-    return out.reshape(nH, nH, nOut, k)
-
-
-def _rows_times_matrices(f: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise field products of rows a (P, g, k) with matrices
-    b (P, g, o, k): out[q] = a[q] @ b[q], shape (P, o, k)."""
-    p, k = f.p, f.k
-    if k == 1:
-        return (np.einsum("qg,qgo->qo", a[..., 0], b[..., 0]) % p)[..., None]
-    full = np.zeros(b.shape[:1] + b.shape[2:3] + (2 * k - 1,), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            full[..., i + j] += np.einsum("qg,qgo->qo", a[..., i],
-                                          b[..., j]) % p
-    return np.tensordot(full % p, f._red, axes=([-1], [0])) % p
+    i0, i1, _ = rows.indices(n)
+    fptr, fcol, fval = ar.csr(F.reshape(nL * nL, nF, k))
+    gptr, gcol, gval = ar.csr(G.reshape(nR * nR, nG, k))
+    # cost of t: its T pairs, plus nnz F(A_t, A_s) nnz G(B_t, B_s) over s
+    # times the longest row of m; that sum over s is
+    # sum_b W[A_t, b] nnz G(B_t, b), W = nnz F @ (terms s at each (A_s, B_s))
+    nnzF = np.diff(fptr).reshape(nL, nL)
+    nnzG = np.diff(gptr).reshape(nR, nR)
+    W = nnzF @ np.bincount(A * nR + B, minlength=nL * nR).reshape(nL, nR)
+    t0, t1 = ptr[i0], ptr[i1]
+    mlen = np.diff(mptr).max(initial=0)
+    cost = T + (W[A[t0:t1]] * nnzG[B[t0:t1]]).sum(axis=1) * mlen
+    run = (cost.cumsum() - cost) // CONV_CHUNK_TERMS
+    starts = t0 + np.flatnonzero(np.diff(run, prepend=-1))
+    out = ar.zeros(f, ((i1 - i0) * n * nOut,))
+    for lo, hi in zip(starts, [*starts[1:], t1]):
+        t = np.arange(lo, hi).repeat(T)
+        s = np.tile(np.arange(T), hi - lo)
+        # the F entries of each pair, the G entries of each of those, and
+        # the m entries of each (a, b), weighted as they are met
+        e, fp = ar.csr_expand(fptr, A[t] * nL + A[s])
+        w = ar.fmul(f, ar.fmul(f, coef[t[e]], coef[s[e]]), fval[fp])
+        g, gp = ar.csr_expand(gptr, (B[t] * nR + B[s])[e])
+        e, w = e[g], ar.fmul(f, w[g], gval[gp])
+        h, mp = ar.csr_expand(mptr, fcol[fp[g]] * nG + gcol[gp])
+        e, w = e[h], ar.fmul(f, w[h], mval[mp])
+        cells = ((I[t[e]] - i0) * n + I[s[e]]) * nOut + mcol[mp]
+        ar.scatter_add(out, cells, w)
+        out[(I[lo] - i0) * n * nOut:(I[hi - 1] - i0 + 1) * n * nOut] %= p
+    return out.reshape(i1 - i0, n, nOut, k)
 
 
 def conv_inverse(H: HopfAlgebra, A: SCAlgebra, fmap: LinMap) -> LinMap:
@@ -262,15 +275,11 @@ def conv_inverse(H: HopfAlgebra, A: SCAlgebra, fmap: LinMap) -> LinMap:
         raise ShapeMismatch("map must go from H into A")
     # unknowns g[b, m2]; equations (i, c):
     #   sum_{a,b,m1,m2} comul[i,a,b] f[a,m1] mul[m1,m2,c] g[b,m2] = eps_i 1_c
-    # B[i, b, m1] = sum_a comul[i,a,b] f[a, m1]
-    B = np.stack([ar.fmatmul(f, H.comul[i].transpose(1, 0, 2), fmap.matrix)
-                  for i in range(nH)])
-    rows = []
-    for i in range(nH):
-        K = ar.fmatmul(f, B[i], A.mul.reshape(nA, nA * nA, f.k))
-        K = K.reshape(nH, nA, nA, f.k)  # [b, m2, c]
-        rows.append(K.transpose(2, 0, 1, 3).reshape(nA, nH * nA, f.k))
-    M = np.concatenate(rows, axis=0)  # ((i,c), (b,m2))
+    # K[(i, b), (m2, c)] = sum_{a,m1} comul[i,a,b] f[a,m1] mul[m1,m2,c]
+    K = ar.fmatmul(f, ar.fmatmul(f, H.comul.transpose(0, 2, 1, 3).reshape(
+        nH * nH, nH, f.k), fmap.matrix), A.mul.reshape(nA, nA * nA, f.k))
+    M = K.reshape(nH, nH, nA, nA, f.k).transpose(0, 3, 1, 2, 4).reshape(
+        nH * nA, nH * nA, f.k)  # ((i,c), (b,m2))
     target = ar.fmul(f, H.counit[:, None, :], A.unit[None, :, :])
     rhs = target.reshape(nH * nA, f.k)
     sol = ar.solve(f, M, rhs)
@@ -299,8 +308,8 @@ def _dual_integral_space(H: HopfAlgebra, side: str) -> np.ndarray:
     d = H.comul
     M = (d.copy() if side == "left" else
          d.transpose(0, 2, 1, 3).copy())  # rows (i, j), unknown index last
-    for i in range(n):
-        M[i, :, i] = ar.fsub(f, M[i, :, i], H.alg.unit)
+    ix = np.arange(n)
+    M[ix, :, ix] = (M[ix, :, ix] - H.alg.unit) % f.p
     return ar.nullspace(f, M.reshape(n * n, n, f.k))
 
 

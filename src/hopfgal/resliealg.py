@@ -527,7 +527,7 @@ def _sparse_times_csr(field: Field, n: int, cells: np.ndarray,
     indptr, cols, cvals = csr
     r, t = np.divmod(cells, n)
     # nonzero m of X meets the entries of CSR row t[m]
-    src, pos = _csr_expand(indptr, t)
+    src, pos = ar.csr_expand(indptr, t)
     out = r[src] * n + cols[pos]
     # over F_p the products are reduced once, after the sum
     terms = (vals[src] * cvals[pos] if field.k == 1
@@ -538,17 +538,6 @@ def _sparse_times_csr(field: Field, n: int, cells: np.ndarray,
     acc = np.add.reduceat(terms[order], start, axis=0) % field.p
     keep = acc.any(axis=1)
     return out[start[keep]], acc[keep]
-
-
-def _csr_expand(indptr: np.ndarray, rows: np.ndarray):
-    """The entries of the CSR rows `rows`, in order, as (src, pos): CSR
-    entry pos[e] lies in row rows[src[e]]."""
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    src = np.arange(rows.size).repeat(counts)
-    pos = (starts - counts.cumsum() + counts).repeat(counts)
-    pos += np.arange(pos.size)
-    return src, pos
 
 
 def fiber_algebra(L: RestrictedLie, point: FiberPoint) -> Fiber:
@@ -752,10 +741,10 @@ class Prop30Context:
         self.u0_flat = u0[:, :, :, 0].reshape(N * N, N)
         mul = F.alg.mul.reshape(-1)
         nz = np.flatnonzero(mul)
-        self._mul = _csr_rows(N * N, N, nz, mul[nz])
+        self._mul = ar.csr_rows(N * N, N, nz, mul[nz])
         ginv = _pbw_inverse_rows(F).reshape(-1, 1)
         nz = np.flatnonzero(ginv)
-        ginv = _csr_rows(N, N, nz, ginv[nz])
+        ginv = ar.csr_rows(N, N, nz, ginv[nz])
         # tails gamma^{-1}(e^b e^d) for every label pair: the u(L) slabs of
         # e^b times gamma^{-1}, a few per product to keep temporaries small
         cells, vals, step = [], [], max(1, 2 ** 16 // (N * N))
@@ -765,7 +754,8 @@ class Prop30Context:
             c, v = _sparse_times_csr(f, N, nz, slab[nz], ginv)
             cells.append(c + b * N * N)
             vals.append(v[:, 0])
-        self._tails = _csr_rows(N * N, N, *map(np.concatenate, (cells, vals)))
+        self._tails = ar.csr_rows(N * N, N,
+                                  *map(np.concatenate, (cells, vals)))
         # the splittings x_1 + x_2 = a of label a: CSR row a lists their
         # labels x_1, x_2 and binomial coefficients
         a, self._x1, self._x2, self._binom = F.splittings()
@@ -806,15 +796,15 @@ class Prop30Context:
             cx, cy = x[lo:hi], y[lo:hi]
             # the terms (u, v) of each pair: u runs over the splittings of
             # its x, v over those of its y
-            pu, u = _csr_expand(sp, cx)
-            tu, v = _csr_expand(sp, cy[pu])
+            pu, u = ar.csr_expand(sp, cx)
+            tu, v = ar.csr_expand(sp, cy[pu])
             pair, u = pu[tu], u[tu]
             coef = binom[u] * binom[v] % p
             heads = x1[u] * N + x1[v]
             tails = x2[u] * N + x2[v]
             # every head nonzero of a term meets every tail nonzero of it
-            th, hpos = _csr_expand(mptr, heads)
-            e, tpos = _csr_expand(tptr, tails[th])
+            th, hpos = ar.csr_expand(mptr, heads)
+            e, tpos = ar.csr_expand(tptr, tails[th])
             th, hpos = th[e], hpos[e]
             acc = np.bincount(
                 (pair[th] * N + mcols[hpos]) * N + tcols[tpos],
@@ -822,7 +812,7 @@ class Prop30Context:
                 minlength=cx.size * NN)
             # contract the nonzero (pair, i, j) cells with the rows of mul
             cells = np.flatnonzero(acc)
-            c, pos = _csr_expand(mptr, cells % NN)
+            c, pos = ar.csr_expand(mptr, cells % NN)
             vec = np.bincount(
                 cells[c] // NN * N + mcols[pos],
                 weights=(acc[cells].astype(np.int64) % p)[c] * mvals[pos],
@@ -862,8 +852,3 @@ class Prop30Context:
         rows = self.u0_flat[self._x2[u, None] * N + self._x2[None, v]]
         return (w.reshape(-1) @ rows.reshape(-1, N) % p)[:, None]
 
-
-def _csr_rows(m: int, n: int, cells: np.ndarray, vals: np.ndarray):
-    """CSR (row pointers, columns, values) of the (m, n) matrix with
-    nonzeros `vals` at the sorted flat cells r n + c."""
-    return np.searchsorted(cells, np.arange(m + 1) * n), cells % n, vals

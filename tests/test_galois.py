@@ -619,3 +619,145 @@ def test_winding_matches_monomial_loop():
         if alpha is None:
             alpha = find_one_dim_rep(F)
         assert np.array_equal(W, winding_loop(F, alpha))
+
+
+# ---------------------------------------------------------------------------
+# the comodule checks on the terms of rho
+# ---------------------------------------------------------------------------
+
+def algebra_map_failures_loop(CA):
+    """Reference for ComoduleAlgebra._verify_algebra_map, pair by pair:
+    rho(b_i b_j) against the sum of c c' (b_a b_b) (x) (h_u h_v) over the
+    terms c b_a (x) h_u of rho(b_i) and c' b_b (x) h_v of rho(b_j)."""
+    f = CA.field
+    nA, nH = CA.alg.dim, CA.hopf.dim
+    rho, mulA, mulH = CA.coaction, CA.alg.mul, CA.hopf.alg.mul
+    terms = [np.nonzero(rho[i].any(axis=-1)) for i in range(nA)]
+    bad = np.zeros((nA, nA), dtype=bool)
+    for i, j in itertools.product(range(nA), repeat=2):
+        lhs = ar.fmatmul(f, mulA[i, j][None], rho.reshape(nA, nA * nH, f.k))
+        (a, u), (b, v) = terms[i], terms[j]
+        c = ar.fmul(f, rho[i, a, u][:, None], rho[j, b, v][None, :])
+        X = ar.fmul(f, c[:, :, None], mulA[a[:, None], b[None, :]])
+        Y = mulH[u[:, None], v[None, :]]
+        rhs = ar.fmul(f, X[:, :, :, None], Y[:, :, None, :]).sum(
+            axis=(0, 1)) % f.p
+        bad[i, j] = np.any((lhs.reshape(nA, nH, f.k) - rhs) % f.p)
+    return bad
+
+
+def _corrupted_coaction(lie, field, point, entries):
+    """The fiber's coaction with entries (i, a, u) -> value overwritten,
+    u != 0 so that the counit law still holds."""
+    F = fiber_algebra(lie, FiberPoint.make(field, point))
+    H, _ = u_restricted(lie, field)
+    rho = F.binomial_tensor()
+    for (i, a, u), value in entries.items():
+        rho[i, a, u] = value
+    return ComoduleAlgebra(F.alg, H, rho, check=False)
+
+
+CORRUPTED = {
+    "sl2 F_3": (sl2(3), F3, [1, 0, 0], {(4, 1, 3): [1], (11, 2, 5): [2]}),
+    "sl2 F_9": (sl2(3), Field(3, 2), [1, 0, 0], {(13, 4, 9): [1, 2]}),
+    "borel F_5": (borel(5), Field(5), [1, 2], {(7, 7, 1): [3],
+                                                (18, 0, 12): [1]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTED))
+def test_algebra_map_failures_match_pair_loop(monkeypatch, case):
+    CA = _corrupted_coaction(*CORRUPTED[case])
+    want = algebra_map_failures_loop(CA)
+    assert want.any()
+    reports = [f"coaction is not an algebra map at pair ({i},{np.argmax(r)})"
+               for i, r in enumerate(want) if r.any()]
+    for cells in (galois.ALGEBRA_MAP_CELLS, 8, 1):
+        monkeypatch.setattr(galois, "ALGEBRA_MAP_CELLS", cells)
+        assert np.array_equal(CA._verify_algebra_map(), want), cells
+        assert [r for r in CA.verify(10 ** 6, full=True)
+                if "algebra map" in r] == reports
+
+
+def first_coassociativity_failure_loop(CA):
+    """Reference: (rho (x) id) rho(b_i) and (id (x) Delta) rho(b_i) as dense
+    products, one i at a time."""
+    f = CA.field
+    nA, nH = CA.alg.dim, CA.hopf.dim
+    rho, d = CA.coaction, CA.hopf.comul
+    for i in range(nA):
+        lhs = ar.fmatmul(f, rho[i].transpose(1, 0, 2),
+                         rho.reshape(nA, nA * nH, f.k))
+        lhs = lhs.reshape(nH, nA, nH, f.k).transpose(1, 2, 0, 3)
+        rhs = ar.fmatmul(f, rho[i], d.reshape(nH, nH * nH, f.k))
+        if np.any((lhs - rhs.reshape(nA, nH, nH, f.k)) % f.p):
+            return i
+    return None
+
+
+@pytest.mark.parametrize("lie, field, point, entry", [
+    (borel(3), F3, [0, 1], (5, 2, 4)),
+    (sl2(3), F3, [1, 0, 0], (14, 9, 1)),
+    (sl2(3), Field(3, 2), [0, 0, 1], (20, 0, 4)),
+])
+def test_coassociativity_fails_at_the_corrupted_index(monkeypatch, lie, field,
+                                                      point, entry):
+    """One corrupted entry of rho: verify names the first failing i, which
+    the dense per-i products agree on, for every block size."""
+    CA = _corrupted_coaction(lie, field, point,
+                             {entry: [1] + [0] * (field.k - 1)})
+    i = first_coassociativity_failure_loop(CA)
+    assert i is not None
+    want = f"coaction coassociativity fails at basis index {i}"
+    for cells in (galois.ALGEBRA_MAP_CELLS, 8, 1):
+        monkeypatch.setattr(galois, "ALGEBRA_MAP_CELLS", cells)
+        assert CA._first_coassociativity_failure() == i
+        assert want in CA.verify(full=False)
+    clean = fiber_coaction(fiber_algebra(lie, FiberPoint.make(field, point)))
+    assert clean._first_coassociativity_failure() is None
+
+
+def balanced_relations_loop(CA, B):
+    """The relation rows x b (x) y - x (x) b y of A (x)_B A, built one
+    (t, i, j) at a time with two products each."""
+    f, nA = CA.field, CA.alg.dim
+    rels = []
+    for t in range(B.dim):
+        bvec = B.basis[t]
+        for i in range(nA):
+            xb = CA.alg.multiply(CA.alg.basis_vector(i), bvec)
+            for j in range(nA):
+                by = CA.alg.multiply(bvec, CA.alg.basis_vector(j))
+                v = ar.zeros(f, (nA, nA))
+                v[:, j] = xb
+                v[i] = ar.fsub(f, v[i], by)
+                rels.append(v.reshape(nA * nA, f.k))
+    return ar.row_space(f, np.stack(rels))
+
+
+def galois_check_loop(CA):
+    """galois_check with the relations from balanced_relations_loop."""
+    f = CA.field
+    nA, nH = CA.alg.dim, CA.hopf.dim
+    M = galois._canonical_map_matrix(CA)
+    R = balanced_relations_loop(CA, coinvariants(CA))
+    if np.any(ar.fmatmul(f, R, M) % f.p):
+        return False
+    return nA * nA - R.shape[0] == nA * nH and ar.rank(f, M) == nA * nH
+
+
+@pytest.mark.parametrize("order, quotient, want", [
+    (24, 2, True),     # F_5[Z/24] over F_5[Z/2]: coinvariants of dim 12
+    (4, 1, False),     # trivial coaction of F_5[Z/2]: every x is coinvariant
+])
+def test_galois_check_relations_match_loop(order, quotient, want):
+    f = Field(5)
+    G = group_algebra(f, cyclic_group_table(order))
+    Z2 = group_algebra(f, cyclic_group_table(2))
+    CA = group_quotient_coaction(G, [g % quotient for g in range(order)], Z2)
+    B = coinvariants(CA)
+    assert B.dim == order // quotient > 1
+    assert np.array_equal(galois._balanced_relations(CA.alg, B.basis),
+                          balanced_relations_loop(CA, B))
+    assert galois_check(CA) is want
+    assert galois_check_loop(CA) is want

@@ -1,7 +1,10 @@
 """Hopf algebra tests: axiom verification, convolution algebra, integrals,
 unimodularity flags, group algebras, and the internal dual."""
 
+import itertools
 import random
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -12,8 +15,9 @@ from hopfgal import Field
 from hopfgal import _arrays as ar
 from hopfgal import fdalg, hopf
 from hopfgal.errors import IntegralNotFound, NotAGroup, NotConvInvertible
+from hopfgal.exactfield import P_MAX
 from hopfgal.resliealg import u_restricted
-from hopfgal.speclab import borel_algebra
+from hopfgal.speclab import borel_algebra, sl2_algebra
 
 
 def s3_table():
@@ -389,3 +393,98 @@ def test_convolution2_matches_term_by_term_loop(H, product, nR, seed):
     G = rng.integers(0, f.p, size=(n, n, m.shape[1], f.k))
     assert np.array_equal(hopf.convolution2(H, F, G, m),
                           convolution2_loop(H, F, G, m))
+
+
+@pytest.mark.parametrize("case", ["f9", "F zero", "G zero", "budget 1"])
+def test_convolution2_edge_cases_match_loop(monkeypatch, case):
+    """F_9 (k = 2), operands with empty term lists, and chunks of one t."""
+    f = _F9 if case == "f9" else Field(3)
+    H = u_restricted(borel_algebra(3), f)[0]
+    rng = np.random.default_rng(7)
+    F, G = rng.integers(0, f.p, size=(2, H.dim, H.dim, H.dim, f.k))
+    if case == "F zero":
+        F[:] = 0
+    if case == "G zero":
+        G[:] = 0
+    if case == "budget 1":
+        monkeypatch.setattr(hopf, "CONV_CHUNK_TERMS", 1)
+    got = hopf.convolution2(H, F, G, H.alg.mul)
+    assert np.array_equal(got, convolution2_loop(H, F, G, H.alg.mul))
+    assert np.array_equal(hopf.convolution2(H, F, G, H.alg.mul, slice(2, 5)),
+                          got[2:5])
+    if case.endswith("zero"):
+        assert not got.any()
+
+
+def convolution2_exact(p, rho, F, G, m):
+    """convolution2 over the prime field F_p in Python integers, from the
+    terms of rho; m None is the outer product."""
+    n, nL, nR = rho.shape[:3]
+    nF, nG = F.shape[2], G.shape[2]
+    if m is None:
+        m = np.zeros((nF, nG, nF * nG, 1), dtype=np.int64)
+        a, b = np.divmod(np.arange(nF * nG), nG)
+        m[a, b, np.arange(nF * nG), 0] = 1
+    nOut = m.shape[2]
+    terms = [[(x, u, int(rho[i, x, u, 0])) for x in range(nL)
+              for u in range(nR) if rho[i, x, u, 0]] for i in range(n)]
+    out = np.zeros((n, n, nOut, 1), dtype=np.int64)
+    for i, j in itertools.product(range(n), repeat=2):
+        acc = [0] * nOut
+        for (x1, x2, c1), (y1, y2, c2) in itertools.product(terms[i],
+                                                            terms[j]):
+            for a in np.flatnonzero(F[x1, y1, :, 0]):
+                for b in np.flatnonzero(G[x2, y2, :, 0]):
+                    w = c1 * c2 * int(F[x1, y1, a, 0]) * int(G[x2, y2, b, 0])
+                    for o in np.flatnonzero(m[a, b, :, 0]):
+                        acc[o] += w * int(m[a, b, o, 0])
+        out[i, j, :, 0] = [v % p for v in acc]
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from([509, P_MAX]), dims=st.tuples(
+           st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+       density=st.sampled_from([0.3, 1.0]), outer=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_convolution2_is_exact_over_any_coaction(p, dims, density, outer,
+                                                 seed):
+    """convolution2 over a random coaction tensor (any terms, nL != nR
+    allowed) with random sparse or dense operands, entries drawn near p,
+    equals the Python-integer sum."""
+    n, nL, nR, nF, nG, nOut = dims
+    rng = np.random.default_rng(seed)
+
+    def operand(*shape):
+        x = rng.integers(p - 3, p, size=shape + (1,))
+        return np.where(rng.random(shape + (1,)) < density, x, 0)
+
+    rho, F, G = operand(n, nL, nR), operand(nL, nL, nF), operand(nR, nR, nG)
+    m = None if outer else operand(nF, nG, nOut)
+    C = types.SimpleNamespace(field=Field(p), coaction=rho)
+    assert np.array_equal(hopf.convolution2(C, F, G, m),
+                          convolution2_exact(p, rho, F, G, m))
+
+
+def test_convolution2_memory_on_the_sl2_cocycle():
+    """The sl2 p = 3 cone-fiber cocycle operands: heads gamma(x) gamma(y)
+    and tails gamma^-1(x y); the dense gathered path peaked at 8.4 MB."""
+    from hopfgal.resliealg import Fiber, FiberPoint, pbw_splitting
+
+    f = Field(3)
+    F = Fiber(sl2_algebra(3), FiberPoint.make(f, [1, 0, 0]))
+    sp = pbw_splitting(F)
+    H, A = sp.CA.hopf, sp.CA.alg
+    n = H.dim
+    g = sp.gamma.matrix
+    heads = fdalg._products(A, g, g)
+    tails = ar.fmatmul(f, H.alg.mul.reshape(n * n, n, 1),
+                       sp.inverse.matrix).reshape(n, n, n, 1)
+    tracemalloc.start()
+    try:
+        hopf.convolution2(H, heads, tails, A.mul)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.4e6
