@@ -5,6 +5,13 @@ over F_p (low degree first).  All kernels reduce mod p and mod the field
 modulus.  Products go through one integer matmul, `_imatmul`, which uses
 float64 BLAS whenever every dot product stays below 2^52 and is exact.
 
+At k > 1 a product x * b is sum_a x_a (t^a * b): `mul_images` gives the k
+multiplication images t^a * b (a < k) as rows of a k x k block, so `fmul`,
+`fmatmul` and the pivot update are each one integer matmul against the
+images of one operand.  `fmatmul` is (m, r k) x (r k, n k), with the images
+of the smaller operand; its dot products stay below r k (p - 1)^2, exact in
+int64 while that is below 2^63, and `_imatmul` splits longer inner sums.
+
 Sparse rows are CSR triples (row pointers, columns, (nnz, k) values);
 `csr_expand` lists the entries of chosen rows, the step of every row-wise
 sparse product in the package, and `scatter_add` sums terms into cells.
@@ -15,9 +22,14 @@ matmul, its remainder is eliminated one pivot at a time (on at most
 ROW_BLOCK rows), and the new pivot columns are cleared from the basis with
 one more matmul.  Tall systems such as the 15625 x 125 dual-integral system
 thus cost a few hundred small matmuls, not one full-height update per pivot.
+A pivot step finds its column and row by argmax over a nonzero mask and
+updates only the rows with a nonzero entry in its column, from that column
+on, by one rank-1 product; pivot inverses are memoised per field.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,30 +91,38 @@ def fsub(field: Field, a, b):
     return (a - b) % field.p
 
 
+def mul_images(field: Field, b):
+    """(..., k) -> (..., k, k): row a holds t^a * b, a < k.  A product
+    x * b is then sum_a x_a (t^a * b), one matmul against the images."""
+    k = field.k
+    img = b.reshape(-1, k) @ field._t_images
+    return (img % field.p).reshape(b.shape[:-1] + (k, k))
+
+
 def fmul(field: Field, a, b):
     """Elementwise field product of broadcastable coefficient arrays."""
-    p, k = field.p, field.k
-    if k == 1:
-        return (a * b) % p
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    full = np.zeros(shape + (2 * k - 1,), dtype=np.int64)
-    for i in range(k):
-        full[..., i:i + k] += a[..., i, None] * b
-    return np.tensordot(full % p, field._red, axes=([-1], [0])) % p
+    if field.k == 1:
+        return (a * b) % field.p
+    if a.size > b.size:
+        a, b = b, a
+    # the images of the smaller operand, contracted with the larger
+    return (b[..., None, :] @ mul_images(field, a))[..., 0, :] % field.p
 
 
 def fmatmul(field: Field, A, B):
-    """Matrix product: A (m, r, k) @ B (r, n, k) -> (m, n, k)."""
+    """Matrix product: A (m, r, k) @ B (r, n, k) -> (m, n, k).  At k > 1 it
+    is one _imatmul of A against the images of B, (m, r k) x (r k, n k), or
+    of the images of A against B when A is the smaller operand."""
     p, k = field.p, field.k
     if k == 1:
         return _imatmul(A[..., 0], B[..., 0], p)[..., None]
-    m, r = A.shape[0], A.shape[1]
-    n = B.shape[1]
-    full = np.zeros((m, n, 2 * k - 1), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            full[:, :, i + j] += _imatmul(A[:, :, i], B[:, :, j], p)
-    return np.tensordot(full % p, field._red, axes=([-1], [0])) % p
+    m, r, n = A.shape[0], A.shape[1], B.shape[1]
+    if m < n:
+        img = mul_images(field, A).transpose(0, 3, 1, 2).reshape(m * k, r * k)
+        C = _imatmul(img, B.transpose(0, 2, 1).reshape(r * k, n), p)
+        return C.reshape(m, k, n).transpose(0, 2, 1)
+    img = mul_images(field, B).transpose(0, 2, 1, 3).reshape(r * k, n * k)
+    return _imatmul(A.reshape(m, r * k), img, p).reshape(m, n, k)
 
 
 def _imatmul(a, b, mod):
@@ -110,6 +130,12 @@ def _imatmul(a, b, mod):
     batched over leading axes as np.matmul; uses float64 BLAS when every
     dot product stays below 2^52."""
     inner = a.shape[-1]
+    # int64 dot products of more than `step` terms could wrap: an F_{p^k}
+    # image matmul has inner r k, which can pass MAX_INNER when p is large
+    step = (2 ** 63 - 1) // (mod - 1) ** 2
+    if inner > step:
+        c = _imatmul(a[..., :step], b[..., :step, :], mod)
+        return (c + _imatmul(a[..., step:], b[..., step:, :], mod)) % mod
     # the float64 BLAS path wins only on large products; small integer
     # matmuls are exact and avoid the conversion overhead
     if a.size * b.shape[-1] > 32768 and inner * (mod - 1) * (mod - 1) < 2 ** 52:
@@ -132,12 +158,16 @@ def binary_power(x, e: int, mul, last=None):
 
 
 def scalar_inv(field: Field, a) -> np.ndarray:
-    return np.array(field.cinv(tuple(int(c) for c in a)), dtype=np.int64)
+    return _inv_images(field, tuple(int(c) for c in a))[0].copy()
 
 
-def _outer(field: Field, col, row):
-    """col (m, k) x row (n, k) -> (m, n, k) of field products."""
-    return fmul(field, col[:, None, :], row[None, :, :])
+@lru_cache(maxsize=4096)
+def _inv_images(field: Field, a: tuple) -> np.ndarray:
+    """Read-only mul_images of a^-1, memoised: elimination meets the same
+    few pivots again and again, and Field.cinv is Euclid in Python."""
+    img = mul_images(field, np.array(field.cinv(a), dtype=np.int64))
+    img.flags.writeable = False
+    return img
 
 
 def rref(field: Field, M: np.ndarray):
@@ -172,27 +202,44 @@ def rref(field: Field, M: np.ndarray):
 
 
 def _rref_rows(field: Field, M: np.ndarray):
-    """rref by single-pivot elimination, each pivot updating every row; M is
-    reduced mod p and is overwritten."""
-    p = field.p
+    """rref by single-pivot elimination; M is reduced mod p and is
+    overwritten.  A pivot updates only the rows with a nonzero entry in its
+    column, and only from that column on; nz tracks the nonzero cells."""
+    p, k = field.p, field.k
     m, n = M.shape[0], M.shape[1]
+    W = M[..., 0] if k == 1 else M
+    nz = W != 0 if k == 1 else M.any(axis=2)
     pivots = []
-    r = 0
-    c = 0
+    r = c = 0
     while r < m and c < n:
         # the next pivot column is the first nonzero one below row r
-        nz = np.flatnonzero(np.any(M[r:, c:, :], axis=(0, 2)))
-        if nz.size == 0:
+        cols = nz[r:, c:].any(axis=0)
+        j = int(cols.argmax())
+        if not cols[j]:
             break
-        c += int(nz[0])
-        i = r + int(np.flatnonzero(np.any(M[r:, c, :], axis=1))[0])
+        c += j
+        i = r + int(nz[r:, c].argmax())
         if i != r:
-            M[[r, i]] = M[[i, r]]
-        inv = scalar_inv(field, M[r, c])
-        M[r] = fmul(field, M[r], inv[None, :])
-        factors = M[:, c, :].copy()
-        factors[r] = 0
-        M = (M - _outer(field, factors, M[r])) % p
+            W[[r, i]] = W[[i, r]]
+            nz[[r, i]] = nz[[i, r]]
+        if k == 1:
+            row = W[r, c:] * pow(int(W[r, c]), -1, p) % p
+        else:
+            row = W[r, c:] @ _inv_images(field, tuple(W[r, c].tolist())) % p
+        W[r, c:] = row
+        # no later step reads column c of row r, so it leaves the mask
+        nz[r, c] = False
+        rows = np.flatnonzero(nz[:, c])
+        if rows.size:
+            sub = W[rows, c:]
+            if k == 1:
+                sub = (sub - sub[:, :1] * row) % p
+            else:
+                # the rank-1 update: factors against the images t^a * row
+                img = mul_images(field, row).transpose(1, 0, 2).reshape(k, -1)
+                sub = (sub - (sub[:, 0] @ img).reshape(sub.shape)) % p
+            W[rows, c:] = sub
+            nz[rows, c:] = sub != 0 if k == 1 else sub.any(axis=2)
         pivots.append(c)
         r += 1
         c += 1
@@ -256,58 +303,31 @@ def in_row_space(field: Field, basis: np.ndarray, v: np.ndarray) -> bool:
 
 def coords_in_row_space(field: Field, basis: np.ndarray, v: np.ndarray):
     """Coordinates (d, k) of v in the rref basis rows, or None."""
-    d = basis.shape[0]
-    if d == 0:
-        return None if np.any(v) else zeros(field, (0,))
-    pivots = _pivot_columns(basis)
-    if len(set(pivots)) == d:
-        sub = basis[:, pivots, :]
-        eye = identity(field, d)
-        if np.array_equal(sub, eye):
-            # basis is in rref: the only candidate coordinates are the pivot
-            # entries of v, so a residual check settles membership
-            coords = v[pivots, :].copy()
-            residual = (v - fmatmul(field, coords[None, :, :], basis)[0]) % field.p
-            return None if np.any(residual) else coords
-    stacked = np.concatenate([basis, v[None, :, :]], axis=0)
-    R, _ = rref(field, stacked)
-    if R.shape[0] != d:
-        return None
-    pivots = _pivot_columns(basis)
-    coords = v[pivots, :].copy()
-    return coords
+    coords = coords_in_row_space_many(field, basis, v[None])
+    return None if coords is None else coords[0]
 
 
 def coords_in_row_space_many(field: Field, basis: np.ndarray, V: np.ndarray):
     """Coordinates (t, d, k) of each row of V (t, n, k) in the rref basis
     rows, or None if any row falls outside the span."""
-    d = basis.shape[0]
-    t = V.shape[0]
+    d, t = basis.shape[0], V.shape[0]
     if d == 0:
         return None if np.any(V) else zeros(field, (t, 0))
     pivots = _pivot_columns(basis)
-    if len(set(pivots)) == d:
-        sub = basis[:, pivots, :]
-        eye = identity(field, d)
-        if np.array_equal(sub, eye):
-            coords = V[:, pivots, :].copy()
-            residual = (V - fmatmul(field, coords, basis)) % field.p
-            return None if np.any(residual) else coords
-    out = zeros(field, (t, d))
-    for i in range(t):
-        c = coords_in_row_space(field, basis, V[i])
-        if c is None:
+    coords = V[:, pivots, :].copy()
+    if np.array_equal(basis[:, pivots], identity(field, d)):
+        # basis is in rref: the only candidate coordinates are the pivot
+        # entries of each row, so a residual check settles membership
+        residual = (V - fmatmul(field, coords, basis)) % field.p
+        return None if np.any(residual) else coords
+    for v in V:
+        if rref(field, np.concatenate([basis, v[None]]))[0].shape[0] != d:
             return None
-        out[i] = c
-    return out
+    return coords
 
 
 def _pivot_columns(basis: np.ndarray):
-    pivots = []
-    for row in basis:
-        nz = np.flatnonzero(np.any(row, axis=1))
-        pivots.append(int(nz[0]))
-    return pivots
+    return basis.any(axis=2).argmax(axis=1).tolist()
 
 
 def csr_rows(m: int, n: int, cells: np.ndarray, vals: np.ndarray):

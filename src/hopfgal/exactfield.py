@@ -152,10 +152,11 @@ def _pirreducible(f, p):
 @lru_cache(maxsize=None)
 def _smallest_irreducible(p: int, k: int) -> tuple:
     """Monic irreducible of degree k over F_p with lexicographically smallest
-    coefficient vector (constant coefficient compared first)."""
+    coefficient vector (constant coefficient compared first).  At k > 1 the
+    search starts at constant term 1: T divides every tail with constant 0."""
     if k == 1:
         return (0, 1)
-    for tail in itertools.product(range(p), repeat=k):
+    for tail in itertools.product(range(1, p), *[range(p)] * (k - 1)):
         f = list(tail) + [1]
         if _pirreducible(f, p):
             return tuple(f)
@@ -170,7 +171,8 @@ class Field:
     """A prime field F_p or an explicit extension F_{p^k} presented over F_p.
     p must be a prime no larger than P_MAX, else BadPrime."""
 
-    __slots__ = ("p", "k", "modulus", "_red", "_red_rows", "_embed_cache")
+    __slots__ = ("p", "k", "modulus", "_red", "_red_rows", "_t_images",
+                 "_embed_cache")
 
     def __init__(self, p: int, k: int = 1, modulus=None):
         if p > P_MAX:
@@ -207,6 +209,9 @@ class Field:
                     red[d, i] = c
         self._red = red
         self._red_rows = [[int(c) for c in row] for row in red]
+        # row c: the coefficients of t^a * t^c for a < k, concatenated
+        ij = np.add.outer(np.arange(k), np.arange(k))
+        self._t_images = red[ij].reshape(k, k * k)
         self._embed_cache = {}
 
     @property

@@ -293,10 +293,13 @@ def _restrict_scalars(A: SCAlgebra) -> SCAlgebra:
     p, k, n = f.p, f.k, A.dim
     if k == 1:
         return A
+    # check before the (n k)^3 tensor is built
+    if n * k > DIM_CAP:
+        raise DimCapExceeded(
+            f"dimension {n} over {f} is {n * k} over F_{p}, above cap {DIM_CAP}")
     # (b_i t^a)(b_j t^b) = sum_m mul[i,j,m] t^(a+b) b_m, with mul[i,j,m] =
     # sum_c1 mul[i,j,m,c1] t^c1: T[c1, a, b, c] is coefficient c of t^(c1+a+b)
-    a_b = np.add.outer(np.arange(k), np.arange(k))
-    T = ar.fmul(f, np.eye(k, dtype=np.int64)[:, None, None], f._red[a_b][None])
+    T = ar.mul_images(f, f._t_images.reshape(k, k, k))
     mul = np.tensordot(A.mul, T, axes=([3], [0])) % p    # [i, j, m, a, b, c]
     mul = mul.transpose(0, 3, 1, 4, 2, 5).reshape(n * k, n * k, n * k, 1)
     return SCAlgebra(Field(p), mul, A.unit.reshape(n * k, 1))

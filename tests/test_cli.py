@@ -106,6 +106,14 @@ def test_fiber_wrong_arity(capsys, sl2_file):
     assert code == 2 and "coordinates" in err
 
 
+def test_fiber_past_the_cap_over_the_prime_field_exits_2(capsys, sl2_file):
+    # dim 27 over F_{3^19} is 513 over F_3, above the cap of 512
+    code, out, err = run(capsys, "fiber", "--lie", sl2_file,
+                         "--field", "3^19", "--lambda", "0,0,0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_scan_json_and_determinism(capsys, borel_file):
     code, out1, _ = run(capsys, "scan", "--lie", borel_file, "--field", "3")
     code2, out2, _ = run(capsys, "scan", "--lie", borel_file, "--field", "3")

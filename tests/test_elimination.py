@@ -3,8 +3,9 @@ Field.cmul / Field.cinv, over small and large primes and extension degrees,
 on row counts that cover zero, one and several row blocks of rref."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from hopfgal import Field
 from hopfgal import _arrays as ar
@@ -65,20 +66,28 @@ def null_basis(field, R, pivots, n):
 
 @st.composite
 def systems(draw):
-    """(field, M): an (m, n, k) matrix, often rank-deficient, with zero rows."""
+    """(field, M): an (m, n, k) matrix, often rank-deficient or sparse, with
+    zero rows."""
     field = draw(st.sampled_from(FIELDS))
     m = draw(st.integers(1, 200))
     n = draw(st.integers(1, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     p, k = field.p, field.k
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["thin", "dense", "sparse"]))
+    if kind == "thin":
         # product of thin random matrices: rank at most r
         r = draw(st.integers(0, 6))
         A = rng.integers(0, p, size=(m, r, k))
         B = rng.integers(0, p, size=(r, n, k))
         M = ar.fmatmul(field, A, B) if r else ar.zeros(field, (m, n))
-    else:
+    elif kind == "dense":
         M = rng.integers(0, p, size=(m, n, k))
+    else:
+        # at most a fifth of the cells nonzero, like the center and
+        # idempotent systems of a fiber scan: most pivots skip most rows
+        M = ar.zeros(field, (m, n))
+        cells = rng.choice(m * n, draw(st.integers(0, m * n // 5)), replace=False)
+        M.reshape(m * n, k)[cells] = rng.integers(0, p, size=(cells.size, k))
     M[rng.random(m) < draw(st.sampled_from([0.0, 0.2, 0.9]))] = 0
     return field, M
 
@@ -135,8 +144,14 @@ def test_solve_matches_gauss_jordan(case, consistent, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(field=st.sampled_from(FIELDS), m=st.integers(1, 12), r=st.integers(1, 12),
-       n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+@given(field=st.sampled_from(FIELDS), m=st.integers(0, 12), r=st.integers(0, 12),
+       n=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1))
+# over F_{p^k} fmatmul takes the images of A when m < n, else of B
+@example(field=Field(3, 3), m=2, r=5, n=9, seed=1)
+@example(field=Field(3, 3), m=9, r=5, n=2, seed=2)
+@example(field=Field(2, 4), m=0, r=3, n=4, seed=3)
+@example(field=Field(2, 4), m=4, r=0, n=3, seed=4)
+@example(field=Field(5, 2), m=3, r=4, n=0, seed=5)
 def test_fmatmul_matches_cmul_sums(field, m, r, n, seed):
     rng = np.random.default_rng(seed)
     A = rng.integers(0, field.p, size=(m, r, field.k))
@@ -152,6 +167,25 @@ def test_fmatmul_matches_cmul_sums(field, m, r, n, seed):
             row.append(acc)
         want.append(row)
     assert np.array_equal(ar.fmatmul(field, A, B), to_array(field, want, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from([Field(2, 2), Field(3, 2), Field(65537, 2),
+                              Field(2, 3), Field(5, 3), Field(2, 4),
+                              Field(3, 4)]),
+       shapes=mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fmul_matches_cmul_on_broadcast_shapes(field, shapes, seed):
+    rng = np.random.default_rng(seed)
+    k = field.k
+    a = rng.integers(0, field.p, size=shapes.input_shapes[0] + (k,))
+    b = rng.integers(0, field.p, size=shapes.input_shapes[1] + (k,))
+    got = ar.fmul(field, a, b)
+    assert got.shape == shapes.result_shape + (k,)
+    a, b = np.broadcast_to(a, got.shape), np.broadcast_to(b, got.shape)
+    for idx in np.ndindex(shapes.result_shape):
+        want = field.cmul(tuple(a[idx].tolist()), tuple(b[idx].tolist()))
+        assert tuple(got[idx].tolist()) == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from hopfgal.exactfield import (
     Field,
     Poly,
     _is_prime,
+    _pirreducible,
+    _smallest_irreducible,
     field_arith,
     splitting_extension,
 )
@@ -36,6 +40,22 @@ def test_deterministic_modulus():
     assert F9.modulus == (1, 0, 1)
     assert Field(3, 2).modulus == Field(3, 2).modulus
     assert Field(5, 3).modulus == Field(5, 3).modulus
+
+
+@pytest.mark.parametrize("p, k", [(p, k) for p in (2, 3, 5, 7)
+                                  for k in range(2, 13) if p ** k <= 3 ** 8])
+def test_modulus_search_matches_the_full_search(p, k):
+    # the full search also visits the tails with constant term 0
+    full = next(tuple(tail) + (1,) for tail in itertools.product(range(p), repeat=k)
+                if _pirreducible(list(tail) + [1], p))
+    assert _smallest_irreducible(p, k) == full
+
+
+@pytest.mark.parametrize("p, k", [(3, 19), (2, 20)])
+def test_large_extension_fields_build_fast(p, k):
+    start = time.perf_counter()
+    assert Field(p, k).order == p ** k
+    assert time.perf_counter() - start < 1.0
 
 
 def test_extension_multiplication():
@@ -171,3 +191,13 @@ def test_fmatmul_exact_up_to_the_prime_bound(p):
     A = np.full((1, MAX_INNER, 1), p - 1, dtype=np.int64)
     got = ar.fmatmul(f, A, A.transpose(1, 0, 2))
     assert int(got[0, 0, 0]) == MAX_INNER % p
+
+
+def test_imatmul_exact_past_the_int64_bound():
+    # an F_{p^k} product is one integer matmul of inner dimension r k, which
+    # at p near P_MAX can pass MAX_INNER: the dot products must not wrap
+    p = P_MAX
+    inner = 2 * MAX_INNER + 3
+    a = np.full((1, inner), p - 1, dtype=np.int64)
+    assert inner * (p - 1) ** 2 >= 2 ** 63
+    assert int(ar._imatmul(a, a.T, p)[0, 0]) == inner % p

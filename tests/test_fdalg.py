@@ -3,6 +3,7 @@ simple-module dimensions, with independently computed expected values."""
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hopfgal import fdalg, resliealg
 from hopfgal import _arrays as ar
 from hopfgal.errors import (
     ConsistencyCheckFailed,
+    DimCapExceeded,
     HopfgalError,
     RadicalChainFailed,
     ShapeMismatch,
@@ -695,6 +697,17 @@ def test_restrict_scalars_multiplies_as_the_algebra(build):
         got = B.multiply(x.reshape(n * f.k, 1), y.reshape(n * f.k, 1))
         assert np.array_equal(got, A.multiply(x, y).reshape(n * f.k, 1))
     assert np.array_equal(B.unit, A.unit.reshape(n * f.k, 1))
+
+
+def test_restriction_past_the_cap_raises_before_allocating():
+    # the sl2 p=3 fiber over F_{3^19} has dim 27, so 513 over F_3: the
+    # restriction would first build a 27^3 19^3 int64 tensor, about 1 GB
+    A = resliealg.Fiber(sl2_algebra(3), resliealg.FiberPoint.make(
+        Field(3, 19), [0, 0, 0])).alg
+    start = time.perf_counter()
+    with pytest.raises(DimCapExceeded):
+        fdalg.radical(A)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_is_ideal_rejects_one_sided_ideals():
