@@ -421,6 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # the caps are module globals: restore them on every exit path
+    saved = fdalg.DIM_CAP, resliealg.DIM_CAP, fdalg.SPLITTING_DEGREE_CAP
     try:
         cfg = (_load(args.config, "configuration", Config.from_json)
                if args.config else Config())
@@ -434,6 +436,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     except HopfgalError as exc:
         return _fail2(f"{args.command}: {exc}")
+    finally:
+        fdalg.DIM_CAP, resliealg.DIM_CAP, fdalg.SPLITTING_DEGREE_CAP = saved
 
 
 if __name__ == "__main__":

@@ -121,14 +121,6 @@ def _pirreducible(f, p):
     n = len(f) - 1
     if n < 1:
         return False
-    if n > 1:
-        # cheap pre-screen: a root in F_p means a linear factor
-        for a in range(p):
-            acc = 0
-            for c in reversed(f):
-                acc = (acc * a + c) % p
-            if acc == 0:
-                return False
     x = [0, 1]
     xq = _ppowmod(x, p ** n, f, p)
     if _ptrim(_psub(xq, x, p)):
@@ -153,11 +145,12 @@ def _pirreducible(f, p):
 def _smallest_irreducible(p: int, k: int) -> tuple:
     """Monic irreducible of degree k over F_p with lexicographically smallest
     coefficient vector (constant coefficient compared first).  At k > 1 the
-    search starts at constant term 1: T divides every tail with constant 0."""
+    search starts at constant term 1: T divides every tail with constant 0.
+    Tails are the base-p digits of a counter, so F_p is never materialised."""
     if k == 1:
         return (0, 1)
-    for tail in itertools.product(range(1, p), *[range(p)] * (k - 1)):
-        f = list(tail) + [1]
+    for m in range(p ** (k - 1), p ** k):
+        f = [m // p ** (k - 1 - j) % p for j in range(k)] + [1]
         if _pirreducible(f, p):
             return tuple(f)
     raise RuntimeError(f"no irreducible of degree {k} over F_{p}")  # unreachable

@@ -9,11 +9,12 @@ PBW monomials are written e^alpha = e_1^{a_1} ... e_n^{a_n} in the fixed
 basis order; fiber basis labels run over 0 <= a_i < p in lexicographic order
 (last exponent fastest).
 
-The structure tensor of a fiber is built by a chain of sparse products: the
-engine supplies only the n left-generator matrices (row t is e_i e^t), and
-each slab mul[alpha] is mul[alpha - delta_i] times the matrix of e_i, for
-the first nonzero exponent a_i of alpha.  The dict engine stays the
-reference arithmetic: tests compare the tensor with it, and it still
+Structure constants come from one chain of sparse products,
+`_structure_rows`: the engine supplies only the n left-generator matrices
+(row t is e_i e^t), and each row mul[alpha] is mul[alpha - delta_i] times the
+matrix of e_i, for the first nonzero exponent a_i of alpha.  `Fiber` streams
+the rows into its dense tensor; `Prop30Context` keeps the u(L) rows sparse.
+The dict engine stays the reference arithmetic: tests compare with it, and it
 computes the antipode and gamma^{-1} rows, the Prop. 30 oracles and
 `Fiber.element_from_dict`.
 """
@@ -410,15 +411,10 @@ class Fiber:
     """The reduced algebra U_lambda on the PBW basis {e^alpha : 0 <= a_i < p},
     together with the data needed for its u(L)-comodule structure.
 
-    `alg.mul[alpha]` (row beta is e^alpha e^beta) is built in label order as
-    mul[alpha - delta_i] @ Lambda_i, where i is the first nonzero exponent of
-    alpha (so e^alpha = e_i e^(alpha - delta_i)) and Lambda_i, the matrix of
-    left multiplication by e_i, is held in CSR form.  The straightening
-    engine (`engine`) computes only those n matrices, n p^n products in all.
-    Each step multiplies a sparse row, kept as the cells and values its own
-    step computed, by a CSR Lambda_i (`_sparse_times_csr`) and scatters the
-    result once into the dense tensor; a parent row lies at most p^(n-1)
-    rows back, so only the last p^(n-1) sparse rows are kept."""
+    `alg.mul[alpha]` (row beta is e^alpha e^beta) is filled one label at a
+    time from the sparse rows of `_structure_rows`, each scattered once into
+    the dense tensor as it is made; no cell list of the whole tensor is
+    held (1.48 M nonzeros for sl2 at p = 7, point (1, 2, 3))."""
 
     def __init__(self, L: RestrictedLie, point: FiberPoint):
         field = point.field
@@ -435,45 +431,14 @@ class Fiber:
         self.index = {a: i for i, a in enumerate(self.labels)}
         self.dim = dim
         self.engine = _Engine(L, field, lam=list(point.values))
-        self.alg = self._build_algebra()
-
-    def _build_algebra(self) -> SCAlgebra:
-        f = self.field
-        p, n, dim = self.L.p, self.L.dim, self.dim
-        mul = np.zeros((dim, dim, dim, f.k), dtype=np.int64)
-        mul[0] = ar.identity(f, dim)
-        gens = [self._left_generator(i) for i in range(n)]
-        # the sparse rows (sorted flat cells beta dim + gamma, values)
-        rows = {0: (np.arange(dim) * (dim + 1),
-                    np.tile(ar.unit_scalar(f), (dim, 1)))}
-        for ia in range(1, dim):
-            # mul[alpha] = mul[alpha - delta_i] @ Lambda_i, i the first
-            # nonzero exponent of alpha; no later row needs row ia - p^(n-1)
-            i = next(t for t in range(n) if self.labels[ia][t])
-            cells, vals = rows[ia] = _sparse_times_csr(
-                f, dim, *rows[ia - p ** (n - 1 - i)], gens[i])
-            rows.pop(ia - p ** (n - 1), None)
-            mul[ia].reshape(dim * dim, f.k)[cells] = vals
-        unit = ar.zeros(f, (dim,))
+        mul = np.zeros((dim, dim, dim, field.k), dtype=np.int64)
+        for ia, (cells, vals) in enumerate(
+                _structure_rows(self.engine, self.labels)):
+            mul[ia].reshape(dim * dim, field.k)[cells] = vals
+        unit = ar.zeros(field, (dim,))
         unit[0, 0] = 1
-        return SCAlgebra(f, mul, unit, labels=[list(a) for a in self.labels],
-                         check=False)
-
-    def _left_generator(self, i: int):
-        """Left multiplication by e_i on the PBW basis as a CSR matrix
-        (row pointers, columns, (nnz, k) values): row t is e_i e^t, from the
-        straightening engine."""
-        eng, index, k = self.engine, self.index, self.field.k
-        delta = tuple(int(t == i) for t in range(self.L.dim))
-        indptr, cols, vals = [0], [], []
-        for beta in self.labels:
-            for t, c in eng.mul_label({delta: eng.cone}, beta).items():
-                cols.append(index[t])
-                vals.append((c,) if k == 1 else c)
-            indptr.append(len(cols))
-        return (np.array(indptr, dtype=np.int64),
-                np.array(cols, dtype=np.int64),
-                np.array(vals, dtype=np.int64).reshape(len(cols), k))
+        self.alg = SCAlgebra(field, mul, unit, check=False,
+                             labels=[list(a) for a in self.labels])
 
     def splittings(self):
         """Every splitting beta + gamma = alpha of the PBW labels whose
@@ -517,6 +482,40 @@ class Fiber:
         return out
 
 
+def _structure_rows(engine: _Engine, labels: list[tuple]):
+    """The structure constants of the engine's U_lambda, one row per PBW
+    label alpha in order: the sorted flat cells beta dim + gamma of the
+    nonzero coordinates gamma of e^alpha e^beta, and their (nnz, k) values.
+
+    Row alpha is row alpha - delta_i times Lambda_i (`_sparse_times_csr`),
+    i the first nonzero exponent of alpha, and Lambda_i, left multiplication
+    by e_i, a CSR matrix from the engine: n p^n engine products in all.  A
+    parent row lies at most p^(n-1) rows back; only those rows are kept."""
+    f, p, n, dim = engine.field, engine.p, engine.n, len(labels)
+    index = {a: i for i, a in enumerate(labels)}
+    gens = []
+    for i in range(n):
+        delta = tuple(int(t == i) for t in range(n))
+        indptr, cols, vals = [0], [], []
+        for beta in labels:
+            for t, c in engine.mul_label({delta: engine.cone}, beta).items():
+                cols.append(index[t])
+                vals.append((c,) if f.k == 1 else c)
+            indptr.append(len(cols))
+        gens.append((np.array(indptr, dtype=np.int64),
+                     np.array(cols, dtype=np.int64),
+                     np.array(vals, dtype=np.int64).reshape(len(cols), f.k)))
+    rows = {0: (np.arange(dim) * (dim + 1),
+                np.tile(ar.unit_scalar(f), (dim, 1)))}
+    yield rows[0]
+    for ia in range(1, dim):
+        i = next(t for t in range(n) if labels[ia][t])
+        rows[ia] = _sparse_times_csr(f, dim, *rows[ia - p ** (n - 1 - i)],
+                                     gens[i])
+        rows.pop(ia - p ** (n - 1), None)
+        yield rows[ia]
+
+
 def _sparse_times_csr(field: Field, n: int, cells: np.ndarray,
                       vals: np.ndarray, csr):
     """X @ C for a sparse X with n columns, given as the flat cells r n + t
@@ -538,10 +537,6 @@ def _sparse_times_csr(field: Field, n: int, cells: np.ndarray,
     acc = np.add.reduceat(terms[order], start, axis=0) % field.p
     keep = acc.any(axis=1)
     return out[start[keep]], acc[keep]
-
-
-def fiber_algebra(L: RestrictedLie, point: FiberPoint) -> Fiber:
-    return Fiber(L, point)
 
 
 # ---------------------------------------------------------------------------
@@ -602,10 +597,13 @@ def _pbw_inverse_rows(F: Fiber) -> np.ndarray:
     """The reversed signed product (-1)^|alpha| e_n^{a_n} ... e_1^{a_1} of
     every PBW label, reduced in U_lambda: gamma^{-1}(e^alpha) for the PBW
     splitting, and on the zero fiber the antipode of u(L).  Rows are
-    U_lambda coordinate vectors."""
-    f = F.field
+    U_lambda coordinate vectors.  Computed once per fiber, cached on it and
+    read-only."""
+    inv = getattr(F, "_inverse_rows", None)
+    if inv is not None:
+        return inv
     eng = F.engine
-    inv = ar.zeros(f, (F.dim, F.dim))
+    inv = ar.zeros(F.field, (F.dim, F.dim))
     for ia, alpha in enumerate(F.labels):
         elem = eng.unit()
         for j in range(F.L.dim - 1, -1, -1):
@@ -614,6 +612,8 @@ def _pbw_inverse_rows(F: Fiber) -> np.ndarray:
         if sum(alpha) % 2:
             elem = eng.scale(elem, eng.cneg(eng.cone))
         inv[ia] = F.element_from_dict(elem)
+    inv.flags.writeable = False
+    F._inverse_rows = inv
     return inv
 
 
@@ -625,9 +625,7 @@ def _u_engine(F: Fiber) -> _Engine:
     """A cached u(L) straightening engine over the fiber's field."""
     eng = getattr(F, "_zero_engine", None)
     if eng is None:
-        zero = FiberPoint.make(F.field, [0] * F.L.dim)
-        eng = _Engine(F.L, F.field, lam=list(zero.values))
-        F._zero_engine = eng
+        eng = F._zero_engine = _Engine(F.L, F.field, lam=[0] * F.L.dim)
     return eng
 
 
@@ -721,12 +719,14 @@ class Prop30Context:
 
     sigma(x, y) sums U_lambda products head * tail over the splittings: the
     head e^{x_1} e^{y_1} is a row of the fiber's mul, the tail
-    gamma^{-1}(x_2 y_2) a u(L) product mapped by gamma^{-1}.  Heads, tails
-    and the splittings of every label are CSR rows (a head or a tail has
+    gamma^{-1}(x_2 y_2) a u(L) product mapped by gamma^{-1}.  u(L) is held
+    only as CSR rows (row b N + d is e^b e^d) from `_structure_rows` on the
+    `_u_engine`: no dense (N, N, N) u(L) and no second Fiber.  Heads, tails
+    and the splittings of every label are CSR rows too (a head or a tail has
     about 7 nonzeros of 125 at p = 5).  Sigma values live in an (N, N)
     table, -1 where not yet evaluated; `multiply` reads its values from the
     table, evaluates the missing ones in one `_evaluate` call and sums the
-    u(L) rows x_2 y_2 once.  prop30_sigma / prop30_multiply are the oracle.
+    u(L) rows x_2 y_2 in int64.  prop30_sigma / prop30_multiply are the oracle.
     """
 
     def __init__(self, F: Fiber):
@@ -736,26 +736,25 @@ class Prop30Context:
                 "the vectorized twisted-product formula is implemented for "
                 "prime fields; use prop30_multiply elsewhere")
         p, N = F.L.p, F.dim
+        NN = N * N
         self.F, self.p, self.N = F, p, N
-        u0 = Fiber(F.L, FiberPoint.make(f, [0] * F.L.dim)).alg.mul
-        self.u0_flat = u0[:, :, :, 0].reshape(N * N, N)
         mul = F.alg.mul.reshape(-1)
         nz = np.flatnonzero(mul)
-        self._mul = ar.csr_rows(N * N, N, nz, mul[nz])
+        self._mul = ar.csr_rows(NN, N, nz, mul[nz])
         ginv = _pbw_inverse_rows(F).reshape(-1, 1)
         nz = np.flatnonzero(ginv)
         ginv = ar.csr_rows(N, N, nz, ginv[nz])
-        # tails gamma^{-1}(e^b e^d) for every label pair: the u(L) slabs of
-        # e^b times gamma^{-1}, a few per product to keep temporaries small
-        cells, vals, step = [], [], max(1, 2 ** 16 // (N * N))
-        for b in range(0, N, step):
-            slab = u0[b:b + step].reshape(-1, 1)
-            nz = np.flatnonzero(slab)
-            c, v = _sparse_times_csr(f, N, nz, slab[nz], ginv)
-            cells.append(c + b * N * N)
-            vals.append(v[:, 0])
-        self._tails = ar.csr_rows(N * N, N,
-                                  *map(np.concatenate, (cells, vals)))
+        # the u(L) rows e^b e^d, and the tails gamma^{-1}(e^b e^d): one
+        # label b at a time, at most N^2 cells each
+        u, tails = [], []
+        for b, (cells, vals) in enumerate(
+                _structure_rows(_u_engine(F), F.labels)):
+            u.append((cells + b * NN, vals[:, 0]))
+            c, v = _sparse_times_csr(f, N, cells, vals, ginv)
+            tails.append((c + b * NN, v[:, 0]))
+        self._u, self._tails = (
+            ar.csr_rows(NN, N, *map(np.concatenate, zip(*rows)))
+            for rows in (u, tails))
         # the splittings x_1 + x_2 = a of label a: CSR row a lists their
         # labels x_1, x_2 and binomial coefficients
         a, self._x1, self._x2, self._binom = F.splittings()
@@ -848,7 +847,11 @@ class Prop30Context:
             mu, mv = np.nonzero(s < 0)
             self._evaluate(x1[mu, 0], y1[0, mv])
             s = self.sigma[x1, y1]
-        w = self._binom[u, None] * self._binom[None, v] % p * s % p
-        rows = self.u0_flat[self._x2[u, None] * N + self._x2[None, v]]
-        return (w.reshape(-1) @ rows.reshape(-1, N) % p)[:, None]
-
+        w = (self._binom[u, None] * self._binom[None, v] % p * s % p).ravel()
+        # the u(L) rows x_2 y_2, summed in int64: below N^3 p^2 < 2^46
+        uptr, ucols, uvals = self._u
+        src, pos = ar.csr_expand(
+            uptr, (self._x2[u, None] * N + self._x2[None, v]).ravel())
+        out = np.zeros(N, dtype=np.int64)
+        np.add.at(out, ucols[pos], w[src] * uvals[pos])
+        return out[:, None] % p

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hopfgal import _arrays as ar
-from hopfgal import cli, fdalg, speclab
+from hopfgal import cli, fdalg, resliealg, speclab
 from hopfgal.exactfield import Field
 from hopfgal.fdalg import SCAlgebra, simples
 from hopfgal.galois import Cocycle, group_quotient_coaction
@@ -290,6 +290,25 @@ def test_config_bad_values_exit_2(capsys, tmp_path, borel_file, settings):
     assert code == 2 and "bad configuration" in err and out == ""
     # a rejected configuration sets no cap
     assert (fdalg.DIM_CAP, fdalg.SPLITTING_DEGREE_CAP) == (512, 12)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["builtin", "sl2", "--p", "3"], 0),
+    (["fiber", "--lie", "SL2", "--lambda", "0,0,1"], 2),
+    (["builtin", "sl2", "--p", "2"], 2),
+])
+def test_config_caps_do_not_outlive_main(capsys, tmp_path, sl2_file, argv,
+                                         want):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dim_cap": 8, "splitting_degree_cap": 3}))
+    argv = [sl2_file if a == "SL2" else a for a in argv]
+    code, _, err = run(capsys, "--config", str(path), *argv)
+    assert code == want
+    if argv[0] == "fiber":
+        # the lowered cap held during the call: dim 27 > 8
+        assert "exceeds the cap 8" in err
+    assert (fdalg.DIM_CAP, resliealg.DIM_CAP, fdalg.SPLITTING_DEGREE_CAP) \
+        == (512, 512, 12)
 
 
 def test_config_unknown_key(capsys, tmp_path, borel_file):

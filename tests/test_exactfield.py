@@ -58,6 +58,35 @@ def test_large_extension_fields_build_fast(p, k):
     assert time.perf_counter() - start < 1.0
 
 
+# the moduli the search chooses; the Rabin test alone decides irreducibility
+PINNED_MODULI = {
+    (3, 19): (1,) + (0,) * 16 + (1, 2, 1),
+    (2, 20): (1,) + (0,) * 16 + (1, 0, 0, 1),
+    (5, 2): (1, 1, 1),
+    (7, 3): (1, 0, 1, 1),
+    (3, 2): (1, 0, 1),
+    (2, 8): (1, 0, 0, 0, 1, 1, 0, 1, 1),
+    (509, 2): (1, 1, 1),
+    (101, 3): (1, 0, 1, 1),
+    (3, 12): (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1),
+    (5, 6): (1, 0, 0, 0, 1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("p, k", sorted(PINNED_MODULI))
+def test_modulus_is_pinned(p, k):
+    assert Field(p, k).modulus == PINNED_MODULI[p, k]
+
+
+def test_quadratic_field_over_the_largest_prime_builds_fast():
+    # the search must not materialise F_p: P_MAX = 1 mod 4, so x^2 + 1 is
+    # reducible and x^2 + x + 1 is the second candidate
+    _smallest_irreducible.cache_clear()
+    start = time.perf_counter()
+    assert Field(P_MAX, 2).modulus == (1, 1, 1)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_extension_multiplication():
     t = F9.gen
     # t^2 = -1 mod t^2+1

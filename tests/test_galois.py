@@ -53,9 +53,9 @@ from hopfgal.hopf import (
     left_integral_dual,
 )
 from hopfgal.resliealg import (
+    Fiber,
     FiberPoint,
     RestrictedLie,
-    fiber_algebra,
     fiber_coaction,
     pbw_splitting,
     prop30_sigma,
@@ -192,7 +192,7 @@ def test_galois_check_fails_on_trivial_coaction():
 
 def test_galois_check_fiber_scalars():
     L = borel(3)
-    F = fiber_algebra(L, FiberPoint.make(F3, [0, 1]))
+    F = Fiber(L, FiberPoint.make(F3, [0, 1]))
     CA = fiber_coaction(F)
     assert coinvariants(CA).dim == 1
     assert galois_check(CA) is True
@@ -295,7 +295,7 @@ def test_fiber_pbw_splitting_cocycle_matches_direct_formula():
     # the cocycle of the PBW splitting must agree with the independently
     # implemented straightening-engine formula
     L = borel(3)
-    F = fiber_algebra(L, FiberPoint.make(F3, [2, 0]))
+    F = Fiber(L, FiberPoint.make(F3, [2, 0]))
     CA = fiber_coaction(F)
     sp = pbw_splitting(F, CA)
     sig = splitting_to_cocycle(sp)
@@ -314,7 +314,7 @@ def test_fiber_pbw_splitting_cocycle_matches_direct_formula():
 def test_twisted_product_conventions_round_trip(lie, point):
     # the cocycle of the PBW cleaving map twists back to the fiber under
     # "standard" and to its opposite algebra under "paper"
-    F = fiber_algebra(lie(3), FiberPoint.make(F3, point))
+    F = Fiber(lie(3), FiberPoint.make(F3, point))
     sp = pbw_splitting(F)
     for convention, want in (("standard", F.alg.mul),
                              ("paper", F.alg.mul.transpose(1, 0, 2, 3))):
@@ -434,7 +434,7 @@ def test_equivariance_requires_cocommutative():
 
 def test_pbw_splitting_equivariance_is_reported_not_assumed():
     L = borel(3)
-    F = fiber_algebra(L, FiberPoint.make(F3, [1, 0]))
+    F = Fiber(L, FiberPoint.make(F3, [1, 0]))
     sp = pbw_splitting(F)
     # both internal routes must agree; the value itself is data, not an axiom
     flag = is_equivariant_splitting(sp)
@@ -499,7 +499,7 @@ def test_frobenius_form_group_regular():
 def test_frobenius_form_fiber_borel():
     # nondegenerate, but not symmetric: the Borel algebra is not unimodular
     L = borel(3)
-    F = fiber_algebra(L, FiberPoint.make(F3, [0, 1]))
+    F = Fiber(L, FiberPoint.make(F3, [0, 1]))
     CA = fiber_coaction(F)
     H, _ = u_restricted(L)
     lam = left_integral_dual(H)
@@ -511,7 +511,7 @@ def test_frobenius_form_fiber_borel():
 
 def test_frobenius_form_fiber_sl2():
     L = sl2(3)
-    F = fiber_algebra(L, FiberPoint.make(F3, [0, 0, 1]))
+    F = Fiber(L, FiberPoint.make(F3, [0, 0, 1]))
     CA = fiber_coaction(F)
     H, _ = u_restricted(L)
     lam = left_integral_dual(H)
@@ -539,7 +539,7 @@ def test_winding_borel_over_f9():
     a = F9.gen
     L = borel(3)
     lam_h = a * a * a - a
-    F = fiber_algebra(L, FiberPoint(F9, (lam_h, F9.scalar(0))))
+    F = Fiber(L, FiberPoint(F9, (lam_h, F9.scalar(0))))
     alpha = find_one_dim_rep(F)
     assert alpha[1].is_zero()  # alpha(e) = 0 is forced by the bracket
     assert alpha[0].frobenius() - alpha[0] == lam_h
@@ -557,7 +557,7 @@ def test_winding_count_of_liftable_points():
     L = borel(3)
     good = 0
     for lam in F9.elements():
-        F = fiber_algebra(L, FiberPoint(F9, (lam, F9.scalar(0))))
+        F = Fiber(L, FiberPoint(F9, (lam, F9.scalar(0))))
         try:
             find_one_dim_rep(F)
             good += 1
@@ -568,14 +568,14 @@ def test_winding_count_of_liftable_points():
 
 def test_winding_regular_sl2_has_no_rep():
     L = sl2(3)
-    F = fiber_algebra(L, FiberPoint.make(F3, [0, 0, 1]))
+    F = Fiber(L, FiberPoint.make(F3, [0, 0, 1]))
     with pytest.raises(NoOneDimRep):
         winding_iso(F)
 
 
 def test_winding_zero_fiber_is_identity_like():
     L = borel(3)
-    F = fiber_algebra(L, FiberPoint.make(F3, [0, 0]))
+    F = Fiber(L, FiberPoint.make(F3, [0, 0]))
     iso = winding_iso(F)
     ident = np.zeros((9, 9, 1), dtype=np.int64)
     for i in range(9):
@@ -608,9 +608,9 @@ def winding_cases():
     for f in (F3, F9, Field(5), Field(7)):
         for a in f.elements():
             lam = (a.frobenius() - a, f.scalar(0))
-            yield fiber_algebra(borel(f.p), FiberPoint(f, lam)), [a, f.zero]
+            yield Fiber(borel(f.p), FiberPoint(f, lam)), [a, f.zero]
     for p in (3, 5):
-        yield fiber_algebra(sl2(p), FiberPoint.make(Field(p), [0, 0, 0])), None
+        yield Fiber(sl2(p), FiberPoint.make(Field(p), [0, 0, 0])), None
 
 
 def test_winding_matches_monomial_loop():
@@ -649,7 +649,7 @@ def algebra_map_failures_loop(CA):
 def _corrupted_coaction(lie, field, point, entries):
     """The fiber's coaction with entries (i, a, u) -> value overwritten,
     u != 0 so that the counit law still holds."""
-    F = fiber_algebra(lie, FiberPoint.make(field, point))
+    F = Fiber(lie, FiberPoint.make(field, point))
     H, _ = u_restricted(lie, field)
     rho = F.binomial_tensor()
     for (i, a, u), value in entries.items():
@@ -713,7 +713,7 @@ def test_coassociativity_fails_at_the_corrupted_index(monkeypatch, lie, field,
         monkeypatch.setattr(galois, "ALGEBRA_MAP_CELLS", cells)
         assert CA._first_coassociativity_failure() == i
         assert want in CA.verify(full=False)
-    clean = fiber_coaction(fiber_algebra(lie, FiberPoint.make(field, point)))
+    clean = fiber_coaction(Fiber(lie, FiberPoint.make(field, point)))
     assert clean._first_coassociativity_failure() is None
 
 

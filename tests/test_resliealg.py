@@ -4,6 +4,7 @@ oracle and the cocycle-formula product cross-check."""
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,7 +126,7 @@ def test_fiber_dimension_and_verify():
     L = sl2(3)
     f = Field(3)
     for lam in ([0, 0, 0], [0, 0, 1], [1, 0, 0], [2, 1, 2]):
-        F = resliealg.fiber_algebra(L, resliealg.FiberPoint.make(f, lam))
+        F = resliealg.Fiber(L, resliealg.FiberPoint.make(f, lam))
         assert F.dim == 27
         assert fdalg.algebra_verify(F.alg) == []
 
@@ -134,7 +135,7 @@ def test_fiber_over_extension_field():
     L = sl2(3)
     f9 = Field(3, 2)
     a = f9.gen
-    F = resliealg.fiber_algebra(L, resliealg.FiberPoint.make(f9, [a, 0, 1]))
+    F = resliealg.Fiber(L, resliealg.FiberPoint.make(f9, [a, 0, 1]))
     assert fdalg.algebra_verify(F.alg) == []
     # e^3 = lambda_e * 1 in the fiber
     e = F.alg.basis_vector(F.index[(1, 0, 0)])
@@ -148,7 +149,7 @@ def test_fiber_h_cube_relation():
     # h^3 = h + lambda_h in U_lambda since h^[3] = h
     L = sl2(3)
     f = Field(3)
-    F = resliealg.fiber_algebra(L, resliealg.FiberPoint.make(f, [0, 2, 0]))
+    F = resliealg.Fiber(L, resliealg.FiberPoint.make(f, [0, 2, 0]))
     h = F.alg.basis_vector(F.index[(0, 1, 0)])
     cube = F.alg.power(h, 3)
     expected = ar.zeros(f, (27,))
@@ -162,7 +163,7 @@ def test_dim_cap():
                                        np.zeros((6, 6)))
     f = Field(3)
     with pytest.raises(DimCapExceeded):
-        resliealg.fiber_algebra(abelian6, resliealg.FiberPoint.make(f, [0] * 6))
+        resliealg.Fiber(abelian6, resliealg.FiberPoint.make(f, [0] * 6))
 
 
 def assert_engine_products(F, pairs):
@@ -181,7 +182,7 @@ def all_pairs(F):
 def test_fiber_build_matches_engine_sl2_p3():
     f = Field(3)
     for lam in ([0, 0, 1], [1, 0, 0], [0, 0, 0]):  # regular, cone, zero
-        F = resliealg.fiber_algebra(sl2(3), resliealg.FiberPoint.make(f, lam))
+        F = resliealg.Fiber(sl2(3), resliealg.FiberPoint.make(f, lam))
         assert_engine_products(F, all_pairs(F))
 
 
@@ -192,7 +193,7 @@ def test_fiber_build_matches_engine_sl2_f9():
     for lam in ([[0, 0], [0, 0], [0, 1]], [[1, 2], [0, 2], [0, 0]],
                 [[0, 0], [0, 0], [1, 0]], [[1, 0], [0, 0], [0, 0]],
                 [[0, 0], [0, 0], [0, 0]]):
-        F = resliealg.fiber_algebra(L, resliealg.FiberPoint.make(f9, lam))
+        F = resliealg.Fiber(L, resliealg.FiberPoint.make(f9, lam))
         assert_engine_products(F, all_pairs(F))
 
 
@@ -200,8 +201,8 @@ def test_fiber_build_matches_engine_borel():
     for p in (3, 5):
         f = Field(p)
         for lam in ([0, 0], [1, 0], [p - 1, 2]):
-            F = resliealg.fiber_algebra(borel(p),
-                                        resliealg.FiberPoint.make(f, lam))
+            F = resliealg.Fiber(borel(p),
+                               resliealg.FiberPoint.make(f, lam))
             assert_engine_products(F, all_pairs(F))
 
 
@@ -209,7 +210,7 @@ def test_fiber_build_matches_engine_one_generator_p101():
     # x^[p] = x, so x^p = x + lambda: products wrap around at exponent p
     p = 101
     L = resliealg.RestrictedLie(p, np.zeros((1, 1, 1)), np.ones((1, 1)))
-    F = resliealg.fiber_algebra(L, resliealg.FiberPoint.make(Field(p), [7]))
+    F = resliealg.Fiber(L, resliealg.FiberPoint.make(Field(p), [7]))
     assert F.dim == p
     assert_engine_products(F, all_pairs(F))
 
@@ -218,7 +219,7 @@ def test_fiber_build_matches_engine_sl2_p5_seeded_pairs():
     rng = random.Random(5)
     f = Field(5)
     for lam in ([1, 2, 3], [0, 0, 1]):
-        F = resliealg.fiber_algebra(sl2(5), resliealg.FiberPoint.make(f, lam))
+        F = resliealg.Fiber(sl2(5), resliealg.FiberPoint.make(f, lam))
         pairs = [(rng.randrange(F.dim), rng.randrange(F.dim))
                  for _ in range(300)]
         assert_engine_products(F, pairs + [(F.dim - 1, F.dim - 1)])
@@ -237,7 +238,7 @@ def test_fiber_build_matches_engine_four_generators():
     L = resliealg.RestrictedLie(p, c, P, labels=["e", "h", "f", "x"])
     rng = random.Random(4)
     for lam in ([1, 0, 0, 2], [0, 0, 0, 0]):
-        F = resliealg.fiber_algebra(L, resliealg.FiberPoint.make(Field(p), lam))
+        F = resliealg.Fiber(L, resliealg.FiberPoint.make(Field(p), lam))
         pairs = [(rng.randrange(F.dim), rng.randrange(F.dim))
                  for _ in range(300)]
         assert_engine_products(F, pairs + [(F.dim - 1, F.dim - 1)])
@@ -312,7 +313,7 @@ def test_chi_convention():
 def test_prop30_sigma_units():
     L = sl2(3)
     f = Field(3)
-    F = resliealg.fiber_algebra(L, resliealg.FiberPoint.make(f, [1, 0, 0]))
+    F = resliealg.Fiber(L, resliealg.FiberPoint.make(f, [1, 0, 0]))
     assert resliealg.prop30_sigma(F, 0, 0) == f.one
     # sigma(x (x) 1) = eps(x), sigma(1 (x) y) = eps(y)
     for i in range(F.dim):
@@ -326,7 +327,7 @@ def test_prop30_multiply_matches_structure_constants():
     f = Field(3)
     rng = random.Random(23)
     for lam in ([0, 0, 1], [1, 0, 0]):
-        F = resliealg.fiber_algebra(L, resliealg.FiberPoint.make(f, lam))
+        F = resliealg.Fiber(L, resliealg.FiberPoint.make(f, lam))
         cache = {}
         pairs = [(rng.randrange(27), rng.randrange(27)) for _ in range(40)]
         pairs += [(0, 5), (5, 0), (26, 26)]
@@ -339,7 +340,7 @@ def test_prop30_multiply_matches_structure_constants():
 def test_prop30_multiply_borel_exhaustive():
     L = borel(3)
     f = Field(3)
-    F = resliealg.fiber_algebra(L, resliealg.FiberPoint.make(f, [2, 1]))
+    F = resliealg.Fiber(L, resliealg.FiberPoint.make(f, [2, 1]))
     cache = {}
     for i in range(9):
         for j in range(9):
@@ -351,7 +352,7 @@ def test_prop30_multiply_borel_exhaustive():
 def test_prop30_multiply_at_zero_is_u_product():
     L = borel(3)
     f = Field(3)
-    F = resliealg.fiber_algebra(L, resliealg.FiberPoint.make(f, [0, 0]))
+    F = resliealg.Fiber(L, resliealg.FiberPoint.make(f, [0, 0]))
     cache = {}
     for i in range(9):
         for j in range(9):
@@ -402,7 +403,7 @@ def _binomial_tensor_loop(F):
     (sl2(3), Field(3, 2), [0, 1, 0]),
 ])
 def test_binomial_tensor_matches_splitting_loop(lie, field, point):
-    F = resliealg.fiber_algebra(lie, resliealg.FiberPoint.make(field, point))
+    F = resliealg.Fiber(lie, resliealg.FiberPoint.make(field, point))
     T = F.binomial_tensor()
     assert T.dtype == np.int64
     assert np.array_equal(T, _binomial_tensor_loop(F))
@@ -438,14 +439,14 @@ def test_prop30_context_matches_engine_on_all_borel_f3_points():
     f = Field(3)
     pairs = [(i, j) for i in range(9) for j in range(9)]
     for point in itertools.product(range(3), repeat=2):
-        F = resliealg.fiber_algebra(borel(3),
-                                    resliealg.FiberPoint.make(f, point))
+        F = resliealg.Fiber(borel(3),
+                           resliealg.FiberPoint.make(f, point))
         _check_prop30_context(F, pairs)
 
 
 def test_prop30_context_matches_engine_on_borel_p5():
-    F = resliealg.fiber_algebra(borel(5),
-                                resliealg.FiberPoint.make(Field(5), [3, 2]))
+    F = resliealg.Fiber(borel(5),
+                       resliealg.FiberPoint.make(Field(5), [3, 2]))
     rng = random.Random(305)
     pairs = [(rng.randrange(25), rng.randrange(25)) for _ in range(8)]
     _check_prop30_context(F, pairs)
@@ -453,7 +454,7 @@ def test_prop30_context_matches_engine_on_borel_p5():
 
 
 def test_prop30_context_matches_engine_at_p101():
-    F = resliealg.fiber_algebra(
+    F = resliealg.Fiber(
         _one_generator(101), resliealg.FiberPoint.make(Field(101), [1]))
     rng = random.Random(1101)
     small = [(rng.randrange(12), rng.randrange(12)) for _ in range(6)]
@@ -464,8 +465,8 @@ def test_prop30_context_matches_engine_at_p101():
 
 
 def test_prop30_context_rejects_a_non_scalar_sigma():
-    F = resliealg.fiber_algebra(borel(3),
-                                resliealg.FiberPoint.make(Field(3), [1, 2]))
+    F = resliealg.Fiber(borel(3),
+                       resliealg.FiberPoint.make(Field(3), [1, 2]))
 
     def corrupted():
         # the tail gamma^{-1}(e^(0,1) e^(0,0)) = -e^(0,1) of the term
@@ -488,8 +489,8 @@ def test_prop30_context_rejects_a_non_scalar_sigma():
 
 @pytest.mark.parametrize("cells", [1, 3000])
 def test_prop30_context_chunking_does_not_change_results(monkeypatch, cells):
-    F = resliealg.fiber_algebra(sl2(3),
-                                resliealg.FiberPoint.make(Field(3), [1, 0, 0]))
+    F = resliealg.Fiber(sl2(3),
+                       resliealg.FiberPoint.make(Field(3), [1, 0, 0]))
     ctx = resliealg.Prop30Context(F)
     want_sigma = np.array([[ctx.sigma_value(i, j) for j in range(27)]
                            for i in range(27)])
@@ -499,3 +500,35 @@ def test_prop30_context_chunking_does_not_change_results(monkeypatch, cells):
     got = [ctx.multiply(i, j) for i in range(27) for j in range(27)]
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert np.array_equal(ctx.sigma, want_sigma)
+
+
+def test_inverse_rows_are_swept_once_per_fiber(monkeypatch):
+    F = resliealg.Fiber(sl2(3), resliealg.FiberPoint.make(Field(3), [0, 0, 1]))
+    calls = []
+    unit = F.engine.unit
+    monkeypatch.setattr(F.engine, "unit", lambda: calls.append(1) or unit())
+    sp = resliealg.pbw_splitting(F)
+    ctx = resliealg.Prop30Context(F)
+    # a sweep of the fiber's engine starts once from the unit per label
+    assert len(calls) == F.dim
+    assert sp.inverse.matrix is resliealg._pbw_inverse_rows(F)
+    assert ctx.multiply(5, 7).tolist() == F.alg.mul[5, 7].tolist()
+
+
+def test_prop30_context_holds_u_only_as_sparse_rows():
+    F = resliealg.Fiber(sl2(5), resliealg.FiberPoint.make(Field(5), [1, 2, 3]))
+    N = F.dim
+    tracemalloc.start()
+    try:
+        ctx = resliealg.Prop30Context(F)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a dense u(L) alone is N^3 int64 cells
+    assert peak < N ** 3 * 8
+    arrays = [a for v in vars(ctx).values()
+              for a in (v if isinstance(v, tuple) else (v,))
+              if isinstance(a, np.ndarray)]
+    assert arrays and max(a.size for a in arrays) < N ** 3
+    for i, j in [(N - 1, 0), (31, 93), (0, N - 1)]:
+        assert np.array_equal(ctx.multiply(i, j), F.alg.mul[i, j]), (i, j)
