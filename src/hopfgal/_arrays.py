@@ -109,6 +109,14 @@ def fmul(field: Field, a, b):
     return (b[..., None, :] @ mul_images(field, a))[..., 0, :] % field.p
 
 
+def fmul_sum(field: Field, a, b, count: int):
+    """a * b as the terms of int64 sums of at most `count` terms: over F_p
+    left unreduced while count (p - 1)^2 < 2^63, so no such sum wraps."""
+    if field.k == 1 and count * (field.p - 1) ** 2 < 2 ** 63:
+        return a * b
+    return fmul(field, a, b)
+
+
 def fmatmul(field: Field, A, B):
     """Matrix product: A (m, r, k) @ B (r, n, k) -> (m, n, k).  At k > 1 it
     is one _imatmul of A against the images of B, (m, r k) x (r k, n k), or
@@ -358,8 +366,9 @@ def scatter_add(out: np.ndarray, cells: np.ndarray, vals: np.ndarray):
     """out[cells[e]] += vals[e] in int64, repeated cells summed, for a
     contiguous out (N, k) and vals (E, k)."""
     k = out.shape[-1]
-    np.add.at(out.reshape(-1), (cells[:, None] * k + np.arange(k)).reshape(-1),
-              vals.reshape(-1))
+    if k > 1:
+        cells = (cells[:, None] * k + np.arange(k)).reshape(-1)
+    np.add.at(out.reshape(-1), cells, vals.reshape(-1))
 
 
 def embed_array(small: Field, big: Field, arr: np.ndarray) -> np.ndarray:

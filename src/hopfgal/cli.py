@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import fdalg, resliealg
 from .errors import HopfgalError, NoOneDimRep
-from .exactfield import Field
+from .exactfield import K_MAX, Field
 from .fdalg import SCAlgebra, decode_array, form_is_symmetric, form_rank
 from .galois import (
     ComoduleAlgebra,
@@ -84,8 +84,8 @@ class Config:
         if not 1 <= cfg.dim_cap <= MAX_DIM_CAP:
             raise ValueError(
                 f"dim_cap must lie in 1..{MAX_DIM_CAP}, got {cfg.dim_cap}")
-        if cfg.splitting_degree_cap < 1:
-            raise ValueError(f"splitting_degree_cap must be at least 1, "
+        if not 1 <= cfg.splitting_degree_cap <= K_MAX:
+            raise ValueError(f"splitting_degree_cap must lie in 1..{K_MAX}, "
                              f"got {cfg.splitting_degree_cap}")
         if cfg.eq3_convention not in ("paper", "standard"):
             raise ValueError(

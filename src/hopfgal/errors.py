@@ -81,6 +81,14 @@ class BadPrime(HopfgalError):
     pass
 
 
+class BadDegree(HopfgalError):
+    pass
+
+
+class BadLabel(HopfgalError):
+    pass
+
+
 class UnknownKind(HopfgalError):
     pass
 

@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    BadDegree,
     BadPrime,
     DivisionByZero,
     FieldMismatch,
@@ -34,6 +35,9 @@ DEFAULT_SEED = 0
 # largest prime that satisfies this, and Field rejects larger primes.
 MAX_INNER = 512 ** 2
 P_MAX = 5931641
+# The largest k of Field(p, k): its tables hold k^3 int64 cells, and the
+# modulus search grows fast (Field(2, 64) 0.5 s, Field(2, 128) 16 s).
+K_MAX = 64
 
 
 def _is_prime(n: int) -> bool:
@@ -162,7 +166,8 @@ def _smallest_irreducible(p: int, k: int) -> tuple:
 
 class Field:
     """A prime field F_p or an explicit extension F_{p^k} presented over F_p.
-    p must be a prime no larger than P_MAX, else BadPrime."""
+    p must be a prime no larger than P_MAX, else BadPrime, and k no larger
+    than K_MAX, else BadDegree."""
 
     __slots__ = ("p", "k", "modulus", "_red", "_red_rows", "_t_images",
                  "_embed_cache")
@@ -176,6 +181,8 @@ class Field:
             raise ValueError(f"{p} is not prime")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
+        if k > K_MAX:
+            raise BadDegree(f"extension degree {k} exceeds K_MAX = {K_MAX}")
         self.p = p
         self.k = k
         if k == 1:

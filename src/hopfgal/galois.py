@@ -21,7 +21,7 @@ the chosen convention; for cocommutative H the two agree.
 
 Every sum over the terms of two arguments of a coaction (Delta, or the
 coaction rho of a comodule algebra) runs through the one kernel
-hopf.convolution2.
+hopf.convolve_pairs, by way of hopf.convolution2.
 """
 
 from __future__ import annotations

@@ -181,7 +181,8 @@ def convolution(H: HopfAlgebra, A: SCAlgebra, fmap: LinMap, g: LinMap) -> LinMap
     return LinMap(f, out)
 
 
-# expanded terms (term pair, F, G and m entry) of one chunk of convolution2
+# the bound on each chunk of convolve_pairs (its term pairs plus its
+# (pair, a, b) cells) and on each run of its F x G entries
 CONV_CHUNK_TERMS = 2 ** 16
 
 
@@ -194,31 +195,80 @@ def coaction_terms(rho: np.ndarray):
     return ptr, I, A, B, rho[I, A, B]
 
 
+def convolve_pairs(field: Field, terms, F, G, m, I: np.ndarray,
+                   J: np.ndarray, shape):
+    """out[q] = sum m(F(x_1, y_1), G(x_2, y_2)) over the terms x_1 (x) x_2
+    of rho(b_I[q]) and y_1 (x) y_2 of rho(b_J[q]), for any list of pairs
+    (repeats and any order allowed); terms = (ptr, I, A, B, coef) are the
+    CSR rows of rho, as from `coaction_terms`.  F, G and m are CSR triples
+    (`_arrays.csr`) of the rows x_1 nL + y_1, x_2 nR + y_2 and a nG + b,
+    shape = (nL, nR, nF, nG, nOut); m None is the outer product (out index
+    a nG + b).  Yields (lo, hi, out[lo:hi]), an (hi - lo, nOut, k) array,
+    chunk by chunk, so a caller may stop early.
+
+    Row-wise sparse products (Gustavson, ACM TOMS 4(3), 1978): each term
+    pair meets the entries of its F row, each of those the entries of its G
+    row; the products are summed per (q, a, b) cell in int64, and each
+    nonzero cell meets its row m[a, b] once.  A chunk's term pairs plus its
+    nF nG cells per pair stay within CONV_CHUNK_TERMS unless it is one
+    pair; its F x G entries are expanded in runs of at most that many.
+    Exact for p <= P_MAX: products of two residues are summed unreduced
+    only while no int64 sum can pass 2^63 (`_arrays.fmul_sum`)."""
+    p, k = field.p, field.k
+    ptr, _, A, B, coef = terms
+    (fptr, fcol, fval), (gptr, gcol, gval) = F, G
+    nL, nR, nF, nG, nOut = shape
+    nT, nnzF, nnzG = np.diff(ptr), np.diff(fptr), np.diff(gptr)
+
+    def runs(cost):
+        # cut where the running cost passes a multiple of the budget
+        run = (cost.cumsum() - cost) // CONV_CHUNK_TERMS
+        starts = np.flatnonzero(np.diff(run, prepend=-1)).tolist()
+        return zip(starts, starts[1:] + [cost.size])
+
+    for lo, hi in runs(nT[I] * nT[J] + nF * nG):
+        # the term pairs (t, s) of each pair q of the chunk
+        q, t = ar.csr_expand(ptr, I[lo:hi])
+        u, s = ar.csr_expand(ptr, J[lo:hi][q])
+        q, t = q[u], t[u]
+        c = ar.fmul(field, coef[t], coef[s])
+        frow, grow = A[t] * nL + A[s], B[t] * nR + B[s]
+        size = nnzF[frow] * nnzG[grow]
+        acc = ar.zeros(field, ((hi - lo) * nF * nG,))
+        for a, b in runs(size):
+            e, fp = ar.csr_expand(fptr, frow[a:b])
+            w = ar.fmul(field, c[a:b][e], fval[fp])
+            cell = (q[a:b][e] * nF + fcol[fp]) * nG
+            g, gp = ar.csr_expand(gptr, grow[a:b][e])
+            ar.scatter_add(acc, cell[g] + gcol[gp], ar.fmul_sum(
+                field, w[g], gval[gp], int(size.sum())))
+        # only the nonzero cells are reduced, each once, and meet m
+        cells = np.flatnonzero(acc.any(axis=1))
+        vals = acc[cells] % p
+        if m is None:
+            acc[cells] = vals
+        else:
+            mptr, mcol, mval = m
+            r, mp = ar.csr_expand(mptr, cells % (nF * nG))
+            acc = ar.zeros(field, ((hi - lo) * nOut,))
+            ar.scatter_add(acc, cells[r] // (nF * nG) * nOut + mcol[mp],
+                           ar.fmul_sum(field, vals[r], mval[mp], r.size))
+            acc %= p
+        yield lo, hi, acc.reshape(hi - lo, nOut, k)
+
+
 def convolution2(C, F: np.ndarray, G: np.ndarray, m: np.ndarray | None,
                  rows: slice = slice(None)) -> np.ndarray:
-    """The two-argument convolution over a coaction,
-
-        out[i, j] = sum m(F(x_1, y_1), G(x_2, y_2)),
-
-    over the terms x_1 (x) x_2 of rho(b_i) and y_1 (x) y_2 of rho(b_j),
-    rho (n, nL, nR, k) the comul of a HopfAlgebra C (its regular coaction)
-    or C.coaction of a ComoduleAlgebra.  F is (nL, nL, nF, k), G is
-    (nR, nR, nG, k) and m an (nF, nG, nOut, k) structure tensor,
-    m(u, v) = sum u_a v_b m[a, b], or None for the outer product u (x) v
-    (index a nG + b).  Returns out[rows], rows a slice of consecutive i:
-    (len(rows), n, nOut, k).
-
-    Products of sparse rows (Gustavson, ACM TOMS 4(3), 1978): each term
-    pair meets the entries of F(x_1, y_1), each of those the entries of
-    G(x_2, y_2), each such (a, b) those of m[a, b].  Chunks are runs of t
-    cut where the running count of expanded terms passes a multiple of
-    CONV_CHUNK_TERMS; t counts T pairs plus, per pair, nnz F nnz G times
-    the longest row of m.  Exact for p <= P_MAX < 2^23: each term is reduced
-    below p and each chunk reduces the rows it touched, so an int64 cell
-    holds a residue plus one chunk's terms, below 2^63 for chunks under
-    2^40 terms (a chunk's terms are all held in memory at once)."""
-    f = C.field
-    p, k = f.p, f.k
+    """The two-argument convolution over a coaction: out[i, j] = sum
+    m(F(x_1, y_1), G(x_2, y_2)) over the terms x_1 (x) x_2 of rho(b_i) and
+    y_1 (x) y_2 of rho(b_j), rho (n, nL, nR, k) the comul of a HopfAlgebra
+    C (its regular coaction) or C.coaction of a ComoduleAlgebra.  F is
+    (nL, nL, nF, k), G (nR, nR, nG, k) and m an (nF, nG, nOut, k) structure
+    tensor, m(u, v) = sum u_a v_b m[a, b], or None for the outer product
+    u (x) v (index a nG + b).  Returns out[rows], rows a slice of
+    consecutive i: (len(rows), n, nOut, k).  `convolve_pairs` on dense
+    operands and the pairs of the rows x n grid."""
+    f, k = C.field, C.field.k
     rho = C.comul if isinstance(C, HopfAlgebra) else C.coaction
     n, nL, nR = rho.shape[:3]
     nF, nG = F.shape[-2], G.shape[-2]
@@ -226,44 +276,16 @@ def convolution2(C, F: np.ndarray, G: np.ndarray, m: np.ndarray | None,
             m is not None and m.shape[:2] + m.shape[3:] != (nF, nG, k))):
         raise ShapeMismatch("convolution2 operands do not match the "
                             "coaction and m")
-    if m is None:
-        nOut = nF * nG
-        mptr, mcol = np.arange(nOut + 1), np.arange(nOut)
-        mval = np.tile(ar.unit_scalar(f), (nOut, 1))
-    else:
-        nOut = m.shape[2]
-        mptr, mcol, mval = ar.csr(m.reshape(nF * nG, nOut, k))
-    ptr, I, A, B, coef = coaction_terms(rho)
-    T = I.size
+    nOut = nF * nG if m is None else m.shape[2]
     i0, i1, _ = rows.indices(n)
-    fptr, fcol, fval = ar.csr(F.reshape(nL * nL, nF, k))
-    gptr, gcol, gval = ar.csr(G.reshape(nR * nR, nG, k))
-    # cost of t: its T pairs, plus nnz F(A_t, A_s) nnz G(B_t, B_s) over s
-    # times the longest row of m; that sum over s is
-    # sum_b W[A_t, b] nnz G(B_t, b), W = nnz F @ (terms s at each (A_s, B_s))
-    nnzF = np.diff(fptr).reshape(nL, nL)
-    nnzG = np.diff(gptr).reshape(nR, nR)
-    W = nnzF @ np.bincount(A * nR + B, minlength=nL * nR).reshape(nL, nR)
-    t0, t1 = ptr[i0], ptr[i1]
-    mlen = np.diff(mptr).max(initial=0)
-    cost = T + (W[A[t0:t1]] * nnzG[B[t0:t1]]).sum(axis=1) * mlen
-    run = (cost.cumsum() - cost) // CONV_CHUNK_TERMS
-    starts = t0 + np.flatnonzero(np.diff(run, prepend=-1))
-    out = ar.zeros(f, ((i1 - i0) * n * nOut,))
-    for lo, hi in zip(starts, [*starts[1:], t1]):
-        t = np.arange(lo, hi).repeat(T)
-        s = np.tile(np.arange(T), hi - lo)
-        # the F entries of each pair, the G entries of each of those, and
-        # the m entries of each (a, b), weighted as they are met
-        e, fp = ar.csr_expand(fptr, A[t] * nL + A[s])
-        w = ar.fmul(f, ar.fmul(f, coef[t[e]], coef[s[e]]), fval[fp])
-        g, gp = ar.csr_expand(gptr, (B[t] * nR + B[s])[e])
-        e, w = e[g], ar.fmul(f, w[g], gval[gp])
-        h, mp = ar.csr_expand(mptr, fcol[fp[g]] * nG + gcol[gp])
-        e, w = e[h], ar.fmul(f, w[h], mval[mp])
-        cells = ((I[t[e]] - i0) * n + I[s[e]]) * nOut + mcol[mp]
-        ar.scatter_add(out, cells, w)
-        out[(I[lo] - i0) * n * nOut:(I[hi - 1] - i0 + 1) * n * nOut] %= p
+    I, J = np.divmod(np.arange(i0 * n, i1 * n), n)
+    out = ar.zeros(f, (I.size, nOut))
+    for lo, hi, vals in convolve_pairs(
+            f, coaction_terms(rho), ar.csr(F.reshape(nL * nL, nF, k)),
+            ar.csr(G.reshape(nR * nR, nG, k)),
+            None if m is None else ar.csr(m.reshape(nF * nG, nOut, k)),
+            I, J, (nL, nR, nF, nG, nOut)):
+        out[lo:hi] = vals
     return out.reshape(i1 - i0, n, nOut, k)
 
 

@@ -13,7 +13,8 @@ Structure constants come from one chain of sparse products,
 `_structure_rows`: the engine supplies only the n left-generator matrices
 (row t is e_i e^t), and each row mul[alpha] is mul[alpha - delta_i] times the
 matrix of e_i, for the first nonzero exponent a_i of alpha.  `Fiber` streams
-the rows into its dense tensor; `Prop30Context` keeps the u(L) rows sparse.
+the rows into its dense tensor; `Prop30Context` keeps the u(L) rows sparse
+and sums sigma with the one two-argument convolution, `hopf.convolve_pairs`.
 The dict engine stays the reference arithmetic: tests compare with it, and it
 computes the antipode and gamma^{-1} rows, the Prop. 30 oracles and
 `Fiber.element_from_dict`.
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import _arrays as ar
 from .errors import (
+    BadLabel,
     DimCapExceeded,
     FieldMismatch,
     NotScalar,
@@ -36,6 +38,7 @@ from .errors import (
 )
 from .exactfield import Field, Scalar
 from .fdalg import DIM_CAP, SCAlgebra
+from .hopf import HopfAlgebra, LinMap, convolve_pairs
 
 MAX_WORD_LETTERS = 32
 
@@ -521,16 +524,13 @@ def _sparse_times_csr(field: Field, n: int, cells: np.ndarray,
     """X @ C for a sparse X with n columns, given as the flat cells r n + t
     of its nonzeros and their (nnz, k) values, and an (n, n) CSR matrix C;
     the product comes back in the same form, its cells sorted and nonzero.
-    Terms are summed per cell in int64: at most n <= DIM_CAP = 512 of them,
-    each below p^2 < 2^46 (p <= P_MAX), so every sum stays below 2^55."""
+    A cell sums at most n terms in int64 (`_arrays.fmul_sum`)."""
     indptr, cols, cvals = csr
     r, t = np.divmod(cells, n)
     # nonzero m of X meets the entries of CSR row t[m]
     src, pos = ar.csr_expand(indptr, t)
     out = r[src] * n + cols[pos]
-    # over F_p the products are reduced once, after the sum
-    terms = (vals[src] * cvals[pos] if field.k == 1
-             else ar.fmul(field, vals[src], cvals[pos]))
+    terms = ar.fmul_sum(field, vals[src], cvals[pos], n)
     order = np.argsort(out)
     out = out[order]
     start = np.flatnonzero(np.diff(out, prepend=-1))
@@ -546,19 +546,13 @@ def _sparse_times_csr(field: Field, n: int, cells: np.ndarray,
 def u_restricted(L: RestrictedLie, field: Field | None = None):
     """The restricted enveloping algebra u(L) = U_0 with its Hopf structure:
     generators primitive, eps(e_i) = 0, S(e_i) = -e_i."""
-    from .hopf import HopfAlgebra
-
     field = field or L.field
-    zero = FiberPoint.make(field, [0] * L.dim)
-    F = Fiber(L, zero)
-    dim = F.dim
-    f = field
-    comul = F.binomial_tensor()
-    counit = ar.zeros(f, (dim,))
+    F = Fiber(L, FiberPoint.make(field, [0] * L.dim))
+    counit = ar.zeros(field, (F.dim,))
     counit[0, 0] = 1
     # antipode: antimultiplicative extension of S(e_i) = -e_i; on a PBW
     # monomial this is the sign-scaled reversed product
-    H = HopfAlgebra(F.alg, comul, counit, _pbw_inverse_rows(F))
+    H = HopfAlgebra(F.alg, F.binomial_tensor(), counit, _pbw_inverse_rows(F))
     return H, F
 
 
@@ -582,14 +576,11 @@ def pbw_splitting(F: Fiber, CA=None):
     U_lambda, with its convolution inverse obtained by applying the antipode
     formula inside U_lambda."""
     from .galois import Splitting
-    from .hopf import LinMap
 
     if CA is None:
         CA = fiber_coaction(F)
     f = F.field
-    dim = F.dim
-    gamma = ar.identity(f, dim)
-    return Splitting(CA, LinMap(f, gamma),
+    return Splitting(CA, LinMap(f, ar.identity(f, F.dim)),
                      inverse=LinMap(f, _pbw_inverse_rows(F)))
 
 
@@ -708,26 +699,20 @@ def prop30_multiply(F: Fiber, ix: int, iy: int, sigma_cache=None) -> np.ndarray:
     return out
 
 
-# cost bound of one chunk of a batched sigma evaluation: N^2 accumulator
-# cells per pair plus N per term
-SIGMA_CHUNK_CELLS = 2 ** 18
-
-
 class Prop30Context:
     """Prop. 30's x o y = sigma(x_1, y_1) x_2 y_2 on a prime-field fiber of
-    dimension N, evaluated in batches on sparse rows.
+    dimension N (prime fields only: `sigma_value` returns a base-field int).
 
-    sigma(x, y) sums U_lambda products head * tail over the splittings: the
-    head e^{x_1} e^{y_1} is a row of the fiber's mul, the tail
-    gamma^{-1}(x_2 y_2) a u(L) product mapped by gamma^{-1}.  u(L) is held
-    only as CSR rows (row b N + d is e^b e^d) from `_structure_rows` on the
-    `_u_engine`: no dense (N, N, N) u(L) and no second Fiber.  Heads, tails
-    and the splittings of every label are CSR rows too (a head or a tail has
-    about 7 nonzeros of 125 at p = 5).  Sigma values live in an (N, N)
-    table, -1 where not yet evaluated; `multiply` reads its values from the
-    table, evaluates the missing ones in one `_evaluate` call and sums the
-    u(L) rows x_2 y_2 in int64.  prop30_sigma / prop30_multiply are the oracle.
-    """
+    sigma(x, y) = sum gamma(x_1) gamma(y_1) gamma^{-1}(x_2 y_2) is
+    `hopf.convolve_pairs` over the splittings: F the heads e^{x_1} e^{y_1}
+    (rows of the fiber's mul), G the tails gamma^{-1}(x_2 y_2) and m the
+    product of U_lambda, all CSR rows.  u(L) is held only as CSR rows (row
+    b N + d is e^b e^d) from `_structure_rows` on the `_u_engine`.  Sigma
+    values live in an (N, N) table, -1 where not yet evaluated; `multiply`
+    evaluates the missing ones in one `_evaluate` call and sums the u(L)
+    rows x_2 y_2 in int64.  A product of two top labels needs every sigma
+    pair: 3,375^2 term pairs at p = 5, about 9 s on one core.
+    prop30_sigma / prop30_multiply are the oracle."""
 
     def __init__(self, F: Fiber):
         f = F.field
@@ -738,12 +723,8 @@ class Prop30Context:
         p, N = F.L.p, F.dim
         NN = N * N
         self.F, self.p, self.N = F, p, N
-        mul = F.alg.mul.reshape(-1)
-        nz = np.flatnonzero(mul)
-        self._mul = ar.csr_rows(NN, N, nz, mul[nz])
-        ginv = _pbw_inverse_rows(F).reshape(-1, 1)
-        nz = np.flatnonzero(ginv)
-        ginv = ar.csr_rows(N, N, nz, ginv[nz])
+        self._mul = ar.csr(F.alg.mul.reshape(NN, N, 1))
+        ginv = ar.csr(_pbw_inverse_rows(F))
         # the u(L) rows e^b e^d, and the tails gamma^{-1}(e^b e^d): one
         # label b at a time, at most N^2 cells each
         u, tails = [], []
@@ -751,85 +732,56 @@ class Prop30Context:
                 _structure_rows(_u_engine(F), F.labels)):
             u.append((cells + b * NN, vals[:, 0]))
             c, v = _sparse_times_csr(f, N, cells, vals, ginv)
-            tails.append((c + b * NN, v[:, 0]))
+            tails.append((c + b * NN, v))
         self._u, self._tails = (
             ar.csr_rows(NN, N, *map(np.concatenate, zip(*rows)))
             for rows in (u, tails))
-        # the splittings x_1 + x_2 = a of label a: CSR row a lists their
-        # labels x_1, x_2 and binomial coefficients
-        a, self._x1, self._x2, self._binom = F.splittings()
-        self._splits = np.searchsorted(a, np.arange(N + 1))
-        self._nsplit = np.diff(self._splits)
+        # the splittings x_1 + x_2 = a of label a, the terms of the
+        # coaction: CSR row a lists x_1, x_2 and binomial coefficients
+        a, x1, x2, binom = F.splittings()
+        self._terms = (np.searchsorted(a, np.arange(N + 1)), a, x1, x2,
+                       binom[:, None])
         self.sigma = np.full((N, N), -1, dtype=np.int64)
+
+    def _label(self, i) -> int:
+        if not isinstance(i, (int, np.integer)) or not 0 <= i < self.N:
+            raise BadLabel(f"label {i!r} is not an index in 0..{self.N - 1}")
+        return int(i)
 
     def _evaluate(self, x: np.ndarray, y: np.ndarray):
         """Evaluate the missing sigma(x[t], y[t]) into the table; NotScalar
         names the first of these pairs whose value is not a scalar.
 
-        Every head nonzero of a term meets every tail nonzero of it; the
-        products are summed per (pair, i, j) cell by bincount and the cells
-        contracted with the rows of mul.  Chunks cost SIGMA_CHUNK_CELLS.
-        The batch is topped up with the other missing pairs of the rows x to
-        the end of the last chunk, so a row-by-row sweep makes one call per
-        chunk; a top-up pair that is not a scalar stays unevaluated.
-
-        float64 sums are exact: N = p^n <= DIM_CAP = 512 forces p <= 509, a
-        cell sums at most N^2 products of three residues (< 2^18 * 509^3 <
-        2^46) and an output coordinate N^2 products of two (< 2^36)."""
-        p, N = self.p, self.N
-        NN = N * N
-        sp, x1, x2, binom = self._splits, self._x1, self._x2, self._binom
-        mptr, mcols, mvals = self._mul
-        tptr, tcols, tvals = self._tails
-        need = x.size
+        The batch is topped up with the other missing pairs of the rows x,
+        after the requested ones, and the kernel stops after the chunk that
+        holds the last requested pair, so a row-by-row sweep makes one call
+        per chunk; a top-up pair that is not a scalar stays unevaluated."""
+        N, need = self.N, x.size
         rows = np.unique(x)
         more = self.sigma[rows] < 0
         more[np.searchsorted(rows, x), y] = False
         mr, my = np.nonzero(more)
         x, y = np.concatenate([x, rows[mr]]), np.concatenate([y, my])
-        cost = NN + N * self._nsplit[x] * self._nsplit[y]
-        chunk = (cost.cumsum() - cost) // SIGMA_CHUNK_CELLS
-        stop = np.searchsorted(chunk, chunk[need - 1], side="right")
-        cuts = (np.flatnonzero(chunk[1:stop] != chunk[:stop - 1]) + 1).tolist()
-        for lo, hi in zip([0] + cuts, cuts + [stop]):
+        for lo, hi, vec in convolve_pairs(
+                self.F.field, self._terms, self._mul, self._tails, self._mul,
+                x, y, (N, N, N, N, N)):
             cx, cy = x[lo:hi], y[lo:hi]
-            # the terms (u, v) of each pair: u runs over the splittings of
-            # its x, v over those of its y
-            pu, u = ar.csr_expand(sp, cx)
-            tu, v = ar.csr_expand(sp, cy[pu])
-            pair, u = pu[tu], u[tu]
-            coef = binom[u] * binom[v] % p
-            heads = x1[u] * N + x1[v]
-            tails = x2[u] * N + x2[v]
-            # every head nonzero of a term meets every tail nonzero of it
-            th, hpos = ar.csr_expand(mptr, heads)
-            e, tpos = ar.csr_expand(tptr, tails[th])
-            th, hpos = th[e], hpos[e]
-            acc = np.bincount(
-                (pair[th] * N + mcols[hpos]) * N + tcols[tpos],
-                weights=coef[th] * mvals[hpos] * tvals[tpos],
-                minlength=cx.size * NN)
-            # contract the nonzero (pair, i, j) cells with the rows of mul
-            cells = np.flatnonzero(acc)
-            c, pos = ar.csr_expand(mptr, cells % NN)
-            vec = np.bincount(
-                cells[c] // NN * N + mcols[pos],
-                weights=(acc[cells].astype(np.int64) % p)[c] * mvals[pos],
-                minlength=cx.size * N)
-            vec = vec.astype(np.int64).reshape(cx.size, N) % p
             # label 0 is the unit
-            scalar = ~vec[:, 1:].any(axis=1)
-            self.sigma[cx[scalar], cy[scalar]] = vec[scalar, 0]
+            scalar = ~vec[:, 1:, 0].any(axis=1)
+            self.sigma[cx[scalar], cy[scalar]] = vec[scalar, 0, 0]
             bad = np.flatnonzero(~scalar[:need - lo])
             if bad.size:
                 labels = self.F.labels
                 raise NotScalar(
                     f"sigma({labels[cx[bad[0]]]},{labels[cy[bad[0]]]}) has "
                     "a non-scalar component")
+            if hi >= need:
+                return
 
     def sigma_value(self, ix: int, iy: int) -> int:
         """sigma(e^alpha (x) e^beta) as a base-field integer, certified to
         be a scalar."""
+        ix, iy = self._label(ix), self._label(iy)
         if self.sigma[ix, iy] < 0:
             self._evaluate(np.array([ix]), np.array([iy]))
         return int(self.sigma[ix, iy])
@@ -838,20 +790,21 @@ class Prop30Context:
         """x o y = sigma(x_1 (x) y_1) x_2 y_2 for basis elements, in
         U_lambda coordinates; must reproduce the fiber's structure
         constants."""
+        ix, iy = self._label(ix), self._label(iy)
         p, N = self.p, self.N
-        u = slice(self._splits[ix], self._splits[ix + 1])
-        v = slice(self._splits[iy], self._splits[iy + 1])
-        x1, y1 = self._x1[u, None], self._x1[None, v]
+        sp, _, x1s, x2s, binom = self._terms
+        u, v = slice(sp[ix], sp[ix + 1]), slice(sp[iy], sp[iy + 1])
+        x1, y1 = x1s[u, None], x1s[None, v]
         s = self.sigma[x1, y1]
         if s.min() < 0:
             mu, mv = np.nonzero(s < 0)
             self._evaluate(x1[mu, 0], y1[0, mv])
             s = self.sigma[x1, y1]
-        w = (self._binom[u, None] * self._binom[None, v] % p * s % p).ravel()
+        w = (binom[u] * binom[v, 0] % p * s % p).ravel()
         # the u(L) rows x_2 y_2, summed in int64: below N^3 p^2 < 2^46
         uptr, ucols, uvals = self._u
         src, pos = ar.csr_expand(
-            uptr, (self._x2[u, None] * N + self._x2[None, v]).ravel())
+            uptr, (x2s[u, None] * N + x2s[None, v]).ravel())
         out = np.zeros(N, dtype=np.int64)
         np.add.at(out, ucols[pos], w[src] * uvals[pos])
         return out[:, None] % p

@@ -114,6 +114,13 @@ def test_fiber_past_the_cap_over_the_prime_field_exits_2(capsys, sl2_file):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_fiber_over_an_extension_past_k_max_exits_2(capsys, sl2_file):
+    code, out, err = run(capsys, "fiber", "--lie", sl2_file,
+                         "--field", "2^1000", "--lambda", "0,0,0")
+    assert code == 2 and out == ""
+    assert "K_MAX" in err and "Traceback" not in err
+
+
 def test_scan_json_and_determinism(capsys, borel_file):
     code, out1, _ = run(capsys, "scan", "--lie", borel_file, "--field", "3")
     code2, out2, _ = run(capsys, "scan", "--lie", borel_file, "--field", "3")
@@ -280,7 +287,8 @@ def test_config_file_values(tmp_path):
 @pytest.mark.parametrize("settings", [
     {"dim_cap": "big"}, {"dim_cap": 100000}, {"dim_cap": 0},
     {"dim_cap": True}, {"dim_cap": 27.0}, {"splitting_degree_cap": 0},
-    {"splitting_degree_cap": "12"}, {"seed": 5},
+    {"splitting_degree_cap": "12"}, {"splitting_degree_cap": 65},
+    {"seed": 5},
 ])
 def test_config_bad_values_exit_2(capsys, tmp_path, borel_file, settings):
     path = tmp_path / "cfg.json"

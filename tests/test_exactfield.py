@@ -7,12 +7,14 @@ import pytest
 
 from hopfgal import _arrays as ar
 from hopfgal.errors import (
+    BadDegree,
     BadPrime,
     DivisionByZero,
     FieldMismatch,
     ZeroPolynomial,
 )
 from hopfgal.exactfield import (
+    K_MAX,
     MAX_INNER,
     P_MAX,
     Field,
@@ -85,6 +87,16 @@ def test_quadratic_field_over_the_largest_prime_builds_fast():
     start = time.perf_counter()
     assert Field(P_MAX, 2).modulus == (1, 1, 1)
     assert time.perf_counter() - start < 1.0
+
+
+def test_extension_degree_above_the_bound_fails_at_once():
+    # rejected before the modulus search and the k^3 tables
+    for k in (K_MAX + 1, 1000):
+        start = time.perf_counter()
+        with pytest.raises(BadDegree):
+            Field(2, k)
+        assert time.perf_counter() - start < 0.1
+    assert (Field(3, 19).k, Field(2, 20).k, Field(P_MAX, 2).k) == (19, 20, 2)
 
 
 def test_extension_multiplication():

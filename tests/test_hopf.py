@@ -5,6 +5,7 @@ import itertools
 import random
 import tracemalloc
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -465,6 +466,72 @@ def test_convolution2_is_exact_over_any_coaction(p, dims, density, outer,
     C = types.SimpleNamespace(field=Field(p), coaction=rho)
     assert np.array_equal(hopf.convolution2(C, F, G, m),
                           convolution2_exact(p, rho, F, G, m))
+
+
+def _convolve_pairs(f, rho, F, G, m, I, J):
+    """hopf.convolve_pairs on dense operands, its chunks put together;
+    the chunks must cover the pairs in order."""
+    k = f.k
+    nL, nR = rho.shape[1:3]
+    nF, nG = F.shape[2], G.shape[2]
+    nOut = nF * nG if m is None else m.shape[2]
+    out = np.zeros((I.size, nOut, k), dtype=np.int64)
+    end = 0
+    for lo, hi, vals in hopf.convolve_pairs(
+            f, hopf.coaction_terms(rho), ar.csr(F.reshape(nL * nL, nF, k)),
+            ar.csr(G.reshape(nR * nR, nG, k)),
+            None if m is None else ar.csr(m.reshape(nF * nG, nOut, k)),
+            I, J, (nL, nR, nF, nG, nOut)):
+        assert lo == end < hi and vals.shape == (hi - lo, nOut, k)
+        out[lo:hi], end = vals, hi
+    assert end == I.size
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([509, P_MAX]), dims=st.tuples(
+           st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+       density=st.sampled_from([0.3, 1.0]), outer=st.booleans(),
+       budget=st.sampled_from([hopf.CONV_CHUNK_TERMS, 1]),
+       pairs=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                      max_size=12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_convolve_pairs_is_exact_on_any_pair_list(p, dims, density, outer,
+                                                  budget, pairs, seed):
+    """convolve_pairs on arbitrary pair lists (repeats, any order, empty)
+    over a random coaction, entries near p, at the default chunk budget and
+    at one term per chunk, equals the Python-integer sum."""
+    n, nL, nR, nF, nG, nOut = dims
+    rng = np.random.default_rng(seed)
+
+    def operand(*shape):
+        x = rng.integers(p - 3, p, size=shape + (1,))
+        return np.where(rng.random(shape + (1,)) < density, x, 0)
+
+    rho, F, G = operand(n, nL, nR), operand(nL, nL, nF), operand(nR, nR, nG)
+    m = None if outer else operand(nF, nG, nOut)
+    I = np.array([i % n for i, _ in pairs], dtype=np.int64)
+    J = np.array([j % n for _, j in pairs], dtype=np.int64)
+    want = convolution2_exact(p, rho, F, G, m)[I, J]
+    with mock.patch.object(hopf, "CONV_CHUNK_TERMS", budget):
+        got = _convolve_pairs(Field(p), rho, F, G, m, I, J)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("budget", [hopf.CONV_CHUNK_TERMS, 1])
+def test_convolve_pairs_over_f9_matches_loop(budget):
+    """F_9 (k = 2) on Delta of u(borel): repeated, unordered and empty
+    pair lists against the term-by-term loop."""
+    H = u_restricted(borel_algebra(3), _F9)[0]
+    rng = np.random.default_rng(9)
+    F, G = rng.integers(0, 3, size=(2, H.dim, H.dim, H.dim, 2))
+    want = convolution2_loop(H, F, G, H.alg.mul)
+    for size in (0, 1, 7, 30):
+        I, J = rng.integers(0, H.dim, size=(2, size))
+        with mock.patch.object(hopf, "CONV_CHUNK_TERMS", budget):
+            got = _convolve_pairs(_F9, H.comul, F, G, H.alg.mul, I, J)
+        assert np.array_equal(got, want[I, J])
 
 
 def test_convolution2_memory_on_the_sl2_cocycle():

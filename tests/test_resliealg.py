@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 from hopfgal import Field
 from hopfgal import _arrays as ar
 from hopfgal import fdalg, hopf, resliealg
-from hopfgal.errors import DimCapExceeded, NotScalar, ShapeMismatch
+from hopfgal.errors import (
+    BadLabel,
+    DimCapExceeded,
+    NotScalar,
+    ShapeMismatch,
+)
 from hopfgal.exactfield import P_MAX
 from hopfgal.speclab import sl2_algebra
 
@@ -487,6 +492,41 @@ def test_prop30_context_rejects_a_non_scalar_sigma():
     assert resliealg.Prop30Context(F).sigma_value(x, one) == 0
 
 
+def test_prop30_context_leaves_a_non_scalar_top_up_pair_unevaluated():
+    """sigma(e^(0,1), 1) is requested; the batch is topped up with the
+    rest of row e^(0,1), whose pair with e^(1,0) is made non-scalar by a
+    corrupted tail gamma^{-1}(e^(0,1) e^(1,0)), not read by the requested
+    pair."""
+    F = resliealg.Fiber(borel(3),
+                       resliealg.FiberPoint.make(Field(3), [1, 2]))
+    x, z, one = F.index[(0, 1)], F.index[(1, 0)], F.index[(0, 0)]
+    ctx = resliealg.Prop30Context(F)
+    indptr, cols, vals = ctx._tails
+    row = x * F.dim + z
+    assert indptr[row + 1] > indptr[row]
+    vals[indptr[row]] = (vals[indptr[row]] + 1) % 3
+    assert ctx.sigma_value(x, one) == 0
+    assert ctx.sigma[x, z] == -1 and (ctx.sigma[x] >= 0).sum() > 1
+    with pytest.raises(NotScalar, match=r"sigma\(\(0, 1\),\(1, 0\)\)"):
+        ctx.sigma_value(x, z)
+
+
+def test_prop30_context_rejects_labels_outside_the_basis():
+    F = resliealg.Fiber(borel(3),
+                       resliealg.FiberPoint.make(Field(3), [1, 2]))
+    N = F.dim
+    ctx = resliealg.Prop30Context(F)
+    # with row N - 1 evaluated, -1 must not wrap around to it
+    ctx.multiply(N - 1, N - 1)
+    for i, j in [(-1, 0), (0, -1), (N, 0), (0, N), (1.0, 0)]:
+        with pytest.raises(BadLabel):
+            ctx.sigma_value(i, j)
+        with pytest.raises(BadLabel):
+            ctx.multiply(i, j)
+    assert ctx.sigma_value(np.int64(N - 1), 0) == \
+        resliealg.prop30_sigma(F, N - 1, 0).coeffs[0]
+
+
 @pytest.mark.parametrize("cells", [1, 3000])
 def test_prop30_context_chunking_does_not_change_results(monkeypatch, cells):
     F = resliealg.Fiber(sl2(3),
@@ -495,7 +535,7 @@ def test_prop30_context_chunking_does_not_change_results(monkeypatch, cells):
     want_sigma = np.array([[ctx.sigma_value(i, j) for j in range(27)]
                            for i in range(27)])
     want = [ctx.multiply(i, j) for i in range(27) for j in range(27)]
-    monkeypatch.setattr(resliealg, "SIGMA_CHUNK_CELLS", cells)
+    monkeypatch.setattr(hopf, "CONV_CHUNK_TERMS", cells)
     ctx = resliealg.Prop30Context(F)
     got = [ctx.multiply(i, j) for i in range(27) for j in range(27)]
     assert all(np.array_equal(a, b) for a, b in zip(got, want))

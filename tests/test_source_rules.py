@@ -21,6 +21,32 @@ def test_package_has_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
+def test_no_float64_arithmetic_outside_imatmul():
+    # algebraic results are exact: float64 enters only _arrays._imatmul,
+    # whose BLAS path is exact under a stated bound
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "_arrays.py":
+            imatmul = next(node for node in tree.body
+                           if isinstance(node, ast.FunctionDef)
+                           and node.name == "_imatmul")
+            allowed = {id(node) for node in ast.walk(imatmul)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else None)
+            func = node.func if isinstance(node, ast.Call) else None
+            weighted = (getattr(func, "attr", getattr(func, "id", None))
+                        == "bincount"
+                        and any(kw.arg == "weights" for kw in node.keywords))
+            if name == "float64" or weighted:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"float64 arithmetic in the package: {found}"
+
+
 def test_traced_entry_points_exist():
     # the traced benchmark wraps these by name: a kernel rework that renames
     # or drops one fails here, not in the benchmark run
