@@ -351,11 +351,12 @@ def csr(X: np.ndarray):
                     X.reshape(-1, X.shape[-1])[cells])
 
 
-def csr_expand(indptr: np.ndarray, rows: np.ndarray):
+def csr_expand(indptr: np.ndarray, rows: np.ndarray, ends=None):
     """The entries of the CSR rows `rows`, in order, as (src, pos): CSR
-    entry pos[e] lies in row rows[src[e]]."""
+    entry pos[e] lies in row rows[src[e]].  Row r ends at indptr[r + 1], or
+    at ends[r] for rows that are not stored back to back."""
     starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
+    counts = (indptr[rows + 1] if ends is None else ends[rows]) - starts
     src = np.arange(rows.size).repeat(counts)
     pos = (starts - counts.cumsum() + counts).repeat(counts)
     pos += np.arange(pos.size)

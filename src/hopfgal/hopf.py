@@ -182,8 +182,19 @@ def convolution(H: HopfAlgebra, A: SCAlgebra, fmap: LinMap, g: LinMap) -> LinMap
 
 
 # the bound on each chunk of convolve_pairs (its term pairs plus its
-# (pair, a, b) cells) and on each run of its F x G entries
+# (pair, a, b) cells) and of the Prop. 30 evaluator (`Prop30Context`: its
+# pairs' and V rows' cells and splitting terms), and on each run of entries
+# either one expands
 CONV_CHUNK_TERMS = 2 ** 16
+
+
+def chunk_runs(cost: np.ndarray):
+    """(lo, hi) runs of consecutive items, cut where the running cost
+    passes a multiple of CONV_CHUNK_TERMS: the items of a run but its last
+    cost less than that together."""
+    run = (cost.cumsum() - cost) // CONV_CHUNK_TERMS
+    starts = np.flatnonzero(np.diff(run, prepend=-1)).tolist()
+    return zip(starts, starts[1:] + [cost.size])
 
 
 def coaction_terms(rho: np.ndarray):
@@ -220,13 +231,7 @@ def convolve_pairs(field: Field, terms, F, G, m, I: np.ndarray,
     nL, nR, nF, nG, nOut = shape
     nT, nnzF, nnzG = np.diff(ptr), np.diff(fptr), np.diff(gptr)
 
-    def runs(cost):
-        # cut where the running cost passes a multiple of the budget
-        run = (cost.cumsum() - cost) // CONV_CHUNK_TERMS
-        starts = np.flatnonzero(np.diff(run, prepend=-1)).tolist()
-        return zip(starts, starts[1:] + [cost.size])
-
-    for lo, hi in runs(nT[I] * nT[J] + nF * nG):
+    for lo, hi in chunk_runs(nT[I] * nT[J] + nF * nG):
         # the term pairs (t, s) of each pair q of the chunk
         q, t = ar.csr_expand(ptr, I[lo:hi])
         u, s = ar.csr_expand(ptr, J[lo:hi][q])
@@ -235,7 +240,7 @@ def convolve_pairs(field: Field, terms, F, G, m, I: np.ndarray,
         frow, grow = A[t] * nL + A[s], B[t] * nR + B[s]
         size = nnzF[frow] * nnzG[grow]
         acc = ar.zeros(field, ((hi - lo) * nF * nG,))
-        for a, b in runs(size):
+        for a, b in chunk_runs(size):
             e, fp = ar.csr_expand(fptr, frow[a:b])
             w = ar.fmul(field, c[a:b][e], fval[fp])
             cell = (q[a:b][e] * nF + fcol[fp]) * nG

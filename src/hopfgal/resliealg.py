@@ -13,11 +13,12 @@ Structure constants come from one chain of sparse products,
 `_structure_rows`: the engine supplies only the n left-generator matrices
 (row t is e_i e^t), and each row mul[alpha] is mul[alpha - delta_i] times the
 matrix of e_i, for the first nonzero exponent a_i of alpha.  `Fiber` streams
-the rows into its dense tensor; `Prop30Context` keeps the u(L) rows sparse
-and sums sigma with the one two-argument convolution, `hopf.convolve_pairs`.
-The dict engine stays the reference arithmetic: tests compare with it, and it
-computes the antipode and gamma^{-1} rows, the Prop. 30 oracles and
-`Fiber.element_from_dict`.
+the rows into its dense tensor; `Prop30Context` makes the u(L) rows it needs,
+kept sparse, and sums sigma in two one-sided passes of left products.  The
+antipode and gamma^{-1} rows are a chain of left products by the fiber's own
+generator rows.  The dict engine stays the reference arithmetic: tests
+compare with it, and it computes the generator matrices, the Prop. 30
+oracles and `uenv_normalize`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays as ar
+from . import hopf
 from .errors import (
     BadLabel,
     DimCapExceeded,
@@ -38,7 +40,7 @@ from .errors import (
 )
 from .exactfield import Field, Scalar
 from .fdalg import DIM_CAP, SCAlgebra
-from .hopf import HopfAlgebra, LinMap, convolve_pairs
+from .hopf import HopfAlgebra, LinMap, chunk_runs
 
 MAX_WORD_LETTERS = 32
 
@@ -416,8 +418,9 @@ class Fiber:
 
     `alg.mul[alpha]` (row beta is e^alpha e^beta) is filled one label at a
     time from the sparse rows of `_structure_rows`, each scattered once into
-    the dense tensor as it is made; no cell list of the whole tensor is
-    held (1.48 M nonzeros for sl2 at p = 7, point (1, 2, 3))."""
+    the dense tensor as it is made; only the last p^(n-1) rows are kept, no
+    cell list of the whole tensor (1.48 M nonzeros for sl2 at p = 7, point
+    (1, 2, 3))."""
 
     def __init__(self, L: RestrictedLie, point: FiberPoint):
         field = point.field
@@ -435,9 +438,11 @@ class Fiber:
         self.dim = dim
         self.engine = _Engine(L, field, lam=list(point.values))
         mul = np.zeros((dim, dim, dim, field.k), dtype=np.int64)
-        for ia, (cells, vals) in enumerate(
-                _structure_rows(self.engine, self.labels)):
+        step, rows = _structure_rows(self.engine, self.labels), {}
+        for ia in range(dim):
+            cells, vals = rows[ia] = step(rows.get, ia)
             mul[ia].reshape(dim * dim, field.k)[cells] = vals
+            rows.pop(ia - p ** (n - 1), None)
         unit = ar.zeros(field, (dim,))
         unit[0, 0] = 1
         self.alg = SCAlgebra(field, mul, unit, check=False,
@@ -473,27 +478,17 @@ class Fiber:
         T[alpha, beta, gamma, 0] = coef
         return T
 
-    def element_from_dict(self, elem: dict) -> np.ndarray:
-        """Coordinates (dim, k) of a fully reduced engine element."""
-        f = self.field
-        out = ar.zeros(f, (self.dim,))
-        for alpha, c in elem.items():
-            if max(alpha) >= self.L.p:
-                raise ShapeMismatch("element is not reduced")
-            cc = (c,) if f.k == 1 else c
-            out[self.index[alpha]] = np.array(cc, dtype=np.int64)
-        return out
-
 
 def _structure_rows(engine: _Engine, labels: list[tuple]):
-    """The structure constants of the engine's U_lambda, one row per PBW
-    label alpha in order: the sorted flat cells beta dim + gamma of the
-    nonzero coordinates gamma of e^alpha e^beta, and their (nnz, k) values.
+    """The structure constants of the engine's U_lambda by rows: returns
+    step(row, ia), row ia of the PBW labels as the sorted flat cells beta
+    dim + gamma of the nonzero coordinates gamma of e^alpha e^beta, alpha =
+    labels[ia], and their (nnz, k) values.
 
-    Row alpha is row alpha - delta_i times Lambda_i (`_sparse_times_csr`),
+    Row alpha is row(alpha - delta_i) times Lambda_i (`_sparse_times_csr`),
     i the first nonzero exponent of alpha, and Lambda_i, left multiplication
     by e_i, a CSR matrix from the engine: n p^n engine products in all.  A
-    parent row lies at most p^(n-1) rows back; only those rows are kept."""
+    parent row lies at most p^(n-1) rows back; the caller memoises `row`."""
     f, p, n, dim = engine.field, engine.p, engine.n, len(labels)
     index = {a: i for i, a in enumerate(labels)}
     gens = []
@@ -508,15 +503,14 @@ def _structure_rows(engine: _Engine, labels: list[tuple]):
         gens.append((np.array(indptr, dtype=np.int64),
                      np.array(cols, dtype=np.int64),
                      np.array(vals, dtype=np.int64).reshape(len(cols), f.k)))
-    rows = {0: (np.arange(dim) * (dim + 1),
-                np.tile(ar.unit_scalar(f), (dim, 1)))}
-    yield rows[0]
-    for ia in range(1, dim):
+
+    def step(row, ia):
+        if ia == 0:
+            return np.arange(dim) * (dim + 1), np.tile(ar.unit_scalar(f),
+                                                       (dim, 1))
         i = next(t for t in range(n) if labels[ia][t])
-        rows[ia] = _sparse_times_csr(f, dim, *rows[ia - p ** (n - 1 - i)],
-                                     gens[i])
-        rows.pop(ia - p ** (n - 1), None)
-        yield rows[ia]
+        return _sparse_times_csr(f, dim, *row(ia - p ** (n - 1 - i)), gens[i])
+    return step
 
 
 def _sparse_times_csr(field: Field, n: int, cells: np.ndarray,
@@ -588,21 +582,22 @@ def _pbw_inverse_rows(F: Fiber) -> np.ndarray:
     """The reversed signed product (-1)^|alpha| e_n^{a_n} ... e_1^{a_1} of
     every PBW label, reduced in U_lambda: gamma^{-1}(e^alpha) for the PBW
     splitting, and on the zero fiber the antipode of u(L).  Rows are
-    U_lambda coordinate vectors.  Computed once per fiber, cached on it and
-    read-only."""
+    U_lambda coordinate vectors.  Row alpha is -e_j gamma^{-1}(e^{alpha -
+    delta_j}), j the last nonzero exponent of alpha: the parent rows times
+    the fiber's rows mul[delta_j], one matmul per degree and j that occur
+    together.  Computed once per fiber, cached on it and read-only."""
     inv = getattr(F, "_inverse_rows", None)
     if inv is not None:
         return inv
-    eng = F.engine
-    inv = ar.zeros(F.field, (F.dim, F.dim))
-    for ia, alpha in enumerate(F.labels):
-        elem = eng.unit()
-        for j in range(F.L.dim - 1, -1, -1):
-            for _ in range(alpha[j]):
-                elem = eng.rmul_elem(elem, j)
-        if sum(alpha) % 2:
-            elem = eng.scale(elem, eng.cneg(eng.cone))
-        inv[ia] = F.element_from_dict(elem)
+    f, p, n = F.field, F.L.p, F.L.dim
+    labels = np.array(F.labels)
+    degree = labels.sum(axis=1)
+    last = n - 1 - np.argmax(labels[:, ::-1] > 0, axis=1)
+    inv = ar.identity(f, F.dim)     # row 0: gamma^{-1}(1) = 1
+    for d, j in sorted(set(zip(degree[1:].tolist(), last[1:].tolist()))):
+        step = p ** (n - 1 - j)
+        rows = np.flatnonzero((degree == d) & (last == j))
+        inv[rows] = -ar.fmatmul(f, inv[rows - step], F.alg.mul[step]) % p
     inv.flags.writeable = False
     F._inverse_rows = inv
     return inv
@@ -703,16 +698,19 @@ class Prop30Context:
     """Prop. 30's x o y = sigma(x_1, y_1) x_2 y_2 on a prime-field fiber of
     dimension N (prime fields only: `sigma_value` returns a base-field int).
 
-    sigma(x, y) = sum gamma(x_1) gamma(y_1) gamma^{-1}(x_2 y_2) is
-    `hopf.convolve_pairs` over the splittings: F the heads e^{x_1} e^{y_1}
-    (rows of the fiber's mul), G the tails gamma^{-1}(x_2 y_2) and m the
-    product of U_lambda, all CSR rows.  u(L) is held only as CSR rows (row
-    b N + d is e^b e^d) from `_structure_rows` on the `_u_engine`.  Sigma
-    values live in an (N, N) table, -1 where not yet evaluated; `multiply`
-    evaluates the missing ones in one `_evaluate` call and sums the u(L)
-    rows x_2 y_2 in int64.  A product of two top labels needs every sigma
-    pair: 3,375^2 term pairs at p = 5, about 9 s on one core.
-    prop30_sigma / prop30_multiply are the oracle."""
+    sigma(x, y) = sum gamma(x_1) gamma(y_1) gamma^{-1}(x_2 y_2) is summed in
+    two one-sided passes (the product is associative): V(x_2, y) = sum c
+    e^{y_1} gamma^{-1}(x_2 y_2) over y_1 + y_2 = y, then sigma(x, y) = sum
+    c e^{x_1} V(x_2, y) over x_1 + x_2 = x, on the CSR rows of the fiber's
+    mul.  One V row serves its whole column y, so a full table is 2 N S
+    left products (S splittings), and a pair's accumulator is N cells.  The
+    u(L) rows e^b e^d and tails gamma^{-1}(e^b e^d) of a label b are made,
+    by the parent-row step of `_structure_rows`, when a pair first reaches
+    b.  Sigma values live in an (N, N) table, -1 where not yet evaluated;
+    `multiply` evaluates the missing ones in one `_evaluate` call and sums
+    the u(L) rows x_2 y_2 in int64.  The product of two top labels needs
+    every sigma pair: about 0.7 s at p = 5 on one core.  prop30_sigma /
+    prop30_multiply are the oracle."""
 
     def __init__(self, F: Fiber):
         f = F.field
@@ -720,63 +718,119 @@ class Prop30Context:
             raise ShapeMismatch(
                 "the vectorized twisted-product formula is implemented for "
                 "prime fields; use prop30_multiply elsewhere")
-        p, N = F.L.p, F.dim
-        NN = N * N
-        self.F, self.p, self.N = F, p, N
-        self._mul = ar.csr(F.alg.mul.reshape(NN, N, 1))
-        ginv = ar.csr(_pbw_inverse_rows(F))
-        # the u(L) rows e^b e^d, and the tails gamma^{-1}(e^b e^d): one
-        # label b at a time, at most N^2 cells each
-        u, tails = [], []
-        for b, (cells, vals) in enumerate(
-                _structure_rows(_u_engine(F), F.labels)):
-            u.append((cells + b * NN, vals[:, 0]))
-            c, v = _sparse_times_csr(f, N, cells, vals, ginv)
-            tails.append((c + b * NN, v))
-        self._u, self._tails = (
-            ar.csr_rows(NN, N, *map(np.concatenate, zip(*rows)))
-            for rows in (u, tails))
+        N = F.dim
+        self.F, self.p, self.N = F, F.L.p, N
+        mptr, mcol, mval = ar.csr(F.alg.mul.reshape(N * N, N, 1))
+        self._mul = mptr, mcol, mval[:, 0]
+        self._ginv = ar.csr(_pbw_inverse_rows(F))
+        self._step = _structure_rows(_u_engine(F), F.labels)
+        # u(L) rows by label b, and as rows b N + d of one store, then the
+        # tails as rows N^2 + b N + d: row r is cols[lo[r]:hi[r]]
+        self._blocks = {}
+        self._rows = (*np.zeros((2, 2 * N * N), dtype=np.int64),
+                      *np.zeros((2, 0), dtype=np.int64))
         # the splittings x_1 + x_2 = a of label a, the terms of the
         # coaction: CSR row a lists x_1, x_2 and binomial coefficients
         a, x1, x2, binom = F.splittings()
-        self._terms = (np.searchsorted(a, np.arange(N + 1)), a, x1, x2,
-                       binom[:, None])
+        self._terms = np.searchsorted(a, np.arange(N + 1)), a, x1, x2, binom
         self.sigma = np.full((N, N), -1, dtype=np.int64)
 
     def _label(self, i) -> int:
-        if not isinstance(i, (int, np.integer)) or not 0 <= i < self.N:
+        if (isinstance(i, (bool, np.bool_)) or not isinstance(
+                i, (int, np.integer)) or not 0 <= i < self.N):
             raise BadLabel(f"label {i!r} is not an index in 0..{self.N - 1}")
         return int(i)
+
+    def _build(self, labels: np.ndarray):
+        """Make the u(L) rows and tails of the labels not made yet, in
+        increasing order.  `labels` is a union of splitting sets, so it
+        holds the parents of its labels; so does the set of labels made, and
+        with a label b it holds every x_2 of b's splittings."""
+        N, blocks = self.N, self._blocks
+        new = sorted(set(labels.tolist()) - blocks.keys())
+        for b in new:
+            blocks[b] = self._step(blocks.get, b)
+        made = [blocks[b] for b in new] + [_sparse_times_csr(
+            self.F.field, N, *blocks[b], self._ginv) for b in new]
+        lo, hi, cols, vals = self._rows
+        end = cols.size
+        for b, (c, _) in zip(new + [N + b for b in new], made):
+            ptr = end + np.searchsorted(c, np.arange(N + 1) * N)
+            lo[b * N:b * N + N], hi[b * N:b * N + N] = ptr[:-1], ptr[1:]
+            end += c.size
+        cols = [cols] + [c % N for c, _ in made]
+        vals = [vals] + [v[:, 0] for _, v in made]
+        self._rows = lo, hi, np.concatenate(cols), np.concatenate(vals)
+
+    def _left_sums(self, n: int, dst, left, coef, vecs, rows) -> np.ndarray:
+        """(n, N), row q the sum of coef[e] e^{left[e]} v over the terms e
+        with dst[e] = q, v the sparse row rows[e] of vecs = (lo, hi, cols,
+        vals), reduced mod p.  Entries are expanded in runs of at most
+        CONV_CHUNK_TERMS; a cell sums at most N^2 products below p^2, and
+        p <= N <= 512, so int64 does not wrap."""
+        p, N = self.p, self.N
+        lo, hi, cols, vals = vecs
+        mptr, mcol, mval = self._mul
+        acc = np.zeros(n * N, dtype=np.int64)
+        for a, b in chunk_runs(hi[rows] - lo[rows]):
+            e, vp = ar.csr_expand(lo, rows[a:b], hi)
+            e += a
+            w, mrow = coef[e] * vals[vp] % p, left[e] * N + cols[vp]
+            for c, d in chunk_runs(mptr[mrow + 1] - mptr[mrow]):
+                g, mp = ar.csr_expand(mptr, mrow[c:d])
+                g += c
+                np.add.at(acc, dst[e[g]] * N + mcol[mp], w[g] * mval[mp])
+        return (acc % p).reshape(n, N)
 
     def _evaluate(self, x: np.ndarray, y: np.ndarray):
         """Evaluate the missing sigma(x[t], y[t]) into the table; NotScalar
         names the first of these pairs whose value is not a scalar.
 
-        The batch is topped up with the other missing pairs of the rows x,
-        after the requested ones, and the kernel stops after the chunk that
-        holds the last requested pair, so a row-by-row sweep makes one call
-        per chunk; a top-up pair that is not a scalar stays unevaluated."""
+        Then the other missing pairs of the rows x, then all other missing
+        pairs, each group column by column.  A pair costs its N cells and
+        splitting terms, as does each V row it is the first of its chunk to
+        need.  Chunks of CONV_CHUNK_TERMS cost stop after the one with the
+        last requested pair; a top-up pair that is not a scalar stays -1."""
         N, need = self.N, x.size
-        rows = np.unique(x)
-        more = self.sigma[rows] < 0
-        more[np.searchsorted(rows, x), y] = False
-        mr, my = np.nonzero(more)
-        x, y = np.concatenate([x, rows[mr]]), np.concatenate([y, my])
-        for lo, hi, vec in convolve_pairs(
-                self.F.field, self._terms, self._mul, self._tails, self._mul,
-                x, y, (N, N, N, N, N)):
-            cx, cy = x[lo:hi], y[lo:hi]
+        sp, _, x1s, x2s, binom = self._terms
+        nT = np.diff(sp)
+        miss = self.sigma < 0
+        miss[x, y] = False
+        my, mx = np.nonzero(miss.T)
+        top = np.isin(mx, x)
+        # a pair costs more than N, so a chunk holds fewer than `width`
+        width = hopf.CONV_CHUNK_TERMS // N + 1
+        x = np.concatenate([x, mx[top], mx[~top]])[:need + width]
+        y = np.concatenate([y, my[top], my[~top]])[:need + width]
+        lo = 0
+        while lo < need:
+            cx, cy = x[lo:lo + width], y[lo:lo + width]
+            q, t = ar.csr_expand(sp, cx)
+            _, first = np.unique(cy[q] * N + x2s[t], return_index=True)
+            n = next(chunk_runs(N + nT[cx] + (N + nT[cy]) * np.bincount(
+                q[first], minlength=cx.size)))[1]
+            t = t[:np.searchsorted(q, n)]
+            q, cx, cy = q[:t.size], cx[:n], cy[:n]
+            keys, inv = np.unique(cy[q] * N + x2s[t], return_inverse=True)
+            ky, kx = np.divmod(keys, N)
+            self._build(kx)
+            k, s = ar.csr_expand(sp, ky)
+            V = self._left_sums(keys.size, k, x1s[s], binom[s], self._rows,
+                                (N + kx[k]) * N + x2s[s]).reshape(-1)
+            cells = np.flatnonzero(V)
+            ptr = np.searchsorted(cells, np.arange(keys.size + 1) * N)
+            vec = self._left_sums(n, q, x1s[t], binom[t], (
+                ptr[:-1], ptr[1:], cells % N, V[cells]), inv)
             # label 0 is the unit
-            scalar = ~vec[:, 1:, 0].any(axis=1)
-            self.sigma[cx[scalar], cy[scalar]] = vec[scalar, 0, 0]
+            scalar = ~vec[:, 1:].any(axis=1)
+            self.sigma[cx[scalar], cy[scalar]] = vec[scalar, 0]
             bad = np.flatnonzero(~scalar[:need - lo])
             if bad.size:
                 labels = self.F.labels
                 raise NotScalar(
                     f"sigma({labels[cx[bad[0]]]},{labels[cy[bad[0]]]}) has "
                     "a non-scalar component")
-            if hi >= need:
-                return
+            lo += n
 
     def sigma_value(self, ix: int, iy: int) -> int:
         """sigma(e^alpha (x) e^beta) as a base-field integer, certified to
@@ -797,14 +851,17 @@ class Prop30Context:
         x1, y1 = x1s[u, None], x1s[None, v]
         s = self.sigma[x1, y1]
         if s.min() < 0:
-            mu, mv = np.nonzero(s < 0)
+            # column by column: one V row serves its column
+            mv, mu = np.nonzero((s < 0).T)
             self._evaluate(x1[mu, 0], y1[0, mv])
             s = self.sigma[x1, y1]
-        w = (binom[u] * binom[v, 0] % p * s % p).ravel()
+        if ix not in self._blocks:
+            self._build(x2s[u])
+        w = (binom[u, None] * binom[None, v] % p * s % p).ravel()
         # the u(L) rows x_2 y_2, summed in int64: below N^3 p^2 < 2^46
-        uptr, ucols, uvals = self._u
+        lo, hi, ucols, uvals = self._rows
         src, pos = ar.csr_expand(
-            uptr, (x2s[u, None] * N + x2s[None, v]).ravel())
+            lo, (x2s[u, None] * N + x2s[None, v]).ravel(), hi)
         out = np.zeros(N, dtype=np.int64)
         np.add.at(out, ucols[pos], w[src] * uvals[pos])
         return out[:, None] % p

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -171,12 +172,21 @@ def test_dim_cap():
         resliealg.Fiber(abelian6, resliealg.FiberPoint.make(f, [0] * 6))
 
 
+def coords(F, elem):
+    """Coordinates (dim, k) of a fully reduced engine element."""
+    out = ar.zeros(F.field, (F.dim,))
+    for alpha, c in elem.items():
+        assert max(alpha) < F.L.p, "element is not reduced"
+        out[F.index[alpha]] = (c,) if F.field.k == 1 else c
+    return out
+
+
 def assert_engine_products(F, pairs):
     """F.alg.mul[a, b] is the straightening engine's e^alpha e^beta."""
     eng = F.engine
     for a, b in pairs:
         elem = eng.mul_label({F.labels[a]: eng.cone}, F.labels[b])
-        assert np.array_equal(F.alg.mul[a, b], F.element_from_dict(elem)), \
+        assert np.array_equal(F.alg.mul[a, b], coords(F, elem)), \
             (F.point.values, F.labels[a], F.labels[b])
 
 
@@ -469,18 +479,73 @@ def test_prop30_context_matches_engine_at_p101():
                           oracle=False)
 
 
+_CONV_FIBERS = {}
+
+
+def _conv_fiber(name):
+    """A fiber and the operands of its sigma on the generic kernel: the
+    splittings, the fiber's mul as heads and as m, and the tails
+    gamma^{-1}(e^b e^d) from the dense u(L), all CSR."""
+    if name not in _CONV_FIBERS:
+        lie, p, point = {
+            "borel3": (borel(3), 3, [1, 2]), "borel5": (borel(5), 5, [3, 2]),
+            "sl2cone": (sl2(3), 3, [1, 0, 0]),
+            "sl2regular": (sl2(3), 3, [0, 0, 1]),
+            "one101": (_one_generator(101), 101, [1])}[name]
+        f = Field(p)
+        F = resliealg.Fiber(lie, resliealg.FiberPoint.make(f, point))
+        N = F.dim
+        U = resliealg.u_restricted(lie, f)[1].alg.mul
+        tails = ar.fmatmul(f, U.reshape(N * N, N, 1),
+                           resliealg._pbw_inverse_rows(F))
+        a, x1, x2, binom = F.splittings()
+        terms = (np.searchsorted(a, np.arange(N + 1)), a, x1, x2,
+                 binom[:, None])
+        mul = ar.csr(F.alg.mul.reshape(N * N, N, 1))
+        _CONV_FIBERS[name] = F, (terms, mul, ar.csr(tails), mul)
+    return _CONV_FIBERS[name]
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["borel3", "borel5", "sl2cone", "sl2regular",
+                             "one101"]),
+       budget=st.sampled_from([hopf.CONV_CHUNK_TERMS, 1]),
+       pairs=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                st.integers(0, 10 ** 6)), max_size=6))
+def test_prop30_sigma_matches_the_generic_convolution(name, budget, pairs):
+    """The two-pass sigma of Prop30Context on any pair list (repeats, any
+    order, empty), at the default chunk budget and at one term per chunk,
+    equals hopf.convolve_pairs on heads, tails and m = mul: a scalar, the
+    same one."""
+    F, (terms, heads, tails, mul) = _conv_fiber(name)
+    N = F.dim
+    x = np.array([i % N for i, _ in pairs], dtype=np.int64)
+    y = np.array([j % N for _, j in pairs], dtype=np.int64)
+    want = ar.zeros(F.field, (x.size, N))
+    with mock.patch.object(hopf, "CONV_CHUNK_TERMS", budget):
+        for lo, hi, vec in hopf.convolve_pairs(
+                F.field, terms, heads, tails, mul, x, y, (N,) * 5):
+            want[lo:hi] = vec
+        ctx = resliealg.Prop30Context(F)
+        ctx._evaluate(x, y)
+    assert not want[:, 1:].any()
+    assert np.array_equal(ctx.sigma[x, y], want[:, 0, 0])
+
+
 def test_prop30_context_rejects_a_non_scalar_sigma():
     F = resliealg.Fiber(borel(3),
                        resliealg.FiberPoint.make(Field(3), [1, 2]))
 
     def corrupted():
         # the tail gamma^{-1}(e^(0,1) e^(0,0)) = -e^(0,1) of the term
-        # (x_1, x_2) = (1, e^(0,1)) of sigma(e^(0,1), 1): change its value
+        # (x_1, x_2) = (1, e^(0,1)) of sigma(e^(0,1), 1): once its label is
+        # built, change its value
         ctx = resliealg.Prop30Context(F)
-        indptr, cols, vals = ctx._tails
-        row = F.index[(0, 1)] * F.dim + F.index[(0, 0)]
-        assert indptr[row + 1] - indptr[row] == 1
-        vals[indptr[row]] = (vals[indptr[row]] + 1) % 3
+        ctx._build(np.array([F.index[(0, 0)], F.index[(0, 1)]]))
+        lo, hi, cols, vals = ctx._rows
+        row = (F.dim + F.index[(0, 1)]) * F.dim + F.index[(0, 0)]
+        assert hi[row] - lo[row] == 1
+        vals[lo[row]] = (vals[lo[row]] + 1) % 3
         return ctx
 
     x, one = F.index[(0, 1)], F.index[(0, 0)]
@@ -501,10 +566,12 @@ def test_prop30_context_leaves_a_non_scalar_top_up_pair_unevaluated():
                        resliealg.FiberPoint.make(Field(3), [1, 2]))
     x, z, one = F.index[(0, 1)], F.index[(1, 0)], F.index[(0, 0)]
     ctx = resliealg.Prop30Context(F)
-    indptr, cols, vals = ctx._tails
-    row = x * F.dim + z
-    assert indptr[row + 1] > indptr[row]
-    vals[indptr[row]] = (vals[indptr[row]] + 1) % 3
+    # the tails are made per label: corrupt this one once it is built
+    ctx._build(np.array([one, x]))
+    lo, hi, cols, vals = ctx._rows
+    row = (F.dim + x) * F.dim + z
+    assert hi[row] > lo[row]
+    vals[lo[row]] = (vals[lo[row]] + 1) % 3
     assert ctx.sigma_value(x, one) == 0
     assert ctx.sigma[x, z] == -1 and (ctx.sigma[x] >= 0).sum() > 1
     with pytest.raises(NotScalar, match=r"sigma\(\(0, 1\),\(1, 0\)\)"):
@@ -518,7 +585,8 @@ def test_prop30_context_rejects_labels_outside_the_basis():
     ctx = resliealg.Prop30Context(F)
     # with row N - 1 evaluated, -1 must not wrap around to it
     ctx.multiply(N - 1, N - 1)
-    for i, j in [(-1, 0), (0, -1), (N, 0), (0, N), (1.0, 0)]:
+    for i, j in [(-1, 0), (0, -1), (N, 0), (0, N), (1.0, 0), (True, 0),
+                 (0, False), (np.True_, 0), (0, np.False_)]:
         with pytest.raises(BadLabel):
             ctx.sigma_value(i, j)
         with pytest.raises(BadLabel):
@@ -542,17 +610,41 @@ def test_prop30_context_chunking_does_not_change_results(monkeypatch, cells):
     assert np.array_equal(ctx.sigma, want_sigma)
 
 
-def test_inverse_rows_are_swept_once_per_fiber(monkeypatch):
-    F = resliealg.Fiber(sl2(3), resliealg.FiberPoint.make(Field(3), [0, 0, 1]))
-    calls = []
-    unit = F.engine.unit
-    monkeypatch.setattr(F.engine, "unit", lambda: calls.append(1) or unit())
-    sp = resliealg.pbw_splitting(F)
-    ctx = resliealg.Prop30Context(F)
-    # a sweep of the fiber's engine starts once from the unit per label
-    assert len(calls) == F.dim
-    assert sp.inverse.matrix is resliealg._pbw_inverse_rows(F)
-    assert ctx.multiply(5, 7).tolist() == F.alg.mul[5, 7].tolist()
+def _inverse_rows_by_engine(F):
+    """gamma^{-1}(e^alpha) by the dict engine: the reversed signed product
+    (-1)^|alpha| e_n^{a_n} ... e_1^{a_1} of every label, reduced in
+    U_lambda."""
+    eng = F.engine
+    inv = ar.zeros(F.field, (F.dim, F.dim))
+    for ia, alpha in enumerate(F.labels):
+        elem = eng.unit()
+        for j in range(F.L.dim - 1, -1, -1):
+            for _ in range(alpha[j]):
+                elem = eng.rmul_elem(elem, j)
+        if sum(alpha) % 2:
+            elem = eng.scale(elem, eng.cneg(eng.cone))
+        inv[ia] = coords(F, elem)
+    return inv
+
+
+def test_inverse_rows_are_swept_once_per_fiber():
+    """The gamma^{-1} rows, a chain of left products by the fiber's own
+    generator rows, equal the engine's reversed products; they are made
+    once per fiber, shared and read-only."""
+    for lie, field, point in [(sl2(3), Field(3), [0, 0, 1]),
+                              (sl2(3), Field(3, 2), [(1, 2), 0, (0, 1)]),
+                              (sl2(5), Field(5), [1, 2, 3]),
+                              (borel(3), Field(3), [1, 2]),
+                              (borel(5), Field(5), [3, 2])]:
+        F = resliealg.Fiber(lie, resliealg.FiberPoint.make(field, point))
+        sp = resliealg.pbw_splitting(F)
+        inv = resliealg._pbw_inverse_rows(F)
+        assert sp.inverse.matrix is inv and not inv.flags.writeable
+        assert np.array_equal(inv, _inverse_rows_by_engine(F)), point
+        if field.k == 1:
+            ctx = resliealg.Prop30Context(F)
+            assert resliealg._pbw_inverse_rows(F) is inv
+            assert ctx.multiply(5, 7).tolist() == F.alg.mul[5, 7].tolist()
 
 
 def test_prop30_context_holds_u_only_as_sparse_rows():
@@ -566,9 +658,36 @@ def test_prop30_context_holds_u_only_as_sparse_rows():
         tracemalloc.stop()
     # a dense u(L) alone is N^3 int64 cells
     assert peak < N ** 3 * 8
-    arrays = [a for v in vars(ctx).values()
-              for a in (v if isinstance(v, tuple) else (v,))
-              if isinstance(a, np.ndarray)]
-    assert arrays and max(a.size for a in arrays) < N ** 3
+    assert 0 < _largest_array(vars(ctx)) < N ** 3
     for i, j in [(N - 1, 0), (31, 93), (0, N - 1)]:
         assert np.array_equal(ctx.multiply(i, j), F.alg.mul[i, j]), (i, j)
+
+
+def _largest_array(obj):
+    """The size of the largest array in obj, a dict, tuple or list of them
+    (such as vars() of a context), searched to any depth."""
+    if isinstance(obj, np.ndarray):
+        return obj.size
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (tuple, list)):
+        return max(map(_largest_array, obj), default=0)
+    return 0
+
+
+def test_prop30_product_of_two_top_labels_at_p5():
+    """The product of two top labels needs every sigma pair (3,375^2 term
+    pairs at p = 5): exact, and with no N^3 array at any point."""
+    F = resliealg.Fiber(sl2(5), resliealg.FiberPoint.make(Field(5), [1, 2, 3]))
+    N = F.dim
+    tracemalloc.start()
+    try:
+        ctx = resliealg.Prop30Context(F)
+        got = ctx.multiply(N - 1, N - 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, F.alg.mul[N - 1, N - 1])
+    assert (ctx.sigma >= 0).all()
+    assert peak < N ** 3 * 8
+    assert 0 < _largest_array(vars(ctx)) < N ** 3

@@ -47,6 +47,26 @@ def test_no_float64_arithmetic_outside_imatmul():
     assert not found, f"float64 arithmetic in the package: {found}"
 
 
+def test_dict_engine_stays_out_of_hot_paths():
+    # the dict engine is the reference arithmetic: in resliealg only the
+    # generator matrices (`_structure_rows`), the prop30_* oracles,
+    # uenv_normalize and the engine itself call it; the rest runs on sparse
+    # rows and matmuls
+    path = PACKAGE / "resliealg.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    engine_calls = {"mul_label", "rmul_elem", "multiply", "word"}
+    callers = {"_structure_rows", "prop30_sigma", "prop30_multiply",
+               "uenv_normalize", "_Engine"}
+    allowed = {id(node) for top in tree.body
+               if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+               and top.name in callers for node in ast.walk(top)}
+    found = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and id(node) not in allowed
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in engine_calls]
+    assert not found, f"dict engine calls on a hot path: {found}"
+
+
 def test_traced_entry_points_exist():
     # the traced benchmark wraps these by name: a kernel rework that renames
     # or drops one fails here, not in the benchmark run
