@@ -29,12 +29,12 @@ on, by one rank-1 product; pivot inverses are memoised per field.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import ShapeMismatch
-from .exactfield import Field, Scalar
+# mul_images, binary_power and the memoised pivot inverses live with the
+# polynomials, which use them too; the names are kept here
+from .exactfield import Field, Scalar, _inv_images, binary_power, mul_images
 
 # rows folded into the running basis per step of rref
 ROW_BLOCK = 64
@@ -91,14 +91,6 @@ def fsub(field: Field, a, b):
     return (a - b) % field.p
 
 
-def mul_images(field: Field, b):
-    """(..., k) -> (..., k, k): row a holds t^a * b, a < k.  A product
-    x * b is then sum_a x_a (t^a * b), one matmul against the images."""
-    k = field.k
-    img = b.reshape(-1, k) @ field._t_images
-    return (img % field.p).reshape(b.shape[:-1] + (k, k))
-
-
 def fmul(field: Field, a, b):
     """Elementwise field product of broadcastable coefficient arrays."""
     if field.k == 1:
@@ -153,29 +145,8 @@ def _imatmul(a, b, mod):
     return c % mod
 
 
-def binary_power(x, e: int, mul, last=None):
-    """x^e for e >= 1 by left-to-right square and multiply under the
-    associative product mul(a, b).  `last(a, b)`, when given, computes the
-    final product in its place (say, only its trace); e = 1 returns x."""
-    ops = "".join("sm" if bit == "1" else "s" for bit in bin(e)[3:])
-    acc = x
-    for t, op in enumerate(ops):
-        step = last if last is not None and t == len(ops) - 1 else mul
-        acc = step(acc, acc) if op == "s" else step(acc, x)
-    return acc
-
-
 def scalar_inv(field: Field, a) -> np.ndarray:
     return _inv_images(field, tuple(int(c) for c in a))[0].copy()
-
-
-@lru_cache(maxsize=4096)
-def _inv_images(field: Field, a: tuple) -> np.ndarray:
-    """Read-only mul_images of a^-1, memoised: elimination meets the same
-    few pivots again and again, and Field.cinv is Euclid in Python."""
-    img = mul_images(field, np.array(field.cinv(a), dtype=np.int64))
-    img.flags.writeable = False
-    return img
 
 
 def rref(field: Field, M: np.ndarray):

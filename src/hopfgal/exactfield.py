@@ -6,6 +6,10 @@ Elements of F_{p^k} are coefficient vectors of length k over F_p
 modulus is supplied the lexicographically smallest monic irreducible of
 the requested degree is chosen, so that two constructions of the same
 field are bit-identical.
+
+A polynomial is one (deg + 1, k) int64 array, and all polynomial arithmetic
+(also the modulus search and the inverse in F_{p^k}) runs on it, with
+coefficient products as matmuls against the images of `mul_images`.
 """
 
 from __future__ import annotations
@@ -51,111 +55,46 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# integer-coefficient polynomial helpers over F_p (low degree first, trimmed)
-# ---------------------------------------------------------------------------
-
-def _ptrim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def mul_images(field: "Field", b):
+    """(..., k) -> (..., k, k): row a holds t^a * b, a < k.  A product
+    x * b is then sum_a x_a (t^a * b), one matmul against the images."""
+    k = field.k
+    img = b.reshape(-1, k) @ field._t_images
+    return (img % field.p).reshape(b.shape[:-1] + (k, k))
 
 
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                   for i in range(n)])
+@lru_cache(maxsize=4096)
+def _inv_images(field: "Field", a: tuple) -> np.ndarray:
+    """Read-only mul_images of a^-1, memoised: elimination and polynomial
+    division meet the same few pivots and leading coefficients again and
+    again, and Field.cinv at k > 1 runs Euclid on polynomials."""
+    img = mul_images(field, np.array(field.cinv(a), dtype=np.int64))
+    img.flags.writeable = False
+    return img
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a, b, p):
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    a = list(a)
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        d = len(a) - len(b)
-        c = (a[-1] * inv) % p
-        q[d] = c
-        for i, bi in enumerate(b):
-            a[d + i] = (a[d + i] - c * bi) % p
-        a = _ptrim(a)
-    return _ptrim(q), a
-
-
-def _pmod(a, b, p):
-    return _pdivmod(a, b, p)[1]
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _ppowmod(a, e, mod, p):
-    result = [1]
-    a = _pmod(a, mod, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, a, p), mod, p)
-        a = _pmod(_pmul(a, a, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _pirreducible(f, p):
-    # Rabin test: x^(p^n) == x mod f, and x^(p^(n/r)) - x coprime to f
-    n = len(f) - 1
-    if n < 1:
-        return False
-    x = [0, 1]
-    xq = _ppowmod(x, p ** n, f, p)
-    if _ptrim(_psub(xq, x, p)):
-        return False
-    r = 2
-    m = n
-    primes = []
-    while m > 1:
-        if m % r == 0:
-            primes.append(r)
-            while m % r == 0:
-                m //= r
-        r += 1
-    for r in primes:
-        xr = _ppowmod(x, p ** (n // r), f, p)
-        if _pgcd(_psub(xr, x, p), f, p) != [1]:
-            return False
-    return True
+def binary_power(x, e: int, mul, last=None):
+    """x^e for e >= 1 by left-to-right square and multiply under the
+    associative product mul(a, b).  `last(a, b)`, when given, computes the
+    final product in its place (say, only its trace); e = 1 returns x."""
+    ops = "".join("sm" if bit == "1" else "s" for bit in bin(e)[3:])
+    acc = x
+    for t, op in enumerate(ops):
+        step = last if last is not None and t == len(ops) - 1 else mul
+        acc = step(acc, acc) if op == "s" else step(acc, x)
+    return acc
 
 
 @lru_cache(maxsize=None)
 def _smallest_irreducible(p: int, k: int) -> tuple:
-    """Monic irreducible of degree k over F_p with lexicographically smallest
-    coefficient vector (constant coefficient compared first).  At k > 1 the
+    """Monic irreducible of degree k > 1 over F_p with lexicographically
+    smallest coefficient vector (constant coefficient compared first).  The
     search starts at constant term 1: T divides every tail with constant 0.
     Tails are the base-p digits of a counter, so F_p is never materialised."""
-    if k == 1:
-        return (0, 1)
+    base = Field(p)
     for m in range(p ** (k - 1), p ** k):
         f = [m // p ** (k - 1 - j) % p for j in range(k)] + [1]
-        if _pirreducible(f, p):
+        if Poly(base, f).is_irreducible():
             return tuple(f)
     raise RuntimeError(f"no irreducible of degree {k} over F_{p}")  # unreachable
 
@@ -166,47 +105,52 @@ def _smallest_irreducible(p: int, k: int) -> tuple:
 
 class Field:
     """A prime field F_p or an explicit extension F_{p^k} presented over F_p.
-    p must be a prime no larger than P_MAX, else BadPrime, and k no larger
-    than K_MAX, else BadDegree."""
+    p must be an int that is a prime no larger than P_MAX, else BadPrime,
+    and k an int from 1 to K_MAX, else BadDegree."""
 
-    __slots__ = ("p", "k", "modulus", "_red", "_red_rows", "_t_images",
-                 "_embed_cache")
+    __slots__ = ("p", "k", "modulus", "_base", "_red", "_red_rows",
+                 "_t_images", "_embed_cache")
 
     def __init__(self, p: int, k: int = 1, modulus=None):
+        # bool is an int subclass, and a float p would build "F_2.5"
+        if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+            raise BadPrime(f"p = {p!r} is not an integer")
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise BadDegree(f"extension degree {k!r} is not an integer")
+        p, k = int(p), int(k)
         if p > P_MAX:
             raise BadPrime(
                 f"p = {p} exceeds P_MAX = {P_MAX}, the largest prime for "
                 "which the int64 kernels stay exact")
+        if not 1 <= k <= K_MAX:
+            raise BadDegree(
+                f"extension degree {k} is not in 1..K_MAX = {K_MAX}")
         if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if k < 1:
-            raise ValueError("extension degree must be >= 1")
-        if k > K_MAX:
-            raise BadDegree(f"extension degree {k} exceeds K_MAX = {K_MAX}")
+            raise BadPrime(f"p = {p} is not prime")
         self.p = p
         self.k = k
+        # reduction matrix: row d = coefficients of T^d mod modulus, d < 2k-1
+        red = np.eye(k, dtype=np.int64)
         if k == 1:
             if modulus is not None:
                 raise ValueError("prime field takes no modulus")
             self.modulus = None
+            self._base = self
         else:
+            self._base = Field(p)
             if modulus is None:
+                # irreducible by construction
                 modulus = _smallest_irreducible(p, k)
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree k")
-            if not _pirreducible(list(modulus), p):
-                raise ValueError("modulus is reducible")
-            self.modulus = modulus
-        # reduction matrix: row d = coefficients of T^d mod modulus, d < 2k-1
-        red = np.zeros((2 * k - 1, k), dtype=np.int64)
-        for d in range(2 * k - 1):
-            if d < k:
-                red[d, d] = 1
+                f = Poly(self._base, modulus)
             else:
-                rem = _pmod([0] * d + [1], list(self.modulus), p)
-                for i, c in enumerate(rem):
-                    red[d, i] = c
+                modulus = tuple(int(c) % p for c in modulus)
+                if len(modulus) != k + 1 or modulus[-1] != 1:
+                    raise ValueError("modulus must be monic of degree k")
+                f = Poly(self._base, modulus)
+                if not f.is_irreducible():
+                    raise ValueError("modulus is reducible")
+            self.modulus = modulus
+            red = np.concatenate([red, f._t_powers()[..., 0]])
         self._red = red
         self._red_rows = [[int(c) for c in row] for row in red]
         # row c: the coefficients of t^a * t^c for a < k, concatenated
@@ -305,17 +249,16 @@ class Field:
             raise DivisionByZero("inverse of zero")
         if self.k == 1:
             return (pow(a[0], -1, self.p),)
-        # extended euclid in F_p[T] against the modulus
-        p = self.p
-        r0, r1 = list(self.modulus), _ptrim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _pdivmod(r0, r1, p)
+        # extended Euclid in F_p[T]: s0 a = r0 mod the modulus throughout
+        base = self._base
+        r0, r1 = Poly(base, self.modulus), Poly(base, a)
+        s0, s1 = Poly(base, []), Poly(base, [1])
+        while not r1.is_zero():
+            q, r = divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        lead_inv = pow(r0[-1], -1, p)
-        inv = [(c * lead_inv) % p for c in s0]
-        inv = _pmod(inv, list(self.modulus), p)
+            s0, s1 = s1, s0 - q * s1
+        # the modulus is irreducible, so r0 is a unit and deg s0 < k
+        inv = (s0 * r0.coeffs[0].inverse())._c[:, 0].tolist()
         return tuple(inv + [0] * (self.k - len(inv)))
 
     @property
@@ -433,17 +376,13 @@ class Scalar:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if e == 0:
+            return self.field.one
+        return binary_power(self, e, Scalar.__mul__)
 
     def inverse(self) -> "Scalar":
-        return Scalar(self.field, self.field.cinv(self.coeffs))
+        img = _inv_images(self.field, self.coeffs)
+        return Scalar(self.field, tuple(img[0].tolist()))
 
     def frobenius(self) -> "Scalar":
         return self ** self.field.p
@@ -472,61 +411,77 @@ class Scalar:
         return list(self.coeffs)
 
 
-def field_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Dispatch table form of scalar arithmetic: add/sub/mul/div/pow/frobenius."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        return a ** b if isinstance(b, int) else NotImplemented
-    if op == "frobenius":
-        return a.frobenius()
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Polynomials over a Field
 # ---------------------------------------------------------------------------
 
-class Poly:
-    """Univariate polynomial over a Field; coefficients low degree first,
-    trailing zeros trimmed.  The zero polynomial has degree -1."""
+def _trim(c: np.ndarray) -> np.ndarray:
+    """c without its trailing zero rows, read-only."""
+    n = len(c)
+    while n and not np.count_nonzero(c[n - 1]):
+        n -= 1
+    c = c[:n]
+    c.flags.writeable = False
+    return c
 
-    __slots__ = ("field", "coeffs")
+
+class Poly:
+    """Univariate polynomial over a Field: one read-only (deg + 1, k) int64
+    array of coefficient vectors, low degree first, trailing zero rows
+    trimmed.  The zero polynomial has degree -1."""
+
+    __slots__ = ("field", "_c", "_table")
 
     def __init__(self, field: Field, coeffs):
-        cs = [field.scalar(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
+        """coeffs: Scalars, ints or coefficient vectors, low degree first."""
+        rows = [field.scalar(c).coeffs for c in coeffs]
         self.field = field
-        self.coeffs = tuple(cs)
+        self._c = _trim(np.array(rows, dtype=np.int64).reshape(-1, field.k))
+        self._table = None
+
+    @staticmethod
+    def _of(field: Field, c: np.ndarray) -> "Poly":
+        """The polynomial of a reduced array that the caller no longer
+        writes to."""
+        out = Poly.__new__(Poly)
+        out.field, out._c, out._table = field, _trim(c), None
+        return out
+
+    def _array(self, other) -> np.ndarray:
+        """The coefficient array of a Poly or Scalar of this field."""
+        if isinstance(other, Scalar):
+            other = Poly(self.field, [other])
+        if other.field != self.field:
+            raise FieldMismatch(f"{self.field} vs {other.field}")
+        return other._c
 
     @classmethod
     def from_ints(cls, field: Field, ints) -> "Poly":
-        return cls(field, [field.scalar(c) for c in ints])
+        return cls(field, ints)
 
     @classmethod
     def x(cls, field: Field) -> "Poly":
-        return cls(field, [field.zero, field.one])
+        return cls(field, [0, 1])
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Scalars, low degree first."""
+        f = self.field
+        return tuple(Scalar(f, tuple(row)) for row in self._c.tolist())
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._c) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not len(self._c)
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and other.field == self.field
-                and other.coeffs == self.coeffs)
+                and np.array_equal(other._c, self._c))
 
     def __hash__(self):
-        return hash((self.field, tuple(c.coeffs for c in self.coeffs)))
+        return hash((self.field, self._c.tobytes()))
 
     def __repr__(self):
         if self.is_zero():
@@ -535,51 +490,61 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
     def key(self):
-        """Deterministic sort key: degree, then coefficients low degree first."""
-        return (self.degree, tuple(c.coeffs for c in self.coeffs))
+        """Deterministic sort key: degree, then coefficients low degree
+        first."""
+        return (self.degree, tuple(map(tuple, self._c.tolist())))
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        f = self.field
-        return Poly(f, [(self.coeffs[i] if i < len(self.coeffs) else f.zero)
-                        + (other.coeffs[i] if i < len(other.coeffs) else f.zero)
-                        for i in range(n)])
+        a, b = self._c, self._array(other)
+        if len(a) < len(b):
+            a, b = b, a
+        out = a.copy()
+        out[:len(b)] += b
+        return Poly._of(self.field, out % self.field.p)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly._of(self.field, -self._c % self.field.p)
+
+    @staticmethod
+    def _product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The coefficients of a b, for coefficient arrays a and b."""
+        n, m, k = len(a), len(b), field.k
+        if not n or not m:
+            return a[:0]
+        # the products a_i b_j against the images of b, reduced, then summed
+        # along i + j: padding row i to n + m cells and reading the flat
+        # array in rows of n + m - 1 shifts row i right by i
+        img = mul_images(field, b).transpose(1, 0, 2).reshape(k, m * k)
+        skew = np.zeros((n, n + m, k), dtype=np.int64)
+        skew[:, :m] = (a @ img % field.p).reshape(n, m, k)
+        skew = skew.reshape(-1)[:n * (n + m - 1) * k]
+        return skew.reshape(n, n + m - 1, k).sum(axis=0) % field.p
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return Poly(self.field, [c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly(self.field, [])
-        f = self.field
-        out = [f.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return Poly(f, out)
+        c = Poly._product(self.field, self._c, self._array(other))
+        return Poly._of(self.field, c)
 
     def __divmod__(self, other):
-        if other.is_zero():
+        b = self._array(other)
+        if not len(b):
             raise DivisionByZero("polynomial division by zero")
         f = self.field
-        rem = list(self.coeffs)
-        q = [f.zero] * max(0, len(rem) - len(other.coeffs) + 1)
-        inv = other.coeffs[-1].inverse()
-        while len(rem) >= len(other.coeffs) and rem:
-            d = len(rem) - len(other.coeffs)
-            c = rem[-1] * inv
-            q[d] = c
-            for i, b in enumerate(other.coeffs):
-                rem[d + i] = rem[d + i] - c * b
-            while rem and rem[-1].is_zero():
-                rem.pop()
-        return Poly(f, q), Poly(f, rem)
+        p, k, m = f.p, f.k, len(b)
+        rem = self._c.copy()
+        q = np.zeros((max(0, len(rem) - m + 1), k), dtype=np.int64)
+        inv = _inv_images(f, tuple(b[-1].tolist()))
+        img = mul_images(f, b).transpose(1, 0, 2).reshape(k, m * k)
+        # one step per quotient degree d clears coefficient d + m - 1
+        flat = rem.reshape(-1)
+        for d in range(len(q) - 1, -1, -1):
+            c = q[d] = rem[d + m - 1] @ inv % p
+            seg = flat[d * k:(d + m) * k]
+            seg -= c @ img
+            seg %= p
+        return Poly._of(f, q), Poly._of(f, rem[:m - 1])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -590,8 +555,8 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        inv = self.coeffs[-1].inverse()
-        return self * inv
+        inv = _inv_images(self.field, tuple(self._c[-1].tolist()))
+        return Poly._of(self.field, self._c @ inv % self.field.p)
 
     def gcd(self, other) -> "Poly":
         a, b = self, other
@@ -599,88 +564,105 @@ class Poly:
             a, b = b, a % b
         return a.monic()
 
+    def _t_powers(self) -> np.ndarray:
+        """(n - 1, n, k) for n = deg self >= 1: row j holds T^(n + j) mod
+        self.  T^(n + j + 1) is T^(n + j) shifted up one degree, its top
+        coefficient c coming back as c T^n mod self."""
+        f = self.field
+        p, k, n = f.p, f.k, self.degree
+        rows = np.zeros((n - 1, n, k), dtype=np.int64)
+        if n > 1:
+            rows[0] = -self.monic()._c[:n] % p
+            img = mul_images(f, rows[0]).transpose(1, 0, 2).reshape(k, n * k)
+        for j in range(1, n - 1):
+            rows[j, 1:] = rows[j - 1, :-1]
+            rows[j] = (rows[j] + (rows[j - 1, -1] @ img).reshape(n, k)) % p
+        return rows
+
+    def _mulmod(self, u: "Poly", v: "Poly") -> "Poly":
+        """u v mod self for u, v of degree < n = deg self: the product's
+        coefficients from T^n on are contracted with the images of the rows
+        T^d mod self, kept on self as ((n - 1) k, n k).  The int64 sums stay
+        exact while (n - 1) k <= MAX_INNER."""
+        f = self.field
+        k, n = f.k, self.degree
+        if self._table is None:
+            img = mul_images(f, self._t_powers()).transpose(0, 2, 1, 3)
+            self._table = img.reshape(-1, n * k)
+        c = Poly._product(f, u._c, v._c)
+        out = np.zeros((n, k), dtype=np.int64)
+        out[:min(len(c), n)] = c[:n]
+        if len(c) > n:
+            top = c[n:].reshape(-1)
+            out += (top @ self._table[:len(top)]).reshape(n, k)
+        return Poly._of(f, out % f.p)
+
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
-        result = Poly(self.field, [self.field.one])
-        base = self % mod
-        while e:
-            if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return result
+        """self^e mod `mod`, by square and multiply under `mod._mulmod`."""
+        if e == 0 or mod.degree < 1:
+            return Poly(self.field, [1]) % mod
+        return binary_power(self % mod, e, mod._mulmod)
 
     def derivative(self) -> "Poly":
-        f = self.field
-        return Poly(f, [c * f.scalar(i) for i, c in enumerate(self.coeffs)][1:])
-
-    def evaluate(self, a: Scalar) -> Scalar:
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
+        c, p = self._c, self.field.p
+        return Poly._of(self.field, c[1:] * np.arange(1, len(c))[:, None] % p)
 
     def map_field(self, big: Field) -> "Poly":
-        return Poly(big, [self.field.embed(c, big) for c in self.coeffs])
+        emb = self.field.embedding_matrix(big)
+        return Poly._of(big, self._c @ emb % big.p)
 
     # -- factorization -------------------------------------------------------
 
     def _pth_root(self) -> "Poly":
         # defined when the derivative vanishes: all exponents divisible by p
         f = self.field
-        p = f.p
-        coeffs = []
-        for i in range(0, len(self.coeffs), p):
-            c = self.coeffs[i]
-            # p-th root in F_{p^k}: c^(p^(k-1))
-            coeffs.append(c ** (p ** (f.k - 1)))
-        return Poly(f, coeffs)
+        c = self._c[::f.p]
+        if f.k > 1:
+            # p-th root in F_{p^k}: c^(p^(k-1)), coefficientwise
+            c = binary_power(c, f.p ** (f.k - 1), lambda u, v: (
+                (u[:, None] @ mul_images(f, v))[:, 0] % f.p))
+        return Poly._of(f, c)
 
     def _squarefree_decompose(self):
         """list of (monic squarefree poly, multiplicity), product = self/lead."""
-        f = self.monic()
-        if f.degree <= 0:
-            return []
         out = {}
-
-        def accumulate(g, mult):
-            for h, m in _sqf(g):
-                key = h
-                out[key] = out.get(key, 0) + m * mult
-
-        def _sqf(g):
-            if g.degree <= 0:
-                return []
-            d = g.derivative()
-            if d.is_zero():
-                return [(h, m * g.field.p) for h, m in _sqf(g._pth_root())]
-            c = g.gcd(d)
-            w = g // c
-            res = []
-            i = 1
-            while w.degree > 0:
-                y = w.gcd(c)
-                z = w // y
-                if z.degree > 0:
-                    res.append((z.monic(), i))
-                w = y
-                c = c // y
-                i += 1
-            if c.degree > 0:
-                res.extend((h, m * g.field.p) for h, m in _sqf(c._pth_root()))
-            return res
-
-        accumulate(f, 1)
+        for h, m in self.monic()._sqf():
+            out[h] = out.get(h, 0) + m
         return sorted(out.items(), key=lambda t: t[0].key())
+
+    def _sqf(self):
+        """(squarefree part, multiplicity) pairs of a monic self; the parts
+        that are p-th powers come from the p-th root."""
+        if self.degree <= 0:
+            return []
+        p = self.field.p
+        d = self.derivative()
+        if d.is_zero():
+            return [(h, m * p) for h, m in self._pth_root()._sqf()]
+        c = self.gcd(d)
+        w = self // c
+        res = []
+        i = 1
+        while w.degree > 0:
+            y = w.gcd(c)
+            z = w // y
+            if z.degree > 0:
+                res.append((z.monic(), i))
+            w = y
+            c = c // y
+            i += 1
+        if c.degree > 0:
+            res.extend((h, m * p) for h, m in c._pth_root()._sqf())
+        return res
 
     def _distinct_degree(self):
         """On monic squarefree input: list of (product of irreducibles of deg d, d)."""
         f = self
         q = self.field.order
         out = []
-        x = Poly.x(self.field)
-        h = x
+        x = h = Poly.x(self.field)
         d = 0
-        while f.degree > 2 * (d + 1) - 1:
+        while f.degree >= 2 * (d + 1):
             d += 1
             h = h.pow_mod(q, f)
             g = f.gcd(h - x)
@@ -709,13 +691,13 @@ class Poly:
                 break
             if q % 2 == 1:
                 s = r.pow_mod((q ** d - 1) // 2, f)
-                g = f.gcd(s - Poly(self.field, [self.field.one]))
+                g = f.gcd(s - Poly(self.field, [1]))
             else:
-                t = r
-                s = r
+                # the trace r + r^2 + ... + r^(2^(dk - 1)) mod f
+                t = s = r
                 for _ in range(d * self.field.k - 1):
                     t = t.pow_mod(2, f)
-                    s = (s + t) % f
+                    s = s + t
                 g = f.gcd(s)
             if 0 < g.degree < f.degree:
                 break
@@ -737,19 +719,25 @@ class Poly:
                     out[irr] = out.get(irr, 0) + mult
         return sorted(out.items(), key=lambda t: t[0].key())
 
-    def is_irreducible(self, seed: int = DEFAULT_SEED) -> bool:
-        if self.degree < 1:
+    def is_irreducible(self) -> bool:
+        """Rabin's test: f of degree n >= 1 over F_q is irreducible iff
+        T^(q^n) = T mod f and T^(q^(n/r)) - T is prime to f for each prime
+        r dividing n."""
+        n = self.degree
+        if n < 1:
             return False
-        fac = self.factor(seed)
-        return len(fac) == 1 and fac[0][1] == 1
+        q = self.field.order
+        x = Poly.x(self.field) % self
+        if not (x.pow_mod(q ** n, self) - x).is_zero():
+            return False
+        primes = [r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)]
+        return all((x.pow_mod(q ** (n // r), self) - x).gcd(self).degree == 0
+                   for r in primes)
 
     def roots(self, seed: int = DEFAULT_SEED):
         """Roots in the coefficient field, sorted by coefficient vector."""
-        out = []
-        for g, _ in self.factor(seed):
-            if g.degree == 1:
-                out.append(-g.coeffs[0])
-        return sorted(out, key=lambda s: s.coeffs)
+        return sorted((-g.coeffs[0] for g, _ in self.factor(seed)
+                       if g.degree == 1), key=lambda s: s.coeffs)
 
 
 def splitting_extension(f: Poly, seed: int = DEFAULT_SEED) -> Field:

@@ -429,15 +429,6 @@ def cyclic_group_table(m: int):
     return [[(i + j) % m for j in range(m)] for i in range(m)]
 
 
-def group_from_json(field: Field, data: dict) -> HopfAlgebra:
-    if set(data) - {"order", "table"}:
-        raise NotAGroup("unexpected keys in group description")
-    table = data["table"]
-    if len(table) != int(data["order"]):
-        raise NotAGroup("order does not match table size")
-    return group_algebra(field, table)
-
-
 # ---------------------------------------------------------------------------
 # internal dual
 # ---------------------------------------------------------------------------

@@ -72,6 +72,16 @@ def test_verify_hopf_broken_antipode(capsys, tmp_path):
     assert code == 1 and not report["ok"] and report["issues"]
 
 
+def test_verify_hopf_non_integer_prime_exits_2(capsys, tmp_path):
+    data = group_algebra(Field(3), cyclic_group_table(2)).to_json()
+    data["field"]["p"] = 2.5
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify-hopf", str(path))
+    assert code == 2 and out == ""
+    assert "p = 2.5 is not an integer" in err
+
+
 def test_verify_hopf_good(capsys, tmp_path):
     f = Field(3)
     H = group_algebra(f, cyclic_group_table(4))

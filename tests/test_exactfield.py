@@ -1,11 +1,13 @@
 import itertools
 import random
+import re
 import time
 
 import numpy as np
 import pytest
 
 from hopfgal import _arrays as ar
+from hopfgal import exactfield
 from hopfgal.errors import (
     BadDegree,
     BadPrime,
@@ -20,9 +22,7 @@ from hopfgal.exactfield import (
     Field,
     Poly,
     _is_prime,
-    _pirreducible,
     _smallest_irreducible,
-    field_arith,
     splitting_extension,
 )
 
@@ -35,7 +35,35 @@ def test_prime_field_arithmetic():
     two = F3.scalar(2)
     assert two * two == F3.one
     assert F3.one.inverse() == F3.one
-    assert field_arith(two, two, "mul") == F3.one
+
+
+@pytest.mark.parametrize("p, k, error", [
+    (2.5, 1, BadPrime), (3.0, 1, BadPrime), (np.float64(3), 1, BadPrime),
+    (True, 1, BadPrime), ("3", 1, BadPrime), (None, 1, BadPrime),
+    (3, 2.0, BadDegree), (3, True, BadDegree), (3, "2", BadDegree),
+    (3, 0, BadDegree), (3, -1, BadDegree)])
+def test_field_rejects_bad_p_and_k_before_the_primality_test(
+        monkeypatch, p, k, error):
+    # typed errors, raised before _is_prime and before any table is built
+    def not_reached(n):
+        raise AssertionError("_is_prime was reached")
+
+    monkeypatch.setattr(exactfield, "_is_prime", not_reached)
+    with pytest.raises(error, match=re.escape(f"{p!r} is not")
+                       if error is BadPrime else None):
+        Field(p, k)
+
+
+def test_field_rejects_composite_p_and_takes_numpy_integers():
+    for p in (-3, 0, 1, 4, 9, 2 ** 20):
+        with pytest.raises(BadPrime, match="not prime"):
+            Field(p)
+    with pytest.raises(BadPrime):
+        Field.from_json({"p": 3.0})
+    with pytest.raises(BadDegree):
+        Field.from_json({"p": 3, "k": 2.0})
+    f = Field(np.int64(3), np.int64(2))
+    assert f == F9 and type(f.p) is int and type(f.k) is int
 
 
 def test_deterministic_modulus():
@@ -48,8 +76,9 @@ def test_deterministic_modulus():
                                   for k in range(2, 13) if p ** k <= 3 ** 8])
 def test_modulus_search_matches_the_full_search(p, k):
     # the full search also visits the tails with constant term 0
+    base = Field(p)
     full = next(tuple(tail) + (1,) for tail in itertools.product(range(p), repeat=k)
-                if _pirreducible(list(tail) + [1], p))
+                if Poly(base, list(tail) + [1]).is_irreducible())
     assert _smallest_irreducible(p, k) == full
 
 
@@ -152,7 +181,10 @@ def test_factor_zero_raises():
         splitting_extension(Poly(F3, []))
 
 
-@pytest.mark.parametrize("field,deg", [(F3, 8), (F5, 8)])
+@pytest.mark.parametrize("field,deg", [
+    (F3, 8), (F5, 8), (F9, 6),
+    (Field(2, 3), 6),       # even q: the trace split of _equal_degree_split
+    (Field(3, 6), 4), (Field(P_MAX), 4)])
 def test_factor_remultiplies(field, deg):
     rng = random.Random(11)
     for _ in range(100):
@@ -166,6 +198,84 @@ def test_factor_remultiplies(field, deg):
             for _ in range(m):
                 prod = prod * g
         assert prod == f
+
+
+# coefficient-loop oracles on lists of Scalars, trailing zeros trimmed;
+# inverses by Fermat, a^(q - 2), so that no oracle goes through Poly
+
+def _trimmed(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _naive_mul(field, a, b):
+    if not a or not b:
+        return ()
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _trimmed(out)
+
+
+def _naive_divmod(field, a, b):
+    rem = list(a)
+    q = [field.zero] * max(0, len(a) - len(b) + 1)
+    inv = b[-1] ** (field.order - 2)
+    for d in range(len(q) - 1, -1, -1):
+        q[d] = rem[d + len(b) - 1] * inv
+        for i, y in enumerate(b):
+            rem[d + i] = rem[d + i] - q[d] * y
+    return _trimmed(q), _trimmed(rem[:len(b) - 1])
+
+
+def _naive_gcd(field, a, b):
+    while b:
+        a, b = b, _naive_divmod(field, a, b)[1]
+    if not a:
+        return a
+    inv = a[-1] ** (field.order - 2)
+    return tuple(c * inv for c in a)
+
+
+def _naive_pow_mod(field, a, e, mod):
+    # right to left, where Poly.pow_mod squares left to right
+    result = _naive_divmod(field, (field.one,), mod)[1]
+    base = _naive_divmod(field, a, mod)[1]
+    while e:
+        if e & 1:
+            result = _naive_divmod(field, _naive_mul(field, result, base), mod)[1]
+        base = _naive_divmod(field, _naive_mul(field, base, base), mod)[1]
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("field", [Field(2), F3, F9, Field(2, 3), Field(3, 6),
+                                   Field(P_MAX)], ids=repr)
+def test_poly_kernel_matches_coefficient_loops(field):
+    rng = random.Random(5)
+
+    def rand(deg):
+        return _trimmed(field.random_scalar(rng) for _ in range(deg + 1))
+
+    # the zero polynomial, degree 0, and random degrees up to 6
+    polys = [(), (field.one,), rand(0), (field.zero, field.one)]
+    polys += [rand(rng.randrange(7)) for _ in range(8)]
+    for a in polys:
+        for b in polys:
+            A, B = Poly(field, a), Poly(field, b)
+            assert (A * B).coeffs == _naive_mul(field, a, b)
+            assert A.gcd(B).coeffs == _naive_gcd(field, a, b)
+            if not b:
+                with pytest.raises(DivisionByZero):
+                    divmod(A, B)
+                continue
+            q, r = divmod(A, B)
+            assert (q.coeffs, r.coeffs) == _naive_divmod(field, a, b)
+            for e in (0, 1, 2, 5, field.order + 1):
+                assert A.pow_mod(e, B).coeffs == _naive_pow_mod(field, a, e, b)
 
 
 def test_splitting_extension_degrees():

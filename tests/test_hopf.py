@@ -336,14 +336,6 @@ def test_serialization_round_trip():
     assert hopf.hopf_verify(H2) == []
 
 
-def test_group_from_json():
-    f = Field(3)
-    H = hopf.group_from_json(f, {"order": 2, "table": [[0, 1], [1, 0]]})
-    assert H.dim == 2
-    with pytest.raises(NotAGroup):
-        hopf.group_from_json(f, {"order": 3, "table": [[0, 1], [1, 0]]})
-
-
 # ---------------------------------------------------------------------------
 # the two-argument convolution
 # ---------------------------------------------------------------------------

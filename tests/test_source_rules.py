@@ -67,6 +67,23 @@ def test_dict_engine_stays_out_of_hot_paths():
     assert not found, f"dict engine calls on a hot path: {found}"
 
 
+def test_exactfield_has_one_polynomial_kernel():
+    # polynomial arithmetic runs on Poly's int64 arrays: no module-level
+    # _p* helpers on int lists beside it, and no Poly method falls back to
+    # the per-coefficient Python products Field.cmul and Field.cinv
+    path = PACKAGE / "exactfield.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{path.name}:{node.lineno} {node.name}" for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("_p")]
+    poly = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "Poly")
+    found += [f"{path.name}:{node.lineno} {node.func.attr}"
+              for node in ast.walk(poly) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in {"cmul", "cinv"}]
+    assert not found, f"a second polynomial kernel in exactfield: {found}"
+
+
 def test_traced_entry_points_exist():
     # the traced benchmark wraps these by name: a kernel rework that renames
     # or drops one fails here, not in the benchmark run
