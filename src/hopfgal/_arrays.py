@@ -14,7 +14,8 @@ int64 while that is below 2^63, and `_imatmul` splits longer inner sums.
 
 Sparse rows are CSR triples (row pointers, columns, (nnz, k) values);
 `csr_expand` lists the entries of chosen rows, the step of every row-wise
-sparse product in the package, and `scatter_add` sums terms into cells.
+sparse product in the package, `scatter_add` sums terms into cells, and
+`sparse_times_csr` multiplies a sparse matrix by a CSR one.
 
 Elimination is row-batched: `rref` folds ROW_BLOCK rows at a time into a
 running RREF basis.  Each block is reduced against the basis with one
@@ -77,10 +78,6 @@ def unit_scalar(field: Field, value=1) -> np.ndarray:
     out = np.zeros(field.k, dtype=np.int64)
     out[0] = int(value) % field.p
     return out
-
-
-def scalar_of(field: Field, arr) -> Scalar:
-    return Scalar(field, tuple(int(c) for c in np.asarray(arr)))
 
 
 def fadd(field: Field, a, b):
@@ -275,11 +272,6 @@ def inv_matrix(field: Field, M: np.ndarray) -> np.ndarray | None:
     return R[:, n:, :]
 
 
-def in_row_space(field: Field, basis: np.ndarray, v: np.ndarray) -> bool:
-    """Is v (n, k) in the span of rref basis rows (d, n, k)?"""
-    return coords_in_row_space(field, basis, v) is not None
-
-
 def coords_in_row_space(field: Field, basis: np.ndarray, v: np.ndarray):
     """Coordinates (d, k) of v in the rref basis rows, or None."""
     coords = coords_in_row_space_many(field, basis, v[None])
@@ -332,6 +324,27 @@ def csr_expand(indptr: np.ndarray, rows: np.ndarray, ends=None):
     pos = (starts - counts.cumsum() + counts).repeat(counts)
     pos += np.arange(pos.size)
     return src, pos
+
+
+def sparse_times_csr(field: Field, n: int, cells: np.ndarray,
+                     vals: np.ndarray, csr):
+    """X @ C for a sparse X with n columns, given as the flat cells r n + t
+    of its nonzeros and their (nnz, k) values, and a CSR matrix C of n rows
+    and at most n columns; the product comes back in the same form, its
+    cells sorted and nonzero.  A cell sums at most n terms in int64
+    (`fmul_sum`)."""
+    indptr, cols, cvals = csr
+    r, t = np.divmod(cells, n)
+    # nonzero m of X meets the entries of CSR row t[m]
+    src, pos = csr_expand(indptr, t)
+    out = r[src] * n + cols[pos]
+    terms = fmul_sum(field, vals[src], cvals[pos], n)
+    order = np.argsort(out)
+    out = out[order]
+    start = np.flatnonzero(np.diff(out, prepend=-1))
+    acc = np.add.reduceat(terms[order], start, axis=0) % field.p
+    keep = acc.any(axis=1)
+    return out[start[keep]], acc[keep]
 
 
 def scatter_add(out: np.ndarray, cells: np.ndarray, vals: np.ndarray):

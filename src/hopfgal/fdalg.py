@@ -43,7 +43,7 @@ class Subspace:
         return self.basis.shape[0]
 
     def contains(self, v: np.ndarray) -> bool:
-        return ar.in_row_space(self.field, self.basis, v)
+        return self.coords(v) is not None
 
     def coords(self, v: np.ndarray):
         return ar.coords_in_row_space(self.field, self.basis, v)
@@ -246,10 +246,9 @@ def algebra_verify(A: SCAlgebra, max_reports: int = 20) -> list[str]:
         # rhs[j,k',m] = sum_t mul[j,k',t] mul[i,t,m]
         rhs = ar.fmatmul(f, A.mul.reshape(n * n, n, f.k),
                          A.mul[i]).reshape(n, n, n, f.k)
-        bad = np.argwhere(np.any((lhs - rhs) % f.p, axis=3))
-        for j, kk, _ in bad[:1]:
-            out.append(f"associativity violated at triple ({i},{int(j)},{int(kk)})")
-            break
+        bad = np.argwhere(np.any((lhs - rhs) % f.p, axis=3)).tolist()
+        out += [f"associativity violated at triple ({i},{j},{kk})"
+                for j, kk, _ in bad[:1]]
         if len(out) >= max_reports:
             out.append("... further violations suppressed")
             return out
@@ -591,9 +590,7 @@ def _minimal_polynomial(A: SCAlgebra, z: np.ndarray, unit: np.ndarray,
             if sol is None:
                 raise ConsistencyCheckFailed(
                     "dependent power is not a combination of the lower ones")
-            coeffs = [-ar.scalar_of(f, sol[i]) for i in range(len(powers))]
-            coeffs.append(f.one)
-            return Poly(f, coeffs)
+            return Poly(f, list(-sol % f.p) + [f.one])
         powers.append(cur)
         if len(powers) > space.shape[0] + 1:
             raise ConsistencyCheckFailed(
@@ -755,25 +752,15 @@ def separability_idempotent_exists(A: SCAlgebra) -> bool:
     algebras (the system has dim^2 unknowns)."""
     f = A.field
     n = A.dim
-    # unknown e[a,b]; constraints per basis x=b_i and output slot (c,d):
-    # sum_{a} mul[i,a,c] e[a,d] - sum_b e[c,b] mul[b,i,d] = 0
-    rows = []
-    for i in range(n):
-        L = A.mul[i]          # (a, c, k): b_i b_a coefficients
-        R = A.mul[:, i, :, :]  # (b, d, k): b_b b_i coefficients
-        # coefficient of e[a,b] in constraint (c,d):
-        #   mul[i,a,c] delta_{b,d} - delta_{a,c} mul[b,i,d]
-        C = np.zeros((n, n, n, n, f.k), dtype=np.int64)
-        for c in range(n):
-            C[c, :, c, :, :] -= R.transpose(1, 0, 2)
-        Ct = np.zeros_like(C)
-        for d in range(n):
-            Ct[:, d, :, d, :] += L.transpose(1, 0, 2)
-        C = (C + Ct) % f.p
-        rows.append(C.reshape(n * n, n * n, f.k))
+    # unknown e[a,b]; constraint (c,d) of x=b_i: sum_a mul[i,a,c] e[a,d] -
+    # sum_b e[c,b] mul[b,i,d] = 0, so e[a,b] has the coefficient
+    # mul[i,a,c] delta_{b,d} - delta_{a,c} mul[b,i,d]
+    eye = np.eye(n, dtype=np.int64)
+    C = (np.einsum("iack,bd->icdabk", A.mul, eye)
+         - np.einsum("ac,bidk->icdabk", eye, A.mul)) % f.p
     # mu(e) = sum_{a,b} e[a,b] b_a b_b = 1
     mu = A.mul.transpose(2, 0, 1, 3).reshape(n, n * n, f.k)
-    M = np.concatenate(rows + [mu], axis=0)
+    M = np.concatenate([C.reshape(n ** 3, n * n, f.k), mu], axis=0)
     rhs = ar.zeros(f, (M.shape[0],))
     rhs[-n:] = A.unit
     sol = ar.solve(f, M, rhs)

@@ -19,9 +19,9 @@ sigma, the "standard" twisted product rebuilds A and the "paper" one
 rebuilds A^op.  cocycle_verify checks the associativity identity matching
 the chosen convention; for cocommutative H the two agree.
 
-Every sum over the terms of two arguments of a coaction (Delta, or the
-coaction rho of a comodule algebra) runs through the one kernel
-hopf.convolve_pairs, by way of hopf.convolution2.
+Sums over the terms of two arguments of a coaction (Delta or a comodule
+algebra's rho) run through hopf.convolve_pairs, and the cocycle of a
+cleaving map and cocycle_transform's gauge sum through hopf.cocycle_pairs.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .errors import (
     NotConvInvertible,
     PremiseFailed,
     ShapeMismatch,
+    UnknownKind,
     ValueNotInvariant,
 )
 from .exactfield import Field
@@ -59,8 +60,9 @@ from .hopf import (
     HopfAlgebra,
     Integral,
     LinMap,
-    conv_inverse,
     coaction_terms,
+    cocycle_pairs,
+    conv_inverse,
     conv_unit,
     convolution,
     convolution2,
@@ -79,6 +81,12 @@ COCYCLE_TRIPLE_DIM = 12
 
 # cells of one block of the coassociativity and algebra-map checks
 ALGEBRA_MAP_CELLS = 2 ** 20
+
+
+def _check_convention(convention: str):
+    """UnknownKind unless convention is one of the two product conventions."""
+    if convention not in ("paper", "standard"):
+        raise UnknownKind(f"unknown convention {convention!r}")
 
 
 def _counit_right(H: HopfAlgebra, X: np.ndarray) -> np.ndarray:
@@ -366,8 +374,7 @@ def cocycle_verify(sig: Cocycle, convention: str = "paper") -> list[str]:
     convention, and is convolution invertible.  The triple identity is
     checked exhaustively for dim(H) <= 12 and on a fixed deterministic
     sample of triples above that."""
-    if convention not in ("paper", "standard"):
-        raise ValueError(f"unknown convention {convention!r}")
+    _check_convention(convention)
     f = sig.field
     H, R = sig.hopf, sig.target
     nH, nR = H.dim, R.dim
@@ -441,6 +448,7 @@ def twisted_product(R: SCAlgebra, sig: Cocycle,
     map gamma: H -> A, "standard" rebuilds A and "paper" rebuilds A^op.
     The cocycle is verified first and associativity of the result is
     re-verified; failure of either raises CocycleInvalid."""
+    _check_convention(convention)
     f = sig.field
     H = sig.hopf
     if R.dim != sig.target.dim:
@@ -489,6 +497,7 @@ def cocycle_transform(sig: Cocycle, u: LinMap, convention: str = "paper"):
     Returns (tau, iso) where iso is a verified algebra isomorphism
     R #_sigma H -> R #_tau H, given on elements by a (x) h -> a u(h_1) (x) h_2
     (inverted when the gauge formula moves in the opposite direction)."""
+    _check_convention(convention)
     f = sig.field
     H, R = sig.hopf, sig.target
     nH, nR = H.dim, R.dim
@@ -496,14 +505,14 @@ def cocycle_transform(sig: Cocycle, u: LinMap, convention: str = "paper"):
         raise ShapeMismatch("gauge map must go from H to the cocycle target")
     uinv = conv_inverse(H, R, u)
     # by coassociativity h_1 (x) h_2 (x) h_3 = h_1 (x) (h_2)_1 (x) (h_2)_2,
-    # so tau is a convolution of u^-1(g) u^-1(h) with the convolution
-    # inner(h, g) = sigma(h_1 (x) g_1) u(h_2 g_2)
+    # so tau(h, g) = sum u^-1(g_1) u^-1(h_1) inner(h_2, g_2) with the
+    # convolution inner(h, g) = sigma(h_1 (x) g_1) u(h_2 g_2): the cocycle
+    # kernel on the pair (g, h) with gamma = u^-1 and tails inner(d, b)
     Umul = ar.fmatmul(f, H.alg.mul.reshape(nH * nH, nH, f.k),
                       u.matrix).reshape(nH, nH, nR, f.k)
     inner = convolution2(H, sig.values, Umul, R.mul)
-    heads = _products(R, uinv.matrix, uinv.matrix)
-    tau = Cocycle(H, R, convolution2(H, heads.transpose(1, 0, 2, 3), inner,
-                                     R.mul))
+    tau = Cocycle(H, R, _cocycle_table(H, uinv.matrix, R.mul, ar.csr(
+        inner.transpose(1, 0, 2, 3).reshape(nH * nH, nR, f.k))))
     msgs = cocycle_verify(tau, convention)
     if msgs:
         raise CocycleInvalid("transformed cocycle fails: " + msgs[0])
@@ -533,6 +542,7 @@ def cocycle_transform(sig: Cocycle, u: LinMap, convention: str = "paper"):
 def cocycle_pushforward(sig: Cocycle, fmap: LinMap, target: SCAlgebra,
                         convention: str = "paper") -> Cocycle:
     """Push a cocycle forward along a unital algebra map f: R -> S."""
+    _check_convention(convention)
     f = sig.field
     R = sig.target
     if fmap.matrix.shape != (R.dim, target.dim, f.k):
@@ -601,6 +611,28 @@ class Splitting:
                 "declared inverse is not a two-sided convolution inverse")
 
 
+def _cocycle_table(H: HopfAlgebra, gamma: np.ndarray, mul: np.ndarray,
+                   tails) -> np.ndarray:
+    """The (nH, nH, nA, k) table [y, x] = sum gamma(x_1) gamma(y_1) T(x_2,
+    y_2) in the algebra of structure tensor mul, T(b, d) the CSR row
+    b nH + d of tails: hopf.cocycle_pairs over every pair, column by
+    column.  Its head terms meet each term c h_a (x) h_b of Delta(h) with
+    the nonzero entries of gamma's row a."""
+    f, nH, nA = H.field, H.dim, mul.shape[0]
+    _, h, a, b, c = coaction_terms(H.comul)
+    gptr, gcol, gval = ar.csr(gamma)
+    e, gp = ar.csr_expand(gptr, a)
+    heads = (np.searchsorted(h[e], np.arange(nH + 1)), b[e], gcol[gp],
+             ar.fmul(f, c[e], gval[gp]))
+    ptr, cols, vals = tails
+    J, I = np.divmod(np.arange(nH * nH), nH)
+    chunks = cocycle_pairs(f, heads, ar.csr(mul.reshape(nA * nA, nA, f.k)),
+                           lambda _: (ptr[:-1], ptr[1:], cols, vals), I, J,
+                           nA)
+    return np.concatenate([v for _, _, v in chunks]).reshape(
+        nH, nH, nA, f.k)
+
+
 def splitting_to_cocycle(sp: Splitting, convention: str = "paper",
                          verify: bool | None = None) -> Cocycle:
     """The cocycle sigma(h (x) g) = gamma(h_1) gamma(g_1) gamma^-1(h_2 g_2)
@@ -608,16 +640,19 @@ def splitting_to_cocycle(sp: Splitting, convention: str = "paper",
     else ValueNotInvariant; the returned cocycle has the coinvariant
     subalgebra as its target, with the inclusion basis in the attribute
     target_embedding."""
+    _check_convention(convention)
     f = sp.field
     CA = sp.CA
     H, A = CA.hopf, CA.alg
     nA, nH = A.dim, H.dim
-    g = sp.gamma.matrix
-    heads = _products(A, g, g)                              # gamma(x) gamma(y)
-    tails = ar.fmatmul(f, H.alg.mul.reshape(nH * nH, nH, f.k),
-                       sp.inverse.matrix)                   # gamma^-1(x y)
-    vals = convolution2(H, heads, tails.reshape(nH, nH, nA, f.k), A.mul)
-    vals = vals.reshape(nH * nH, nA, f.k)
+    # the tails gamma^-1(h_b h_d), rows b nH + d, as the sparse product of
+    # H's mul and gamma^-1; cells r n + c with n = max(nH, nA) hold both
+    n, mulH = max(nH, nA), H.alg.mul.reshape(nH * nH, nH, f.k)
+    r, c = np.nonzero(mulH.any(axis=-1))
+    tails = ar.csr_rows(nH * nH, n, *ar.sparse_times_csr(
+        f, n, r * n + c, mulH[r, c], ar.csr(sp.inverse.matrix)))
+    vals = _cocycle_table(H, sp.gamma.matrix, A.mul, tails).transpose(
+        1, 0, 2, 3).reshape(nH * nH, nA, f.k)
     B = coinvariants(CA)
     Balg, bbasis = subalgebra_on(A, B)
     coords = ar.coords_in_row_space_many(f, B.basis, vals)
@@ -701,6 +736,7 @@ def lemma25_transfer_check(tau: Cocycle, pi: Cocycle, x,
     convolution product tau * pi^-1 is equivariant.  Returns centrality of
     the element x (in R (x) H coordinates) in both twisted products and
     whether the two flags agree."""
+    _check_convention(convention)
     f = tau.field
     H, R = tau.hopf, tau.target
     if pi.hopf.dim != H.dim or pi.target.dim != R.dim:
@@ -770,16 +806,11 @@ def find_one_dim_rep(F):
     f = F.field
     L = F.L
     n = L.dim
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = ar.zeros(f, (n,))
-            row[:, 0] = L.bracket[i, j]
-            rows.append(row)
-    if rows:
-        basis = ar.nullspace(f, np.stack(rows))
-    else:
-        basis = ar.identity(f, n)
+    # one row per bracket [e_i, e_j], i < j: alpha kills each
+    i, j = np.triu_indices(n, 1)
+    rows = ar.zeros(f, (i.size, n))
+    rows[..., 0] = L.bracket[i, j]
+    basis = ar.nullspace(f, rows) if i.size else ar.identity(f, n)
     dfree = basis.shape[0]
     if f.order ** dfree > 10000:
         raise NoOneDimRep(
@@ -831,10 +862,8 @@ def winding_iso(F, alpha=None) -> LinMap:
     labels = np.array(F.labels)
     apow = np.tile(ar.unit_scalar(f), (F.dim, 1))
     for t in range(n):
-        pows = [ar.unit_scalar(f)]
-        for _ in range(1, p):
-            pows.append(ar.fmul(f, pows[-1], np.array(alpha[t].coeffs)))
-        apow = ar.fmul(f, apow, np.stack(pows)[labels[:, t]])
+        pows = np.array([(alpha[t] ** e).coeffs for e in range(p)])
+        apow = ar.fmul(f, apow, pows[labels[:, t]])
     gamma, beta, rest, coef = F.splittings()
     W = ar.zeros(f, (F.dim, F.dim))
     W[gamma, rest] = apow[beta] * coef[:, None] % p

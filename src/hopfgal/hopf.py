@@ -1,6 +1,7 @@
 """Hopf algebra structure on structure-constant algebras: axiom checking,
 the convolution algebra of linear maps, the two-argument convolution over
-the terms of a coaction, dual integrals, unimodularity, and group algebras.
+the terms of a coaction and the two-pass cocycle of a cleaving map, dual
+integrals, unimodularity, and group algebras.
 
 Comultiplication tensor convention: comul[i, a, b] is the coefficient of
 b_a (x) b_b in the coproduct of b_i.  The antipode matrix row i holds the
@@ -182,9 +183,8 @@ def convolution(H: HopfAlgebra, A: SCAlgebra, fmap: LinMap, g: LinMap) -> LinMap
 
 
 # the bound on each chunk of convolve_pairs (its term pairs plus its
-# (pair, a, b) cells) and of the Prop. 30 evaluator (`Prop30Context`: its
-# pairs' and V rows' cells and splitting terms), and on each run of entries
-# either one expands
+# (pair, a, b) cells) and of cocycle_pairs (its pairs' and V rows' cells and
+# head terms), and on each run of entries either one expands
 CONV_CHUNK_TERMS = 2 ** 16
 
 
@@ -260,6 +260,72 @@ def convolve_pairs(field: Field, terms, F, G, m, I: np.ndarray,
                            ar.fmul_sum(field, vals[r], mval[mp], r.size))
             acc %= p
         yield lo, hi, acc.reshape(hi - lo, nOut, k)
+
+
+def _left_sums(field: Field, mul, nA: int, n: int, dst, left, coef, vecs,
+               rows) -> np.ndarray:
+    """(n nA, k): row q sums coef[e] b_left[e] v over the terms e with
+    dst[e] = q, v the sparse row rows[e] of vecs = (lo, hi, cols, vals); a
+    cell sums at most nA products per term (`_arrays.fmul_sum`)."""
+    lo, hi, cols, vals = vecs
+    mptr, mcol, mval = mul
+    acc = ar.zeros(field, (n * nA,))
+    for a, b in chunk_runs(hi[rows] - lo[rows]):
+        e, vp = ar.csr_expand(lo, rows[a:b], hi)
+        e += a
+        # np.take gathers (E, k) rows faster than indexing
+        w = ar.fmul(field, np.take(coef, e, 0), np.take(vals, vp, 0))
+        mrow = left[e] * nA + cols[vp]
+        for c, d in chunk_runs(mptr[mrow + 1] - mptr[mrow]):
+            g, mp = ar.csr_expand(mptr, mrow[c:d])
+            g += c
+            ar.scatter_add(acc, dst[e[g]] * nA + mcol[mp], ar.fmul_sum(
+                field, np.take(w, g, 0), np.take(mval, mp, 0), rows.size * nA))
+    return acc % field.p
+
+
+def cocycle_pairs(field: Field, heads, mul, tails, I: np.ndarray,
+                  J: np.ndarray, nA: int):
+    """out[q] = sum gamma(x_1) gamma(y_1) T(x_2, y_2) in an algebra A of
+    dimension nA over the terms x_1 (x) x_2 of Delta(h_I[q]) and y_1 (x)
+    y_2 of Delta(h_J[q]), for any list of pairs: the cocycle of a cleaving
+    map gamma: H -> A when T(b, d) = gamma^-1(h_b h_d).  heads = (ptr, B, M,
+    coef) are CSR rows by h of the terms coef b_M (x) h_B of (gamma (x) id)
+    Delta(h); mul holds A's CSR rows a nA + b; tails(b), b an array of x_2
+    labels, returns sparse rows (lo, hi, cols, vals), row b nH + d holding
+    T(b, d).  Yields (lo, hi, out[lo:hi]), an (hi - lo, nA, k) array, chunk
+    by chunk, so a caller may stop early.
+
+    Two one-sided passes of left products on the rows of mul, as A is
+    associative: V(x_2, y) = sum gamma(y_1) T(x_2, y_2), then out[q] = sum
+    gamma(x_1) V(x_2, y).  A V row serves the pairs of its chunk with its
+    y, so pairs listed column by column share them.  A pair costs its nA
+    cells and head terms, as does each V row it is the first of its chunk
+    to need; a chunk of more than one pair costs less than CONV_CHUNK_TERMS
+    without its last."""
+    hptr, B, M, coef = heads
+    nH, nT = hptr.size - 1, np.diff(hptr)
+    # a pair costs more than nA, so a chunk holds fewer than `width`
+    width = CONV_CHUNK_TERMS // nA + 1
+    lo = 0
+    while lo < I.size:
+        x, y = I[lo:lo + width], J[lo:lo + width]
+        q, t = ar.csr_expand(hptr, x)
+        _, first = np.unique(y[q] * nH + B[t], return_index=True)
+        n = next(chunk_runs(nA + nT[x] + (nA + nT[y]) * np.bincount(
+            q[first], minlength=x.size)))[1]
+        t = t[:np.searchsorted(q, n)]
+        q = q[:t.size]
+        keys, inv = np.unique(y[q] * nH + B[t], return_inverse=True)
+        ky, kb = np.divmod(keys, nH)
+        r, s = ar.csr_expand(hptr, ky)
+        V = _left_sums(field, mul, nA, keys.size, r, M[s], coef[s],
+                       tails(kb), kb[r] * nH + B[s])
+        ptr, cols, vals = ar.csr(V.reshape(keys.size, nA, field.k))
+        out = _left_sums(field, mul, nA, n, q, M[t], coef[t],
+                         (ptr[:-1], ptr[1:], cols, vals), inv)
+        yield lo, lo + n, out.reshape(n, nA, field.k)
+        lo += n
 
 
 def convolution2(C, F: np.ndarray, G: np.ndarray, m: np.ndarray | None,
@@ -387,42 +453,26 @@ def group_algebra(field: Field, table) -> HopfAlgebra:
     if any(len(row) != n for row in tab) or any(
             x < 0 or x >= n for row in tab for x in row):
         raise NotAGroup("table is not an n x n array of indices")
-    # identity
-    ident = None
-    for e in range(n):
-        if all(tab[e][j] == j and tab[j][e] == j for j in range(n)):
-            ident = e
-            break
-    if ident is None:
+    T, ix = np.array(tab, dtype=np.int64).reshape(n, n), np.arange(n)
+    ident = np.flatnonzero((T == ix).all(axis=1) & (T.T == ix).all(axis=1))
+    if not ident.size:
         raise NotAGroup("no identity element")
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                if tab[tab[i][j]][m] != tab[i][tab[j][m]]:
-                    raise NotAGroup(f"associativity fails at ({i},{j},{m})")
-    inv = [None] * n
-    for i in range(n):
-        for j in range(n):
-            if tab[i][j] == ident and tab[j][i] == ident:
-                inv[i] = j
-                break
-        if inv[i] is None:
-            raise NotAGroup(f"element {i} has no inverse")
-    mul = np.zeros((n, n, n, field.k), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            mul[i, j, tab[i][j], 0] = 1
-    unit = np.zeros((n, field.k), dtype=np.int64)
-    unit[ident, 0] = 1
-    alg = SCAlgebra(field, mul, unit)
-    comul = np.zeros((n, n, n, field.k), dtype=np.int64)
-    counit = np.zeros((n, field.k), dtype=np.int64)
-    antipode = np.zeros((n, n, field.k), dtype=np.int64)
-    for i in range(n):
-        comul[i, i, i, 0] = 1
-        counit[i, 0] = 1
-        antipode[i, inv[i], 0] = 1
-    return HopfAlgebra(alg, comul, counit, antipode)
+    # T[T][i, j, m] = (g_i g_j) g_m and T[:, T][i, j, m] = g_i (g_j g_m)
+    bad = np.argwhere(T[T] != T[:, T]).tolist()
+    if bad:
+        raise NotAGroup("associativity fails at ({},{},{})".format(*bad[0]))
+    inverse = (T == ident[0]) & (T.T == ident[0])
+    if not inverse.any(axis=1).all():
+        raise NotAGroup(f"element {np.argmin(inverse.any(axis=1))} has no "
+                        "inverse")
+    mul, comul = ar.zeros(field, (n, n, n)), ar.zeros(field, (n, n, n))
+    mul[ix[:, None], ix, T, 0] = 1
+    comul[ix, ix, ix, 0] = 1
+    unit, counit = ar.zeros(field, (n,)), ar.zeros(field, (n,))
+    unit[ident[0], 0] = counit[:, 0] = 1
+    antipode = ar.zeros(field, (n, n))
+    antipode[ix, inverse.argmax(axis=1), 0] = 1
+    return HopfAlgebra(SCAlgebra(field, mul, unit), comul, counit, antipode)
 
 
 def cyclic_group_table(m: int):

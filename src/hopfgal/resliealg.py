@@ -14,7 +14,7 @@ Structure constants come from one chain of sparse products,
 (row t is e_i e^t), and each row mul[alpha] is mul[alpha - delta_i] times the
 matrix of e_i, for the first nonzero exponent a_i of alpha.  `Fiber` streams
 the rows into its dense tensor; `Prop30Context` makes the u(L) rows it needs,
-kept sparse, and sums sigma in two one-sided passes of left products.  The
+kept sparse, and sums sigma with the cocycle kernel hopf.cocycle_pairs.  The
 antipode and gamma^{-1} rows are a chain of left products by the fiber's own
 generator rows.  The dict engine stays the reference arithmetic: tests
 compare with it, and it computes the generator matrices, the Prop. 30
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .exactfield import Field, Scalar
 from .fdalg import DIM_CAP, SCAlgebra
-from .hopf import HopfAlgebra, LinMap, chunk_runs
+from .hopf import HopfAlgebra, LinMap
 
 MAX_WORD_LETTERS = 32
 
@@ -75,18 +75,16 @@ class RestrictedLie:
     def to_json(self) -> dict:
         out = {"p": self.p, "basis": list(self.labels),
                "bracket": {}, "pmap": {}}
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                entries = {self.labels[m]: int(self.bracket[i, j, m])
-                           for m in range(n) if self.bracket[i, j, m]}
-                if entries and i < j:
-                    out["bracket"][f"{self.labels[i]},{self.labels[j]}"] = entries
-        for i in range(n):
-            entries = {self.labels[m]: int(self.pmap[i, m])
-                       for m in range(n) if self.pmap[i, m]}
+        names = self.labels
+        for i, j in zip(*np.triu_indices(self.dim, 1)):
+            entries = {names[m]: int(c) for m, c in enumerate(
+                self.bracket[i, j]) if c}
             if entries:
-                out["pmap"][self.labels[i]] = entries
+                out["bracket"][f"{names[i]},{names[j]}"] = entries
+        for i, row in enumerate(self.pmap):
+            entries = {names[m]: int(c) for m, c in enumerate(row) if c}
+            if entries:
+                out["pmap"][names[i]] = entries
         return out
 
     @classmethod
@@ -117,36 +115,24 @@ def restricted_verify(L: RestrictedLie, max_reports: int = 20) -> list[str]:
     out = []
     if np.any((c + c.transpose(1, 0, 2)) % p):
         out.append("bracket is not antisymmetric")
-    for i in range(n):
-        if np.any(c[i, i] % p):
-            out.append(f"[e_{i}, e_{i}] is nonzero")
-            break
+    square = np.flatnonzero((c[np.arange(n), np.arange(n)] % p).any(axis=1))
+    if square.size:
+        out.append(f"[e_{square[0]}, e_{square[0]}] is nonzero")
     # Jacobi: [[x,y],z] + [[y,z],x] + [[z,x],y] = 0 on basis triples
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                term = np.zeros(n, dtype=np.int64)
-                for t in range(n):
-                    term = (term + c[i, j, t] * c[t, m]) % p
-                    term = (term + c[j, m, t] * c[t, i]) % p
-                    term = (term + c[m, i, t] * c[t, j]) % p
-                if np.any(term % p):
-                    out.append(f"Jacobi identity fails at ({i},{j},{m})")
-                    if len(out) >= max_reports:
-                        return out
-    # restrictedness: ad(e_i^[p]) = (ad e_i)^p
-    for i in range(n):
-        A = L.ad_matrix(i)
-        Ap = np.linalg.matrix_power(A, 1)
-        for _ in range(p - 1):
-            Ap = (Ap @ A) % p
-        target = np.zeros((n, n), dtype=np.int64)
-        for m in range(n):
-            if L.pmap[i, m]:
-                target = (target + L.pmap[i, m] * L.ad_matrix(m)) % p
-        if np.any((Ap - target) % p):
-            out.append(f"p-operation incompatible with ad powers at e_{i}")
-    return out
+    cc = np.einsum("ijt,tmr->ijmr", c, c)
+    jacobi = (cc + cc.transpose(1, 2, 0, 3) + cc.transpose(2, 0, 1, 3)) % p
+    for i, j, m in np.argwhere(jacobi.any(axis=3)).tolist():
+        out.append(f"Jacobi identity fails at ({i},{j},{m})")
+        if len(out) >= max_reports:
+            return out
+    # restrictedness: ad(e_i^[p]) = (ad e_i)^p, ad[i] = L.ad_matrix(i)
+    ad = power = c.transpose(0, 2, 1)
+    for _ in range(p - 1):
+        power = (power @ ad) % p
+    target = np.einsum("im,mab->iab", L.pmap, ad) % p
+    return out + [f"p-operation incompatible with ad powers at e_{i}"
+                  for i in np.flatnonzero(((power - target) % p).any(
+                      axis=(1, 2)))]
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +471,10 @@ def _structure_rows(engine: _Engine, labels: list[tuple]):
     dim + gamma of the nonzero coordinates gamma of e^alpha e^beta, alpha =
     labels[ia], and their (nnz, k) values.
 
-    Row alpha is row(alpha - delta_i) times Lambda_i (`_sparse_times_csr`),
-    i the first nonzero exponent of alpha, and Lambda_i, left multiplication
-    by e_i, a CSR matrix from the engine: n p^n engine products in all.  A
+    Row alpha is row(alpha - delta_i) times Lambda_i
+    (`_arrays.sparse_times_csr`), i the first nonzero exponent of alpha, and
+    Lambda_i, left multiplication by e_i, a CSR matrix from the engine: n p^n
+    engine products in all.  A
     parent row lies at most p^(n-1) rows back; the caller memoises `row`."""
     f, p, n, dim = engine.field, engine.p, engine.n, len(labels)
     index = {a: i for i, a in enumerate(labels)}
@@ -509,28 +496,9 @@ def _structure_rows(engine: _Engine, labels: list[tuple]):
             return np.arange(dim) * (dim + 1), np.tile(ar.unit_scalar(f),
                                                        (dim, 1))
         i = next(t for t in range(n) if labels[ia][t])
-        return _sparse_times_csr(f, dim, *row(ia - p ** (n - 1 - i)), gens[i])
+        return ar.sparse_times_csr(f, dim, *row(ia - p ** (n - 1 - i)),
+                                   gens[i])
     return step
-
-
-def _sparse_times_csr(field: Field, n: int, cells: np.ndarray,
-                      vals: np.ndarray, csr):
-    """X @ C for a sparse X with n columns, given as the flat cells r n + t
-    of its nonzeros and their (nnz, k) values, and an (n, n) CSR matrix C;
-    the product comes back in the same form, its cells sorted and nonzero.
-    A cell sums at most n terms in int64 (`_arrays.fmul_sum`)."""
-    indptr, cols, cvals = csr
-    r, t = np.divmod(cells, n)
-    # nonzero m of X meets the entries of CSR row t[m]
-    src, pos = ar.csr_expand(indptr, t)
-    out = r[src] * n + cols[pos]
-    terms = ar.fmul_sum(field, vals[src], cvals[pos], n)
-    order = np.argsort(out)
-    out = out[order]
-    start = np.flatnonzero(np.diff(out, prepend=-1))
-    acc = np.add.reduceat(terms[order], start, axis=0) % field.p
-    keep = acc.any(axis=1)
-    return out[start[keep]], acc[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -698,15 +666,13 @@ class Prop30Context:
     """Prop. 30's x o y = sigma(x_1, y_1) x_2 y_2 on a prime-field fiber of
     dimension N (prime fields only: `sigma_value` returns a base-field int).
 
-    sigma(x, y) = sum gamma(x_1) gamma(y_1) gamma^{-1}(x_2 y_2) is summed in
-    two one-sided passes (the product is associative): V(x_2, y) = sum c
-    e^{y_1} gamma^{-1}(x_2 y_2) over y_1 + y_2 = y, then sigma(x, y) = sum
-    c e^{x_1} V(x_2, y) over x_1 + x_2 = x, on the CSR rows of the fiber's
-    mul.  One V row serves its whole column y, so a full table is 2 N S
-    left products (S splittings), and a pair's accumulator is N cells.  The
-    u(L) rows e^b e^d and tails gamma^{-1}(e^b e^d) of a label b are made,
-    by the parent-row step of `_structure_rows`, when a pair first reaches
-    b.  Sigma values live in an (N, N) table, -1 where not yet evaluated;
+    sigma(x, y) = sum gamma(x_1) gamma(y_1) gamma^{-1}(x_2 y_2) comes from
+    `hopf.cocycle_pairs`, the kernel of `galois.splitting_to_cocycle` too:
+    gamma is the identity, so its head terms are `Fiber.splittings`, and
+    pairs go column by column, so one V row serves its column.  The u(L)
+    rows e^b e^d and tails gamma^{-1}(e^b e^d) of a label b are made, by
+    the parent-row step of `_structure_rows`, when a pair first reaches b.
+    Sigma values live in an (N, N) table, -1 where not yet evaluated;
     `multiply` evaluates the missing ones in one `_evaluate` call and sums
     the u(L) rows x_2 y_2 in int64.  The product of two top labels needs
     every sigma pair: about 0.7 s at p = 5 on one core.  prop30_sigma /
@@ -720,15 +686,14 @@ class Prop30Context:
                 "prime fields; use prop30_multiply elsewhere")
         N = F.dim
         self.F, self.p, self.N = F, F.L.p, N
-        mptr, mcol, mval = ar.csr(F.alg.mul.reshape(N * N, N, 1))
-        self._mul = mptr, mcol, mval[:, 0]
+        self._mul = ar.csr(F.alg.mul.reshape(N * N, N, 1))
         self._ginv = ar.csr(_pbw_inverse_rows(F))
         self._step = _structure_rows(_u_engine(F), F.labels)
         # u(L) rows by label b, and as rows b N + d of one store, then the
         # tails as rows N^2 + b N + d: row r is cols[lo[r]:hi[r]]
         self._blocks = {}
         self._rows = (*np.zeros((2, 2 * N * N), dtype=np.int64),
-                      *np.zeros((2, 0), dtype=np.int64))
+                      np.zeros(0, dtype=np.int64), ar.zeros(f, (0,)))
         # the splittings x_1 + x_2 = a of label a, the terms of the
         # coaction: CSR row a lists x_1, x_2 and binomial coefficients
         a, x1, x2, binom = F.splittings()
@@ -743,14 +708,15 @@ class Prop30Context:
 
     def _build(self, labels: np.ndarray):
         """Make the u(L) rows and tails of the labels not made yet, in
-        increasing order.  `labels` is a union of splitting sets, so it
-        holds the parents of its labels; so does the set of labels made, and
-        with a label b it holds every x_2 of b's splittings."""
+        increasing order, and return the tails as `hopf.cocycle_pairs`
+        reads them.  `labels` is a union of splitting sets, so it holds the
+        parents of its labels; so does the set of labels made, and with a
+        label b it holds every x_2 of b's splittings."""
         N, blocks = self.N, self._blocks
         new = sorted(set(labels.tolist()) - blocks.keys())
         for b in new:
             blocks[b] = self._step(blocks.get, b)
-        made = [blocks[b] for b in new] + [_sparse_times_csr(
+        made = [blocks[b] for b in new] + [ar.sparse_times_csr(
             self.F.field, N, *blocks[b], self._ginv) for b in new]
         lo, hi, cols, vals = self._rows
         end = cols.size
@@ -759,78 +725,43 @@ class Prop30Context:
             lo[b * N:b * N + N], hi[b * N:b * N + N] = ptr[:-1], ptr[1:]
             end += c.size
         cols = [cols] + [c % N for c, _ in made]
-        vals = [vals] + [v[:, 0] for _, v in made]
+        vals = [vals] + [v for _, v in made]
         self._rows = lo, hi, np.concatenate(cols), np.concatenate(vals)
-
-    def _left_sums(self, n: int, dst, left, coef, vecs, rows) -> np.ndarray:
-        """(n, N), row q the sum of coef[e] e^{left[e]} v over the terms e
-        with dst[e] = q, v the sparse row rows[e] of vecs = (lo, hi, cols,
-        vals), reduced mod p.  Entries are expanded in runs of at most
-        CONV_CHUNK_TERMS; a cell sums at most N^2 products below p^2, and
-        p <= N <= 512, so int64 does not wrap."""
-        p, N = self.p, self.N
-        lo, hi, cols, vals = vecs
-        mptr, mcol, mval = self._mul
-        acc = np.zeros(n * N, dtype=np.int64)
-        for a, b in chunk_runs(hi[rows] - lo[rows]):
-            e, vp = ar.csr_expand(lo, rows[a:b], hi)
-            e += a
-            w, mrow = coef[e] * vals[vp] % p, left[e] * N + cols[vp]
-            for c, d in chunk_runs(mptr[mrow + 1] - mptr[mrow]):
-                g, mp = ar.csr_expand(mptr, mrow[c:d])
-                g += c
-                np.add.at(acc, dst[e[g]] * N + mcol[mp], w[g] * mval[mp])
-        return (acc % p).reshape(n, N)
+        return lo[N * N:], hi[N * N:], *self._rows[2:]
 
     def _evaluate(self, x: np.ndarray, y: np.ndarray):
         """Evaluate the missing sigma(x[t], y[t]) into the table; NotScalar
         names the first of these pairs whose value is not a scalar.
 
         Then the other missing pairs of the rows x, then all other missing
-        pairs, each group column by column.  A pair costs its N cells and
-        splitting terms, as does each V row it is the first of its chunk to
-        need.  Chunks of CONV_CHUNK_TERMS cost stop after the one with the
-        last requested pair; a top-up pair that is not a scalar stays -1."""
-        N, need = self.N, x.size
+        pairs, each group column by column, in the chunks of
+        `hopf.cocycle_pairs`: they stop after the one with the last
+        requested pair, and a top-up pair that is not a scalar stays -1."""
+        need = x.size
+        if not need:
+            return
         sp, _, x1s, x2s, binom = self._terms
-        nT = np.diff(sp)
         miss = self.sigma < 0
         miss[x, y] = False
         my, mx = np.nonzero(miss.T)
         top = np.isin(mx, x)
-        # a pair costs more than N, so a chunk holds fewer than `width`
-        width = hopf.CONV_CHUNK_TERMS // N + 1
-        x = np.concatenate([x, mx[top], mx[~top]])[:need + width]
-        y = np.concatenate([y, my[top], my[~top]])[:need + width]
-        lo = 0
-        while lo < need:
-            cx, cy = x[lo:lo + width], y[lo:lo + width]
-            q, t = ar.csr_expand(sp, cx)
-            _, first = np.unique(cy[q] * N + x2s[t], return_index=True)
-            n = next(chunk_runs(N + nT[cx] + (N + nT[cy]) * np.bincount(
-                q[first], minlength=cx.size)))[1]
-            t = t[:np.searchsorted(q, n)]
-            q, cx, cy = q[:t.size], cx[:n], cy[:n]
-            keys, inv = np.unique(cy[q] * N + x2s[t], return_inverse=True)
-            ky, kx = np.divmod(keys, N)
-            self._build(kx)
-            k, s = ar.csr_expand(sp, ky)
-            V = self._left_sums(keys.size, k, x1s[s], binom[s], self._rows,
-                                (N + kx[k]) * N + x2s[s]).reshape(-1)
-            cells = np.flatnonzero(V)
-            ptr = np.searchsorted(cells, np.arange(keys.size + 1) * N)
-            vec = self._left_sums(n, q, x1s[t], binom[t], (
-                ptr[:-1], ptr[1:], cells % N, V[cells]), inv)
+        x = np.concatenate([x, mx[top], mx[~top]])
+        y = np.concatenate([y, my[top], my[~top]])
+        for lo, hi, vec in hopf.cocycle_pairs(
+                self.F.field, (sp, x2s, x1s, binom[:, None]), self._mul,
+                self._build, x, y, self.N):
             # label 0 is the unit
-            scalar = ~vec[:, 1:].any(axis=1)
-            self.sigma[cx[scalar], cy[scalar]] = vec[scalar, 0]
+            scalar = ~vec[:, 1:].any(axis=(1, 2))
+            cx, cy = x[lo:hi], y[lo:hi]
+            self.sigma[cx[scalar], cy[scalar]] = vec[scalar, 0, 0]
             bad = np.flatnonzero(~scalar[:need - lo])
             if bad.size:
                 labels = self.F.labels
                 raise NotScalar(
                     f"sigma({labels[cx[bad[0]]]},{labels[cy[bad[0]]]}) has "
                     "a non-scalar component")
-            lo += n
+            if hi >= need:
+                return
 
     def sigma_value(self, ix: int, iy: int) -> int:
         """sigma(e^alpha (x) e^beta) as a base-field integer, certified to
@@ -863,5 +794,5 @@ class Prop30Context:
         src, pos = ar.csr_expand(
             lo, (x2s[u, None] * N + x2s[None, v]).ravel(), hi)
         out = np.zeros(N, dtype=np.int64)
-        np.add.at(out, ucols[pos], w[src] * uvals[pos])
+        np.add.at(out, ucols[pos], w[src] * uvals[pos, 0])
         return out[:, None] % p

@@ -71,6 +71,27 @@ def _verified(L: RestrictedLie) -> RestrictedLie:
     return L
 
 
+# the built-in algebras: the name in messages, the basis, the brackets
+# [e_i, e_j] = c e_m as (i, j, m, c), and the p-operation e_i^[p] = d_i e_i
+_BUILT_IN = {
+    "sl2": ("sl2", ("e", "f", "h"), [(0, 1, 2, 1), (2, 0, 0, -2),
+                                     (2, 1, 1, 2)], (0, 0, 1)),
+    "borel": ("the Borel example", ("h", "e"), [(0, 1, 1, 1)], (1, 0)),
+}
+
+
+def _built_in(kind: str, p: int):
+    """The labels, bracket tensor and p-operation matrix of a built-in
+    algebra over F_p, made anew on each call."""
+    name, labels, brackets, pdiag = _BUILT_IN[kind]
+    if p <= 2:
+        raise BadPrime(f"{name} requires an odd prime, got p={p}")
+    bracket = np.zeros((len(labels),) * 3, dtype=np.int64)
+    for i, j, m, c in brackets:
+        bracket[i, j, m], bracket[j, i, m] = c % p, -c % p
+    return labels, bracket, np.diag(pdiag)
+
+
 def sl2_algebra(p: int) -> RestrictedLie:
     """sl2 over F_p on the basis (e, f, h): [e,f]=h, [h,e]=-2e, [h,f]=2f,
     e^[p]=f^[p]=0, h^[p]=h.
@@ -79,46 +100,27 @@ def sl2_algebra(p: int) -> RestrictedLie:
     which (h+1)^2-4ef is central in every reduced algebra and satisfies the
     degree-p relation checked by sl2_eq4_check; the checks there act as the
     consistency witness."""
-    if p <= 2:
-        raise BadPrime(f"sl2 requires an odd prime, got p={p}")
-    bracket = np.zeros((3, 3, 3), dtype=np.int64)
-    bracket[0, 1, 2] = 1          # [e,f] = h
-    bracket[1, 0, 2] = p - 1
-    bracket[2, 0, 0] = p - 2      # [h,e] = -2e
-    bracket[0, 2, 0] = 2
-    bracket[2, 1, 1] = 2          # [h,f] = 2f
-    bracket[1, 2, 1] = p - 2
-    pmap = np.zeros((3, 3), dtype=np.int64)
-    pmap[2, 2] = 1
-    return _verified(RestrictedLie(p, bracket, pmap, labels=("e", "f", "h")))
+    labels, bracket, pmap = _built_in("sl2", p)
+    return _verified(RestrictedLie(p, bracket, pmap, labels=labels))
 
 
 def borel_algebra(p: int) -> RestrictedLie:
     """The two-dimensional nonabelian restricted Lie algebra on (h, e):
     [h,e]=e, h^[p]=h, e^[p]=0."""
-    if p <= 2:
-        raise BadPrime(f"the Borel example requires an odd prime, got p={p}")
-    bracket = np.zeros((2, 2, 2), dtype=np.int64)
-    bracket[0, 1, 1] = 1
-    bracket[1, 0, 1] = p - 1
-    pmap = np.zeros((2, 2), dtype=np.int64)
-    pmap[0, 0] = 1
-    return _verified(RestrictedLie(p, bracket, pmap, labels=("h", "e")))
+    labels, bracket, pmap = _built_in("borel", p)
+    return _verified(RestrictedLie(p, bracket, pmap, labels=labels))
 
 
 def lie_kind(L: RestrictedLie) -> str | None:
     """Recognize a built-in algebra by its structure constants: "sl2",
-    "borel", or None."""
-    if L.dim == 3:
-        ref = sl2_algebra(L.p)
-        if (np.array_equal(L.bracket, ref.bracket)
-                and np.array_equal(L.pmap, ref.pmap)):
-            return "sl2"
-    if L.dim == 2:
-        ref = borel_algebra(L.p)
-        if (np.array_equal(L.bracket, ref.bracket)
-                and np.array_equal(L.pmap, ref.pmap)):
-            return "borel"
+    "borel", or None.  L is compared with the tables of `_built_in`, which
+    `sl2_algebra` and `borel_algebra` verify; nothing is built here."""
+    for kind, (_, labels, _, _) in _BUILT_IN.items():
+        if L.dim == len(labels):
+            _, bracket, pmap = _built_in(kind, L.p)
+            if (np.array_equal(L.bracket, bracket)
+                    and np.array_equal(L.pmap, pmap)):
+                return kind
     return None
 
 
@@ -217,9 +219,8 @@ def sl2_eq4_check(F: Fiber):
     matmul = functools.partial(ar.fmatmul, f)
     M = (ar.binary_power(T, p, matmul)
          - 2 * ar.binary_power(T, (p + 1) // 2, matmul) + T) % p
-    n = T.shape[0]
-    for i in range(n):
-        M[i, i] = (M[i, i] - np.array(c.coeffs, dtype=np.int64)) % p
+    ix = np.arange(T.shape[0])
+    M[ix, ix] = (M[ix, ix] - np.array(c.coeffs, dtype=np.int64)) % p
     passed = not np.any(M)
     coeffs = [f.zero] * (p + 1)
     coeffs[0] = -c
@@ -465,11 +466,10 @@ def _cyclic_module(p: int, le, lf, lh, w):
     for i in range(1, p):
         ci = lf * c0 + w * big.scalar(i) + big.scalar(i * (i - 1))
         E[i - 1, i] = np.array(ci.coeffs, dtype=np.int64)
-    for i in range(p - 1):
-        Fm[i + 1, i, 0] = 1
+    Fm[np.arange(1, p), np.arange(p - 1), 0] = 1
     Fm[0, p - 1] = np.array(lf.coeffs, dtype=np.int64)
-    for i in range(p):
-        Hm[i, i] = np.array((w + big.scalar(2 * i)).coeffs, dtype=np.int64)
+    Hm[np.arange(p), np.arange(p)] = [(w + big.scalar(2 * i)).coeffs
+                                      for i in range(p)]
     return big, w, E, Fm, Hm
 
 
@@ -507,23 +507,14 @@ def baby_verma_oracle(p: int, lam, weight) -> BabyVerma:
             raise RelationCheckFailed(
                 f"no cyclic module for point ({le}, {lf}, {lh}), "
                 f"weight {w}")
-        big, w_big, E1, F1, H1 = built
-        E, Fm = F1, E1
-        Hm = (-H1) % p
-        w_big = -w_big
-        le, lf, lh = (wf.embed(v, big) if big != wf else v
-                      for v in (le, lf, lh))
+        big, w, Fm, E, Hm = built
+        Hm, w = (-Hm) % p, -w
     else:
-        big, w_big, E, Fm, Hm = built
-        le, lf, lh = (wf.embed(v, big) if big != wf else v
-                      for v in (le, lf, lh))
-    w = w_big
+        big, w, E, Fm, Hm = built
+    le, lf, lh = (wf.embed(v, big) if big != wf else v for v in (le, lf, lh))
 
     def scal_id(s):
-        out = ar.zeros(big, (p, p))
-        for i in range(p):
-            out[i, i] = np.array(s.coeffs, dtype=np.int64)
-        return out
+        return np.eye(p, dtype=np.int64)[..., None] * np.array(s.coeffs)
 
     comm = (ar.fmatmul(big, E, Fm) - ar.fmatmul(big, Fm, E)) % p
     matmul = functools.partial(ar.fmatmul, big)
@@ -553,11 +544,11 @@ def matrix_algebra_rank(field: Field, mats) -> int:
         rows = [span]
         cur = span.reshape(-1, n, n, field.k)
         for m in mats:
-            for i in range(cur.shape[0]):
-                rows.append(ar.fmatmul(field, m, cur[i])
-                            .reshape(1, n * n, field.k))
-                rows.append(ar.fmatmul(field, cur[i], m)
-                            .reshape(1, n * n, field.k))
+            left = ar.fmatmul(field, m, cur.transpose(1, 0, 2, 3).reshape(
+                n, -1, field.k)).reshape(n, -1, n, field.k)
+            rows += [left.transpose(1, 0, 2, 3).reshape(-1, n * n, field.k),
+                     ar.fmatmul(field, cur.reshape(-1, n, field.k), m)
+                     .reshape(-1, n * n, field.k)]
         new = ar.row_space(field, np.concatenate(rows, axis=0))
         if new.shape[0] == span.shape[0]:
             return span.shape[0]
@@ -594,8 +585,7 @@ def group_bundle_scan(field: Field | None = None, n: int = 9,
     qmap = [i % m for i in range(n)]
     CA = group_quotient_coaction(U, qmap, HQ)
     gamma = ar.zeros(field, (m, n))
-    for j in range(m):
-        gamma[j, j, 0] = 1
+    gamma[np.arange(m), np.arange(m), 0] = 1
     sp = Splitting(CA, LinMap(field, gamma))
     equivariant = is_equivariant_splitting(sp)
     sub = coinvariants(CA)

@@ -487,6 +487,30 @@ def test_separability_idempotent_oracle_direct():
         cyclic_group_algebra(f, 3))
 
 
+def test_separability_system_matches_the_loop_reference(monkeypatch):
+    """The system separability_idempotent_exists solves, against one built
+    per basis element x = b_i with Python loops over the slots (c, d)."""
+    systems, solve = [], ar.solve
+    monkeypatch.setattr(ar, "solve",
+                        lambda f, M, rhs: systems.append(M) or solve(f, M, rhs))
+    rng = np.random.default_rng(41)
+    for f in (Field(3), Field(3, 2)):
+        for n in (1, 2, 3):
+            mul = rng.integers(0, 3, (n, n, n, f.k))
+            A = fdalg.SCAlgebra(f, mul, ar.identity(f, n)[0], check=False)
+            fdalg.separability_idempotent_exists(A)
+            rows = []
+            for i in range(n):
+                C = np.zeros((n, n, n, n, f.k), dtype=np.int64)
+                for c in range(n):
+                    C[c, :, c] -= mul[:, i].transpose(1, 0, 2)
+                for d in range(n):
+                    C[:, d, :, d] += mul[i].transpose(1, 0, 2)
+                rows.append(C.reshape(n * n, n * n, f.k) % 3)
+            mu = mul.transpose(2, 0, 1, 3).reshape(n, n * n, f.k)
+            assert np.array_equal(systems[-1], np.concatenate(rows + [mu]))
+
+
 def test_form_rank():
     f = Field(3)
     M = np.zeros((3, 3, 1), dtype=np.int64)

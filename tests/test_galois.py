@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hopfgal import _arrays as ar
-from hopfgal import galois
+from hopfgal import galois, hopf
 from hopfgal.errors import (
     CocycleInvalid,
     NoOneDimRep,
@@ -13,11 +13,13 @@ from hopfgal.errors import (
     NotCocommutative,
     PremiseFailed,
     ShapeMismatch,
+    UnknownKind,
     ValueNotInvariant,
 )
 from hopfgal.exactfield import Field
 from hopfgal.fdalg import (
     SCAlgebra,
+    _products,
     block_decompose,
     form_is_symmetric,
     form_rank,
@@ -48,6 +50,9 @@ from hopfgal.hopf import (
     Integral,
     LinMap,
     _dual_hopf,
+    conv_inverse,
+    convolution,
+    convolution2,
     cyclic_group_table,
     group_algebra,
     left_integral_dual,
@@ -381,6 +386,136 @@ def test_cocycle_pushforward(z4_over_z2):
     bad = np.array([[[1]], [[0]]], dtype=np.int64)
     with pytest.raises(NotAlgebraMap):
         cocycle_pushforward(sig, LinMap(F3, bad), S)
+
+
+def _cross_check_splitting(name):
+    """The splittings the cocycle kernel is checked on: PBW splittings of
+    sl2 (basis e, h, f) over F_3 at a regular, cone and zero point and over
+    F_9 at the cone point, of the Borel algebra over F_5, the section of
+    F_7[Z/9] over F_7[Z/3] that group_bundle_scan uses, and u * gamma for
+    a Borel PBW splitting over F_3 and a u: h -> c_h 1 into the
+    coinvariants, whose rows are dense."""
+    if name == "group-bundle":
+        f = Field(7)
+        CA = group_quotient_coaction(
+            group_algebra(f, cyclic_group_table(9)), [i % 3 for i in range(9)],
+            group_algebra(f, cyclic_group_table(3)))
+        gamma = np.zeros((3, 9, 1), dtype=np.int64)
+        gamma[[0, 1, 2], [0, 1, 2], 0] = 1
+        return Splitting(CA, LinMap(f, gamma))
+    lie, f, point = {
+        "sl2-regular": (sl2(3), F3, [0, 1, 0]),
+        "sl2-cone": (sl2(3), F3, [1, 0, 0]),
+        "sl2-zero": (sl2(3), F3, [0, 0, 0]),
+        "sl2-cone-f9": (sl2(3), Field(3, 2), [1, 0, 0]),
+        "borel-f5": (borel(5), Field(5), [3, 2]),
+        "dense": (borel(3), F3, [1, 2])}[name]
+    sp = pbw_splitting(Fiber(lie, FiberPoint.make(f, point)))
+    if name != "dense":
+        return sp
+    H, A = sp.CA.hopf, sp.CA.alg
+    c = np.random.default_rng(17).integers(1, 3, (H.dim, 1, 1))
+    ug = convolution(H, A, LinMap(f, c * A.unit[None]), sp.gamma)
+    assert ug.matrix[-1].any(axis=-1).all()
+    return Splitting(sp.CA, ug)
+
+
+@pytest.mark.parametrize("budget", [hopf.CONV_CHUNK_TERMS, 1])
+@pytest.mark.parametrize("name", [
+    "sl2-regular", "sl2-cone", "sl2-zero", "sl2-cone-f9", "borel-f5",
+    "group-bundle", "dense"])
+def test_splitting_cocycle_matches_the_term_pair_reference(
+        monkeypatch, name, budget):
+    """splitting_to_cocycle's two-pass kernel, at the default chunk budget
+    and at one term per chunk, equals the term-pair convolution2 over the
+    dense heads gamma(x) gamma(y) and tails gamma^-1(x y)."""
+    sp = _cross_check_splitting(name)
+    f, H, A = sp.field, sp.CA.hopf, sp.CA.alg
+    nH, nA, g = H.dim, A.dim, sp.gamma.matrix
+    tails = ar.fmatmul(f, H.alg.mul.reshape(nH * nH, nH, f.k),
+                       sp.inverse.matrix).reshape(nH, nH, nA, f.k)
+    want = convolution2(H, _products(A, g, g), tails, A.mul)
+    monkeypatch.setattr(hopf, "CONV_CHUNK_TERMS", budget)
+    sig = splitting_to_cocycle(sp, verify=False)
+    nB = sig.target.dim
+    got = ar.fmatmul(f, sig.values.reshape(nH * nH, nB, f.k),
+                     sig.target_embedding)
+    assert np.array_equal(got.reshape(want.shape), want)
+
+
+def _gauge_case(name):
+    """A cocycle and a normalized gauge map u: the trivial cocycle of
+    F_3[Z/4] in R = F_3[Z/2] with u(g) = u(g^2) = s, s the generator of R;
+    or the PBW cocycle of the sl2 cone fiber over F_3 (H = u(sl2), not
+    commutative) with u(1) = 1 and seeded values elsewhere."""
+    if name == "group":
+        H = group_algebra(F3, cyclic_group_table(4))
+        sig = trivial_cocycle(H, group_algebra(F3, cyclic_group_table(2)).alg)
+        u = np.zeros((4, 2, 1), dtype=np.int64)
+        u[[0, 1, 2, 3], [0, 1, 1, 0], 0] = 1
+        return sig, LinMap(F3, u)
+    sig = splitting_to_cocycle(pbw_splitting(
+        Fiber(sl2(3), FiberPoint.make(F3, [1, 0, 0]))))
+    u = np.random.default_rng(29).integers(0, 3, (27, 1, 1))
+    u[0] = 1
+    return sig, LinMap(F3, u)
+
+
+@pytest.mark.parametrize("budget", [hopf.CONV_CHUNK_TERMS, 1])
+@pytest.mark.parametrize("name", ["group", "sl2-cone"])
+def test_cocycle_transform_matches_the_term_pair_reference(
+        monkeypatch, name, budget):
+    """tau(h, g) = sum u^-1(g_1) u^-1(h_1) inner(h_2, g_2) with inner(h, g)
+    = sigma(h_1, g_1) u(h_2 g_2), against convolution2 over the dense heads
+    u^-1(g) u^-1(h)."""
+    sig, u = _gauge_case(name)
+    H, R = sig.hopf, sig.target
+    nH, nR = H.dim, R.dim
+    uinv = conv_inverse(H, R, u).matrix
+    Umul = ar.fmatmul(F3, H.alg.mul.reshape(nH * nH, nH, 1), u.matrix)
+    inner = convolution2(H, sig.values, Umul.reshape(nH, nH, nR, 1), R.mul)
+    want = convolution2(H, _products(R, uinv, uinv).transpose(1, 0, 2, 3),
+                        inner, R.mul)
+    monkeypatch.setattr(hopf, "CONV_CHUNK_TERMS", budget)
+    tau, _ = cocycle_transform(sig, u)
+    assert np.array_equal(tau.values, want)
+    if name == "group":
+        # tau(g, g) = u(g)^-2 u(g^2) = s
+        assert tau.values[1, 1, :, 0].tolist() == [0, 1]
+    else:
+        assert not np.array_equal(tau.values, tau.values.transpose(
+            1, 0, 2, 3))
+
+
+@pytest.mark.parametrize("lie, point", [(borel, (1, 0)), (sl2, (1, 0, 0))],
+                         ids=["borel-dim9", "sl2-dim27"])
+def test_unknown_convention_is_a_typed_error_before_any_work(
+        monkeypatch, lie, point):
+    """Below and above COCYCLE_TRIPLE_DIM, an unknown convention raises
+    UnknownKind on entry to every function that takes one."""
+    F = Fiber(lie(3), FiberPoint.make(F3, point))
+    sp = pbw_splitting(F)
+    sig = splitting_to_cocycle(sp, "standard")
+    R = sig.target
+    u = LinMap(F3, np.ones((F.dim, R.dim, 1), dtype=np.int64))
+    ident = LinMap(F3, ar.identity(F3, R.dim))
+    x = ar.zeros(F3, (R.dim * F.dim,))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the convention check")
+
+    for name in ("cocycle_pairs", "convolution2", "conv_inverse",
+                 "coinvariants", "_is_algebra_map", "_sigma_conv_inverse"):
+        monkeypatch.setattr(galois, name, no_work)
+    calls = [lambda c: splitting_to_cocycle(sp, c),
+             lambda c: cocycle_verify(sig, c),
+             lambda c: twisted_product(R, sig, c),
+             lambda c: cocycle_transform(sig, u, c),
+             lambda c: cocycle_pushforward(sig, ident, R, c),
+             lambda c: lemma25_transfer_check(sig, sig, x, c)]
+    for call in calls:
+        with pytest.raises(UnknownKind, match="unknown convention 'bogus'"):
+            call("bogus")
 
 
 def test_cocycle_json_roundtrip(z4_over_z2):

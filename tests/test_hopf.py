@@ -65,6 +65,69 @@ def test_group_algebra_z4_and_s3():
     assert hopf.is_cocommutative(HS3)
 
 
+def _group_algebra_by_loops(field, table):
+    """group_algebra's checks and tensors as Python loops over the table,
+    the reference of its vectorized form: the tensors, or the NotAGroup
+    message."""
+    n = len(table)
+    if any(len(row) != n for row in table) or any(
+            x < 0 or x >= n for row in table for x in row):
+        return "table is not an n x n array of indices"
+    ident = next((e for e in range(n) if all(
+        table[e][j] == j and table[j][e] == j for j in range(n))), None)
+    if ident is None:
+        return "no identity element"
+    for i, j, m in itertools.product(range(n), repeat=3):
+        if table[table[i][j]][m] != table[i][table[j][m]]:
+            return f"associativity fails at ({i},{j},{m})"
+    mul, comul = np.zeros((2, n, n, n, field.k), dtype=np.int64)
+    antipode = np.zeros((n, n, field.k), dtype=np.int64)
+    for i in range(n):
+        inv = next((j for j in range(n) if table[i][j] == ident
+                    and table[j][i] == ident), None)
+        if inv is None:
+            return f"element {i} has no inverse"
+        antipode[i, inv, 0] = comul[i, i, i, 0] = 1
+        for j in range(n):
+            mul[i, j, table[i][j], 0] = 1
+    return mul, comul, antipode, ident
+
+
+def test_group_algebra_matches_the_loop_reference():
+    rng = np.random.default_rng(71)
+    perms = list(itertools.permutations(range(3)))
+    tables = [hopf.cyclic_group_table(m) for m in range(1, 7)] + [s3_table()]
+    tables += [[[perms.index(tuple(a[b[k]] for k in range(3))) for b in perms]
+                for a in perms], [[max(i, j) for j in range(3)]
+                                  for i in range(3)], [[0, 5], [1, 0]], []]
+    for _ in range(150):
+        n = int(rng.integers(1, 6))
+        T = rng.integers(0, n, (n, n))
+        if rng.random() < 0.5:
+            T[0], T[:, 0] = np.arange(n), np.arange(n)
+        if rng.random() < 0.3:
+            relabel = rng.permutation(n)
+            cyc = np.array(hopf.cyclic_group_table(n))
+            T = np.argsort(relabel)[cyc[relabel][:, relabel]]
+        tables.append(T.tolist())
+    for f in (Field(3), Field(3, 2)):
+        for table in tables:
+            want = _group_algebra_by_loops(f, table)
+            if isinstance(want, str):
+                with pytest.raises(NotAGroup) as err:
+                    hopf.group_algebra(f, table)
+                assert str(err.value) == want, table
+                continue
+            H = hopf.group_algebra(f, table)
+            mul, comul, antipode, ident = want
+            assert np.array_equal(H.alg.mul, mul), table
+            assert np.array_equal(H.comul, comul), table
+            assert np.array_equal(H.antipode, antipode), table
+            assert H.alg.unit[:, 0].tolist() == [int(i == ident)
+                                                 for i in range(len(table))]
+            assert (H.counit[:, 0] == 1).all()
+
+
 def test_group_algebra_rejects_non_groups():
     f = Field(3)
     with pytest.raises(NotAGroup):

@@ -76,6 +76,56 @@ def test_restricted_verify_catches_broken_jacobi():
     assert any("antisym" in m for m in resliealg.restricted_verify(bad2))
 
 
+def _restricted_verify_by_loops(L, max_reports):
+    """restricted_verify as Python loops over basis triples and single
+    generators, the reference of its vectorized form."""
+    p, n, c = L.p, L.dim, L.bracket
+    out = []
+    if np.any((c + c.transpose(1, 0, 2)) % p):
+        out.append("bracket is not antisymmetric")
+    for i in range(n):
+        if np.any(c[i, i] % p):
+            out.append(f"[e_{i}, e_{i}] is nonzero")
+            break
+    for i, j, m in itertools.product(range(n), repeat=3):
+        term = np.zeros(n, dtype=np.int64)
+        for t in range(n):
+            term = (term + c[i, j, t] * c[t, m] + c[j, m, t] * c[t, i]
+                    + c[m, i, t] * c[t, j]) % p
+        if term.any():
+            out.append(f"Jacobi identity fails at ({i},{j},{m})")
+            if len(out) >= max_reports:
+                return out
+    for i in range(n):
+        A = L.ad_matrix(i)
+        Ap = A
+        for _ in range(p - 1):
+            Ap = (Ap @ A) % p
+        target = np.zeros((n, n), dtype=np.int64)
+        for m in range(n):
+            target = (target + L.pmap[i, m] * L.ad_matrix(m)) % p
+        if np.any((Ap - target) % p):
+            out.append(f"p-operation incompatible with ad powers at e_{i}")
+    return out
+
+
+def test_restricted_verify_matches_the_loop_reference():
+    rng = np.random.default_rng(113)
+    for trial in range(120):
+        p, n = int(rng.choice([2, 3, 5, 7])), int(rng.integers(1, 5))
+        c = rng.integers(0, p, (n, n, n)) * (rng.random((n, n, n)) < 0.3)
+        if trial % 2:
+            c = (c - c.transpose(1, 0, 2)) % p
+        P = rng.integers(0, p, (n, n)) * (rng.random((n, n)) < 0.5)
+        L = resliealg.RestrictedLie(p, c, P)
+        reports = int(rng.integers(1, 25))
+        assert (resliealg.restricted_verify(L, reports)
+                == _restricted_verify_by_loops(L, reports)), trial
+    for L in (sl2(3), sl2(5), borel(3), sl2_algebra(7)):
+        assert resliealg.restricted_verify(L) == []
+        assert _restricted_verify_by_loops(L, 20) == []
+
+
 def test_uenv_normalize_straightening():
     L = sl2(3)
     f = L.field
@@ -275,7 +325,7 @@ def test_sparse_times_csr_matches_dense_product(field, m, n, density, seed):
     cc = np.flatnonzero(C.any(axis=2))
     csr = (np.searchsorted(cc // n, np.arange(n + 1)), cc % n,
            C.reshape(n * n, k)[cc])
-    cells, vals = resliealg._sparse_times_csr(
+    cells, vals = ar.sparse_times_csr(
         field, n, xc, X.reshape(m * n, k)[xc], csr)
     want = ar.fmatmul(field, X, C).reshape(m * n, k)
     nz = np.flatnonzero(want.any(axis=1))

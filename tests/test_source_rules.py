@@ -84,6 +84,41 @@ def test_exactfield_has_one_polynomial_kernel():
     assert not found, f"a second polynomial kernel in exactfield: {found}"
 
 
+def test_one_cocycle_kernel():
+    # the cocycle of a cleaving map has one kernel, hopf.cocycle_pairs:
+    # Prop30Context keeps no pass of its own, splitting_to_cocycle and
+    # cocycle_transform build no dense heads gamma(x) gamma(y) and reach
+    # the kernel through galois._cocycle_table
+    tops = {}
+    for name in ("resliealg", "galois"):
+        path = PACKAGE / f"{name}.py"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        tops[name] = {node.name: node for node in tree.body
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        tops[name]["module"] = tree
+
+    def names(node):
+        return {sub.id if isinstance(sub, ast.Name) else sub.attr
+                for sub in ast.walk(node)
+                if isinstance(sub, (ast.Name, ast.Attribute))}
+
+    found = [f"resliealg.py:{node.lineno} defines _left_sums"
+             for node in ast.walk(tops["resliealg"]["module"])
+             if isinstance(node, ast.FunctionDef) and node.name == "_left_sums"]
+    for layer, name, uses, avoids in [
+            ("resliealg", "Prop30Context", "cocycle_pairs", None),
+            ("galois", "_cocycle_table", "cocycle_pairs", None),
+            ("galois", "splitting_to_cocycle", "_cocycle_table", "_products"),
+            ("galois", "cocycle_transform", "_cocycle_table", "_products")]:
+        node = tops[layer].get(name)
+        got = names(node) if node is not None else set()
+        if uses not in got:
+            found.append(f"{layer}.{name} does not call {uses}")
+        if avoids in got:
+            found.append(f"{layer}.{name} calls {avoids}")
+    assert not found, f"a second cocycle kernel: {found}"
+
+
 def test_traced_entry_points_exist():
     # the traced benchmark wraps these by name: a kernel rework that renames
     # or drops one fails here, not in the benchmark run

@@ -18,7 +18,12 @@ from hopfgal.errors import (
 from hopfgal.exactfield import Field
 from hopfgal.fdalg import Subspace, radical, subalgebra_on
 from hopfgal.hopf import cyclic_group_table, group_algebra
-from hopfgal.resliealg import Fiber, FiberPoint, restricted_verify
+from hopfgal.resliealg import (
+    Fiber,
+    FiberPoint,
+    RestrictedLie,
+    restricted_verify,
+)
 from hopfgal import speclab as sl
 
 
@@ -59,6 +64,39 @@ def test_builtin_algebra_self_check_is_a_typed_error(monkeypatch):
 def test_lie_kind():
     assert sl.lie_kind(sl.sl2_algebra(3)) == "sl2"
     assert sl.lie_kind(sl.borel_algebra(3)) == "borel"
+
+
+def test_lie_kind_compares_tables_without_verifying(monkeypatch):
+    """lie_kind answers as a comparison with the built, verified algebra
+    would, and makes no restricted_verify call; each sl2_algebra call
+    hands back its own tables."""
+    bent = sl.sl2_algebra(5).bracket.copy()
+    bent[0, 1, 2] = 2
+    cases = ([sl.sl2_algebra(p) for p in (3, 5, 7)]
+             + [sl.borel_algebra(p) for p in (3, 5)]
+             + [RestrictedLie(5, bent, sl.sl2_algebra(5).pmap),
+                RestrictedLie(3, np.zeros((3, 3, 3)), np.zeros((3, 3))),
+                RestrictedLie(3, sl.borel_algebra(3).bracket,
+                              np.zeros((2, 2))),
+                RestrictedLie(3, np.zeros((1, 1, 1)), np.eye(1)),
+                RestrictedLie(3, np.zeros((4, 4, 4)), np.zeros((4, 4)))])
+
+    def by_building(L):
+        build = {3: sl.sl2_algebra, 2: sl.borel_algebra}.get(L.dim)
+        ref = build(L.p) if build else None
+        if (ref is not None and np.array_equal(L.bracket, ref.bracket)
+                and np.array_equal(L.pmap, ref.pmap)):
+            return {3: "sl2", 2: "borel"}[L.dim]
+        return None
+
+    want = [by_building(L) for L in cases]
+    assert want == ["sl2"] * 3 + ["borel"] * 2 + [None] * 5
+    calls = []
+    monkeypatch.setattr(sl, "restricted_verify",
+                        lambda L: calls.append(L) or [])
+    assert [sl.lie_kind(L) for L in cases] == want
+    assert calls == []
+    assert sl.sl2_algebra(3).bracket is not sl.sl2_algebra(3).bracket
 
 
 # ---------------------------------------------------------------------------
