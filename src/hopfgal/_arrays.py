@@ -309,7 +309,8 @@ def csr_rows(m: int, n: int, cells: np.ndarray, vals: np.ndarray):
 
 def csr(X: np.ndarray):
     """CSR rows of a dense (m, n, k) array, values (nnz, k)."""
-    cells = np.flatnonzero(X.any(axis=-1))
+    cells = np.flatnonzero(X[..., 0] != 0 if X.shape[-1] == 1 else
+                           X.any(axis=-1))
     return csr_rows(X.shape[0], X.shape[1], cells,
                     X.reshape(-1, X.shape[-1])[cells])
 

@@ -86,10 +86,13 @@ def decode_array(field: Field, data, shape: tuple, what: str) -> np.ndarray:
 class SCAlgebra:
     """Associative unital algebra over a Field, given by a multiplication
     tensor and a unit vector.  check=False vouches that both are int64,
-    of shapes (n, n, n, k) and (n, k) and reduced: no pass over them."""
+    of shapes (n, n, n, k) and (n, k) and reduced: no pass over them.
+    generators, basis indices, vouches that the algebra is associative and
+    unital and generated by those basis vectors (see `generating_set`);
+    None claims nothing."""
 
     def __init__(self, field: Field, mul: np.ndarray, unit: np.ndarray,
-                 labels=None, check: bool = True):
+                 labels=None, check: bool = True, generators=None):
         if check:
             mul = ar.asarray(field, mul)
             unit = ar.asarray(field, unit)
@@ -103,6 +106,8 @@ class SCAlgebra:
         self.mul = mul
         self.unit = unit
         self.labels = list(labels) if labels is not None else None
+        self.generators = (tuple(generators) if generators is not None
+                           else None)
         # set by center(); nothing mutates an algebra after construction
         self._center = None
 
@@ -431,18 +436,49 @@ def is_ideal(A: SCAlgebra, sub: Subspace) -> bool:
     return ar.coords_in_row_space_many(f, sub.basis, prods) is not None
 
 
+def generating_set(A: SCAlgebra) -> tuple:
+    """Basis indices that generate A as an algebra, kept on A as
+    `A.generators`.  Unless A carries them, they are found by closure: in
+    basis order, each b_j outside the subalgebra S generated so far joins
+    them, and S <- span(S u S g) over the generators g until S is stable.
+    Storing them vouches that A is associative and unital, so call this
+    only once `algebra_verify(A)` has passed."""
+    if A.generators is None:
+        f, n = A.field, A.dim
+        eye = ar.identity(f, n)
+        gens, S = [], ar.row_space(f, A.unit[None])
+        for j in range(n):
+            if ar.coords_in_row_space(f, S, eye[j]) is not None:
+                continue
+            gens.append(j)
+            right = A.mul[:, gens].reshape(n, len(gens) * n, f.k)
+            while True:
+                grown = ar.row_space(f, np.concatenate([S, ar.fmatmul(
+                    f, S, right).reshape(-1, n, f.k)]))
+                if grown.shape[0] == S.shape[0]:
+                    break
+                S = grown
+        A.generators = tuple(gens)
+    return A.generators
+
+
 def _is_algebra_map(R: SCAlgebra, S: SCAlgebra, fmap) -> bool:
     """Whether the linear map fmap: R -> S (a LinMap) sends 1 to 1 and
     b_i b_j to fmap(b_i) fmap(b_j) for all i, j, checked on blocks of i of
-    at most 2^20 product cells."""
+    at most 2^20 product cells.  When R and S carry generators (both are
+    vouched associative), i runs over R's generators only: fmap(g x) = fmap(g)
+    fmap(x) for the generators g gives fmap(g_1 ... g_r x) = fmap(g_1) ...
+    fmap(g_r) fmap(x) by induction on r."""
     f = R.field
     M = fmap.matrix
     n, nS = R.dim, S.dim
     if np.any((ar.fmatmul(f, R.unit[None], M)[0] - S.unit) % f.p):
         return False
+    rows = (np.array(R.generators, dtype=np.int64) if R.generators is not None
+            and S.generators is not None else np.arange(n))
     step = max(1, 2 ** 20 // max(n * nS, nS * nS, 1))
-    for lo in range(0, n, step):
-        I = slice(lo, min(lo + step, n))
+    for lo in range(0, rows.size, step):
+        I = rows[lo:lo + step]
         lhs = ar.fmatmul(f, R.mul[I].reshape(-1, n, f.k), M)
         rhs = _products(S, M[I], M).reshape(lhs.shape)
         if np.any((lhs - rhs) % f.p):

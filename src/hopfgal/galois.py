@@ -60,28 +60,26 @@ from .hopf import (
     HopfAlgebra,
     Integral,
     LinMap,
+    chunk_runs,
     coaction_terms,
     cocycle_pairs,
     conv_inverse,
     conv_unit,
     convolution,
     convolution2,
+    convolve_pairs,
     is_cocommutative,
 )
 
-# full comodule-axiom verification (the pairwise algebra-map check) runs
-# exhaustively up to this dimension at construction time; larger comodule
-# algebras get the cheap axioms only, and the expensive axiom is exercised
-# exhaustively on small instances in the test suite
+# without a generating set, the algebra-map law is checked on every pair
+# (the full pair scan) only up to this dimension at construction time;
+# larger comodule algebras with no known generators get the other axioms
+# only, and the full scan is exercised on small instances in the test suite
 FULL_VERIFY_DIM = 81
 
 # exhaustive triple check of the cocycle identity up to this Hopf dimension;
 # beyond it a fixed deterministic sample of triples is used
 COCYCLE_TRIPLE_DIM = 12
-
-# cells of one block of the coassociativity and algebra-map checks
-ALGEBRA_MAP_CELLS = 2 ** 20
-
 
 def _check_convention(convention: str):
     """UnknownKind unless convention is one of the two product conventions."""
@@ -121,6 +119,21 @@ class ComoduleAlgebra:
 
     def verify(self, max_reports: int = 10,
                full: bool | None = None) -> list[str]:
+        """The failed comodule-algebra axioms, as messages (empty if none):
+        the counit law, coassociativity, rho(1) = 1 (x) 1 and the
+        algebra-map law rho(xy) = rho(x) rho(y).
+
+        The algebra-map law is checked on generators when A and H carry
+        them (`SCAlgebra.generators`, which vouches that both algebras are
+        associative and unital) and rho(1) = 1 (x) 1 has passed: then
+        rho(g b_j) = rho(g) rho(b_j) for every generator g and basis vector
+        b_j gives rho(g_1 ... g_r y) = rho(g_1) ... rho(g_r) rho(y) by
+        induction on r, so rho is multiplicative on all of A.  Otherwise,
+        and whenever a generator row fails, every pair (i, j) is checked by
+        the full pair scan and each failing i reported with its first
+        failing j.  The full scan runs when full is True, or when full is
+        None and dim A <= FULL_VERIFY_DIM; where it does not, failing
+        generator rows are reported alone.  full=False skips the law."""
         f = self.field
         nA, nH = self.alg.dim, self.hopf.dim
         rho = self.coaction
@@ -140,12 +153,18 @@ class ComoduleAlgebra:
                         rho.reshape(nA, nA * nH, f.k)).reshape(nA, nH, f.k)
         uu = ar.fmul(f, self.alg.unit[:, None, :],
                      self.hopf.alg.unit[None, :, :])
-        if np.any((r1 - uu) % f.p):
+        unital = not np.any((r1 - uu) % f.p)
+        if not unital:
             out.append("coaction does not send the unit to 1 (x) 1")
-        if full is None:
-            full = nA <= FULL_VERIFY_DIM
-        if full:
+        if full is False:
+            return out
+        gens = self.alg.generators
+        bad = None
+        if unital and gens is not None and self.hopf.alg.generators is not None:
+            bad = self._verify_algebra_map(gens)
+        if (full or nA <= FULL_VERIFY_DIM) and (bad is None or bad.any()):
             bad = self._verify_algebra_map()
+        if bad is not None:
             out += [f"coaction is not an algebra map at pair "
                     f"({i},{np.argmax(bad[i])})" for i in np.flatnonzero(
                         bad.any(axis=1))][:max(max_reports - len(out), 1)]
@@ -153,56 +172,67 @@ class ComoduleAlgebra:
 
     def _first_coassociativity_failure(self) -> int | None:
         """The first i with (rho (x) id) rho(b_i) != (id (x) Delta) rho(b_i),
-        or None, on the terms b_a (x) h_u of rho(b_i): the left side sends
-        each to rho(b_a) (x) h_u, the right side to b_a (x) Delta(h_u).
-        Blocks of i hold at most ALGEBRA_MAP_CELLS cells (i, a, u, v)."""
+        or None.  Both sides are keyed term lists: the left side sends each
+        term c b_a (x) h_u of rho(b_i) to c rho(b_a) (x) h_u, the right side
+        to c b_a (x) Delta(h_u), each term keyed by its cell (i, a, u, v).
+        The terms of both sides, the right side negated, are sorted by key
+        and equal keys summed; the smallest i with a nonzero sum fails.
+        Runs of rows i with fewer than hopf.CONV_CHUNK_TERMS terms together
+        (`hopf.chunk_runs`) are checked in turn, so the first failing run
+        ends the search."""
         f = self.field
         nA, nH = self.alg.dim, self.hopf.dim
         ptr, I, A, U, c = coaction_terms(self.coaction)
         dptr, _, U1, U2, d = coaction_terms(self.hopf.comul)
-        step = max(1, ALGEBRA_MAP_CELLS // (nA * nH * nH))
-        for lo in range(0, nA, step):
-            hi = min(lo + step, nA)
+        # row i costs the terms both sides expand it into
+        run = np.concatenate([[0], np.cumsum(np.diff(ptr)[A]
+                                             + np.diff(dptr)[U])])
+        for lo, hi in chunk_runs(np.diff(run[ptr])):
             t = np.arange(ptr[lo], ptr[hi])
-            diff = ar.zeros(f, ((hi - lo) * nA * nH * nH,))
             e, s = ar.csr_expand(ptr, A[t])
-            te = t[e]
-            ar.scatter_add(diff, (((I[te] - lo) * nA + A[s]) * nH + U[s])
-                           * nH + U[te], ar.fmul(f, c[te], c[s]))
+            left = ((I[t[e]] * nA + A[s]) * nH + U[s]) * nH + U[t[e]]
+            lval = ar.fmul(f, c[t[e]], c[s])
             e, s = ar.csr_expand(dptr, U[t])
-            te = t[e]
-            ar.scatter_add(diff, (((I[te] - lo) * nA + A[te]) * nH + U1[s])
-                           * nH + U2[s], f.p - ar.fmul(f, c[te], d[s]))
-            bad = np.flatnonzero(
-                np.remainder(diff, f.p, out=diff).reshape(hi - lo, -1).any(1))
-            if bad.size:
-                return lo + int(bad[0])
+            right = ((I[t[e]] * nA + A[t[e]]) * nH + U1[s]) * nH + U2[s]
+            rval = f.p - ar.fmul(f, c[t[e]], d[s])
+            keys = np.concatenate([left, right])
+            if not keys.size:
+                continue
+            order = np.argsort(keys)
+            keys = keys[order]
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            sums = np.add.reduceat(np.concatenate([lval, rval])[order],
+                                   starts) % f.p
+            bad = sums.any(axis=1)
+            if bad.any():
+                return int(keys[starts[bad.argmax()]] // (nA * nH * nH))
         return None
 
-    def _verify_algebra_map(self) -> np.ndarray:
+    def _verify_algebra_map(self, rows=None) -> np.ndarray:
         """The (nA, nA) table of the pairs (i, j) with rho(b_i b_j) !=
-        rho(b_i) rho(b_j).  rho(b_i) rho(b_j) is hopf.convolution2 over rho
-        with F = mulA, G = mulH and m the outer product A x H -> A (x) H,
-        computed for blocks of i of at most ALGEBRA_MAP_CELLS cells
-        (i, j, a, u); rho(b_i b_j) = sum_c mulA[i, j, c] rho(b_c) is
-        subtracted from it on the terms of rho."""
+        rho(b_i) rho(b_j), i in rows (every i by default; other rows are
+        False).  rho(b_i) rho(b_j) is hopf.convolve_pairs over rho with
+        F = mulA, G = mulH and m the outer product A x H -> A (x) H, chunk
+        by chunk; rho(b_i b_j) = sum_c mulA[i, j, c] rho(b_c) is subtracted
+        on the terms of rho, from the sparse rows of mulA."""
         f = self.field
         nA, nH = self.alg.dim, self.hopf.dim
-        mulA = self.alg.mul
-        ptr, _, A, U, c = coaction_terms(self.coaction)
-        step = max(1, ALGEBRA_MAP_CELLS // (nA * nA * nH))
+        terms = ptr, _, A, U, c = coaction_terms(self.coaction)
+        mulA = mptr, mcol, mval = ar.csr(self.alg.mul.reshape(nA * nA, nA,
+                                                               f.k))
+        rows = np.arange(nA) if rows is None else np.array(rows, np.int64)
+        I, J = rows.repeat(nA), np.tile(np.arange(nA), rows.size)
         bad = np.zeros((nA, nA), dtype=bool)
-        for lo in range(0, nA, step):
-            J = slice(lo, min(lo + step, nA))
-            diff = convolution2(self, mulA, self.hopf.alg.mul, None, J)
-            # q = (i - lo) nA + j meets the terms of rho(b_c), c in b_i b_j
-            prods = mulA[J].reshape(-1, nA, f.k)
-            q, r = np.nonzero(prods.any(axis=-1))
-            e, s = ar.csr_expand(ptr, r)
-            ar.scatter_add(diff.reshape(-1, f.k),
+        for lo, hi, vals in convolve_pairs(
+                f, terms, mulA, ar.csr(self.hopf.alg.mul.reshape(
+                    nH * nH, nH, f.k)), None, I, J, (nA, nH, nA, nH, nA * nH)):
+            # pair q meets the terms of rho(b_c), c in b_I[q] b_J[q]
+            q, mp = ar.csr_expand(mptr, I[lo:hi] * nA + J[lo:hi])
+            e, s = ar.csr_expand(ptr, mcol[mp])
+            ar.scatter_add(vals.reshape(-1, f.k),
                            (q[e] * nA + A[s]) * nH + U[s],
-                           f.p - ar.fmul(f, prods[q[e], r[e]], c[s]))
-            bad[J] = np.remainder(diff, f.p, out=diff).any(axis=(2, 3))
+                           f.p - ar.fmul(f, mval[mp[e]], c[s]))
+            bad[I[lo:hi], J[lo:hi]] = (vals % f.p).any(axis=(1, 2))
         return bad
 
 
@@ -449,13 +479,18 @@ def twisted_product(R: SCAlgebra, sig: Cocycle,
     The cocycle is verified first and associativity of the result is
     re-verified; failure of either raises CocycleInvalid."""
     _check_convention(convention)
-    f = sig.field
-    H = sig.hopf
     if R.dim != sig.target.dim:
         raise ShapeMismatch("ring does not match the cocycle target")
     msgs = cocycle_verify(sig, convention)
     if msgs:
         raise CocycleInvalid("; ".join(msgs))
+    return _twisted_product(R, sig, convention)
+
+
+def _twisted_product(R: SCAlgebra, sig: Cocycle, convention: str) -> SCAlgebra:
+    """`twisted_product` of a cocycle the caller has verified."""
+    f = sig.field
+    H = sig.hopf
     nH, nR = H.dim, R.dim
     dim = nR * nH
     # val[i, j] = (1 (x) h_i)(1 (x) h_j) = sum sigma(i_1, j_1) (x) i_2 j_2
@@ -517,7 +552,7 @@ def cocycle_transform(sig: Cocycle, u: LinMap, convention: str = "paper"):
     if msgs:
         raise CocycleInvalid("transformed cocycle fails: " + msgs[0])
     A_sig = twisted_product(R, sig, convention)
-    A_tau = twisted_product(R, tau, convention)
+    A_tau = _twisted_product(R, tau, convention)
     dim = nR * nH
     # phi(a_r (x) h_i) = sum a_r u(h_i1) (x) h_i2: with au[c1, r] = a_r u(h_c1),
     # phi[(r, i), (t, c2)] = sum_c1 comul[i, c1, c2] au[c1, r, t]

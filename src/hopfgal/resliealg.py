@@ -406,7 +406,7 @@ class Fiber:
     time from the sparse rows of `_structure_rows`, each scattered once into
     the dense tensor as it is made; only the last p^(n-1) rows are kept, no
     cell list of the whole tensor (1.48 M nonzeros for sl2 at p = 7, point
-    (1, 2, 3))."""
+    (1, 2, 3)).  `alg` carries the PBW generators e_i as its generators."""
 
     def __init__(self, L: RestrictedLie, point: FiberPoint):
         field = point.field
@@ -432,7 +432,8 @@ class Fiber:
         unit = ar.zeros(field, (dim,))
         unit[0, 0] = 1
         self.alg = SCAlgebra(field, mul, unit, check=False,
-                             labels=[list(a) for a in self.labels])
+                             labels=[list(a) for a in self.labels],
+                             generators=[p ** (n - 1 - i) for i in range(n)])
 
     def splittings(self):
         """Every splitting beta + gamma = alpha of the PBW labels whose
@@ -473,17 +474,22 @@ def _structure_rows(engine: _Engine, labels: list[tuple]):
 
     Row alpha is row(alpha - delta_i) times Lambda_i
     (`_arrays.sparse_times_csr`), i the first nonzero exponent of alpha, and
-    Lambda_i, left multiplication by e_i, a CSR matrix from the engine: n p^n
-    engine products in all.  A
-    parent row lies at most p^(n-1) rows back; the caller memoises `row`."""
+    Lambda_i, left multiplication by e_i, a CSR matrix from the engine: its
+    row beta is one engine product, row beta - delta_l times e_l, l the last
+    nonzero exponent of beta.  A parent row lies at most p^(n-1) rows back;
+    the caller memoises `row`."""
     f, p, n, dim = engine.field, engine.p, engine.n, len(labels)
     index = {a: i for i, a in enumerate(labels)}
     gens = []
     for i in range(n):
-        delta = tuple(int(t == i) for t in range(n))
+        rows = [{tuple(int(t == i) for t in range(n)): engine.cone}]
+        for beta in labels[1:]:
+            l = max(t for t in range(n) if beta[t])
+            rows.append(engine.rmul_elem(rows[len(rows) - p ** (n - 1 - l)],
+                                         l))
         indptr, cols, vals = [0], [], []
-        for beta in labels:
-            for t, c in engine.mul_label({delta: engine.cone}, beta).items():
+        for row in rows:
+            for t, c in row.items():
                 cols.append(index[t])
                 vals.append((c,) if f.k == 1 else c)
             indptr.append(len(cols))

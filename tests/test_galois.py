@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hopfgal import _arrays as ar
-from hopfgal import galois, hopf
+from hopfgal import fdalg, galois, hopf
 from hopfgal.errors import (
     CocycleInvalid,
     NoOneDimRep,
@@ -153,8 +153,8 @@ def test_algebra_map_check_reports_a_non_additive_grading(
         rho[i, i, d, 0] = 1
     want = [f"coaction is not an algebra map at pair ({i},{j})"
             for i, j in want]
-    for cells in (galois.ALGEBRA_MAP_CELLS, 8, 1):
-        monkeypatch.setattr(galois, "ALGEBRA_MAP_CELLS", cells)
+    for terms in (hopf.CONV_CHUNK_TERMS, 8, 1):
+        monkeypatch.setattr(hopf, "CONV_CHUNK_TERMS", terms)
         CA = ComoduleAlgebra(A, Z2, rho, check=False)
         assert CA.verify() == want
         assert CA.verify(max_reports=2) == want[:2]
@@ -807,9 +807,9 @@ def test_algebra_map_failures_match_pair_loop(monkeypatch, case):
     assert want.any()
     reports = [f"coaction is not an algebra map at pair ({i},{np.argmax(r)})"
                for i, r in enumerate(want) if r.any()]
-    for cells in (galois.ALGEBRA_MAP_CELLS, 8, 1):
-        monkeypatch.setattr(galois, "ALGEBRA_MAP_CELLS", cells)
-        assert np.array_equal(CA._verify_algebra_map(), want), cells
+    for terms in (hopf.CONV_CHUNK_TERMS, 8, 1):
+        monkeypatch.setattr(hopf, "CONV_CHUNK_TERMS", terms)
+        assert np.array_equal(CA._verify_algebra_map(), want), terms
         assert [r for r in CA.verify(10 ** 6, full=True)
                 if "algebra map" in r] == reports
 
@@ -838,18 +838,204 @@ def first_coassociativity_failure_loop(CA):
 def test_coassociativity_fails_at_the_corrupted_index(monkeypatch, lie, field,
                                                       point, entry):
     """One corrupted entry of rho: verify names the first failing i, which
-    the dense per-i products agree on, for every block size."""
+    the dense per-i products agree on, for every run length of rows."""
     CA = _corrupted_coaction(lie, field, point,
                              {entry: [1] + [0] * (field.k - 1)})
     i = first_coassociativity_failure_loop(CA)
     assert i is not None
     want = f"coaction coassociativity fails at basis index {i}"
-    for cells in (galois.ALGEBRA_MAP_CELLS, 8, 1):
-        monkeypatch.setattr(galois, "ALGEBRA_MAP_CELLS", cells)
+    for terms in (hopf.CONV_CHUNK_TERMS, 8, 1):
+        monkeypatch.setattr(hopf, "CONV_CHUNK_TERMS", terms)
         assert CA._first_coassociativity_failure() == i
         assert want in CA.verify(full=False)
     clean = fiber_coaction(Fiber(lie, FiberPoint.make(field, point)))
     assert clean._first_coassociativity_failure() is None
+
+
+SEEDED_CORRUPTIONS = [(sl2(3), F3, [1, 0, 0], 7),
+                      (sl2(3), Field(3, 2), [0, 0, 1], 7),
+                      (borel(5), Field(5), [1, 2], 6)]
+
+
+def seeded_corruptions():
+    """20 coactions, each with one seeded entry (i, a, u), u != 0,
+    overwritten by a seeded nonzero value: over F_3, F_9 and F_5."""
+    rng = np.random.default_rng(18)
+    for lie, field, point, count in SEEDED_CORRUPTIONS:
+        n = lie.p ** lie.dim
+        for _ in range(count):
+            i, a, u = rng.integers(0, n, 3)
+            value = rng.integers(0, field.p, field.k)
+            value[0] = rng.integers(1, field.p)
+            yield _corrupted_coaction(lie, field, point, {
+                (i, a, max(u, 1)): value.tolist()})
+
+
+@pytest.mark.parametrize("terms", [hopf.CONV_CHUNK_TERMS, 1])
+def test_coassociativity_on_sorted_terms_matches_the_dense_loop(
+        monkeypatch, terms):
+    """The sorted-term check names the first i the dense per-i products
+    name, on the corrupted coactions and on 20 seeded corruptions."""
+    monkeypatch.setattr(hopf, "CONV_CHUNK_TERMS", terms)
+    cases = [_corrupted_coaction(*CORRUPTED[c]) for c in sorted(CORRUPTED)]
+    got = [(CA._first_coassociativity_failure(),
+            first_coassociativity_failure_loop(CA))
+           for CA in cases + list(seeded_corruptions())]
+    assert all(a == b for a, b in got), got
+    assert sum(a is not None for a, _ in got) >= 15
+
+
+def _refuse_scan(monkeypatch, which):
+    """Make the generator rows or the full pair scan raise."""
+    scan = ComoduleAlgebra._verify_algebra_map
+
+    def refusing(self, rows=None):
+        if (rows is None) == (which == "full"):
+            raise AssertionError(f"{which} rows ran")
+        return scan(self, rows)
+    monkeypatch.setattr(ComoduleAlgebra, "_verify_algebra_map", refusing)
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTED) + ["intact"])
+def test_generator_rows_agree_with_the_full_pair_scan(monkeypatch, case):
+    """The generator rows are the full scan's rows at the generators; they
+    fail exactly when some pair fails, and verify reports the same pairs
+    with and without them, through the fallback to the full scan."""
+    if case == "intact":
+        F = Fiber(sl2(3), FiberPoint.make(Field(3, 2), [1, 0, 0]))
+        CA = ComoduleAlgebra(F.alg, u_restricted(sl2(3), F.field)[0],
+                             F.binomial_tensor(), check=False)
+    else:
+        CA = _corrupted_coaction(*CORRUPTED[case])
+    gens = CA.alg.generators
+    assert gens is not None and CA.hopf.alg.generators is not None
+    rows = CA._verify_algebra_map(gens)
+    full = CA._verify_algebra_map()
+    assert np.array_equal(rows[list(gens)], full[list(gens)])
+    assert not rows[np.setdiff1d(np.arange(CA.alg.dim), gens)].any()
+    assert rows.any() == full.any() == (case != "intact")
+    reports = CA.verify(10 ** 6, full=True)
+    _refuse_scan(monkeypatch, "generator")
+    CA.alg.generators = None
+    assert CA.verify(10 ** 6, full=True) == reports
+
+
+def test_generator_rows_alone_report_above_the_full_verify_dim(
+        monkeypatch):
+    """With the full scan gated off, failing generator rows are reported
+    by themselves, each at its first failing j."""
+    CA = _corrupted_coaction(*CORRUPTED["sl2 F_3"])
+    rows = CA._verify_algebra_map(CA.alg.generators)
+    monkeypatch.setattr(galois, "FULL_VERIFY_DIM", 8)
+    _refuse_scan(monkeypatch, "full")
+    assert [r for r in CA.verify(10 ** 6) if "algebra map" in r] == [
+        f"coaction is not an algebra map at pair ({i},{np.argmax(rows[i])})"
+        for i in np.flatnonzero(rows.any(axis=1))]
+
+
+def test_only_the_full_scan_runs_without_the_generator_premises(
+        monkeypatch):
+    """A coaction with rho(1) != 1 (x) 1 over algebras that carry
+    generators, and a non-associative A, which carries none: the
+    generator rows never run and the reports are the full scan's."""
+    _refuse_scan(monkeypatch, "generator")
+    CA = _corrupted_coaction(sl2(3), F3, [1, 0, 0], {(0, 4, 1): [1]})
+    assert CA.alg.generators is not None
+    want = algebra_map_failures_loop(CA)
+    assert want.any()
+    msgs = CA.verify(10 ** 6)
+    assert "coaction does not send the unit to 1 (x) 1" in msgs
+    assert [m for m in msgs if "algebra map" in m] == [
+        f"coaction is not an algebra map at pair ({i},{np.argmax(r)})"
+        for i, r in enumerate(want) if r.any()]
+    # b_1 b_1 = b_2 and b_2 b_1 = 0 but b_1 b_2 = b_1: (b_1 b_1) b_1 is 0,
+    # b_1 (b_1 b_1) is b_1
+    mul = np.zeros((3, 3, 3, 1), dtype=np.int64)
+    mul[0, np.arange(3), np.arange(3)] = mul[np.arange(3), 0, np.arange(3)] = 1
+    mul[1, 1, 2] = mul[1, 2, 1] = 1
+    A = SCAlgebra(F3, mul, [[1], [0], [0]])
+    assert fdalg.algebra_verify(A)
+    # graded by b_1, b_2 -> g, which b_1 b_1 = b_2 breaks
+    Z2 = group_algebra(F3, cyclic_group_table(2))
+    rho = np.zeros((3, 3, 2, 1), dtype=np.int64)
+    rho[[0, 1, 2], [0, 1, 2], [0, 1, 1]] = 1
+    CA = ComoduleAlgebra(A, Z2, rho, check=False)
+    want = algebra_map_failures_loop(CA)
+    assert CA.verify() == [
+        f"coaction is not an algebra map at pair ({i},{np.argmax(r)})"
+        for i, r in enumerate(want) if r.any()] != []
+
+
+def test_pbw_splitting_checks_the_cone_fiber_on_generators(monkeypatch):
+    """pbw_splitting on the sl2 p = 3 cone fiber checks the algebra-map
+    law on generators only: a full scan would raise."""
+    _refuse_scan(monkeypatch, "full")
+    sp = pbw_splitting(Fiber(sl2(3), FiberPoint.make(F3, [1, 0, 0])))
+    assert sp.CA.verify() == []
+
+
+def test_generating_set_by_closure():
+    """Found generating sets generate, and are kept on the algebra;
+    algebras built by Fiber carry the PBW generators e_i."""
+    F = Fiber(sl2(3), FiberPoint.make(F3, [1, 0, 0]))
+    assert F.alg.generators == (9, 3, 1)
+    A = SCAlgebra.from_json(F.alg.to_json())
+    assert A.generators is None
+    assert fdalg.generating_set(A) == A.generators == (1, 3, 9)
+    Z4 = group_algebra(F3, cyclic_group_table(4))
+    assert fdalg.generating_set(Z4.alg) == (1,)
+    S3 = group_algebra(F3, [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4],
+                            [2, 4, 0, 5, 1, 3], [3, 5, 1, 4, 0, 2],
+                            [4, 2, 5, 0, 3, 1], [5, 3, 4, 1, 2, 0]])
+    gens = fdalg.generating_set(S3.alg)
+    # the span of all words in the generators is the whole algebra
+    f, n = F3, 6
+    S = ar.row_space(f, S3.alg.unit[None])
+    for _ in range(n):
+        S = ar.row_space(f, np.concatenate([S] + [fdalg._products(
+            S3.alg, S, ar.identity(f, n)[[g]]).reshape(-1, n, 1)
+            for g in gens]))
+    assert S.shape[0] == n and len(gens) == 2
+
+
+def test_is_algebra_map_on_generators_agrees_with_every_pair():
+    """fdalg._is_algebra_map with the source's generators gives the answer
+    of the check of every pair."""
+    f = F3
+    F = Fiber(sl2(3), FiberPoint.make(f, [0, 0, 0]))
+    bare = SCAlgebra(f, F.alg.mul, F.alg.unit)
+    eye = ar.identity(f, F.dim)
+    twisted = eye.copy()
+    twisted[26] = (2 * twisted[26]) % 3
+    for M, want in ((eye, True), (2 * eye % 3, False), (twisted, False)):
+        assert _is_algebra_map(F.alg, F.alg, LinMap(f, M)) is want
+        assert _is_algebra_map(bare, bare, LinMap(f, M)) is want
+
+
+def test_cocycle_transform_verifies_each_cocycle_once(monkeypatch):
+    """cocycle_verify runs once on sigma and once on tau."""
+    sig, u = _gauge_case("sl2-cone")
+    calls = []
+
+    def counted(c, convention="paper"):
+        calls.append(c)
+        return cocycle_verify(c, convention)
+    monkeypatch.setattr(galois, "cocycle_verify", counted)
+    tau, iso = cocycle_transform(sig, u)
+    assert len(calls) == 2
+    assert calls[0].values is tau.values and calls[1] is sig
+    # a broken sigma: tau fails first, with the message it always had
+    Z4 = group_algebra(F3, cyclic_group_table(4))
+    vals = np.ones((4, 4, 1, 1), dtype=np.int64)
+    vals[1, 2, 0, 0] = 2
+    u = np.ones((4, 1, 1), dtype=np.int64)
+    u[1] = 2
+    calls.clear()
+    with pytest.raises(CocycleInvalid) as err:
+        cocycle_transform(Cocycle(Z4, scalar_algebra(F3), vals), LinMap(F3, u))
+    assert str(err.value) == ("transformed cocycle fails: cocycle identity "
+                              "fails at triple (1,1,1)")
+    assert len(calls) == 1
 
 
 def balanced_relations_loop(CA, B):

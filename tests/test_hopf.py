@@ -610,3 +610,24 @@ def test_convolution2_memory_on_the_sl2_cocycle():
     finally:
         tracemalloc.stop()
     assert peak < 8.4e6
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_csr_is_the_same_at_k_1_and_above(seed):
+    """`_arrays.csr` of a (m, n, 1) array and of its embedding with zero
+    second coordinates give the same rows and columns, and both match the
+    nonzero scan X.any(axis=-1)."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 3, (7, 11, 1)) * (rng.random((7, 11, 1)) < 0.3)
+    ptr, cols, vals = ar.csr(X)
+    wide = np.concatenate([X, np.zeros_like(X)], axis=-1)
+    ptr2, cols2, vals2 = ar.csr(wide)
+    assert np.array_equal(ptr, ptr2) and np.array_equal(cols, cols2)
+    assert np.array_equal(vals, vals2[:, :1]) and not vals2[:, 1].any()
+    cells = np.flatnonzero(X.any(axis=-1))
+    assert np.array_equal(cols, cells % 11)
+    assert np.array_equal(ptr, np.searchsorted(cells, np.arange(8) * 11))
+    assert np.array_equal(vals, X.reshape(-1, 1)[cells])
+    # at k > 1 a cell with a zero first coordinate is kept
+    wide[0, 0] = [0, 1]
+    assert ar.csr(wide)[1][0] == 0

@@ -290,6 +290,29 @@ def test_fiber_build_matches_engine_sl2_p5_seeded_pairs():
         assert_engine_products(F, pairs + [(F.dim - 1, F.dim - 1)])
 
 
+@pytest.mark.parametrize("p, lam", [(3, [1, 2, 0]), (5, [1, 2, 3]),
+                                    (7, [1, 2, 3])])
+def test_generator_matrices_match_mul_label(p, lam):
+    """Row delta_i of the structure constants is Lambda_i, left
+    multiplication by e_i: it matches e_i e^beta from `mul_label` on every
+    beta, as the generator matrices were first built."""
+    f = Field(p)
+    L = sl2(p)
+    labels = resliealg.pbw_labels(p, 3)
+    engine = resliealg._Engine(L, f, lam=lam)
+    step = resliealg._structure_rows(engine, labels)
+    rows = {0: step(None, 0)}
+    index = {a: i for i, a in enumerate(labels)}
+    for i in range(3):
+        delta = tuple(int(t == i) for t in range(3))
+        want = sorted((b * len(labels) + index[t], c)
+                      for b, beta in enumerate(labels)
+                      for t, c in engine.mul_label({delta: 1}, beta).items())
+        cells, vals = step(rows.get, index[delta])
+        assert cells.tolist() == [c for c, _ in want]
+        assert vals[:, 0].tolist() == [v for _, v in want]
+
+
 def test_fiber_build_matches_engine_four_generators():
     # sl2 + a central x with x^[p] = x: a parent row lies up to p^3 = 27
     # rows back, the longest reach of the chain's kept rows

@@ -135,3 +135,28 @@ def test_traced_entry_points_exist():
             if not callable(obj):
                 missing.append(f"{layer}.{name}")
     assert not missing, f"traced entry points not in the package: {missing}"
+
+
+def dense_coassociativity_buffers(path):
+    """The zeros / empty / ones calls of a module whose arguments name nA
+    once and nH twice: a dense (i, a, u, v) difference of (rho (x) id) rho
+    and (id (x) Delta) rho, or a block of one."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        func = node.func if isinstance(node, ast.Call) else None
+        if getattr(func, "attr", getattr(func, "id", None)) not in {
+                "zeros", "empty", "ones"}:
+            continue
+        names = [sub.id for arg in node.args for sub in ast.walk(arg)
+                 if isinstance(sub, ast.Name)]
+        if names.count("nA") >= 1 and names.count("nH") >= 2:
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_coassociativity_allocates_no_dense_difference():
+    # coassociativity sums sorted term lists: galois allocates no buffer
+    # of nA nH^2 cells per row i
+    found = dense_coassociativity_buffers(PACKAGE / "galois.py")
+    assert not found, f"dense coassociativity buffers: {found}"
