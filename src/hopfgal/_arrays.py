@@ -14,8 +14,9 @@ int64 while that is below 2^63, and `_imatmul` splits longer inner sums.
 
 Sparse rows are CSR triples (row pointers, columns, (nnz, k) values);
 `csr_expand` lists the entries of chosen rows, the step of every row-wise
-sparse product in the package, `scatter_add` sums terms into cells, and
-`sparse_times_csr` multiplies a sparse matrix by a CSR one.
+sparse product in the package, `scatter_add` and `sum_by_key` sum terms
+into cells, and `sparse_times_csr` and `sparse_times_dense` multiply a
+sparse matrix by a CSR or a dense one.
 
 Elimination is row-batched: `rref` folds ROW_BLOCK rows at a time into a
 running RREF basis.  Each block is reduced against the basis with one
@@ -338,14 +339,37 @@ def sparse_times_csr(field: Field, n: int, cells: np.ndarray,
     r, t = np.divmod(cells, n)
     # nonzero m of X meets the entries of CSR row t[m]
     src, pos = csr_expand(indptr, t)
-    out = r[src] * n + cols[pos]
-    terms = fmul_sum(field, vals[src], cvals[pos], n)
-    order = np.argsort(out)
-    out = out[order]
-    start = np.flatnonzero(np.diff(out, prepend=-1))
-    acc = np.add.reduceat(terms[order], start, axis=0) % field.p
+    return sum_by_key(field, r[src] * n + cols[pos],
+                      fmul_sum(field, vals[src], cvals[pos], n))
+
+
+def sum_by_key(field: Field, keys: np.ndarray, vals: np.ndarray):
+    """The distinct keys (>= 0), sorted, whose values (E, k) sum to nonzero,
+    and those sums, reduced: keyed by cell, the terms of two sides of an
+    identity, one side negated, sum to nonzero where the sides differ."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    start = np.flatnonzero(np.diff(keys, prepend=-1))
+    acc = np.add.reduceat(vals[order], start, axis=0) % field.p
     keep = acc.any(axis=1)
-    return out[start[keep]], acc[keep]
+    return keys[start[keep]], acc[keep]
+
+
+def sparse_times_dense(field: Field, n: int, rows: np.ndarray,
+                       cols: np.ndarray, vals: np.ndarray, X: np.ndarray):
+    """S @ X for the sparse S of n rows with entries vals (E, k) at (rows,
+    cols) and a dense X (m, ..., k): the rows X[cols], scaled, summed into
+    their rows by `scatter_add`.  Returns (n, ..., k); a cell sums at most
+    E reduced products in int64."""
+    out = zeros(field, (n,) + X.shape[1:-1])
+    w = out[0].size // field.k
+    terms = fmul(field, vals.reshape((-1,) + (1,) * (X.ndim - 2)
+                                     + (field.k,)), X[cols])
+    scatter_add(out.reshape(-1, field.k),
+                (rows[:, None] * w + np.arange(w)).reshape(-1),
+                terms.reshape(-1, field.k))
+    out %= field.p
+    return out
 
 
 def scatter_add(out: np.ndarray, cells: np.ndarray, vals: np.ndarray):

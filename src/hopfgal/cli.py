@@ -30,12 +30,11 @@ from .galois import (
     Splitting,
     cocycle_verify,
     find_one_dim_rep,
-    frobenius_form,
     is_equivariant_splitting,
     twisted_product,
     winding_iso,
 )
-from .hopf import HopfAlgebra, LinMap, hopf_verify, left_integral_dual
+from .hopf import HopfAlgebra, LinMap, hopf_verify
 from .resliealg import (
     Fiber,
     FiberPoint,
@@ -299,11 +298,7 @@ def cmd_frobenius(args, cfg: Config) -> int:
     L = _load_lie(args.lie)
     point, field = _fiber_point(args, L)
     F = Fiber(L, point)
-    from .resliealg import u_restricted
-    H, _ = u_restricted(L, field)
-    lam = left_integral_dual(H)
-    CA = ComoduleAlgebra(F.alg, H, F.binomial_tensor(), check=False)
-    s = frobenius_form(CA, lam)
+    s = speclab.fiber_frobenius_form(F)
     rank, nondeg = form_rank(s)
     _emit({"operation": "frobenius", "dim": F.dim, "rank": rank,
            "nondegenerate": nondeg, "symmetric": form_is_symmetric(s)})

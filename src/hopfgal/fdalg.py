@@ -88,7 +88,7 @@ class SCAlgebra:
     tensor and a unit vector.  check=False vouches that both are int64,
     of shapes (n, n, n, k) and (n, k) and reduced: no pass over them.
     generators, basis indices, vouches that the algebra is associative and
-    unital and generated by those basis vectors (see `generating_set`);
+    unital and generated by those basis vectors (see `algebra_verify`);
     None claims nothing."""
 
     def __init__(self, field: Field, mul: np.ndarray, unit: np.ndarray,
@@ -232,7 +232,10 @@ class BilForm:
 
 def algebra_verify(A: SCAlgebra, max_reports: int = 20) -> list[str]:
     """Empty iff associativity and the unit axioms hold; otherwise a list of
-    violated triples/indices."""
+    violated triples/indices.  Once the unit axioms hold, the rows of the
+    `generating_set` are checked first: the x with (x y) z = x (y z) for
+    all y, z form a subalgebra holding 1, so if it holds them it is A, and
+    they are kept as A.generators.  Otherwise every row is checked."""
     f = A.field
     n = A.dim
     out = []
@@ -243,21 +246,33 @@ def algebra_verify(A: SCAlgebra, max_reports: int = 20) -> list[str]:
         out.append("unit: left multiplication by the unit is not the identity")
     if np.any((uR - eye) % f.p):
         out.append("unit: right multiplication by the unit is not the identity")
-    # associativity, one defect tensor slice at a time to bound memory
-    mulflat = A.mul.reshape(n, n * n, f.k)
+    if not out:
+        gens = generating_set(A)
+        if all(_first_associator(A, g) is None for g in gens):
+            if A.generators is None:
+                A.generators = gens
+            return out
     for i in range(n):
-        # lhs[j,k',m] = sum_t mul[i,j,t] mul[t,k',m]
-        lhs = ar.fmatmul(f, A.mul[i], mulflat).reshape(n, n, n, f.k)
-        # rhs[j,k',m] = sum_t mul[j,k',t] mul[i,t,m]
-        rhs = ar.fmatmul(f, A.mul.reshape(n * n, n, f.k),
-                         A.mul[i]).reshape(n, n, n, f.k)
-        bad = np.argwhere(np.any((lhs - rhs) % f.p, axis=3)).tolist()
-        out += [f"associativity violated at triple ({i},{j},{kk})"
-                for j, kk, _ in bad[:1]]
+        bad = _first_associator(A, i)
+        if bad is not None:
+            out.append(f"associativity violated at triple ({i},{bad[0]},"
+                       f"{bad[1]})")
         if len(out) >= max_reports:
             out.append("... further violations suppressed")
             return out
     return out
+
+
+def _first_associator(A: SCAlgebra, i: int):
+    """The first (j, k') with (b_i b_j) b_k' != b_i (b_j b_k'), or None."""
+    f, n = A.field, A.dim
+    # lhs[j, (k', m)] = sum_t mul[i,j,t] mul[t,k',m]
+    lhs = ar.fmatmul(f, A.mul[i], A.mul.reshape(n, n * n, f.k))
+    # rhs[(j, k'), m] = sum_t mul[j,k',t] mul[i,t,m]
+    rhs = ar.fmatmul(f, A.mul.reshape(n * n, n, f.k), A.mul[i])
+    bad = np.flatnonzero(((lhs.reshape(-1, f.k) - rhs.reshape(-1, f.k))
+                          % f.p).any(axis=1))
+    return divmod(int(bad[0]) // n, n) if bad.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -437,29 +452,24 @@ def is_ideal(A: SCAlgebra, sub: Subspace) -> bool:
 
 
 def generating_set(A: SCAlgebra) -> tuple:
-    """Basis indices that generate A as an algebra, kept on A as
-    `A.generators`.  Unless A carries them, they are found by closure: in
-    basis order, each b_j outside the subalgebra S generated so far joins
-    them, and S <- span(S u S g) over the generators g until S is stable.
-    Storing them vouches that A is associative and unital, so call this
-    only once `algebra_verify(A)` has passed."""
-    if A.generators is None:
-        f, n = A.field, A.dim
-        eye = ar.identity(f, n)
-        gens, S = [], ar.row_space(f, A.unit[None])
-        for j in range(n):
-            if ar.coords_in_row_space(f, S, eye[j]) is not None:
-                continue
-            gens.append(j)
-            right = A.mul[:, gens].reshape(n, len(gens) * n, f.k)
-            while True:
-                grown = ar.row_space(f, np.concatenate([S, ar.fmatmul(
-                    f, S, right).reshape(-1, n, f.k)]))
-                if grown.shape[0] == S.shape[0]:
-                    break
-                S = grown
-        A.generators = tuple(gens)
-    return A.generators
+    """Basis indices whose left-nested words ((g_1 g_2) ...) g_r span A,
+    given a two-sided unit: in basis order, each b_j outside the span S of
+    the words so far joins them, and S <- span(S u S g) over them until S
+    is stable.  `algebra_verify` keeps them as A.generators."""
+    f, n = A.field, A.dim
+    eye = ar.identity(f, n)
+    gens, S = [], ar.row_space(f, A.unit[None])
+    for j in range(n):
+        # b_j lies in the RREF span S iff it is a row of S
+        if S.shape[0] == n or (S == eye[j]).all(axis=(1, 2)).any():
+            continue
+        gens.append(j)
+        right = A.mul[:, gens].reshape(n, len(gens) * n, f.k)
+        size = 0
+        while size < S.shape[0] < n:
+            size, S = S.shape[0], ar.row_space(f, np.concatenate(
+                [S, ar.fmatmul(f, S, right).reshape(-1, n, f.k)]))
+    return tuple(gens)
 
 
 def _is_algebra_map(R: SCAlgebra, S: SCAlgebra, fmap) -> bool:

@@ -3,9 +3,10 @@ two-cocycles and twisted products, cocycle equivalence and pushforward,
 splittings and their cocycles, equivariance predicates, Frobenius forms, and
 winding isomorphisms for enveloping-algebra fibers.
 
-Conventions.  The coaction tensor rho[i, a, u] is the coefficient of
-b_a (x) h_u in rho(b_i).  Cocycle values sigma(h_i (x) h_j) are coordinate
-vectors in a commutative target algebra R, stored as (nH, nH, nR, k).
+Conventions.  A coaction is held, like a coproduct, as its `hopf.Terms`:
+term t is coef[t] b_A[t] (x) h_B[t] in rho(b_I[t]).  Cocycle values
+sigma(h_i (x) h_j) are coordinate vectors in a commutative target algebra
+R, stored as (nH, nH, nR, k).
 
 Two product conventions are supported for the twisted product on R (x) H:
 
@@ -60,15 +61,17 @@ from .hopf import (
     HopfAlgebra,
     Integral,
     LinMap,
+    Terms,
     chunk_runs,
-    coaction_terms,
     cocycle_pairs,
     conv_inverse,
     conv_unit,
     convolution,
     convolution2,
     convolve_pairs,
+    fixed_space,
     is_cocommutative,
+    tensor_square,
 )
 
 # without a generating set, the algebra-map law is checked on every pair
@@ -95,7 +98,8 @@ def _counit_right(H: HopfAlgebra, X: np.ndarray) -> np.ndarray:
 
 class ComoduleAlgebra:
     """An algebra A together with a right coaction of a Hopf algebra H
-    that is counital, coassociative, unital, and an algebra map."""
+    that is counital, coassociative, unital, and an algebra map; the
+    coaction is read by `hopf.Terms.of`."""
 
     def __init__(self, alg: SCAlgebra, hopf: HopfAlgebra, coaction,
                  check: bool = True):
@@ -104,10 +108,8 @@ class ComoduleAlgebra:
             raise ShapeMismatch("algebra and Hopf algebra over different fields")
         self.alg = alg
         self.hopf = hopf
-        self.coaction = ar.asarray(f, coaction)
-        nA, nH = alg.dim, hopf.dim
-        if self.coaction.shape != (nA, nA, nH, f.k):
-            raise ShapeMismatch(f"coaction shape {self.coaction.shape}")
+        self.coaction = Terms.of(f, coaction, (alg.dim, alg.dim, hopf.dim),
+                                 "coaction")
         if check:
             msgs = self.verify()
             if msgs:
@@ -136,21 +138,19 @@ class ComoduleAlgebra:
         generator rows are reported alone.  full=False skips the law."""
         f = self.field
         nA, nH = self.alg.dim, self.hopf.dim
-        rho = self.coaction
+        _, I, A, U, c = self.coaction
         out = []
         # counit law: (id (x) eps) rho = id
-        eps = self.hopf.counit
-        ce = ar.fmatmul(f, rho.reshape(nA * nA, nH, f.k),
-                        eps[:, None, :]).reshape(nA, nA, f.k)
-        eye = ar.identity(f, nA)
-        if np.any((ce - eye) % f.p):
+        ce = ar.sparse_times_dense(f, nA * nA, I * nA + A, U, c,
+                                   self.hopf.counit).reshape(nA, nA, f.k)
+        if np.any((ce - ar.identity(f, nA)) % f.p):
             out.append("coaction counit law fails")
         i = self._first_coassociativity_failure()
         if i is not None:
             out.append(f"coaction coassociativity fails at basis index {i}")
         # rho(1) = 1 (x) 1
-        r1 = ar.fmatmul(f, self.alg.unit[None, :, :],
-                        rho.reshape(nA, nA * nH, f.k)).reshape(nA, nH, f.k)
+        r1 = ar.sparse_times_dense(f, nA * nH, A * nH + U, I, c,
+                                   self.alg.unit).reshape(nA, nH, f.k)
         uu = ar.fmul(f, self.alg.unit[:, None, :],
                      self.hopf.alg.unit[None, :, :])
         unital = not np.any((r1 - uu) % f.p)
@@ -176,14 +176,15 @@ class ComoduleAlgebra:
         term c b_a (x) h_u of rho(b_i) to c rho(b_a) (x) h_u, the right side
         to c b_a (x) Delta(h_u), each term keyed by its cell (i, a, u, v).
         The terms of both sides, the right side negated, are sorted by key
-        and equal keys summed; the smallest i with a nonzero sum fails.
+        and equal keys summed (`_arrays.sum_by_key`); the smallest i with a
+        nonzero sum fails.
         Runs of rows i with fewer than hopf.CONV_CHUNK_TERMS terms together
         (`hopf.chunk_runs`) are checked in turn, so the first failing run
         ends the search."""
         f = self.field
         nA, nH = self.alg.dim, self.hopf.dim
-        ptr, I, A, U, c = coaction_terms(self.coaction)
-        dptr, _, U1, U2, d = coaction_terms(self.hopf.comul)
+        ptr, I, A, U, c = self.coaction
+        dptr, _, U1, U2, d = self.hopf.comul
         # row i costs the terms both sides expand it into
         run = np.concatenate([[0], np.cumsum(np.diff(ptr)[A]
                                              + np.diff(dptr)[U])])
@@ -195,17 +196,10 @@ class ComoduleAlgebra:
             e, s = ar.csr_expand(dptr, U[t])
             right = ((I[t[e]] * nA + A[t[e]]) * nH + U1[s]) * nH + U2[s]
             rval = f.p - ar.fmul(f, c[t[e]], d[s])
-            keys = np.concatenate([left, right])
-            if not keys.size:
-                continue
-            order = np.argsort(keys)
-            keys = keys[order]
-            starts = np.flatnonzero(np.diff(keys, prepend=-1))
-            sums = np.add.reduceat(np.concatenate([lval, rval])[order],
-                                   starts) % f.p
-            bad = sums.any(axis=1)
-            if bad.any():
-                return int(keys[starts[bad.argmax()]] // (nA * nH * nH))
+            bad, _ = ar.sum_by_key(f, np.concatenate([left, right]),
+                                   np.concatenate([lval, rval]))
+            if bad.size:
+                return int(bad[0] // (nA * nH * nH))
         return None
 
     def _verify_algebra_map(self, rows=None) -> np.ndarray:
@@ -217,7 +211,7 @@ class ComoduleAlgebra:
         on the terms of rho, from the sparse rows of mulA."""
         f = self.field
         nA, nH = self.alg.dim, self.hopf.dim
-        terms = ptr, _, A, U, c = coaction_terms(self.coaction)
+        terms = ptr, _, A, U, c = self.coaction
         mulA = mptr, mcol, mval = ar.csr(self.alg.mul.reshape(nA * nA, nA,
                                                                f.k))
         rows = np.arange(nA) if rows is None else np.array(rows, np.int64)
@@ -240,12 +234,9 @@ def coinvariants(CA: ComoduleAlgebra) -> Subspace:
     """The subspace {x in A : rho(x) = x (x) 1}; always a unital
     subalgebra, which is checked (ShapeMismatch if not: the coaction
     breaks the comodule-algebra axioms)."""
-    f = CA.field
-    nA, nH = CA.alg.dim, CA.hopf.dim
-    M = CA.coaction.transpose(1, 2, 0, 3).copy()  # rows (a, u), unknown i
-    ix = np.arange(nA)
-    M[ix, :, ix] = (M[ix, :, ix] - CA.hopf.alg.unit) % f.p
-    sub = Subspace(f, nA, ar.nullspace(f, M.reshape(nA * nH, nA, f.k)))
+    f, nA = CA.field, CA.alg.dim
+    _, I, A, U, c = CA.coaction
+    sub = Subspace(f, nA, fixed_space(f, nA, A, U, I, c, CA.hopf.alg.unit))
     if not sub.contains(CA.alg.unit):
         raise ShapeMismatch("unit is not coinvariant")
     prods = _products(CA.alg, sub.basis, sub.basis).reshape(-1, nA, f.k)
@@ -259,10 +250,10 @@ def _canonical_map_matrix(CA: ComoduleAlgebra) -> np.ndarray:
     rows indexed (i, j), columns (a, u)."""
     f = CA.field
     nA, nH = CA.alg.dim, CA.hopf.dim
-    rho_flat = CA.coaction.transpose(0, 2, 1, 3).reshape(nA * nH, nA, f.k)
-    # B[(j, u), (i, a)] = sum_a0 rho[j, a0, u] mulA[i, a0, a]
-    B = ar.fmatmul(f, rho_flat, CA.alg.mul.transpose(1, 0, 2, 3).reshape(
-        nA, nA * nA, f.k))
+    # B[(j, u), (i, a)] = sum c b_i b_a0 over the terms c b_a0 (x) h_u
+    _, J, A0, U, c = CA.coaction
+    B = ar.sparse_times_dense(f, nA * nH, J * nH + U, A0, c,
+                              CA.alg.mul.transpose(1, 0, 2, 3))
     return B.reshape(nA, nH, nA, nA, f.k).transpose(2, 0, 3, 1, 4).reshape(
         nA * nA, nA * nH, f.k)
 
@@ -351,51 +342,17 @@ def trivial_cocycle(H: HopfAlgebra, R: SCAlgebra) -> Cocycle:
     return Cocycle(H, R, vals)
 
 
-def _sigma_conv_matrix(H: HopfAlgebra, R: SCAlgebra,
-                       vals: np.ndarray) -> np.ndarray:
-    """Coefficient matrix of left convolution by sigma acting on maps
-    H (x) H -> R, for the tensor-square coalgebra; rows ((i, j), r3),
-    columns ((b, e), r2)."""
-    f = H.field
-    nH, nR = H.dim, R.dim
-    d = H.comul
-    # X[(i, b), (c, r1)] = sum_a d[i, a, b] vals[a, c, r1]
-    X = ar.fmatmul(f, d.transpose(0, 2, 1, 3).reshape(nH * nH, nH, f.k),
-                   vals.reshape(nH, nH * nR, f.k))
-    X = X.reshape(nH * nH, nH, nR, f.k)
-    # T[(i, b), j, e, r1] = sum_c X[(i, b), c, r1] d[j, c, e]
-    T = ar.fmatmul(f, X.transpose(0, 2, 1, 3).reshape(nH * nH * nR, nH, f.k),
-                   d.transpose(1, 0, 2, 3).reshape(nH, nH * nH, f.k))
-    T = T.reshape(nH * nH, nR, nH, nH, f.k).transpose(0, 2, 3, 1, 4)
-    # multiply into R: coefficient sum_r1 T[..., r1] mulR[r1, r2, r3]
-    N = nH * nH * nH * nH
-    K = ar.fmatmul(f, T.reshape(N, nR, f.k), R.mul.reshape(nR, nR * nR, f.k))
-    K = K.reshape(nH, nH, nH, nH, nR, nR, f.k)  # [i, b, j, e, r2, r3]
-    return K.transpose(0, 2, 5, 1, 3, 4, 6).reshape(
-        nH * nH * nR, nH * nH * nR, f.k)
-
-
 def _sigma_conv_inverse(sig: Cocycle):
     """Convolution inverse of sigma as an (nH, nH, nR, k) tensor, or None
-    if sigma is not invertible."""
-    f = sig.field
-    H, R = sig.hopf, sig.target
-    nH, nR = H.dim, R.dim
-    M = _sigma_conv_matrix(H, R, sig.values)
-    eps2 = ar.fmul(f, H.counit[:, None, :], H.counit[None, :, :])
-    rhs = ar.fmul(f, eps2.reshape(nH * nH, f.k)[:, None, :],
-                  R.unit[None, :, :]).reshape(nH * nH * nR, f.k)
-    sol = ar.solve(f, M, rhs)
-    if sol is None:
+    if sigma is not invertible: `hopf.conv_inverse` over the coalgebra
+    H (x) H."""
+    f, nH, nR = sig.field, sig.hopf.dim, sig.target.dim
+    try:
+        inv = conv_inverse(tensor_square(sig.hopf), sig.target, LinMap(
+            f, sig.values.reshape(nH * nH, nR, f.k)))
+    except NotConvInvertible:
         return None
-    inv = sol.reshape(nH, nH, nR, f.k)
-    # confirm the inverse is two-sided
-    Minv = _sigma_conv_matrix(H, R, inv)
-    check = ar.fmatmul(f, Minv,
-                       sig.values.reshape(nH * nH * nR, f.k)[:, None, :])
-    if np.any((check[:, 0, :] - rhs) % f.p):
-        return None
-    return inv
+    return inv.matrix.reshape(nH, nH, nR, f.k)
 
 
 def cocycle_verify(sig: Cocycle, convention: str = "paper") -> list[str]:
@@ -555,11 +512,12 @@ def cocycle_transform(sig: Cocycle, u: LinMap, convention: str = "paper"):
     A_tau = _twisted_product(R, tau, convention)
     dim = nR * nH
     # phi(a_r (x) h_i) = sum a_r u(h_i1) (x) h_i2: with au[c1, r] = a_r u(h_c1),
-    # phi[(r, i), (t, c2)] = sum_c1 comul[i, c1, c2] au[c1, r, t]
+    # phi[(r, i), (t, c2)] = sum d au[c1, r, t] over the terms d h_c1 (x) h_c2
     au = ar.fmatmul(f, u.matrix, R.mul.transpose(1, 0, 2, 3).reshape(
         nR, nR * nR, f.k)).reshape(nH, nR, nR, f.k)        # [c1, r, t]
-    phi = ar.fmatmul(f, H.comul.transpose(0, 2, 1, 3).reshape(nH * nH, nH, f.k),
-                     au.reshape(nH, nR * nR, f.k))          # [(i, c2), (r, t)]
+    _, I, C1, C2, d = H.comul
+    phi = ar.sparse_times_dense(f, nH * nH, I * nH + C2, C1, d,
+                                au)                         # [(i, c2), r, t]
     phi = phi.reshape(nH, nH, nR, nR, f.k).transpose(2, 0, 3, 1, 4).reshape(
         dim, dim, f.k)
     inv = ar.inv_matrix(f, phi)
@@ -626,18 +584,24 @@ class Splitting:
         CA = self.CA
         H = CA.hopf
         nA, nH = CA.alg.dim, H.dim
-        g = self.gamma.matrix
-        rho = CA.coaction
-        d = H.comul
-        # rho(gamma(h_i)) vs (gamma (x) id) Delta(h_i), [i, a, u]
-        lhs = ar.fmatmul(f, g, rho.reshape(nA, nA * nH, f.k))
-        rhs = ar.fmatmul(f, d.transpose(0, 2, 1, 3).reshape(nH * nH, nH, f.k),
-                         g).reshape(nH, nH, nA, f.k).transpose(0, 2, 1, 3)
-        bad = np.flatnonzero(((lhs.reshape(rhs.shape) - rhs) % f.p).any(
-            axis=(1, 2, 3)))
+        # rho(gamma(h)) against (gamma (x) id) Delta(h) as terms keyed
+        # (h, a, u): an entry g of gamma(h) at b_i meets the terms c b_a (x)
+        # h_u of rho(b_i), a term d h_b (x) h_u of Delta(h), negated, the
+        # entries g' of gamma(h_b) at b_a
+        gptr, gcol, gval = ar.csr(self.gamma.matrix)
+        h = np.arange(nH).repeat(np.diff(gptr))
+        ptr, _, A, U, c = CA.coaction
+        e, s = ar.csr_expand(ptr, gcol)
+        left = (h[e] * nA + A[s]) * nH + U[s]
+        _, I, B, V, d = H.comul
+        t, gp = ar.csr_expand(gptr, B)
+        right = (I[t] * nA + gcol[gp]) * nH + V[t]
+        vals = [ar.fmul(f, gval[e], c[s]), -ar.fmul(f, d[t], gval[gp]) % f.p]
+        bad, _ = ar.sum_by_key(f, np.concatenate([left, right]),
+                               np.concatenate(vals))
         if bad.size:
-            raise ShapeMismatch(
-                f"splitting is not a comodule map at basis index {bad[0]}")
+            raise ShapeMismatch("splitting is not a comodule map at basis "
+                                f"index {bad[0] // (nA * nH)}")
         unit = conv_unit(H, CA.alg)
         left = convolution(H, CA.alg, self.gamma, self.inverse)
         right = convolution(H, CA.alg, self.inverse, self.gamma)
@@ -654,7 +618,7 @@ def _cocycle_table(H: HopfAlgebra, gamma: np.ndarray, mul: np.ndarray,
     column.  Its head terms meet each term c h_a (x) h_b of Delta(h) with
     the nonzero entries of gamma's row a."""
     f, nH, nA = H.field, H.dim, mul.shape[0]
-    _, h, a, b, c = coaction_terms(H.comul)
+    _, h, a, b, c = H.comul
     gptr, gcol, gval = ar.csr(gamma)
     e, gp = ar.csr_expand(gptr, a)
     heads = (np.searchsorted(h[e], np.arange(nH + 1)), b[e], gcol[gp],
@@ -725,8 +689,9 @@ def is_equivariant_map(H: HopfAlgebra, alpha: LinMap) -> bool:
     N = ar.fmatmul(f, _adjoint(H).reshape(nH * nH, nH, f.k),
                    M.reshape(nH, nH * nT, f.k))             # [(x, b), (a3, t)]
     N = N.reshape(nH, nH, nH, nT, f.k).transpose(0, 2, 1, 3, 4)
-    rhs = ar.fmatmul(f, H.comul.reshape(nH, nH * nH, f.k),
-                     N.reshape(nH * nH, nH * nT, f.k))      # [a, (b, t)]
+    _, I, X, A3, c = H.comul
+    rhs = ar.sparse_times_dense(f, nH, I, X * nH + A3, c, N.reshape(
+        nH * nH, nH, nT, f.k))                               # [a, b, t]
     return not np.any((M - rhs.reshape(nH * nH, nT, f.k)) % f.p)
 
 
@@ -813,8 +778,9 @@ def frobenius_form(CA: ComoduleAlgebra, lam: Integral) -> BilForm:
     Lam = lam.functional
     if Lam.shape != (nH, f.k):
         raise ShapeMismatch("integral has the wrong dimension")
-    E = ar.fmatmul(f, CA.coaction.reshape(nA * nA, nH, f.k),
-                   Lam[:, None, :]).reshape(nA, nA, f.k)
+    _, I, A, U, coef = CA.coaction
+    E = ar.sparse_times_dense(f, nA * nA, I * nA + A, U, coef,
+                              Lam).reshape(nA, nA, f.k)
     evec = ar.zeros(f, (nA,))
     for m in range(nA):
         c = CA.alg.scalar_coeff(E[m])
@@ -899,9 +865,9 @@ def winding_iso(F, alpha=None) -> LinMap:
     for t in range(n):
         pows = np.array([(alpha[t] ** e).coeffs for e in range(p)])
         apow = ar.fmul(f, apow, pows[labels[:, t]])
-    gamma, beta, rest, coef = F.splittings()
+    _, gamma, beta, rest, coef = F.splittings()
     W = ar.zeros(f, (F.dim, F.dim))
-    W[gamma, rest] = apow[beta] * coef[:, None] % p
+    W[gamma, rest] = ar.fmul(f, apow[beta], coef)
     F0 = F if F.point.is_zero() else Fiber(L, FiberPoint.make(f, [0] * n))
     if not _is_algebra_map(F.alg, F0.alg, LinMap(f, W)):
         raise NotAlgebraMap("winding map is not an algebra map")
@@ -922,7 +888,7 @@ def group_quotient_coaction(HG: HopfAlgebra, qmap,
     nG, nQ = HG.dim, HQ.dim
     if len(qmap) != nG:
         raise ShapeMismatch("quotient map must be defined on all of G")
-    rho = ar.zeros(f, (nG, nG, nQ))
-    for i, q in enumerate(qmap):
-        rho[i, i, int(q), 0] = 1
+    ix = np.arange(nG)
+    rho = Terms(np.arange(nG + 1), ix, ix, np.array(qmap, dtype=np.int64),
+                np.tile(ar.unit_scalar(f), (nG, 1)))
     return ComoduleAlgebra(HG.alg, HQ, rho)

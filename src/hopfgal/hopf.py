@@ -3,14 +3,16 @@ the convolution algebra of linear maps, the two-argument convolution over
 the terms of a coaction and the two-pass cocycle of a cleaving map, dual
 integrals, unimodularity, and group algebras.
 
-Comultiplication tensor convention: comul[i, a, b] is the coefficient of
-b_a (x) b_b in the coproduct of b_i.  The antipode matrix row i holds the
+A coproduct or coaction is held once, as its term list `Terms`, which
+contractions gather along and sum with `_arrays.scatter_add`; only JSON
+and tests see a dense tensor.  The antipode matrix row i holds the
 coordinates of S(b_i).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +31,6 @@ from .fdalg import (
     algebra_verify,
     decode_array,
     encode_array,
-    generating_set,
 )
 
 
@@ -57,6 +58,79 @@ class LinMap:
         return hash((self.field, self.matrix.tobytes()))
 
 
+class Terms(NamedTuple):
+    """The nonzero terms of a coproduct or coaction rho: V -> L (x) R as
+    CSR rows: term t, ptr[i] <= t < ptr[i + 1], is coef[t] l_A[t] (x)
+    r_B[t] in rho(v_i), i = I[t], coef (T, k)."""
+    ptr: np.ndarray
+    I: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    coef: np.ndarray
+
+    @classmethod
+    def of(cls, field: Field, data, shape: tuple, what: str) -> "Terms":
+        """data, Terms or a dense (n, nL, nR, k) array, as the Terms of
+        shape (n, nL, nR): the one nonzero scan of a dense Delta or rho."""
+        if not isinstance(data, cls):
+            rho = ar.asarray(field, data)
+            if rho.shape != shape + (field.k,):
+                raise ShapeMismatch(f"{what} shape {rho.shape}")
+            n, nL, nR = shape
+            ptr, cols, coef = ar.csr(rho.reshape(n, nL * nR, field.k))
+            data = cls(ptr, np.arange(n).repeat(np.diff(ptr)),
+                       *np.divmod(cols, nR), coef)
+        elif data.ptr.size != shape[0] + 1 or any(
+                np.any((x < 0) | (x >= m)) for x, m in zip(data[1:4], shape)):
+            raise ShapeMismatch(f"{what} terms do not fit shape {shape}")
+        return data
+
+    def dense(self, nL: int, nR: int) -> np.ndarray:
+        """The (n, nL, nR, k) tensor of the terms, for JSON and tests."""
+        out = np.zeros((self.ptr.size - 1, nL, nR, self.coef.shape[1]),
+                       dtype=np.int64)
+        out[self.I, self.A, self.B] = self.coef
+        return out
+
+
+def fixed_space(field: Field, n: int, x, y, z, coef, unit) -> np.ndarray:
+    """RREF basis of the v in F^n with sum_t coef[t] v_z[t] e(x[t], y[t]) =
+    sum_y v_x unit_y e(x, y) for all x < n; only the rows (x, y) that a
+    term or the unit (ny, k) touches are built, the others being zero."""
+    ny, u = unit.shape[0], np.flatnonzero(unit.any(axis=1))
+    ux, uy = np.arange(n).repeat(u.size), np.tile(u, n)
+    rows, inv = np.unique(np.concatenate([x * ny + y, ux * ny + uy]),
+                          return_inverse=True)
+    M = ar.zeros(field, (rows.size * n,))
+    ar.scatter_add(M, inv * n + np.concatenate([z, ux]),
+                   np.concatenate([coef, (-unit[uy]) % field.p]))
+    M %= field.p
+    return ar.nullspace(field, M.reshape(rows.size, n, field.k))
+
+
+class Coalgebra(NamedTuple):
+    """A coalgebra as the convolutions read it (a HopfAlgebra reads alike):
+    dimension, coproduct `Terms` and counit (n, k)."""
+    field: Field
+    dim: int
+    comul: Terms
+    counit: np.ndarray
+
+
+def tensor_square(H) -> Coalgebra:
+    """The coalgebra H (x) H on the basis h_i (x) h_j, index i nH + j."""
+    f, n = H.field, H.dim
+    ptr, _, A, B, c = H.comul
+    # the terms s of Delta(h_i) and t of Delta(h_j) of each pair q = (i, j)
+    q, s = ar.csr_expand(ptr, np.arange(n * n) // n)
+    u, t = ar.csr_expand(ptr, q % n)
+    q, s = q[u], s[u]
+    return Coalgebra(f, n * n, Terms(
+        np.searchsorted(q, np.arange(n * n + 1)), q, A[s] * n + A[t],
+        B[s] * n + B[t], ar.fmul(f, c[s], c[t])), ar.fmul(
+            f, H.counit[:, None], H.counit[None]).reshape(n * n, f.k))
+
+
 @dataclass
 class Integral:
     """A functional on a Hopf algebra, stored by its values on the basis."""
@@ -65,17 +139,16 @@ class Integral:
 
 
 class HopfAlgebra:
-    """An SCAlgebra together with comultiplication, counit, and antipode."""
+    """An SCAlgebra together with comultiplication (`Terms.of`), counit,
+    and antipode."""
 
     def __init__(self, alg: SCAlgebra, comul, counit, antipode):
         f = alg.field
         n = alg.dim
         self.alg = alg
-        self.comul = ar.asarray(f, comul)
+        self.comul = Terms.of(f, comul, (n, n, n), "comul")
         self.counit = ar.asarray(f, counit)
         self.antipode = ar.asarray(f, antipode)
-        if self.comul.shape != (n, n, n, f.k):
-            raise ShapeMismatch(f"comul shape {self.comul.shape}")
         if self.counit.shape != (n, f.k):
             raise ShapeMismatch(f"counit shape {self.counit.shape}")
         if self.antipode.shape != (n, n, f.k):
@@ -91,7 +164,8 @@ class HopfAlgebra:
 
     def to_json(self) -> dict:
         out = self.alg.to_json()
-        out["comul"] = encode_array(self.field, self.comul)
+        out["comul"] = encode_array(self.field,
+                                    self.comul.dense(self.dim, self.dim))
         out["counit"] = encode_array(self.field, self.counit)
         out["antipode"] = encode_array(self.field, self.antipode)
         return out
@@ -121,8 +195,8 @@ def hopf_verify(H: HopfAlgebra, max_reports: int = 20) -> list[str]:
     checked here.
 
     Multiplicativity is checked on generators: once algebra_verify has
-    passed, H is associative and unital, so `fdalg.generating_set` may
-    find (or take from H.alg) basis vectors g that generate H, and then
+    passed, H is associative and unital and H.alg carries basis vectors g
+    that generate H (found by `algebra_verify` unless H.alg had them), and
     Delta(g b_j) = Delta(g) Delta(b_j) for all g and j, with Delta(1) = 1
     (x) 1, gives multiplicativity on all of H by induction on word length;
     the same holds for eps.  A failing generator row falls back to the
@@ -134,13 +208,12 @@ def hopf_verify(H: HopfAlgebra, max_reports: int = 20) -> list[str]:
     out = list(algebra_verify(H.alg, max_reports=max_reports))
     if out:
         return out
-    generating_set(H.alg)
     out += ["regular coaction: " + m for m in ComoduleAlgebra(
         H.alg, H, H.comul, check=False).verify(max_reports, full=True)]
-    # left counit law: sum_a eps(a) comul[i, a, b] = delta_ib
+    # left counit law: sum eps(b_a) c b_b over the terms c b_a (x) b_b = b_i
     eps = H.counit
-    left = ar.fmatmul(f, eps[None],
-                      H.comul.transpose(1, 0, 2, 3).reshape(n, n * n, f.k))
+    _, I, A, B, c = H.comul
+    left = ar.sparse_times_dense(f, n * n, I * n + B, A, c, eps)
     if np.any((left.reshape(n, n, f.k) - ar.identity(f, n)) % f.p):
         out.append("counit law (eps (x) id) fails")
     one = ar.unit_scalar(f)
@@ -161,21 +234,26 @@ def hopf_verify(H: HopfAlgebra, max_reports: int = 20) -> list[str]:
 
 
 def is_cocommutative(H: HopfAlgebra) -> bool:
-    return not np.any((H.comul - H.comul.transpose(0, 2, 1, 3)) % H.field.p)
+    """Whether the terms keyed (i, a, b) and (i, b, a) sum alike."""
+    f, n = H.field, H.dim
+    _, I, A, B, c = H.comul
+    keys = np.concatenate([(I * n + A) * n + B, (I * n + B) * n + A])
+    return not ar.sum_by_key(f, keys, np.concatenate([c, (-c) % f.p]))[0].size
 
 
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
 
-def conv_unit(H: HopfAlgebra, A: SCAlgebra) -> LinMap:
+def conv_unit(H: HopfAlgebra | Coalgebra, A: SCAlgebra) -> LinMap:
     """The convolution unit: h -> eps(h) 1_A."""
     f = H.field
     mat = ar.fmul(f, H.counit[:, None, :], A.unit[None, :, :])
     return LinMap(f, mat)
 
 
-def convolution(H: HopfAlgebra, A: SCAlgebra, fmap: LinMap, g: LinMap) -> LinMap:
+def convolution(H: HopfAlgebra | Coalgebra, A: SCAlgebra, fmap: LinMap,
+                g: LinMap) -> LinMap:
     """(f * g)(h) = f(h_1) g(h_2) computed in A."""
     f = H.field
     nH, nA = H.dim, A.dim
@@ -186,10 +264,10 @@ def convolution(H: HopfAlgebra, A: SCAlgebra, fmap: LinMap, g: LinMap) -> LinMap
     X = ar.fmatmul(f, fmap.matrix, A.mul.reshape(nA, nA * nA, f.k))
     P = ar.fmatmul(f, g.matrix, X.reshape(nH, nA, nA, f.k).transpose(
         1, 0, 2, 3).reshape(nA, nH * nA, f.k))
-    # out[i, c] = sum_{a,b} comul[i,a,b] P[b,a,c]
-    D = H.comul.transpose(0, 2, 1, 3).reshape(nH, nH * nH, f.k)
-    out = ar.fmatmul(f, D, P.reshape(nH * nH, nA, f.k))
-    return LinMap(f, out)
+    # out[i] = sum c P[b, a] over the terms c h_a (x) h_b of Delta(h_i)
+    _, I, Ia, Ib, c = H.comul
+    return LinMap(f, ar.sparse_times_dense(
+        f, nH, I, Ib * nH + Ia, c, P.reshape(nH * nH, nA, f.k)))
 
 
 # the bound on each chunk of convolve_pairs (its term pairs plus its
@@ -207,21 +285,12 @@ def chunk_runs(cost: np.ndarray):
     return zip(starts, starts[1:] + [cost.size])
 
 
-def coaction_terms(rho: np.ndarray):
-    """The nonzero terms of rho (n, nL, nR, k) as CSR rows (ptr, I, A, B,
-    coef): term t, ptr[i] <= t < ptr[i + 1], is coef[t] b_A[t] (x) h_B[t]
-    in rho(b_i), i = I[t]."""
-    I, A, B = np.nonzero(rho.any(axis=-1))
-    ptr = np.searchsorted(I, np.arange(rho.shape[0] + 1))
-    return ptr, I, A, B, rho[I, A, B]
-
-
 def convolve_pairs(field: Field, terms, F, G, m, I: np.ndarray,
                    J: np.ndarray, shape):
     """out[q] = sum m(F(x_1, y_1), G(x_2, y_2)) over the terms x_1 (x) x_2
     of rho(b_I[q]) and y_1 (x) y_2 of rho(b_J[q]), for any list of pairs
     (repeats and any order allowed); terms = (ptr, I, A, B, coef) are the
-    CSR rows of rho, as from `coaction_terms`.  F, G and m are CSR triples
+    CSR rows of rho, a `Terms`.  F, G and m are CSR triples
     (`_arrays.csr`) of the rows x_1 nL + y_1, x_2 nR + y_2 and a nG + b,
     shape = (nL, nR, nF, nG, nOut); m None is the outer product (out index
     a nG + b).  Yields (lo, hi, out[lo:hi]), an (hi - lo, nOut, k) array,
@@ -342,19 +411,19 @@ def convolution2(C, F: np.ndarray, G: np.ndarray, m: np.ndarray | None,
                  rows: slice = slice(None)) -> np.ndarray:
     """The two-argument convolution over a coaction: out[i, j] = sum
     m(F(x_1, y_1), G(x_2, y_2)) over the terms x_1 (x) x_2 of rho(b_i) and
-    y_1 (x) y_2 of rho(b_j), rho (n, nL, nR, k) the comul of a HopfAlgebra
-    C (its regular coaction) or C.coaction of a ComoduleAlgebra.  F is
-    (nL, nL, nF, k), G (nR, nR, nG, k) and m an (nF, nG, nOut, k) structure
-    tensor, m(u, v) = sum u_a v_b m[a, b], or None for the outer product
-    u (x) v (index a nG + b).  Returns out[rows], rows a slice of
-    consecutive i: (len(rows), n, nOut, k).  `convolve_pairs` on dense
-    operands and the pairs of the rows x n grid."""
+    y_1 (x) y_2 of rho(b_j), rho the comul of a HopfAlgebra C (its regular
+    coaction) or C.coaction of a ComoduleAlgebra.  F is (nL, nL, nF, k), G
+    (nR, nR, nG, k) and m an (nF, nG, nOut, k) structure tensor, m(u, v) =
+    sum u_a v_b m[a, b], or None for the outer product u (x) v (index a nG
+    + b).  Returns out[rows], rows a slice of consecutive i: (len(rows), n,
+    nOut, k).  `convolve_pairs` on the pairs of the rows x n grid."""
     f, k = C.field, C.field.k
     rho = C.comul if isinstance(C, HopfAlgebra) else C.coaction
-    n, nL, nR = rho.shape[:3]
+    n, nL, nR = rho.ptr.size - 1, F.shape[0], G.shape[0]
     nF, nG = F.shape[-2], G.shape[-2]
     if (F.shape != (nL, nL, nF, k) or G.shape != (nR, nR, nG, k) or (
-            m is not None and m.shape[:2] + m.shape[3:] != (nF, nG, k))):
+            m is not None and m.shape[:2] + m.shape[3:] != (nF, nG, k))
+            or np.any(rho.A >= nL) or np.any(rho.B >= nR)):
         raise ShapeMismatch("convolution2 operands do not match the "
                             "coaction and m")
     nOut = nF * nG if m is None else m.shape[2]
@@ -362,7 +431,7 @@ def convolution2(C, F: np.ndarray, G: np.ndarray, m: np.ndarray | None,
     I, J = np.divmod(np.arange(i0 * n, i1 * n), n)
     out = ar.zeros(f, (I.size, nOut))
     for lo, hi, vals in convolve_pairs(
-            f, coaction_terms(rho), ar.csr(F.reshape(nL * nL, nF, k)),
+            f, rho, ar.csr(F.reshape(nL * nL, nF, k)),
             ar.csr(G.reshape(nR * nR, nG, k)),
             None if m is None else ar.csr(m.reshape(nF * nG, nOut, k)),
             I, J, (nL, nR, nF, nG, nOut)):
@@ -370,17 +439,20 @@ def convolution2(C, F: np.ndarray, G: np.ndarray, m: np.ndarray | None,
     return out.reshape(i1 - i0, n, nOut, k)
 
 
-def conv_inverse(H: HopfAlgebra, A: SCAlgebra, fmap: LinMap) -> LinMap:
+def conv_inverse(H: HopfAlgebra | Coalgebra, A: SCAlgebra,
+                 fmap: LinMap) -> LinMap:
     """Two-sided convolution inverse of f: H -> A, by a direct linear solve."""
     f = H.field
     nH, nA = H.dim, A.dim
     if fmap.matrix.shape != (nH, nA, f.k):
         raise ShapeMismatch("map must go from H into A")
-    # unknowns g[b, m2]; equations (i, c):
-    #   sum_{a,b,m1,m2} comul[i,a,b] f[a,m1] mul[m1,m2,c] g[b,m2] = eps_i 1_c
-    # K[(i, b), (m2, c)] = sum_{a,m1} comul[i,a,b] f[a,m1] mul[m1,m2,c]
-    K = ar.fmatmul(f, ar.fmatmul(f, H.comul.transpose(0, 2, 1, 3).reshape(
-        nH * nH, nH, f.k), fmap.matrix), A.mul.reshape(nA, nA * nA, f.k))
+    # unknowns g[b, m2]; equations (i, c): sum f(h_a) b_m2 g[b, m2] =
+    # eps_i 1_c over the terms h_a (x) h_b of Delta(h_i); K[(i, b), (m2, c)]
+    # sums them
+    _, I, Ia, Ib, c = H.comul
+    K = ar.fmatmul(f, ar.sparse_times_dense(f, nH * nH, I * nH + Ib, Ia, c,
+                                            fmap.matrix),
+                   A.mul.reshape(nA, nA * nA, f.k))
     M = K.reshape(nH, nH, nA, nA, f.k).transpose(0, 3, 1, 2, 4).reshape(
         nH * nA, nH * nA, f.k)  # ((i,c), (b,m2))
     target = ar.fmul(f, H.counit[:, None, :], A.unit[None, :, :])
@@ -403,17 +475,14 @@ def _dual_integral_space(H: HopfAlgebra, side: str) -> np.ndarray:
     """RREF basis of the space of one-sided integrals in the dual algebra.
 
     A left integral: mu * L = mu(1) L for all functionals mu; in coordinates
-    sum_b comul[i,j,b] L_b = unit_j L_i for all (i, j).  Right integrals use
-    the other coproduct leg.
+    sum_b comul[i,j,b] L_b = unit_j L_i for all (i, j), comul[i,j,b] the
+    coefficient of b_j (x) b_b in Delta(b_i).  Right integrals use the
+    other coproduct leg.
     """
-    f = H.field
-    n = H.dim
-    d = H.comul
-    M = (d.copy() if side == "left" else
-         d.transpose(0, 2, 1, 3).copy())  # rows (i, j), unknown index last
-    ix = np.arange(n)
-    M[ix, :, ix] = (M[ix, :, ix] - H.alg.unit) % f.p
-    return ar.nullspace(f, M.reshape(n * n, n, f.k))
+    _, I, A, B, c = H.comul
+    if side == "right":
+        A, B = B, A
+    return fixed_space(H.field, H.dim, I, A, B, c, H.alg.unit)
 
 
 def left_integral_dual(H: HopfAlgebra) -> Integral:
@@ -475,9 +544,10 @@ def group_algebra(field: Field, table) -> HopfAlgebra:
     if not inverse.any(axis=1).all():
         raise NotAGroup(f"element {np.argmin(inverse.any(axis=1))} has no "
                         "inverse")
-    mul, comul = ar.zeros(field, (n, n, n)), ar.zeros(field, (n, n, n))
+    mul = ar.zeros(field, (n, n, n))
     mul[ix[:, None], ix, T, 0] = 1
-    comul[ix, ix, ix, 0] = 1
+    comul = Terms(np.arange(n + 1), ix, ix, ix,
+                  np.tile(ar.unit_scalar(field), (n, 1)))
     unit, counit = ar.zeros(field, (n,)), ar.zeros(field, (n,))
     unit[ident[0], 0] = counit[:, 0] = 1
     antipode = ar.zeros(field, (n, n))
@@ -496,8 +566,10 @@ def cyclic_group_table(m: int):
 def _dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
     """The dual Hopf algebra on the dual basis; internal helper for tests
     and pointedness-free dualization."""
-    f = H.field
-    mul = H.comul.transpose(1, 2, 0, 3).copy()
+    f, n = H.field, H.dim
+    mul = ar.zeros(f, (n, n, n))
+    _, I, A, B, c = H.comul
+    mul[A, B, I] = c
     unit = H.counit.copy()
     comul = H.alg.mul.transpose(2, 0, 1, 3).copy()
     counit = H.alg.unit.copy()

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .exactfield import Field, Scalar
 from .fdalg import DIM_CAP, SCAlgebra
-from .hopf import HopfAlgebra, LinMap
+from .hopf import HopfAlgebra, LinMap, Terms
 
 MAX_WORD_LETTERS = 32
 
@@ -435,11 +435,13 @@ class Fiber:
                              labels=[list(a) for a in self.labels],
                              generators=[p ** (n - 1 - i) for i in range(n)])
 
-    def splittings(self):
+    def splittings(self) -> Terms:
         """Every splitting beta + gamma = alpha of the PBW labels whose
-        coefficient prod binom(alpha_t, beta_t) is nonzero mod p, as arrays
-        (alpha, beta, gamma, coefficient) of label indices sorted by alpha,
-        then beta.  Built from the Pascal table one coordinate at a time."""
+        coefficient prod binom(alpha_t, beta_t) is nonzero mod p, as the
+        `hopf.Terms` (ptr, alpha, beta, gamma, coefficient) sorted by alpha,
+        then beta: the u(L) coproduct and the U_lambda coaction in PBW
+        coordinates.  Built from the Pascal table one coordinate at a
+        time."""
         p = self.L.p
         pascal = np.zeros((p, p), dtype=np.int64)
         pascal[:, 0] = 1
@@ -454,16 +456,15 @@ class Fiber:
             gamma = (gamma[:, None] * p + (a1 - b1)).reshape(-1)
             coef = (coef[:, None] * pascal[a1, b1] % p).reshape(-1)
         order = np.lexsort((beta, alpha))
-        return alpha[order], beta[order], gamma[order], coef[order]
+        alpha = alpha[order]
+        return Terms(np.searchsorted(alpha, np.arange(self.dim + 1)), alpha,
+                     beta[order], gamma[order],
+                     coef[order, None] * ar.unit_scalar(self.field))
 
     def binomial_tensor(self) -> np.ndarray:
-        """T[i, a, b] with e^alpha |-> sum over splittings beta + gamma =
-        alpha of prod binom(alpha_t, beta_t); this is both the u(L) coproduct
-        and the U_lambda coaction in PBW coordinates."""
-        alpha, beta, gamma, coef = self.splittings()
-        T = ar.zeros(self.field, (self.dim, self.dim, self.dim))
-        T[alpha, beta, gamma, 0] = coef
-        return T
+        """The splittings as a dense (dim, dim, dim, k) tensor, kept for the
+        benchmark and the tests only: the library reads `splittings()`."""
+        return self.splittings().dense(self.dim, self.dim)
 
 
 def _structure_rows(engine: _Engine, labels: list[tuple]):
@@ -520,7 +521,7 @@ def u_restricted(L: RestrictedLie, field: Field | None = None):
     counit[0, 0] = 1
     # antipode: antimultiplicative extension of S(e_i) = -e_i; on a PBW
     # monomial this is the sign-scaled reversed product
-    H = HopfAlgebra(F.alg, F.binomial_tensor(), counit, _pbw_inverse_rows(F))
+    H = HopfAlgebra(F.alg, F.splittings(), counit, _pbw_inverse_rows(F))
     return H, F
 
 
@@ -535,8 +536,7 @@ def fiber_coaction(F: Fiber, H=None):
 
     if H is None:
         H, _ = u_restricted(F.L, F.field)
-    rho = F.binomial_tensor()
-    return ComoduleAlgebra(F.alg, H, rho)
+    return ComoduleAlgebra(F.alg, H, F.splittings())
 
 
 def pbw_splitting(F: Fiber, CA=None):
@@ -702,8 +702,7 @@ class Prop30Context:
                       np.zeros(0, dtype=np.int64), ar.zeros(f, (0,)))
         # the splittings x_1 + x_2 = a of label a, the terms of the
         # coaction: CSR row a lists x_1, x_2 and binomial coefficients
-        a, x1, x2, binom = F.splittings()
-        self._terms = np.searchsorted(a, np.arange(N + 1)), a, x1, x2, binom
+        self._terms = F.splittings()
         self.sigma = np.full((N, N), -1, dtype=np.int64)
 
     def _label(self, i) -> int:
@@ -754,7 +753,7 @@ class Prop30Context:
         x = np.concatenate([x, mx[top], mx[~top]])
         y = np.concatenate([y, my[top], my[~top]])
         for lo, hi, vec in hopf.cocycle_pairs(
-                self.F.field, (sp, x2s, x1s, binom[:, None]), self._mul,
+                self.F.field, (sp, x2s, x1s, binom), self._mul,
                 self._build, x, y, self.N):
             # label 0 is the unit
             scalar = ~vec[:, 1:].any(axis=(1, 2))
@@ -794,7 +793,7 @@ class Prop30Context:
             s = self.sigma[x1, y1]
         if ix not in self._blocks:
             self._build(x2s[u])
-        w = (binom[u, None] * binom[None, v] % p * s % p).ravel()
+        w = (binom[u] * binom[v, 0] % p * s % p).ravel()
         # the u(L) rows x_2 y_2, summed in int64: below N^3 p^2 < 2^46
         lo, hi, ucols, uvals = self._rows
         src, pos = ar.csr_expand(

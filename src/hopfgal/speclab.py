@@ -294,6 +294,14 @@ def _shared_hopf(L: RestrictedLie, field: Field):
     return H, lam
 
 
+def fiber_frobenius_form(F: Fiber, shared=None):
+    """The bilinear form E(x y) of the fiber, E from the dual integral of
+    u(L): `shared` is (u(L), integral) from `_shared_hopf`, or is built."""
+    H, lam = shared if shared is not None else _shared_hopf(F.L, F.field)
+    return frobenius_form(ComoduleAlgebra(F.alg, H, F.splittings(),
+                                          check=False), lam)
+
+
 def fiber_report(L: RestrictedLie, point: FiberPoint,
                  shared=None) -> FiberReport:
     """Full invariant report for one fiber: block structure, simple
@@ -311,9 +319,7 @@ def fiber_report(L: RestrictedLie, point: FiberPoint,
     F = Fiber(L, point)
     A = F.alg
     rep = simples(A)
-    H, lam = shared if shared is not None else _shared_hopf(L, point.field)
-    CA = ComoduleAlgebra(A, H, F.binomial_tensor(), check=False)
-    s = frobenius_form(CA, lam)
+    s = fiber_frobenius_form(F, shared)
     rank, _ = form_rank(s)
     if rank != A.dim:
         raise ConsistencyCheckFailed(

@@ -501,7 +501,7 @@ def test_criterion_13_property_suites():
             F, _ = _fiber(L, F3, vals)
             CA = ComoduleAlgebra(F.alg, H, F.binomial_tensor(), check=False)
             B = coinvariants(CA)
-            E = np.tensordot(CA.coaction[:, :, :, 0],
+            E = np.tensordot(CA.coaction.dense(F.dim, H.dim)[..., 0],
                              lam.functional[:, 0], axes=([2], [0])) % 3
             for m in range(F.dim):
                 assert B.contains(E[m][:, None]), m

@@ -244,9 +244,28 @@ def test_equivariant_check(capsys, tmp_path):
     path = tmp_path / "splitting.json"
     path.write_text(json.dumps({
         "alg": Z4.alg.to_json(), "hopf": Z2.to_json(),
-        "coaction": CA.coaction.tolist(), "gamma": gamma.tolist()}))
+        "coaction": CA.coaction.dense(4, 2).tolist(),
+        "gamma": gamma.tolist()}))
     code, out, _ = run(capsys, "equivariant-check", "--splitting", str(path))
     assert code == 0 and json.loads(out)["equivariant"]
+
+
+def _splitting_json(sp):
+    CA = sp.CA
+    return json.dumps({
+        "alg": CA.alg.to_json(), "hopf": CA.hopf.to_json(),
+        "coaction": CA.coaction.dense(CA.alg.dim, CA.hopf.dim).tolist(),
+        "gamma": sp.gamma.matrix.tolist()})
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(3, 2)])
+def test_splitting_file_round_trip(field):
+    """A splitting file read back, its coaction held as terms, writes the
+    same JSON byte for byte."""
+    F = resliealg.Fiber(speclab.borel_algebra(3),
+                        resliealg.FiberPoint.make(field, [1, 2]))
+    text = _splitting_json(resliealg.pbw_splitting(F))
+    assert _splitting_json(cli._parse_splitting(json.loads(text))) == text
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +386,7 @@ def _valid_objects():
         "ring": R.to_json(),
         "cocycle": Cocycle(Z2, R, vals).to_json(),
         "splitting": {"alg": Z4.alg.to_json(), "hopf": Z2.to_json(),
-                      "coaction": CA.coaction.tolist(),
+                      "coaction": CA.coaction.dense(4, 2).tolist(),
                       "gamma": gamma.tolist()},
     }
 

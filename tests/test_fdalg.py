@@ -94,6 +94,84 @@ def test_algebra_verify_flags_broken_unit_and_associativity():
     assert any("associativity" in msg for msg in fdalg.algebra_verify(broken))
 
 
+def algebra_verify_loop(A, max_reports=20):
+    """Reference for algebra_verify: the unit axioms, then associativity on
+    every row i, each failing i reported with its first failing (j, k')."""
+    f, n = A.field, A.dim
+    eye = ar.identity(f, n)
+    out = []
+    if np.any((A.left_mult_matrix(A.unit) - eye) % f.p):
+        out.append("unit: left multiplication by the unit is not the identity")
+    if np.any((A.right_mult_matrix(A.unit) - eye) % f.p):
+        out.append("unit: right multiplication by the unit is not the identity")
+    mulflat = A.mul.reshape(n, n * n, f.k)
+    for i in range(n):
+        lhs = ar.fmatmul(f, A.mul[i], mulflat).reshape(n, n, n, f.k)
+        rhs = ar.fmatmul(f, A.mul.reshape(n * n, n, f.k),
+                         A.mul[i]).reshape(n, n, n, f.k)
+        bad = np.argwhere(np.any((lhs - rhs) % f.p, axis=3)).tolist()
+        out += [f"associativity violated at triple ({i},{j},{kk})"
+                for j, kk, _ in bad[:1]]
+        if len(out) >= max_reports:
+            return out + ["... further violations suppressed"]
+    return out
+
+
+def _u_sl2_algebra(field):
+    """u(sl2) at p = 3 read back from JSON: no generators carried."""
+    return fdalg.SCAlgebra.from_json(
+        resliealg.u_restricted(sl2_algebra(3), field)[0].alg.to_json())
+
+
+def _with_entry(A, cell):
+    """A with one structure constant moved by 1."""
+    mul = A.mul.copy()
+    mul[cell] = (mul[cell] + 1) % A.field.p
+    return fdalg.SCAlgebra(A.field, mul, A.unit)
+
+
+def _non_associative(f, n, seed):
+    """Random structure constants with b_0 a two-sided unit."""
+    rng = np.random.default_rng(seed)
+    mul = rng.integers(0, f.p, (n, n, n, f.k))
+    mul[0], mul[:, 0] = ar.identity(f, n), ar.identity(f, n)
+    return fdalg.SCAlgebra(f, mul, ar.identity(f, n)[0])
+
+
+@pytest.mark.parametrize("case", ["intact", "intact F_9", "non-associative",
+                                  "broken unit", "generator row",
+                                  "other row"])
+def test_algebra_verify_on_spanning_rows_matches_the_full_loop(monkeypatch,
+                                                               case):
+    """The rows of the generating set decide associativity: on an intact
+    algebra only they are checked and they are kept; on a broken one the
+    reports are those of the check of every row."""
+    f = Field(3, 2) if case == "intact F_9" else Field(3)
+    A = _u_sl2_algebra(f)
+    gens = fdalg.generating_set(A)
+    assert gens == (1, 3, 9)
+    if case == "non-associative":
+        A = _non_associative(f, 5, 11)
+    elif case == "broken unit":
+        A = fdalg.SCAlgebra(f, A.mul, A.basis_vector(1))
+    elif case == "generator row":
+        A = _with_entry(A, (3, 4, 7, 0))
+    elif case == "other row":
+        A = _with_entry(A, (13, 5, 7, 0))
+    rows = []
+    first = fdalg._first_associator
+    monkeypatch.setattr(fdalg, "_first_associator",
+                        lambda A, i: rows.append(i) or first(A, i))
+    for cap in (3, 20, 10 ** 6):
+        want = algebra_verify_loop(A, cap)
+        rows.clear()
+        assert fdalg.algebra_verify(A, cap) == want, cap
+    if case.startswith("intact"):
+        assert want == [] and rows == list(gens) and A.generators == gens
+    else:
+        assert want and A.generators is None
+
+
 def test_multiply_and_power():
     f = Field(7)
     A = cyclic_group_algebra(f, 5)

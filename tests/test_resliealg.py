@@ -367,7 +367,7 @@ def test_u_restricted_coproduct_binomials():
     H, F = resliealg.u_restricted(L)
     # Delta(e^2) = e^2 (x) 1 + 2 e (x) e + 1 (x) e^2
     i = F.index[(2, 0, 0)]
-    d = H.comul[i]
+    d = H.comul.dense(27, 27)[i]
     nz = {(a, b): int(d[a, b, 0]) for a in range(27) for b in range(27)
           if d[a, b, 0]}
     assert nz == {
@@ -497,6 +497,28 @@ def test_binomial_tensor_matches_splitting_loop(lie, field, point):
     assert np.array_equal(T, _binomial_tensor_loop(F))
 
 
+@pytest.mark.parametrize("lie, field, point", [
+    (sl2(3), Field(3), [1, 0, 0]),
+    (sl2(5), Field(5), [1, 2, 3]),
+    (borel(3), Field(3), [1, 2]),
+    (borel(3), Field(3, 2), [[1, 1], [0, 2]]),
+])
+def test_coproduct_and_coaction_terms_match_the_splitting_loop(lie, field,
+                                                               point):
+    """Delta of u(L) and the coaction of a fiber are held as terms whose
+    dense view is the splitting loop's tensor, and the dense tensor read
+    back gives the same terms."""
+    H, F0 = resliealg.u_restricted(lie, field)
+    want = _binomial_tensor_loop(F0)
+    assert np.array_equal(H.comul.dense(F0.dim, F0.dim), want)
+    F = resliealg.Fiber(lie, resliealg.FiberPoint.make(field, point))
+    CA = resliealg.fiber_coaction(F, H)
+    assert np.array_equal(CA.coaction.dense(F.dim, F0.dim),
+                          _binomial_tensor_loop(F))
+    back = hopf.Terms.of(field, want, want.shape[:3], "comul")
+    assert all(np.array_equal(x, y) for x, y in zip(back, H.comul))
+
+
 def _one_generator(p):
     # x^[p] = x: U_lambda = F_p[x] / (x^p - x - lambda)
     return resliealg.RestrictedLie(p, np.zeros((1, 1, 1)), np.ones((1, 1)),
@@ -571,9 +593,7 @@ def _conv_fiber(name):
         U = resliealg.u_restricted(lie, f)[1].alg.mul
         tails = ar.fmatmul(f, U.reshape(N * N, N, 1),
                            resliealg._pbw_inverse_rows(F))
-        a, x1, x2, binom = F.splittings()
-        terms = (np.searchsorted(a, np.arange(N + 1)), a, x1, x2,
-                 binom[:, None])
+        terms = F.splittings()
         mul = ar.csr(F.alg.mul.reshape(N * N, N, 1))
         _CONV_FIBERS[name] = F, (terms, mul, ar.csr(tails), mul)
     return _CONV_FIBERS[name]

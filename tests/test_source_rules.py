@@ -160,3 +160,33 @@ def test_coassociativity_allocates_no_dense_difference():
     # of nA nH^2 cells per row i
     found = dense_coassociativity_buffers(PACKAGE / "galois.py")
     assert not found, f"dense coassociativity buffers: {found}"
+
+
+def test_coproducts_and_coactions_are_held_as_terms():
+    # Delta and rho are held once, as hopf.Terms: no module scatters the
+    # splittings into a dense tensor (binomial_tensor is kept for the
+    # benchmark and the tests) or keeps a second term extraction, and only
+    # Terms.of scans a dense Delta or rho for its nonzeros
+    legs = {"comul", "coaction", "rho", "binomial_tensor"}
+    scans = {"nonzero", "flatnonzero", "argwhere", "csr"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {id(node) for top in ast.walk(tree)
+                   if isinstance(top, ast.ClassDef) and top.name == "Terms"
+                   for fn in top.body if getattr(fn, "name", None) == "of"
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name == "coaction_terms"):
+                found.append(f"{path.name}:{node.lineno} coaction_terms")
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "binomial_tensor":
+                found.append(f"{path.name}:{node.lineno} binomial_tensor")
+            args = {getattr(sub, "attr", getattr(sub, "id", None))
+                    for arg in node.args for sub in ast.walk(arg)}
+            if name in scans and args & legs:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"dense coproducts or coactions: {found}"
