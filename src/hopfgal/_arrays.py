@@ -16,7 +16,9 @@ Sparse rows are CSR triples (row pointers, columns, (nnz, k) values);
 `csr_expand` lists the entries of chosen rows, the step of every row-wise
 sparse product in the package, `scatter_add` and `sum_by_key` sum terms
 into cells, and `sparse_times_csr` and `sparse_times_dense` multiply a
-sparse matrix by a CSR or a dense one.
+sparse matrix by a CSR or a dense one.  When no column of the CSR factor
+holds two entries (left multiplication by e in sl2), no two terms of
+`sparse_times_csr` meet in a cell: it sorts them and sums no keys.
 
 Elimination is row-batched: `rref` folds ROW_BLOCK rows at a time into a
 running RREF basis.  Each block is reduced against the basis with one
@@ -154,16 +156,16 @@ def rref(field: Field, M: np.ndarray):
     is reduced against the basis by one fmatmul, its remainder is brought to
     RREF by single-pivot elimination, and the new pivot columns are cleared
     from the basis by one more fmatmul.  The RREF of a row space is unique,
-    so R and the pivots do not depend on the blocking.  All-zero rows are
-    dropped first: they add nothing to the row space."""
+    so R and the pivots do not depend on the blocking.  The all-zero rows of
+    each block are dropped: they add nothing to the row space."""
     p = field.p
-    M = M[M.any(axis=(1, 2))]
     m, n = M.shape[0], M.shape[1]
     basis, pivots = zeros(field, (0, n)), []
     for s in range(0, m, ROW_BLOCK):
         if len(pivots) == n:
             break
         block = M[s:s + ROW_BLOCK] % p
+        block = block[block.any(axis=(1, 2))]
         if pivots:
             block = (block - fmatmul(field, block[:, pivots], basis)) % p
         new, new_pivots = _rref_rows(field, block)
@@ -333,21 +335,28 @@ def sparse_times_csr(field: Field, n: int, cells: np.ndarray,
     """X @ C for a sparse X with n columns, given as the flat cells r n + t
     of its nonzeros and their (nnz, k) values, and a CSR matrix C of n rows
     and at most n columns; the product comes back in the same form, its
-    cells sorted and nonzero.  A cell sums at most n terms in int64
-    (`fmul_sum`)."""
+    cells sorted, distinct and nonzero.  A cell sums at most n terms in
+    int64 (`fmul_sum`).  When no column of C holds two entries, no two terms
+    X[r, t] C[t, c] share a cell, and none is zero (C's stored entries are
+    nonzero, as X's), so the terms are only sorted, with no key sum."""
     indptr, cols, cvals = csr
     r, t = np.divmod(cells, n)
     # nonzero m of X meets the entries of CSR row t[m]
     src, pos = csr_expand(indptr, t)
-    return sum_by_key(field, r[src] * n + cols[pos],
-                      fmul_sum(field, vals[src], cvals[pos], n))
+    keys = r[src] * n + cols[pos]
+    if np.bincount(cols, minlength=1).max() > 1:
+        return sum_by_key(field, keys,
+                          fmul_sum(field, vals[src], cvals[pos], n))
+    order = np.argsort(keys, kind="stable")
+    return keys[order], fmul(field, vals[src[order]], cvals[pos[order]])
 
 
 def sum_by_key(field: Field, keys: np.ndarray, vals: np.ndarray):
     """The distinct keys (>= 0), sorted, whose values (E, k) sum to nonzero,
     and those sums, reduced: keyed by cell, the terms of two sides of an
     identity, one side negated, sum to nonzero where the sides differ."""
-    order = np.argsort(keys)
+    # timsort: the keys of a row product come in nearly sorted runs
+    order = np.argsort(keys, kind="stable")
     keys = keys[order]
     start = np.flatnonzero(np.diff(keys, prepend=-1))
     acc = np.add.reduceat(vals[order], start, axis=0) % field.p

@@ -280,20 +280,22 @@ def _first_associator(A: SCAlgebra, i: int):
 # ---------------------------------------------------------------------------
 
 def center(A: SCAlgebra) -> Subspace:
-    """Solution space of [x, b_i] = 0 for all basis elements, computed once
-    per algebra and kept on it."""
+    """Solution space of [x, b_g] = 0 for the generators g of A, or for every
+    basis element when A.generators is None: x commuting with a generating
+    set commutes with its products.  Computed once per algebra and kept on
+    it."""
     if A._center is not None:
         return A._center
     f = A.field
     n = A.dim
-    # constraint on x: sum_j x_j (mul[j,i,m] - mul[i,j,m]) = 0 for all (i,m),
-    # imposed one basis element at a time so the working space shrinks early
-    K = (A.mul.transpose(1, 0, 2, 3) - A.mul) % f.p  # K[i][j, m], rows j
+    # constraint on x: sum_j x_j (mul[j,g,m] - mul[g,j,m]) = 0 for all m,
+    # imposed one element g at a time so the working space shrinks early
     basis = ar.identity(f, n)
-    for i in range(n):
+    for g in range(n) if A.generators is None else A.generators:
         if basis.shape[0] == 0:
             break
-        img = ar.fmatmul(f, basis, K[i])  # (d, n, k): [x, b_i] for span rows
+        # (d, n, k): [x, b_g] for the span rows x
+        img = ar.fmatmul(f, basis, (A.mul[:, g] - A.mul[g]) % f.p)
         if not np.any(img):
             continue
         coeffs = ar.nullspace(f, img.transpose(1, 0, 2))

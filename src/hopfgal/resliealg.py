@@ -406,7 +406,8 @@ class Fiber:
     time from the sparse rows of `_structure_rows`, each scattered once into
     the dense tensor as it is made; only the last p^(n-1) rows are kept, no
     cell list of the whole tensor (1.48 M nonzeros for sl2 at p = 7, point
-    (1, 2, 3)).  `alg` carries the PBW generators e_i as its generators."""
+    (1, 2, 3)).  `alg` carries the PBW generators e_i as its generators:
+    `fdalg.center` imposes commutation with them only."""
 
     def __init__(self, L: RestrictedLie, point: FiberPoint):
         field = point.field
@@ -477,8 +478,10 @@ def _structure_rows(engine: _Engine, labels: list[tuple]):
     (`_arrays.sparse_times_csr`), i the first nonzero exponent of alpha, and
     Lambda_i, left multiplication by e_i, a CSR matrix from the engine: its
     row beta is one engine product, row beta - delta_l times e_l, l the last
-    nonzero exponent of beta.  A parent row lies at most p^(n-1) rows back;
-    the caller memoises `row`."""
+    nonzero exponent of beta.  For sl2, Lambda_e has at most one entry per
+    column, so the steps by e (294 of 342 at p = 7) only sort their terms.
+    A parent row lies at most p^(n-1) rows back; the caller memoises
+    `row`."""
     f, p, n, dim = engine.field, engine.p, engine.n, len(labels)
     index = {a: i for i, a in enumerate(labels)}
     gens = []

@@ -216,6 +216,65 @@ def test_center_is_computed_once_per_algebra(monkeypatch):
     assert fdalg.center(B) is not Z and len(solves) > count
 
 
+def center_reference(A):
+    """RREF basis of the x with sum_j x_j (mul[j,i,m] - mul[i,j,m]) = 0 for
+    every basis element i and every m, as one stacked system."""
+    f, n = A.field, A.dim
+    K = (A.mul.transpose(1, 0, 2, 3) - A.mul) % f.p  # K[i, j, m], rows j
+    return ar.nullspace(f, K.transpose(0, 2, 1, 3).reshape(n * n, n, f.k))
+
+
+def _center_case(case):
+    f = Field(3, 2) if "F_9" in case else Field(3)
+    if case.startswith("fiber"):
+        lam = {"fiber regular": [1, 2, 0], "fiber cone F_9": [[1, 0], 0, 0],
+               "fiber zero": [0, 0, 0], "fiber p=5": [1, 2, 3]}[case]
+        p = 5 if case == "fiber p=5" else 3
+        f = Field(p, f.k)
+        return resliealg.Fiber(sl2_algebra(p),
+                               resliealg.FiberPoint.make(f, lam)).alg
+    if case.startswith("u(L)"):
+        return resliealg.u_restricted(sl2_algebra(3), f)[0].alg
+    if case.startswith("json"):
+        A = _u_sl2_algebra(f)
+        if case.startswith("json verified"):
+            assert fdalg.algebra_verify(A) == []
+        return A
+    A = upper_triangular_2(f) if case == "no generators" else matrix_algebra(
+        f, 2)
+    if case == "matrix verified":
+        assert fdalg.algebra_verify(A) == []
+    return A
+
+
+@pytest.mark.parametrize("case", [
+    "fiber regular", "fiber cone F_9", "fiber zero", "fiber p=5", "u(L)",
+    "u(L) F_9", "json", "json verified", "json verified F_9",
+    "no generators", "matrix verified"])
+def test_center_on_generators_matches_every_row(case):
+    """With generators, center imposes [x, b_g] = 0 for them only; the
+    result is the center imposed on every row, with generators or without."""
+    A = _center_case(case)
+    has_gens = not case.startswith(("json", "no")) or "verified" in case
+    assert (A.generators is not None) == has_gens
+    every_row = fdalg.SCAlgebra(A.field, A.mul, A.unit, check=False)
+    Z = fdalg.center(A).basis
+    assert np.array_equal(Z, fdalg.center(every_row).basis)
+    assert np.array_equal(Z, center_reference(A))
+
+
+def test_center_imposes_the_generators_only():
+    """center takes A.generators at their word: on M_2 with the false claim
+    that E11 generates it, the result is the centralizer of E11, the
+    diagonal span(E11, E22), not the scalars."""
+    A = matrix_algebra(Field(3), 2)
+    B = fdalg.SCAlgebra(A.field, A.mul, A.unit, generators=[0])
+    diagonal = ar.zeros(A.field, (2, 4))
+    diagonal[0, 0, 0] = diagonal[1, 3, 0] = 1
+    assert np.array_equal(fdalg.center(B).basis, diagonal)
+    assert fdalg.center(A).dim == 1
+
+
 def check_radical_certificate(A, rad):
     """Independent certification: rad is a nilpotent two-sided ideal and the
     quotient admits a separability idempotent."""

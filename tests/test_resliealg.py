@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from hopfgal import Field
 from hopfgal import _arrays as ar
-from hopfgal import fdalg, hopf, resliealg
+from hopfgal import fdalg, hopf, resliealg, speclab
 from hopfgal.errors import (
     BadLabel,
     DimCapExceeded,
@@ -353,6 +353,109 @@ def test_sparse_times_csr_matches_dense_product(field, m, n, density, seed):
     want = ar.fmatmul(field, X, C).reshape(m * n, k)
     nz = np.flatnonzero(want.any(axis=1))
     assert np.array_equal(cells, nz) and np.array_equal(vals, want[nz])
+
+
+def key_sum_times_csr(field, n, cells, vals, csr):
+    """X @ C by the generic path of `sparse_times_csr`: every term, equal
+    cells summed by `sum_by_key`."""
+    indptr, cols, cvals = csr
+    r, t = np.divmod(cells, n)
+    src, pos = ar.csr_expand(indptr, t)
+    return ar.sum_by_key(field, r[src] * n + cols[pos],
+                         ar.fmul(field, vals[src], cvals[pos]))
+
+
+@pytest.mark.parametrize("field", [Field(5), Field(3, 2)])
+@pytest.mark.parametrize("one_per_column", [True, False])
+@pytest.mark.parametrize("m", [0, 1, 7, 40])
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_times_csr_matches_the_key_sum(field, one_per_column, m,
+                                              seed):
+    """The sort-only path (no column of C holds two entries) and the key-sum
+    path agree with the generic key sum: cells sorted, distinct and
+    nonzero.  X and C have empty rows; m = 0 is an empty X."""
+    p, k = field.p, field.k
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+
+    def nonzero(size):
+        # the base-p digits of 1 .. p^k - 1: nonzero field elements
+        return rng.integers(1, p ** k, size)[:, None] // p ** np.arange(k) % p
+
+    if one_per_column:
+        # column c is hit by at most one row, never by the last one
+        hit = np.flatnonzero(rng.random(n) < 0.7)
+        cc = np.sort(rng.integers(0, n - 1, hit.size) * n + hit)
+    else:
+        cc = np.flatnonzero(rng.random(n * n) < 0.3)
+        cc = np.union1d(cc, [0, n])  # column 0 holds two entries
+        cc = cc[cc // n != n - 1]    # the last row of C is empty
+    csr = (np.searchsorted(cc // n, np.arange(n + 1)), cc % n,
+           nonzero(cc.size))
+    xc = np.flatnonzero(rng.random(m * n) < 0.4)
+    xc = xc[xc // n != 0]            # the first row of X is empty
+    xv = nonzero(xc.size)
+    calls = []
+    key_sum = ar.sum_by_key
+    with mock.patch.object(ar, "sum_by_key",
+                           lambda *a: calls.append(1) or key_sum(*a)):
+        cells, vals = ar.sparse_times_csr(field, n, xc, xv, csr)
+    assert len(calls) == (0 if one_per_column else 1)
+    want_cells, want_vals = key_sum_times_csr(field, n, xc, xv, csr)
+    assert np.array_equal(cells, want_cells)
+    assert np.array_equal(vals, want_vals)
+    assert cells.dtype == np.int64 and vals.shape == (cells.size, k)
+    assert np.all(np.diff(cells) > 0) and vals.any(axis=1).all()
+
+
+@pytest.mark.parametrize("kind, field, lam, stratum", [
+    ("sl2", Field(3), [1, 2, 0], "regular"),
+    ("sl2", Field(3), [1, 0, 0], "cone"),
+    ("sl2", Field(3), [0, 0, 0], "zero"),
+    ("sl2", Field(3, 2), [[0, 0], [0, 0], [0, 1]], "regular"),
+    ("sl2", Field(3, 2), [[1, 0], [0, 0], [0, 0]], "cone"),
+    ("sl2", Field(3, 2), [[0, 0], [0, 0], [0, 0]], "zero"),
+    ("sl2", Field(5), [1, 2, 3], "regular"),
+    ("sl2", Field(5), [0, 1, 0], "cone"),
+    ("sl2", Field(5), [0, 0, 0], "zero"),
+    ("borel", Field(3), [0, 0], None),
+    ("borel", Field(3), [1, 0], None),
+    ("borel", Field(3), [2, 2], None),
+])
+def test_fiber_rows_match_the_parent_chain(kind, field, lam, stratum):
+    """Every row of the structure constants is its parent row times the
+    generator row: e^alpha e^beta = e_i (e^(alpha - delta_i) e^beta), i the
+    first nonzero exponent of alpha, by a dense product; the generator
+    rows are the engine's products e_i e^beta."""
+    p = field.p
+    L = sl2_algebra(p) if kind == "sl2" else borel(p)
+    point = resliealg.FiberPoint.make(field, lam)
+    if stratum is not None:
+        assert speclab.classify_point("sl2", point).tag == stratum
+    F = resliealg.Fiber(L, point)
+    mul, n = F.alg.mul, L.dim
+    assert_engine_products(F, [(g, b) for g in F.alg.generators
+                               for b in range(F.dim)])
+    assert np.array_equal(mul[0], ar.identity(field, F.dim))
+    for ia, alpha in enumerate(F.labels[1:], 1):
+        i = next(t for t in range(n) if alpha[t])
+        parent = F.index[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]
+        want = ar.fmatmul(field, mul[parent], mul[F.alg.generators[i]])
+        assert np.array_equal(mul[ia], want), alpha
+
+
+def test_fiber_sums_keys_only_on_the_steps_by_f_and_h():
+    """Lambda_e has at most one entry per column, so the steps by e (the
+    labels with a nonzero e exponent) only sort their terms: the sl2 p = 3
+    fiber sums keys on the p^2 - 1 steps by f and h alone."""
+    L = sl2_algebra(3)
+    assert L.labels[0] == "e"
+    calls = []
+    key_sum = ar.sum_by_key
+    with mock.patch.object(ar, "sum_by_key",
+                           lambda *a: calls.append(1) or key_sum(*a)):
+        resliealg.Fiber(L, resliealg.FiberPoint.make(Field(3), [1, 2, 0]))
+    assert len(calls) == 3 ** 2 - 1
 
 
 def test_u_restricted_is_hopf():
