@@ -263,16 +263,19 @@ def algebra_verify(A: SCAlgebra, max_reports: int = 20) -> list[str]:
     return out
 
 
-def _first_associator(A: SCAlgebra, i: int):
-    """The first (j, k') with (b_i b_j) b_k' != b_i (b_j b_k'), or None."""
+def _first_associator(A: SCAlgebra, i: int, proj=None):
+    """The first (j, k') with (b_i b_j) b_k' != b_i (b_j b_k'), or None;
+    with proj (n, e, k), the first whose difference proj does not kill."""
     f, n = A.field, A.dim
     # lhs[j, (k', m)] = sum_t mul[i,j,t] mul[t,k',m]
     lhs = ar.fmatmul(f, A.mul[i], A.mul.reshape(n, n * n, f.k))
     # rhs[(j, k'), m] = sum_t mul[j,k',t] mul[i,t,m]
     rhs = ar.fmatmul(f, A.mul.reshape(n * n, n, f.k), A.mul[i])
-    bad = np.flatnonzero(((lhs.reshape(-1, f.k) - rhs.reshape(-1, f.k))
-                          % f.p).any(axis=1))
-    return divmod(int(bad[0]) // n, n) if bad.size else None
+    diff = (lhs.reshape(n * n, n, f.k) - rhs) % f.p
+    if proj is not None:
+        diff = ar.fmatmul(f, diff, proj)
+    bad = np.flatnonzero(diff.any(axis=(1, 2)))
+    return divmod(int(bad[0]), n) if bad.size else None
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ Since R is commutative, the "paper" product of x and y is the "standard"
 product of y and x: the "paper" twisted product is the opposite algebra of
 the "standard" one.  So for a cleaving map gamma: H -> A with cocycle
 sigma, the "standard" twisted product rebuilds A and the "paper" one
-rebuilds A^op.  cocycle_verify checks the associativity identity matching
-the chosen convention; for cocommutative H the two agree.
+rebuilds A^op.  cocycle_verify checks each convention's identity as
+associativity of its twisted product; for cocommutative H the two agree.
 
 Sums over the terms of two arguments of a coaction (Delta or a comodule
 algebra's rho) run through hopf.convolve_pairs, and the cocycle of a
@@ -49,6 +49,7 @@ from .fdalg import (
     BilForm,
     SCAlgebra,
     Subspace,
+    _first_associator,
     _is_algebra_map,
     _products,
     algebra_verify,
@@ -70,6 +71,7 @@ from .hopf import (
     convolution2,
     convolve_pairs,
     fixed_space,
+    hopf_verify,
     is_cocommutative,
     tensor_square,
 )
@@ -80,9 +82,9 @@ from .hopf import (
 # only, and the full scan is exercised on small instances in the test suite
 FULL_VERIFY_DIM = 81
 
-# exhaustive triple check of the cocycle identity up to this Hopf dimension;
-# beyond it a fixed deterministic sample of triples is used
-COCYCLE_TRIPLE_DIM = 12
+# splitting_to_cocycle checks the cocycle it returns (cocycle_verify) by
+# default only up to this Hopf dimension
+SPLITTING_CHECK_DIM = 12
 
 def _check_convention(convention: str):
     """UnknownKind unless convention is one of the two product conventions."""
@@ -355,70 +357,81 @@ def _sigma_conv_inverse(sig: Cocycle):
     return inv.matrix.reshape(nH, nH, nR, f.k)
 
 
-def cocycle_verify(sig: Cocycle, convention: str = "paper") -> list[str]:
-    """Empty iff sigma has a commutative target, satisfies the unit
-    conditions, satisfies the associativity identity of the chosen
-    convention, and is convolution invertible.  The triple identity is
-    checked exhaustively for dim(H) <= 12 and on a fixed deterministic
-    sample of triples above that."""
-    _check_convention(convention)
-    f = sig.field
-    H, R = sig.hopf, sig.target
-    nH, nR = H.dim, R.dim
-    out = []
-    if not R.is_commutative():
-        out.append("cocycle target algebra is not commutative")
-        return out
-    vals = sig.values
-    mulH = H.alg.mul
-    # unit conditions sigma(h (x) 1) = sigma(1 (x) h) = eps(h) 1
-    uH = H.alg.unit
-    s_h1 = ar.fmatmul(
-        f, uH[None, :, :],
-        vals.transpose(1, 0, 2, 3).reshape(nH, nH * nR, f.k)
-    ).reshape(nH, nR, f.k)
-    s_1h = ar.fmatmul(f, uH[None, :, :],
-                      vals.reshape(nH, nH * nR, f.k)).reshape(nH, nR, f.k)
-    want = ar.fmul(f, H.counit[:, None, :], R.unit[None, :, :])
-    if np.any((s_h1 - want) % f.p):
-        out.append("unit condition sigma(h (x) 1) = eps(h) 1 fails")
-    if np.any((s_1h - want) % f.p):
-        out.append("unit condition sigma(1 (x) h) = eps(h) 1 fails")
+def _is_connected(H: HopfAlgebra) -> bool:
+    """Whether H passes hopf_verify and its algebra generators g are
+    primitive, Delta(g) = g (x) 1 + 1 (x) g: then H has coradical k 1
+    (Montgomery 1993, Lemma 5.5.1), as u(L) on its PBW generators."""
+    if hopf_verify(H):
+        return False
+    gens = np.array(H.alg.generators, dtype=np.int64)
+    ptr, _, A, B, c = H.comul
+    q, t = ar.csr_expand(ptr, gens)
+    delta = ar.zeros(H.field, (gens.size, H.dim, H.dim))
+    delta[q, A[t], B[t]] = c[t]
+    delta[np.arange(gens.size), gens] -= H.alg.unit
+    delta[np.arange(gens.size), :, gens] -= H.alg.unit
+    return not np.any(delta % H.field.p)
 
-    # tables: A1[(x, y), t] = sigma(h_x h_y (x) h_t),
-    #         A2[(x, y), s] = sigma(h_s (x) h_x h_y)
-    A1 = ar.fmatmul(f, mulH.reshape(nH * nH, nH, f.k),
-                    vals.reshape(nH, nH * nR, f.k)
-                    ).reshape(nH, nH, nH, nR, f.k)
-    A2 = ar.fmatmul(f, mulH.reshape(nH * nH, nH, f.k),
-                    vals.transpose(1, 0, 2, 3).reshape(nH, nH * nR, f.k)
-                    ).reshape(nH, nH, nH, nR, f.k)
-    # S<a>[x, y, u] = sum sigma(x_1, y_1) A<a>[x_2, y_2, u] for every u at
-    # once: m multiplies in R, mR[r, (u, r1), (u, r2)] = mulR[r, r1, r2]
-    mR = ar.zeros(f, (nR, nH, nR, nH, nR))
-    ix = np.arange(nH)
-    mR[:, ix, :, ix] = R.mul
-    mR = mR.reshape(nR, nH * nR, nH * nR, f.k)
-    S1, S2 = (convolution2(H, vals, T.reshape(nH, nH, nH * nR, f.k), mR
-                           ).reshape(nH, nH, nH, nR, f.k) for T in (A1, A2))
-    if convention == "standard":
-        # sigma(h1, g1) sigma(h2 g2, t) = sigma(g1, t1) sigma(h, g2 t2)
-        lhs, rhs = S1, S2.transpose(2, 0, 1, 3, 4)
-    else:
-        # sigma(h1, g1) sigma(t, h2 g2) = sigma(t1, h1) sigma(t2 h2, g)
-        lhs, rhs = S2, S1.transpose(1, 2, 0, 3, 4)
-    bad = ((lhs - rhs) % f.p).any(axis=(3, 4))
-    if nH <= COCYCLE_TRIPLE_DIM:
-        triples = np.argwhere(bad).tolist()
-    else:
-        rng = np.random.default_rng(0)
-        triples = [t for t in rng.integers(0, nH, (60, 3)).tolist()
-                   if bad[tuple(t)]]
-    out += [f"cocycle identity fails at triple ({ih},{ig},{it})"
-            for ih, ig, it in triples][:10 - len(out)]
+
+def _identity_failures(A: SCAlgebra, H: HopfAlgebra, convention: str):
+    """The (h, g, t) at which the identity fails, the first of each row of
+    A = R #_sigma H (sigma normalised) in turn: R # 1 is central, and id (x)
+    eps sends the associator of a_r # h, a_s # g, a_t # t to a_r a_s a_t
+    D(h, g, t), D the identity's defect ("paper": D(g, h, t))."""
+    f, n, nH = A.field, A.dim, H.dim
+    eps = ar.fmul(f, ar.identity(f, n // nH)[:, None],
+                  H.counit[None, :, None]).reshape(n, n // nH, f.k)
+    for x in range(n):
+        yz = _first_associator(A, x, eps)
+        if yz is not None:
+            h, g = (yz[0], x) if convention == "paper" else (x, yz[0])
+            yield h % nH, g % nH, yz[1] % nH
+
+
+def cocycle_verify(sig: Cocycle, convention: str = "paper") -> list[str]:
+    """Empty iff sigma has a commutative target that passes algebra_verify,
+    satisfies the unit conditions and the cocycle identity of the chosen
+    convention, and is convolution invertible.  For normalised sigma and a
+    Hopf algebra H the identity holds iff
+    R #_sigma H is associative (Blattner, Cohen and Montgomery, Trans. AMS
+    298, 1986, Lemma 4.5): one build of it (`_twisted_product`, kept as
+    sig._product when it passes) goes through `algebra_verify`.  For
+    connected H (`_is_connected`) sigma is invertible iff sigma(1, 1) is
+    (Takeuchi 1971; Montgomery, CBMS 82, 1993, Lemma 5.2.10); otherwise
+    its inverse is solved for."""
+    _check_convention(convention)
+    f, H, R, vals = sig.field, sig.hopf, sig.target, sig.values
+    nH, nR, uH = H.dim, R.dim, H.alg.unit
+    sig._product = None
+    if not R.is_commutative():
+        return ["cocycle target algebra is not commutative"]
+    if bad := algebra_verify(R):
+        return ["cocycle target algebra fails verification: " + bad[0]]
+    # s[0, h] = sigma(h (x) 1) and s[1, h] = sigma(1 (x) h), against eps(h) 1
+    s = ar.fmatmul(f, uH[None], np.stack([vals.transpose(1, 0, 2, 3), vals],
+                                         1).reshape(nH, 2 * nH * nR, f.k))
+    s = s.reshape(2, nH, nR, f.k)
+    want = ar.fmul(f, H.counit[:, None], R.unit[None])
+    out = [f"unit condition sigma({side}) = eps(h) 1 fails" for side, v in
+           zip(("h (x) 1", "1 (x) h"), s) if np.any((v - want) % f.p)]
+    if not out:
+        A = _twisted_product(R, sig, convention)
+        bad = algebra_verify(A)
+        if bad:
+            out += [f"cocycle identity fails at triple ({h},{g},{t})"
+                    for h, g, t in itertools.islice(
+                        _identity_failures(A, H, convention), 10)] or [
+                "twisted product fails verification: " + bad[0]]
+        else:
+            sig._product = A
     if len(out) >= 10:
         return out
-    if _sigma_conv_inverse(sig) is None:
+    if _is_connected(H):
+        s11 = ar.fmatmul(f, uH[None], s[1])[0]
+        invertible = ar.rank(f, R.left_mult_matrix(s11)) == nR
+    else:
+        invertible = _sigma_conv_inverse(sig) is not None
+    if not invertible:
         out.append("sigma is not convolution invertible")
     return out
 
@@ -433,21 +446,19 @@ def twisted_product(R: SCAlgebra, sig: Cocycle,
     a_r (x) h_i.  The "paper" convention gives the opposite algebra of the
     "standard" one (see the module docstring): on the cocycle of a cleaving
     map gamma: H -> A, "standard" rebuilds A and "paper" rebuilds A^op.
-    The cocycle is verified first and associativity of the result is
-    re-verified; failure of either raises CocycleInvalid."""
+    Built by `cocycle_verify` of sigma into R; CocycleInvalid if it fails."""
     _check_convention(convention)
-    if R.dim != sig.target.dim:
-        raise ShapeMismatch("ring does not match the cocycle target")
+    if R is not sig.target:
+        sig = Cocycle(sig.hopf, R, sig.values)
     msgs = cocycle_verify(sig, convention)
     if msgs:
         raise CocycleInvalid("; ".join(msgs))
-    return _twisted_product(R, sig, convention)
+    return sig._product
 
 
 def _twisted_product(R: SCAlgebra, sig: Cocycle, convention: str) -> SCAlgebra:
-    """`twisted_product` of a cocycle the caller has verified."""
-    f = sig.field
-    H = sig.hopf
+    """The structure constants of `twisted_product`, unverified."""
+    f, H = sig.field, sig.hopf
     nH, nR = H.dim, R.dim
     dim = nR * nH
     # val[i, j] = (1 (x) h_i)(1 (x) h_j) = sum sigma(i_1, j_1) (x) i_2 j_2
@@ -465,16 +476,10 @@ def _twisted_product(R: SCAlgebra, sig: Cocycle, convention: str) -> SCAlgebra:
                      val.reshape(nR, nH ** 3, f.k))
     mul = mul.reshape(nR, nR, nR, nH, nH, nH, f.k).transpose(
         0, 3, 1, 4, 2, 5, 6).reshape(dim, dim, dim, f.k)
-    unit = ar.fmul(f, R.unit[:, None, :],
-                   H.alg.unit[None, :, :]).reshape(dim, f.k)
-    labels = None
-    if R.labels and H.alg.labels:
-        labels = [f"{rl}*{hl}" for rl in R.labels for hl in H.alg.labels]
-    A = SCAlgebra(f, mul, unit, labels=labels)
-    bad = algebra_verify(A)
-    if bad:
-        raise CocycleInvalid("twisted product fails verification: " + bad[0])
-    return A
+    unit = ar.fmul(f, R.unit[:, None], H.alg.unit[None]).reshape(dim, f.k)
+    labels = ([f"{rl}*{hl}" for rl in R.labels for hl in H.alg.labels]
+              if R.labels and H.alg.labels else None)
+    return SCAlgebra(f, mul, unit, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +513,8 @@ def cocycle_transform(sig: Cocycle, u: LinMap, convention: str = "paper"):
     msgs = cocycle_verify(tau, convention)
     if msgs:
         raise CocycleInvalid("transformed cocycle fails: " + msgs[0])
+    A_tau = tau._product
     A_sig = twisted_product(R, sig, convention)
-    A_tau = _twisted_product(R, tau, convention)
     dim = nR * nH
     # phi(a_r (x) h_i) = sum a_r u(h_i1) (x) h_i2: with au[c1, r] = a_r u(h_c1),
     # phi[(r, i), (t, c2)] = sum d au[c1, r, t] over the terms d h_c1 (x) h_c2
@@ -663,7 +668,7 @@ def splitting_to_cocycle(sp: Splitting, convention: str = "paper",
     sig = Cocycle(H, Balg, coords.reshape(nH, nH, B.dim, f.k))
     sig.target_embedding = bbasis
     if verify is None:
-        verify = nH <= COCYCLE_TRIPLE_DIM
+        verify = nH <= SPLITTING_CHECK_DIM
     if verify:
         msgs = cocycle_verify(sig, convention)
         if msgs:
@@ -748,19 +753,11 @@ def lemma25_transfer_check(tau: Cocycle, pi: Cocycle, x,
     prod = convolution2(H, tau.values, piinv, R.mul)
     if not is_equivariant_map(H, LinMap(f, prod.reshape(nH * nH, nR, f.k))):
         raise PremiseFailed("tau * pi^-1 is not equivariant")
-    A_tau = twisted_product(R, tau, convention)
-    A_pi = twisted_product(R, pi, convention)
     xv = ar.asarray(f, x)
     if xv.shape != (nR * nH, f.k):
         raise ShapeMismatch("element must be given in R (x) H coordinates")
-
-    def central(A, v):
-        eye = ar.identity(f, A.dim)
-        return not np.any((_products(A, v[None], eye)[0]
-                           - _products(A, eye, v[None])[:, 0]) % f.p)
-
-    ct = central(A_tau, xv)
-    cp = central(A_pi, xv)
+    ct, cp = (center(twisted_product(R, s, convention)).contains(xv)
+              for s in (tau, pi))
     return {"premise": True, "central_in_first": ct,
             "central_in_second": cp, "agree": ct == cp}
 

@@ -221,6 +221,42 @@ def test_twist_rejects_dimension_over_cap(capsys, tmp_path):
     assert code == 2 and "error: bad cocycle description" in err
 
 
+def _sl2_cone_cocycle_file(tmp_path, p, raise_at=None):
+    """The PBW cocycle of the sl2 cone fiber over F_p, with sigma at the
+    pair raise_at raised by one."""
+    from hopfgal.galois import splitting_to_cocycle
+    from hopfgal.resliealg import Fiber, FiberPoint, pbw_splitting
+
+    F = Fiber(speclab.sl2_algebra(p), FiberPoint.make(Field(p), [1, 0, 0]))
+    sig = splitting_to_cocycle(pbw_splitting(F), verify=False)
+    if raise_at is not None:
+        sig.values[raise_at] = (sig.values[raise_at] + 1) % p
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(sig.to_json()))
+    return str(path)
+
+
+def test_cocycle_check_rejects_one_changed_value(capsys, tmp_path):
+    """sigma(h_7, h_11) + 1 on the sl2 cone cocycle over F_3 (dim H = 27)
+    fails in both conventions."""
+    path = _sl2_cone_cocycle_file(tmp_path, 3, (7, 11))
+    for convention in ("paper", "standard"):
+        code, out, _ = run(capsys, "--eq3-convention", convention,
+                           "cocycle-check", path)
+        assert code == 1 and json.loads(out)["issues"]
+
+
+def test_twist_and_cocycle_check_at_p5(capsys, tmp_path):
+    """The sl2 cone cocycle over F_5 (dim H = 125) passes cocycle-check and
+    twists back to the opposite of the fiber."""
+    path = _sl2_cone_cocycle_file(tmp_path, 5)
+    code, out, _ = run(capsys, "cocycle-check", path)
+    assert code == 0 and json.loads(out)["ok"]
+    code, out, _ = run(capsys, "twist", "--cocycle", path)
+    data = json.loads(out)
+    assert code == 0 and data["ok"] and data["algebra"]["dim"] == 125
+
+
 def test_twist_builds_f9(capsys, tmp_path):
     cpath, hpath, rpath = _f9_cocycle_files(tmp_path)
     code, out, _ = run(capsys, "twist", "--cocycle", cpath,

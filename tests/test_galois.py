@@ -250,6 +250,165 @@ def test_invalid_cocycle_rejected():
         twisted_product(R, sig)
 
 
+def cocycle_identity_defects(sig, convention):
+    """The (nH, nH, nH) table of the triples at which the cocycle identity
+    of the convention fails, from its two sides as dense tables:
+    S1[x, y, t] = sigma(x_1, y_1) sigma(x_2 y_2, t) and S2[x, y, s] =
+    sigma(x_1, y_1) sigma(s, x_2 y_2), by convolution2."""
+    f, H, R = sig.field, sig.hopf, sig.target
+    nH, nR = H.dim, R.dim
+    mulH = H.alg.mul.reshape(nH * nH, nH, f.k)
+    A1 = ar.fmatmul(f, mulH, sig.values.reshape(nH, nH * nR, f.k))
+    A2 = ar.fmatmul(f, mulH, sig.values.transpose(1, 0, 2, 3).reshape(
+        nH, nH * nR, f.k))
+    # m multiplies in R, mR[r, (u, r1), (u, r2)] = mulR[r, r1, r2]
+    mR = ar.zeros(f, (nR, nH, nR, nH, nR))
+    mR[:, np.arange(nH), :, np.arange(nH)] = R.mul
+    mR = mR.reshape(nR, nH * nR, nH * nR, f.k)
+    S1, S2 = (convolution2(H, sig.values, T.reshape(nH, nH, nH * nR, f.k),
+                           mR).reshape(nH, nH, nH, nR, f.k) for T in (A1, A2))
+    if convention == "standard":
+        # sigma(h1, g1) sigma(h2 g2, t) = sigma(g1, t1) sigma(h, g2 t2)
+        lhs, rhs = S1, S2.transpose(2, 0, 1, 3, 4)
+    else:
+        # sigma(h1, g1) sigma(t, h2 g2) = sigma(t1, h1) sigma(t2 h2, g)
+        lhs, rhs = S2, S1.transpose(1, 2, 0, 3, 4)
+    return ((lhs - rhs) % f.p).any(axis=(3, 4))
+
+
+def sl2_cone_cocycle():
+    """The cocycle of the PBW cleaving map of the sl2 cone fiber over F_3."""
+    F = Fiber(sl2(3), FiberPoint.make(F3, [1, 0, 0]))
+    return splitting_to_cocycle(pbw_splitting(F), verify=False)
+
+
+def raised(sig, i, j):
+    """sigma with sigma(h_i, h_j) raised by one."""
+    vals = sig.values.copy()
+    vals[i, j, 0, 0] = (vals[i, j, 0, 0] + 1) % sig.field.p
+    return Cocycle(sig.hopf, sig.target, vals)
+
+
+@pytest.mark.parametrize("i, j", [(7, 11), (13, 20), (14, 22), (26, 26)])
+def test_one_changed_value_is_rejected_at_a_failing_triple(i, j):
+    """sigma(h_i, h_j) + 1 on the sl2 cone cocycle over F_3 (dim H = 27)
+    is rejected in both conventions, and each triple reported fails the
+    identity written out in full."""
+    sig = raised(sl2_cone_cocycle(), i, j)
+    for convention in ("paper", "standard"):
+        msgs = cocycle_verify(sig, convention)
+        defects = cocycle_identity_defects(sig, convention)
+        assert msgs and defects.any()
+        for msg in msgs:
+            assert msg.startswith("cocycle identity fails at triple")
+            h, g, t = map(int, msg.split("(")[1].rstrip(")").split(","))
+            assert defects[h, g, t], (convention, msg)
+        with pytest.raises(CocycleInvalid):
+            twisted_product(sig.target, sig, convention)
+
+
+@pytest.mark.parametrize("lie, point", [(borel, (1, 0)), (sl2, (1, 0, 0))])
+def test_invertibility_from_the_coradical_agrees_with_the_solve(
+        monkeypatch, lie, point):
+    """On the PBW cocycles of u(L), and with sigma(1, 1) set to 0, reading
+    invertibility off sigma(1, 1) gives the messages of the dense solve;
+    the solve does not run on u(L), which is connected."""
+    sig = splitting_to_cocycle(pbw_splitting(
+        Fiber(lie(3), FiberPoint.make(F3, point))), verify=False)
+    assert galois._is_connected(sig.hopf)
+    assert galois._sigma_conv_inverse(sig) is not None
+    broken = Cocycle(sig.hopf, sig.target, sig.values.copy())
+    broken.values[0, 0] = 0
+    assert galois._sigma_conv_inverse(broken) is None
+    for s in (sig, broken):
+        want = ([] if s is sig else [
+            "unit condition sigma(h (x) 1) = eps(h) 1 fails",
+            "unit condition sigma(1 (x) h) = eps(h) 1 fails",
+            "sigma is not convolution invertible"])
+        with monkeypatch.context() as m:
+            m.setattr(galois, "_sigma_conv_inverse", None)
+            assert cocycle_verify(s) == want
+        with monkeypatch.context() as m:
+            m.setattr(galois, "_is_connected", lambda H: False)
+            assert cocycle_verify(s) == want
+
+
+def test_associative_twist_by_a_non_invertible_sigma():
+    """sigma(g, g) = 0 on F_3[Z/2], normalised, satisfies the cocycle
+    identity: the twisted product is F_3[T]/(T^2).  F_3[Z/2] is not
+    connected (g is grouplike), so the dense solve finds no inverse."""
+    Z2 = group_algebra(F3, cyclic_group_table(2))
+    R = scalar_algebra(F3)
+    vals = np.ones((2, 2, 1, 1), dtype=np.int64)
+    vals[1, 1, 0, 0] = 0
+    sig = Cocycle(Z2, R, vals)
+    assert not galois._is_connected(Z2)
+    assert not any(cocycle_identity_defects(sig, c).any()
+                   for c in ("paper", "standard"))
+    assert cocycle_verify(sig) == ["sigma is not convolution invertible"]
+    A = galois._twisted_product(R, sig, "paper")
+    assert fdalg.algebra_verify(A) == []
+    assert not A.multiply(A.basis_vector(1), A.basis_vector(1)).any()
+    with pytest.raises(CocycleInvalid, match="not convolution invertible"):
+        twisted_product(R, sig)
+
+
+def test_a_target_or_hopf_algebra_failing_verification_is_reported():
+    """The trivial cocycle holds, but into a commutative R that is not
+    associative (x x = y, x y = 1, y y = 0) cocycle_verify reports R; over
+    F_3[Z/2] with Delta(g) = g (x) 1, which breaks the counit law, the
+    twisted product fails with no failing triple, and that is reported."""
+    Z2 = group_algebra(F3, cyclic_group_table(2))
+    mul = np.zeros((3, 3, 3, 1), dtype=np.int64)
+    mul[0, [0, 1, 2], [0, 1, 2]] = mul[[1, 2], 0, [1, 2]] = 1
+    mul[1, 1, 2] = mul[1, 2, 0] = mul[2, 1, 0] = 1
+    R = SCAlgebra(F3, mul, ar.identity(F3, 3)[0])
+    assert cocycle_verify(trivial_cocycle(Z2, R)) == [
+        "cocycle target algebra fails verification: associativity violated "
+        "at triple (1,1,2)"]
+    comul = Z2.comul.dense(2, 2)
+    comul[1] = 0
+    comul[1, 1, 0] = 1
+    H = hopf.HopfAlgebra(Z2.alg, comul, Z2.counit, Z2.antipode)
+    sig = trivial_cocycle(H, scalar_algebra(F3))
+    assert cocycle_verify(sig)[0] == (
+        "twisted product fails verification: unit: left multiplication by "
+        "the unit is not the identity")
+    with pytest.raises(CocycleInvalid, match="twisted product fails"):
+        twisted_product(sig.target, sig)
+
+
+def test_each_twisted_product_is_built_once(monkeypatch):
+    """twisted_product returns the algebra its cocycle check built;
+    cocycle_transform builds R #_sigma H and R #_tau H once each."""
+    sig, u = _gauge_case("sl2-cone")
+    real, built = galois._twisted_product, []
+
+    def counted(*args):
+        built.append(real(*args))
+        return built[-1]
+    monkeypatch.setattr(galois, "_twisted_product", counted)
+    A = twisted_product(sig.target, sig)
+    assert built == [A]
+    built.clear()
+    cocycle_transform(sig, u)
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("point", [(0, 1, 0), (1, 0, 0), (0, 0, 0)],
+                         ids=["regular", "cone", "zero"])
+def test_twisted_product_round_trip_at_p5(point):
+    """The PBW cocycle of an sl2 fiber over F_5 (dim H = 125) twists back
+    to the fiber under "standard" and to its opposite under "paper", by
+    the public twisted_product with its full cocycle check."""
+    F = Fiber(sl2(5), FiberPoint.make(Field(5), point))
+    sig = splitting_to_cocycle(pbw_splitting(F), verify=False)
+    for convention, want in (("standard", F.alg.mul),
+                             ("paper", F.alg.mul.transpose(1, 0, 2, 3))):
+        A = twisted_product(sig.target, sig, convention)
+        assert np.array_equal(A.mul, want), convention
+
+
 # ---------------------------------------------------------------------------
 # splittings and section cocycles
 # ---------------------------------------------------------------------------
@@ -491,8 +650,8 @@ def test_cocycle_transform_matches_the_term_pair_reference(
                          ids=["borel-dim9", "sl2-dim27"])
 def test_unknown_convention_is_a_typed_error_before_any_work(
         monkeypatch, lie, point):
-    """Below and above COCYCLE_TRIPLE_DIM, an unknown convention raises
-    UnknownKind on entry to every function that takes one."""
+    """At dim H = 9 and 27, an unknown convention raises UnknownKind on
+    entry to every function that takes one."""
     F = Fiber(lie(3), FiberPoint.make(F3, point))
     sp = pbw_splitting(F)
     sig = splitting_to_cocycle(sp, "standard")
@@ -505,7 +664,8 @@ def test_unknown_convention_is_a_typed_error_before_any_work(
         raise AssertionError("work done before the convention check")
 
     for name in ("cocycle_pairs", "convolution2", "conv_inverse",
-                 "coinvariants", "_is_algebra_map", "_sigma_conv_inverse"):
+                 "coinvariants", "_is_algebra_map", "_sigma_conv_inverse",
+                 "_twisted_product", "hopf_verify"):
         monkeypatch.setattr(galois, name, no_work)
     calls = [lambda c: splitting_to_cocycle(sp, c),
              lambda c: cocycle_verify(sig, c),
