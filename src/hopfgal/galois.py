@@ -392,13 +392,12 @@ def cocycle_verify(sig: Cocycle, convention: str = "paper") -> list[str]:
     """Empty iff sigma has a commutative target that passes algebra_verify,
     satisfies the unit conditions and the cocycle identity of the chosen
     convention, and is convolution invertible.  For normalised sigma and a
-    Hopf algebra H the identity holds iff
-    R #_sigma H is associative (Blattner, Cohen and Montgomery, Trans. AMS
-    298, 1986, Lemma 4.5): one build of it (`_twisted_product`, kept as
-    sig._product when it passes) goes through `algebra_verify`.  For
-    connected H (`_is_connected`) sigma is invertible iff sigma(1, 1) is
-    (Takeuchi 1971; Montgomery, CBMS 82, 1993, Lemma 5.2.10); otherwise
-    its inverse is solved for."""
+    Hopf algebra H the identity holds iff R #_sigma H is associative
+    (Blattner, Cohen and Montgomery, Trans. AMS 298, 1986, Lemma 4.5): one
+    build of it (`_twisted_product`, kept as sig._product when it passes)
+    goes through `algebra_verify`.  For connected H (`_is_connected`) sigma
+    is invertible iff sigma(1, 1) is (Takeuchi 1971; Montgomery, CBMS 82,
+    1993, Lemma 5.2.10); otherwise its inverse is solved for."""
     _check_convention(convention)
     f, H, R, vals = sig.field, sig.hopf, sig.target, sig.values
     nH, nR, uH = H.dim, R.dim, H.alg.unit

@@ -320,11 +320,10 @@ def test_invertibility_from_the_coradical_agrees_with_the_solve(
     broken = Cocycle(sig.hopf, sig.target, sig.values.copy())
     broken.values[0, 0] = 0
     assert galois._sigma_conv_inverse(broken) is None
-    for s in (sig, broken):
-        want = ([] if s is sig else [
+    for s, want in ((sig, []), (broken, [
             "unit condition sigma(h (x) 1) = eps(h) 1 fails",
             "unit condition sigma(1 (x) h) = eps(h) 1 fails",
-            "sigma is not convolution invertible"])
+            "sigma is not convolution invertible"])):
         with monkeypatch.context() as m:
             m.setattr(galois, "_sigma_conv_inverse", None)
             assert cocycle_verify(s) == want
