@@ -591,7 +591,8 @@ def _primitive_idempotents_split_commutative(E: SCAlgebra):
         split = False
         for gi in range(basis.shape[0]):
             z = basis[gi]
-            minpoly = _minimal_polynomial(E, z, unit, basis)
+            minpoly, _ = _minimal_polynomial(f, E._pair_product, z, unit,
+                                             basis.shape[0])
             fac = minpoly.factor()
             if any(g.degree > 1 or m > 1 for g, m in fac):
                 raise ConsistencyCheckFailed("component not split semisimple")
@@ -623,27 +624,30 @@ def _primitive_idempotents_split_commutative(E: SCAlgebra):
     return done
 
 
-def _minimal_polynomial(A: SCAlgebra, z: np.ndarray, unit: np.ndarray,
-                        space: np.ndarray) -> Poly:
-    """Minimal polynomial of multiplication by z on the unital component
-    spanned by `space` (rref rows), with identity `unit`."""
-    f = A.field
+def _minimal_polynomial(field: Field, product, z: np.ndarray,
+                        unit: np.ndarray, dim: int):
+    """(mu, powers): the minimal polynomial mu of z under `product`, a
+    unital associative product with identity `unit` on a space of dimension
+    dim that holds the powers of z, and the powers z^0, ..., z^(deg mu - 1)
+    it made, each flattened to one row of coordinates: (deg mu, n, k)."""
     powers = [unit]
     cur = unit
     while True:
-        cur = A._pair_product(cur, z)
-        stacked = np.stack(powers + [cur])
-        R, piv = ar.rref(f, stacked)
+        cur = product(cur, z)
+        stacked = np.stack(powers + [cur]).reshape(len(powers) + 1, -1,
+                                                   field.k)
+        R, piv = ar.rref(field, stacked)
         if R.shape[0] < len(powers) + 1:
             # dependence: solve for coefficients
-            M = np.stack(powers).transpose(1, 0, 2)
-            sol = ar.solve(f, M, cur)
+            sol = ar.solve(field, stacked[:-1].transpose(1, 0, 2),
+                           stacked[-1])
             if sol is None:
                 raise ConsistencyCheckFailed(
                     "dependent power is not a combination of the lower ones")
-            return Poly(f, list(-sol % f.p) + [f.one])
+            mu = Poly(field, list(-sol % field.p) + [field.one])
+            return mu, stacked[:-1]
         powers.append(cur)
-        if len(powers) > space.shape[0] + 1:
+        if len(powers) > dim + 1:
             raise ConsistencyCheckFailed(
                 "minimal polynomial search exceeded dimension")
 

@@ -63,6 +63,7 @@ from .hopf import (
     Integral,
     LinMap,
     Terms,
+    _conv_inverse,
     chunk_runs,
     cocycle_pairs,
     conv_inverse,
@@ -73,14 +74,7 @@ from .hopf import (
     fixed_space,
     hopf_verify,
     is_cocommutative,
-    tensor_square,
 )
-
-# without a generating set, the algebra-map law is checked on every pair
-# (the full pair scan) only up to this dimension at construction time;
-# larger comodule algebras with no known generators get the other axioms
-# only, and the full scan is exercised on small instances in the test suite
-FULL_VERIFY_DIM = 81
 
 # splitting_to_cocycle checks the cocycle it returns (cocycle_verify) by
 # default only up to this Hopf dimension
@@ -121,8 +115,7 @@ class ComoduleAlgebra:
     def field(self) -> Field:
         return self.alg.field
 
-    def verify(self, max_reports: int = 10,
-               full: bool | None = None) -> list[str]:
+    def verify(self, max_reports: int = 10) -> list[str]:
         """The failed comodule-algebra axioms, as messages (empty if none):
         the counit law, coassociativity, rho(1) = 1 (x) 1 and the
         algebra-map law rho(xy) = rho(x) rho(y).
@@ -135,9 +128,7 @@ class ComoduleAlgebra:
         induction on r, so rho is multiplicative on all of A.  Otherwise,
         and whenever a generator row fails, every pair (i, j) is checked by
         the full pair scan and each failing i reported with its first
-        failing j.  The full scan runs when full is True, or when full is
-        None and dim A <= FULL_VERIFY_DIM; where it does not, failing
-        generator rows are reported alone.  full=False skips the law."""
+        failing j."""
         f = self.field
         nA, nH = self.alg.dim, self.hopf.dim
         _, I, A, U, c = self.coaction
@@ -158,18 +149,15 @@ class ComoduleAlgebra:
         unital = not np.any((r1 - uu) % f.p)
         if not unital:
             out.append("coaction does not send the unit to 1 (x) 1")
-        if full is False:
-            return out
         gens = self.alg.generators
         bad = None
         if unital and gens is not None and self.hopf.alg.generators is not None:
             bad = self._verify_algebra_map(gens)
-        if (full or nA <= FULL_VERIFY_DIM) and (bad is None or bad.any()):
+        if bad is None or bad.any():
             bad = self._verify_algebra_map()
-        if bad is not None:
-            out += [f"coaction is not an algebra map at pair "
-                    f"({i},{np.argmax(bad[i])})" for i in np.flatnonzero(
-                        bad.any(axis=1))][:max(max_reports - len(out), 1)]
+        out += [f"coaction is not an algebra map at pair "
+                f"({i},{np.argmax(bad[i])})" for i in np.flatnonzero(
+                    bad.any(axis=1))][:max(max_reports - len(out), 1)]
         return out
 
     def _first_coassociativity_failure(self) -> int | None:
@@ -346,15 +334,15 @@ def trivial_cocycle(H: HopfAlgebra, R: SCAlgebra) -> Cocycle:
 
 def _sigma_conv_inverse(sig: Cocycle):
     """Convolution inverse of sigma as an (nH, nH, nR, k) tensor, or None
-    if sigma is not invertible: `hopf.conv_inverse` over the coalgebra
-    H (x) H."""
-    f, nH, nR = sig.field, sig.hopf.dim, sig.target.dim
+    if sigma is not invertible: `hopf._conv_inverse` under the convolution
+    of H (x) H into R (`convolution2` with R's product), whose unit is the
+    trivial cocycle."""
+    H, R = sig.hopf, sig.target
     try:
-        inv = conv_inverse(tensor_square(sig.hopf), sig.target, LinMap(
-            f, sig.values.reshape(nH * nH, nR, f.k)))
+        return _conv_inverse(sig.field, lambda x, y: convolution2(
+            H, x, y, R.mul), sig.values, trivial_cocycle(H, R).values)
     except NotConvInvertible:
         return None
-    return inv.matrix.reshape(nH, nH, nR, f.k)
 
 
 def _is_connected(H: HopfAlgebra) -> bool:
@@ -397,14 +385,15 @@ def cocycle_verify(sig: Cocycle, convention: str = "paper") -> list[str]:
     build of it (`_twisted_product`, kept as sig._product when it passes)
     goes through `algebra_verify`.  For connected H (`_is_connected`) sigma
     is invertible iff sigma(1, 1) is (Takeuchi 1971; Montgomery, CBMS 82,
-    1993, Lemma 5.2.10); otherwise its inverse is solved for."""
+    1993, Lemma 5.2.10); otherwise `_sigma_conv_inverse` looks for its
+    inverse among the polynomials in sigma."""
     _check_convention(convention)
     f, H, R, vals = sig.field, sig.hopf, sig.target, sig.values
     nH, nR, uH = H.dim, R.dim, H.alg.unit
     sig._product = None
     if not R.is_commutative():
         return ["cocycle target algebra is not commutative"]
-    if bad := algebra_verify(R):
+    if bad := algebra_verify(R, max_reports=1):
         return ["cocycle target algebra fails verification: " + bad[0]]
     # s[0, h] = sigma(h (x) 1) and s[1, h] = sigma(1 (x) h), against eps(h) 1
     s = ar.fmatmul(f, uH[None], np.stack([vals.transpose(1, 0, 2, 3), vals],
@@ -415,7 +404,7 @@ def cocycle_verify(sig: Cocycle, convention: str = "paper") -> list[str]:
            zip(("h (x) 1", "1 (x) h"), s) if np.any((v - want) % f.p)]
     if not out:
         A = _twisted_product(R, sig, convention)
-        bad = algebra_verify(A)
+        bad = algebra_verify(A, max_reports=1)
         if bad:
             out += [f"cocycle identity fails at triple ({h},{g},{t})"
                     for h, g, t in itertools.islice(

@@ -28,6 +28,7 @@ from .exactfield import Field
 from .fdalg import (
     SCAlgebra,
     _is_algebra_map,
+    _minimal_polynomial,
     algebra_verify,
     decode_array,
     encode_array,
@@ -108,29 +109,6 @@ def fixed_space(field: Field, n: int, x, y, z, coef, unit) -> np.ndarray:
     return ar.nullspace(field, M.reshape(rows.size, n, field.k))
 
 
-class Coalgebra(NamedTuple):
-    """A coalgebra as the convolutions read it (a HopfAlgebra reads alike):
-    dimension, coproduct `Terms` and counit (n, k)."""
-    field: Field
-    dim: int
-    comul: Terms
-    counit: np.ndarray
-
-
-def tensor_square(H) -> Coalgebra:
-    """The coalgebra H (x) H on the basis h_i (x) h_j, index i nH + j."""
-    f, n = H.field, H.dim
-    ptr, _, A, B, c = H.comul
-    # the terms s of Delta(h_i) and t of Delta(h_j) of each pair q = (i, j)
-    q, s = ar.csr_expand(ptr, np.arange(n * n) // n)
-    u, t = ar.csr_expand(ptr, q % n)
-    q, s = q[u], s[u]
-    return Coalgebra(f, n * n, Terms(
-        np.searchsorted(q, np.arange(n * n + 1)), q, A[s] * n + A[t],
-        B[s] * n + B[t], ar.fmul(f, c[s], c[t])), ar.fmul(
-            f, H.counit[:, None], H.counit[None]).reshape(n * n, f.k))
-
-
 @dataclass
 class Integral:
     """A functional on a Hopf algebra, stored by its values on the basis."""
@@ -209,7 +187,7 @@ def hopf_verify(H: HopfAlgebra, max_reports: int = 20) -> list[str]:
     if out:
         return out
     out += ["regular coaction: " + m for m in ComoduleAlgebra(
-        H.alg, H, H.comul, check=False).verify(max_reports, full=True)]
+        H.alg, H, H.comul, check=False).verify(max_reports)]
     # left counit law: sum eps(b_a) c b_b over the terms c b_a (x) b_b = b_i
     eps = H.counit
     _, I, A, B, c = H.comul
@@ -245,14 +223,14 @@ def is_cocommutative(H: HopfAlgebra) -> bool:
 # convolution
 # ---------------------------------------------------------------------------
 
-def conv_unit(H: HopfAlgebra | Coalgebra, A: SCAlgebra) -> LinMap:
+def conv_unit(H: HopfAlgebra, A: SCAlgebra) -> LinMap:
     """The convolution unit: h -> eps(h) 1_A."""
     f = H.field
     mat = ar.fmul(f, H.counit[:, None, :], A.unit[None, :, :])
     return LinMap(f, mat)
 
 
-def convolution(H: HopfAlgebra | Coalgebra, A: SCAlgebra, fmap: LinMap,
+def convolution(H: HopfAlgebra, A: SCAlgebra, fmap: LinMap,
                 g: LinMap) -> LinMap:
     """(f * g)(h) = f(h_1) g(h_2) computed in A."""
     f = H.field
@@ -439,32 +417,39 @@ def convolution2(C, F: np.ndarray, G: np.ndarray, m: np.ndarray | None,
     return out.reshape(i1 - i0, n, nOut, k)
 
 
-def conv_inverse(H: HopfAlgebra | Coalgebra, A: SCAlgebra,
-                 fmap: LinMap) -> LinMap:
-    """Two-sided convolution inverse of f: H -> A, by a direct linear solve."""
+def _conv_inverse(field: Field, product, x: np.ndarray,
+                  unit: np.ndarray) -> np.ndarray:
+    """The two-sided inverse of x under `product`, the convolution of a
+    finite-dimensional coalgebra into an associative algebra, with unit
+    `unit`; NotConvInvertible if there is none.  Under convolution the maps
+    form a unital algebra (Montgomery, CBMS 82, 1993), so an invertible x is
+    a polynomial in x: with mu its minimal polynomial
+    (`fdalg._minimal_polynomial`), x^-1 = -mu(0)^-1 (mu(x) - mu(0))/x.
+    mu(0) = 0 makes x a zero divisor.  The inverse is checked by one
+    product on each side."""
+    mu, powers = _minimal_polynomial(field, product, x, unit,
+                                     x.size // field.k)
+    c0, *rest = mu.coeffs
+    if c0.is_zero():
+        raise NotConvInvertible("map is a zero divisor under convolution")
+    scale = -c0.inverse()
+    w = np.array([(scale * c).coeffs for c in rest], dtype=np.int64)
+    inv = ar.fmatmul(field, w[None], powers)[0].reshape(x.shape)
+    for left, right in ((inv, x), (x, inv)):
+        if np.any((product(left, right) - unit) % field.p):
+            raise NotConvInvertible("solution is not a two-sided inverse")
+    return inv
+
+
+def conv_inverse(H: HopfAlgebra, A: SCAlgebra, fmap: LinMap) -> LinMap:
+    """Two-sided convolution inverse of f: H -> A (`_conv_inverse` under
+    `convolution`)."""
     f = H.field
-    nH, nA = H.dim, A.dim
-    if fmap.matrix.shape != (nH, nA, f.k):
+    if fmap.matrix.shape != (H.dim, A.dim, f.k):
         raise ShapeMismatch("map must go from H into A")
-    # unknowns g[b, m2]; equations (i, c): sum f(h_a) b_m2 g[b, m2] =
-    # eps_i 1_c over the terms h_a (x) h_b of Delta(h_i); K[(i, b), (m2, c)]
-    # sums them
-    _, I, Ia, Ib, c = H.comul
-    K = ar.fmatmul(f, ar.sparse_times_dense(f, nH * nH, I * nH + Ib, Ia, c,
-                                            fmap.matrix),
-                   A.mul.reshape(nA, nA * nA, f.k))
-    M = K.reshape(nH, nH, nA, nA, f.k).transpose(0, 3, 1, 2, 4).reshape(
-        nH * nA, nH * nA, f.k)  # ((i,c), (b,m2))
-    target = ar.fmul(f, H.counit[:, None, :], A.unit[None, :, :])
-    rhs = target.reshape(nH * nA, f.k)
-    sol = ar.solve(f, M, rhs)
-    if sol is None:
-        raise NotConvInvertible("no right convolution inverse exists")
-    g = LinMap(f, sol.reshape(nH, nA, f.k))
-    unit = conv_unit(H, A)
-    if convolution(H, A, g, fmap) != unit or convolution(H, A, fmap, g) != unit:
-        raise NotConvInvertible("solution is not a two-sided inverse")
-    return g
+    return LinMap(f, _conv_inverse(f, lambda x, y: convolution(
+        H, A, LinMap(f, x), LinMap(f, y)).matrix, fmap.matrix,
+        conv_unit(H, A).matrix))
 
 
 # ---------------------------------------------------------------------------

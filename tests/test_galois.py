@@ -1,16 +1,18 @@
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from hopfgal import _arrays as ar
-from hopfgal import fdalg, galois, hopf
+from hopfgal import fdalg, galois, hopf, resliealg
 from hopfgal.errors import (
     CocycleInvalid,
     NoOneDimRep,
     NotAlgebraMap,
     NotCocommutative,
+    NotConvInvertible,
     PremiseFailed,
     ShapeMismatch,
     UnknownKind,
@@ -159,7 +161,6 @@ def test_algebra_map_check_reports_a_non_additive_grading(
         assert CA.verify() == want
         assert CA.verify(max_reports=2) == want[:2]
         assert CA.verify(max_reports=0) == want[:1]
-        assert CA.verify(full=False) == []
         with pytest.raises(ShapeMismatch) as err:
             ComoduleAlgebra(A, Z2, rho)
         assert str(err.value) == "; ".join(want)
@@ -311,8 +312,8 @@ def test_one_changed_value_is_rejected_at_a_failing_triple(i, j):
 def test_invertibility_from_the_coradical_agrees_with_the_solve(
         monkeypatch, lie, point):
     """On the PBW cocycles of u(L), and with sigma(1, 1) set to 0, reading
-    invertibility off sigma(1, 1) gives the messages of the dense solve;
-    the solve does not run on u(L), which is connected."""
+    invertibility off sigma(1, 1) gives the messages of
+    `_sigma_conv_inverse`, which does not run on u(L), a connected H."""
     sig = splitting_to_cocycle(pbw_splitting(
         Fiber(lie(3), FiberPoint.make(F3, point))), verify=False)
     assert galois._is_connected(sig.hopf)
@@ -335,7 +336,8 @@ def test_invertibility_from_the_coradical_agrees_with_the_solve(
 def test_associative_twist_by_a_non_invertible_sigma():
     """sigma(g, g) = 0 on F_3[Z/2], normalised, satisfies the cocycle
     identity: the twisted product is F_3[T]/(T^2).  F_3[Z/2] is not
-    connected (g is grouplike), so the dense solve finds no inverse."""
+    connected (g is grouplike), so `_sigma_conv_inverse` runs and finds no
+    inverse, as the dense solve does."""
     Z2 = group_algebra(F3, cyclic_group_table(2))
     R = scalar_algebra(F3)
     vals = np.ones((2, 2, 1, 1), dtype=np.int64)
@@ -344,12 +346,150 @@ def test_associative_twist_by_a_non_invertible_sigma():
     assert not galois._is_connected(Z2)
     assert not any(cocycle_identity_defects(sig, c).any()
                    for c in ("paper", "standard"))
+    assert galois._sigma_conv_inverse(sig) is None
+    assert dense_conv_inverse(tensor_square(Z2), R,
+                              vals.reshape(4, 1, 1)) is None
     assert cocycle_verify(sig) == ["sigma is not convolution invertible"]
     A = galois._twisted_product(R, sig, "paper")
     assert fdalg.algebra_verify(A) == []
     assert not A.multiply(A.basis_vector(1), A.basis_vector(1)).any()
     with pytest.raises(CocycleInvalid, match="not convolution invertible"):
         twisted_product(R, sig)
+
+
+# ---------------------------------------------------------------------------
+# convolution inverses against the dense solve
+# ---------------------------------------------------------------------------
+
+class Coalgebra(NamedTuple):
+    """A coalgebra as hopf.convolution and hopf.conv_unit read it."""
+    field: Field
+    dim: int
+    comul: hopf.Terms
+    counit: np.ndarray
+
+
+def tensor_square(H):
+    """The coalgebra H (x) H on the basis h_i (x) h_j, index i nH + j."""
+    f, n = H.field, H.dim
+    ptr, _, A, B, c = H.comul
+    # the terms s of Delta(h_i) and t of Delta(h_j) of each pair q = (i, j)
+    q, s = ar.csr_expand(ptr, np.arange(n * n) // n)
+    u, t = ar.csr_expand(ptr, q % n)
+    q, s = q[u], s[u]
+    return Coalgebra(f, n * n, hopf.Terms(
+        np.searchsorted(q, np.arange(n * n + 1)), q, A[s] * n + A[t],
+        B[s] * n + B[t], ar.fmul(f, c[s], c[t])), ar.fmul(
+            f, H.counit[:, None], H.counit[None]).reshape(n * n, f.k))
+
+
+def dense_conv_inverse(C, A, fmat):
+    """Reference: the two-sided convolution inverse of fmat (nC, nA, k),
+    a map from a coalgebra C into A, by one dense linear solve in the nC nA
+    unknowns g[b, m], or None.  The equations (i, c) say f * g = eps 1:
+    K[(i, b), (m, c)] sums f(h_a) b_m over the terms h_a (x) h_b of
+    Delta(h_i)."""
+    f, nC, nA = C.field, C.dim, A.dim
+    _, I, Ia, Ib, c = C.comul
+    K = ar.fmatmul(f, ar.sparse_times_dense(f, nC * nC, I * nC + Ib, Ia, c,
+                                            fmat),
+                   A.mul.reshape(nA, nA * nA, f.k))
+    M = K.reshape(nC, nC, nA, nA, f.k).transpose(0, 3, 1, 2, 4).reshape(
+        nC * nA, nC * nA, f.k)
+    unit = hopf.conv_unit(C, A)
+    sol = ar.solve(f, M, unit.matrix.reshape(nC * nA, f.k))
+    if sol is None:
+        return None
+    g, fm = LinMap(f, sol.reshape(nC, nA, f.k)), LinMap(f, fmat)
+    if convolution(C, A, g, fm) != unit or convolution(C, A, fm, g) != unit:
+        return None
+    return g.matrix
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 9])
+def test_conv_inverse_matches_the_dense_solve_on_group_algebras(n):
+    """25 seeded maps F_3[Z/n] -> F_3[Z/n]: every other one sends each g to
+    a nonzero multiple of a group element (invertible), the rest are dense
+    random (mostly not).  The inverse, and whether there is one, is the
+    dense solve's."""
+    H = group_algebra(F3, cyclic_group_table(n))
+    rng = np.random.default_rng(22 + n)
+    invertible = []
+    for t in range(25):
+        if t % 2:
+            fmat = rng.integers(0, 3, (n, n, 1))
+        else:
+            fmat = np.zeros((n, n, 1), dtype=np.int64)
+            fmat[np.arange(n), rng.integers(0, n, n), 0] = rng.integers(
+                1, 3, n)
+        want = dense_conv_inverse(H, H.alg, fmat)
+        if want is None:
+            with pytest.raises(NotConvInvertible):
+                conv_inverse(H, H.alg, LinMap(F3, fmat))
+        else:
+            assert np.array_equal(
+                conv_inverse(H, H.alg, LinMap(F3, fmat)).matrix, want)
+        invertible.append(want is not None)
+    assert any(invertible) and not all(invertible)
+
+
+@pytest.mark.parametrize("field", [F3, Field(3, 2)], ids=["F_3", "F_9"])
+def test_conv_inverse_of_the_identity_on_u_sl2_solves_a_small_system(
+        monkeypatch, field):
+    """On u(sl2) at p = 3 the inverse of id is the antipode, as the dense
+    solve finds; `_arrays.solve` is asked for at most 8 unknowns, the
+    coefficients of the minimal polynomial of id, where the dense solve
+    has 729."""
+    H, _ = u_restricted(sl2(3), field)
+    ident = ar.identity(field, H.dim)
+    want = dense_conv_inverse(H, H.alg, ident)
+    unknowns, solve = [], ar.solve
+
+    def counted(f, M, b):
+        unknowns.append(M.shape[1])
+        return solve(f, M, b)
+    monkeypatch.setattr(ar, "solve", counted)
+    got = conv_inverse(H, H.alg, LinMap(field, ident)).matrix
+    assert np.array_equal(got, want) and np.array_equal(got, H.antipode)
+    assert 0 < max(unknowns) <= 8
+
+
+@pytest.mark.parametrize("lie, point", [
+    (borel, (1, 0)), (borel, (0, 1)), (borel, (0, 0)),
+    (sl2, (0, 0, 1)), (sl2, (1, 0, 0)), (sl2, (0, 0, 0))],
+    ids=["borel-h", "borel-e", "borel-zero", "sl2-regular", "sl2-cone",
+         "sl2-zero"])
+def test_sigma_inverse_matches_the_dense_solve(lie, point):
+    """sigma^-1 of the PBW cocycle of a fiber of each stratum over F_3, and
+    the verdict on sigma with sigma(1, 1) set to 0, against the dense
+    solve over H (x) H."""
+    sig = splitting_to_cocycle(pbw_splitting(
+        Fiber(lie(3), FiberPoint.make(F3, point))), verify=False)
+    H, R = sig.hopf, sig.target
+    broken = sig.values.copy()
+    broken[0, 0] = 0
+    for vals, invertible in ((sig.values, True), (broken, False)):
+        want = dense_conv_inverse(tensor_square(H), R, vals.reshape(
+            H.dim ** 2, R.dim, 1))
+        got = galois._sigma_conv_inverse(Cocycle(H, R, vals))
+        assert (want is not None) == (got is not None) == invertible
+        assert not invertible or np.array_equal(got.reshape(want.shape),
+                                                want)
+
+
+@pytest.mark.parametrize("point", [(0, 0, 1), (1, 0, 0)],
+                         ids=["regular", "cone"])
+def test_conv_inverses_at_p5(point):
+    """At p = 5 (dim u(sl2) = 125), where the dense system has 15625^2
+    cells: the inverse of id is the antipode, and a Splitting built with
+    no declared inverse finds the PBW inverse rows."""
+    F = Fiber(sl2(5), FiberPoint.make(Field(5), point))
+    sp = pbw_splitting(F)
+    H = sp.CA.hopf
+    inv = conv_inverse(H, H.alg, LinMap(F.field, ar.identity(F.field, H.dim)))
+    assert np.array_equal(inv.matrix, H.antipode)
+    assert np.array_equal(Splitting(sp.CA, sp.gamma).inverse.matrix,
+                          resliealg._pbw_inverse_rows(F))
 
 
 def test_a_target_or_hopf_algebra_failing_verification_is_reported():
@@ -663,8 +803,8 @@ def test_unknown_convention_is_a_typed_error_before_any_work(
         raise AssertionError("work done before the convention check")
 
     for name in ("cocycle_pairs", "convolution2", "conv_inverse",
-                 "coinvariants", "_is_algebra_map", "_sigma_conv_inverse",
-                 "_twisted_product", "hopf_verify"):
+                 "_conv_inverse", "coinvariants", "_is_algebra_map",
+                 "_sigma_conv_inverse", "_twisted_product", "hopf_verify"):
         monkeypatch.setattr(galois, name, no_work)
     calls = [lambda c: splitting_to_cocycle(sp, c),
              lambda c: cocycle_verify(sig, c),
@@ -972,7 +1112,7 @@ def test_algebra_map_failures_match_pair_loop(monkeypatch, case):
     for terms in (hopf.CONV_CHUNK_TERMS, 8, 1):
         monkeypatch.setattr(hopf, "CONV_CHUNK_TERMS", terms)
         assert np.array_equal(CA._verify_algebra_map(), want), terms
-        assert [r for r in CA.verify(10 ** 6, full=True)
+        assert [r for r in CA.verify(10 ** 6)
                 if "algebra map" in r] == reports
 
 
@@ -1005,11 +1145,11 @@ def test_coassociativity_fails_at_the_corrupted_index(monkeypatch, lie, field,
                              {entry: [1] + [0] * (field.k - 1)})
     i = first_coassociativity_failure_loop(CA)
     assert i is not None
-    want = f"coaction coassociativity fails at basis index {i}"
+    assert f"coaction coassociativity fails at basis index {i}" in \
+        CA.verify()
     for terms in (hopf.CONV_CHUNK_TERMS, 8, 1):
         monkeypatch.setattr(hopf, "CONV_CHUNK_TERMS", terms)
         assert CA._first_coassociativity_failure() == i
-        assert want in CA.verify(full=False)
     clean = fiber_coaction(Fiber(lie, FiberPoint.make(field, point)))
     assert clean._first_coassociativity_failure() is None
 
@@ -1076,23 +1216,24 @@ def test_generator_rows_agree_with_the_full_pair_scan(monkeypatch, case):
     assert np.array_equal(rows[list(gens)], full[list(gens)])
     assert not rows[np.setdiff1d(np.arange(CA.alg.dim), gens)].any()
     assert rows.any() == full.any() == (case != "intact")
-    reports = CA.verify(10 ** 6, full=True)
+    reports = CA.verify(10 ** 6)
     _refuse_scan(monkeypatch, "generator")
     CA.alg.generators = None
-    assert CA.verify(10 ** 6, full=True) == reports
+    assert CA.verify(10 ** 6) == reports
 
 
-def test_generator_rows_alone_report_above_the_full_verify_dim(
-        monkeypatch):
-    """With the full scan gated off, failing generator rows are reported
-    by themselves, each at its first failing j."""
-    CA = _corrupted_coaction(*CORRUPTED["sl2 F_3"])
-    rows = CA._verify_algebra_map(CA.alg.generators)
-    monkeypatch.setattr(galois, "FULL_VERIFY_DIM", 8)
-    _refuse_scan(monkeypatch, "full")
-    assert [r for r in CA.verify(10 ** 6) if "algebra map" in r] == [
-        f"coaction is not an algebra map at pair ({i},{np.argmax(rows[i])})"
-        for i in np.flatnonzero(rows.any(axis=1))]
+def test_the_algebra_map_law_is_checked_at_every_dimension():
+    """F_3[Z/84] graded onto Z/2 by q = (0, 1, 0, 0, ...), not a
+    homomorphism: its algebras carry no generators, and the pair scan
+    rejects it above dimension 81 as below."""
+    G = group_algebra(F3, cyclic_group_table(84))
+    Z2 = group_algebra(F3, cyclic_group_table(2))
+    assert G.alg.generators is None
+    with pytest.raises(ShapeMismatch, match=r"^coaction is not an algebra "
+                       r"map at pair \(1,2\); .* at pair \(2,1\);"):
+        group_quotient_coaction(G, [0, 1] + [0] * 82, Z2)
+    assert group_quotient_coaction(G, [j % 2 for j in range(84)],
+                                   Z2).verify() == []
 
 
 def test_only_the_full_scan_runs_without_the_generator_premises(

@@ -286,6 +286,22 @@ def test_conv_inverse_failure():
         hopf.conv_inverse(H, H.alg, zero)
 
 
+def test_conv_inverse_is_checked_on_both_sides():
+    """In the unital algebra on 1, x, y with x x = y, y x = 1 and x y = y y
+    = 0, which is not associative, the right powers of x give x^3 = 1, so
+    the polynomial in x that would be the inverse is x^2 = y, a left
+    inverse only: the product on the other side rejects it."""
+    f = Field(3)
+    H = hopf.group_algebra(f, hopf.cyclic_group_table(1))
+    mul = ar.zeros(f, (3, 3, 3))
+    mul[0, [0, 1, 2], [0, 1, 2]] = mul[[1, 2], 0, [1, 2]] = 1
+    mul[1, 1, 2] = mul[2, 1, 0] = 1
+    A = fdalg.SCAlgebra(f, mul, [[1], [0], [0]])
+    x = hopf.LinMap(f, [[[0], [1], [0]]])
+    with pytest.raises(NotConvInvertible, match="not a two-sided inverse"):
+        hopf.conv_inverse(H, A, x)
+
+
 def test_left_integral_of_group_algebra_dual():
     # for F[G]* the left integral is the functional supported on the identity
     f = Field(3)
