@@ -3,7 +3,8 @@
 Arrays carry a trailing axis of length field.k holding coefficient vectors
 over F_p (low degree first).  All kernels reduce mod p and mod the field
 modulus.  Products go through one integer matmul, `_imatmul`, which uses
-float64 BLAS whenever every dot product stays below 2^52 and is exact.
+float32 BLAS when every dot product stays below 2^24, float64 BLAS when it
+stays below 2^52, and int64 otherwise; each is exact under its bound.
 
 At k > 1 a product x * b is sum_a x_a (t^a * b): `mul_images` gives the k
 multiplication images t^a * b (a < k) as rows of a k x k block, so `fmul`,
@@ -127,8 +128,22 @@ def fmatmul(field: Field, A, B):
 
 def _imatmul(a, b, mod):
     """Exact integer matmul mod `mod` of operands with entries in [0, mod),
-    batched over leading axes as np.matmul; uses float64 BLAS when every
-    dot product stays below 2^52."""
+    batched over leading axes as np.matmul.  Every dot product c is at most
+    inner (mod - 1)^2: in float32 BLAS when that is below 2^24, in float64
+    BLAS when it is below 2^52, else (and for small products, where the
+    conversions cost more than the matmul saves) in int64.
+
+    The float paths are exact, and reduce mod `mod` before their one cast
+    back to int64.  With B the bound (2^24 or 2^52) and c < B:
+    - the terms of c are non-negative integers, so every partial sum the
+      GEMM forms, in any order, is an integer in [0, c], exact in the type
+      (float32 holds the integers up to 2^24, float64 up to 2^53);
+    - with c = k mod + s, 0 <= s < mod, the correctly rounded quotient
+      q = fl(c / mod) is at least k (k is exact, rounding is monotone) and
+      below k + 1: rounding moves c / mod by at most c / mod 2^-24 in
+      float32 (2^-53 in float64), below 1 / mod as c < 2^24 (2^53), while
+      k + 1 - c / mod >= 1 / mod.  So floor(q) = k, and the integers
+      k mod <= c and c - k mod = s are exact."""
     inner = a.shape[-1]
     # int64 dot products of more than `step` terms could wrap: an F_{p^k}
     # image matmul has inner r k, which can pass MAX_INNER when p is large
@@ -136,13 +151,16 @@ def _imatmul(a, b, mod):
     if inner > step:
         c = _imatmul(a[..., :step], b[..., :step, :], mod)
         return (c + _imatmul(a[..., step:], b[..., step:, :], mod)) % mod
-    # the float64 BLAS path wins only on large products; small integer
-    # matmuls are exact and avoid the conversion overhead
-    if a.size * b.shape[-1] > 32768 and inner * (mod - 1) * (mod - 1) < 2 ** 52:
-        c = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    else:
-        c = a @ b
-    return c % mod
+    bound = inner * (mod - 1) ** 2
+    if a.size * b.shape[-1] <= 32768 or bound >= 2 ** 52:
+        return a @ b % mod
+    ftype = np.float32 if bound < 2 ** 24 else np.float64
+    c = a.astype(ftype) @ b.astype(ftype)
+    q = c / ftype(mod)
+    np.floor(q, out=q)
+    q *= mod
+    c -= q
+    return c.astype(np.int64)
 
 
 def scalar_inv(field: Field, a) -> np.ndarray:

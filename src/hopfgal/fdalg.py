@@ -26,6 +26,8 @@ from .exactfield import Field, Poly
 
 DIM_CAP = 512
 SPLITTING_DEGREE_CAP = 12
+# cells of the radical's trace-power stack raised together
+TRACE_BLOCK_CELLS = 2 ** 20
 
 
 class Subspace:
@@ -353,15 +355,16 @@ def _radical_prime(A: SCAlgebra) -> np.ndarray:
         if d == 0:
             break
         full = _full_rank(space)
+        e, mod = p ** i, p ** (i + 1)
+        # integer lifts of the d left multiplications, W[r, s, m]; mod p
+        # they are all products space[r] * b_s at once
+        W = mul if full else ar._imatmul(
+            space[:, :, 0], mul.reshape(n, n * n), mod).reshape(d, n, n)
         # the level map is additive and F_p-linear on the current ideal, so
         # its values on the ideal basis determine all constraint entries
         if i == 0:
             valv = space[:, :, 0] @ traces % p
         else:
-            e, mod = p ** i, p ** (i + 1)
-            # integer lifts of the d left multiplications
-            W = mul if full else ar._imatmul(
-                space[:, :, 0], mul.reshape(n, n * n), mod).reshape(d, n, n)
             tr = _stack_trace_power(W, e, mod)
             if np.any(tr % e):
                 raise RadicalChainFailed(
@@ -370,10 +373,8 @@ def _radical_prime(A: SCAlgebra) -> np.ndarray:
         if full:
             coords = mul
         else:
-            # all products space[r] * b_s at once: prods[r, s, m]
-            prods = ar.fmatmul(f, space, A.mul.reshape(n, n * n, 1))
             cc = ar.coords_in_row_space_many(f, space,
-                                             prods.reshape(d * n, n, 1))
+                                             (W % p).reshape(d * n, n, 1))
             if cc is None:
                 raise RadicalChainFailed("trace-chain space is not an ideal")
             coords = cc.reshape(d, n, d)  # (r, s, t): ideal coordinates
@@ -396,12 +397,20 @@ def _stack_trace_power(W, e, mod):
     entries in [0, mod).  Square and multiply ends in the sum Tr(A B) =
     sum(A * B^T) instead of its last product.  The sum is exact in int64
     when n^2 mod^2 < 2^63; the trace chain has mod <= n^2 <= 2^18 at every
-    level i >= 1 (mod = p^(i+1) with p^i <= n)."""
+    level i >= 1 (mod = p^(i+1) with p^i <= n).
+
+    The stack is raised TRACE_BLOCK_CELLS cells (and at least one matrix)
+    at a time: a square or multiply holds the block's power in int64 and
+    `_imatmul`'s float copies and result, about 32 bytes a cell, so 32 MB a
+    block, where the p = 7 stack of 343 (343, 343) matrices has 40 M cells.
+    The p = 5 stack of 125 (125, 125) matrices takes two blocks."""
     if e == 1:
         return np.trace(W, axis1=1, axis2=2) % mod
-    return ar.binary_power(
-        W, e, lambda a, b: ar._imatmul(a, b, mod),
+    size = max(1, TRACE_BLOCK_CELLS // (W.shape[1] * W.shape[2]))
+    return np.concatenate([ar.binary_power(
+        W[s:s + size], e, lambda a, b: ar._imatmul(a, b, mod),
         last=lambda a, b: np.einsum("tjk,tkj->t", a, b) % mod)
+        for s in range(0, W.shape[0], size)])
 
 
 def radical(A: SCAlgebra) -> Subspace:

@@ -125,10 +125,12 @@ class ComoduleAlgebra:
         associative and unital) and rho(1) = 1 (x) 1 has passed: then
         rho(g b_j) = rho(g) rho(b_j) for every generator g and basis vector
         b_j gives rho(g_1 ... g_r y) = rho(g_1) ... rho(g_r) rho(y) by
-        induction on r, so rho is multiplicative on all of A.  Otherwise,
-        and whenever a generator row fails, every pair (i, j) is checked by
-        the full pair scan and each failing i reported with its first
-        failing j."""
+        induction on r, so rho is multiplicative on all of A.  An algebra
+        without generators (every algebra read from JSON) is first put
+        through `algebra_verify`, which sets them when it passes.  When it
+        fails, and whenever a generator row fails, every pair (i, j) is
+        checked by the full pair scan and each failing i reported with its
+        first failing j."""
         f = self.field
         nA, nH = self.alg.dim, self.hopf.dim
         _, I, A, U, c = self.coaction
@@ -149,10 +151,11 @@ class ComoduleAlgebra:
         unital = not np.any((r1 - uu) % f.p)
         if not unital:
             out.append("coaction does not send the unit to 1 (x) 1")
-        gens = self.alg.generators
         bad = None
-        if unital and gens is not None and self.hopf.alg.generators is not None:
-            bad = self._verify_algebra_map(gens)
+        if unital and all(B.generators is not None
+                          or not algebra_verify(B, max_reports=1)
+                          for B in (self.alg, self.hopf.alg)):
+            bad = self._verify_algebra_map(self.alg.generators)
         if bad is None or bad.any():
             bad = self._verify_algebra_map()
         out += [f"coaction is not an algebra map at pair "
@@ -348,17 +351,22 @@ def _sigma_conv_inverse(sig: Cocycle):
 def _is_connected(H: HopfAlgebra) -> bool:
     """Whether H passes hopf_verify and its algebra generators g are
     primitive, Delta(g) = g (x) 1 + 1 (x) g: then H has coradical k 1
-    (Montgomery 1993, Lemma 5.5.1), as u(L) on its PBW generators."""
-    if hopf_verify(H):
-        return False
-    gens = np.array(H.alg.generators, dtype=np.int64)
-    ptr, _, A, B, c = H.comul
-    q, t = ar.csr_expand(ptr, gens)
-    delta = ar.zeros(H.field, (gens.size, H.dim, H.dim))
-    delta[q, A[t], B[t]] = c[t]
-    delta[np.arange(gens.size), gens] -= H.alg.unit
-    delta[np.arange(gens.size), :, gens] -= H.alg.unit
-    return not np.any(delta % H.field.p)
+    (Montgomery 1993, Lemma 5.5.1), as u(L) on its PBW generators.
+    Computed once per Hopf algebra and kept on it."""
+    if H._connected is not None:
+        return H._connected
+    connected = not hopf_verify(H)
+    if connected:
+        gens = np.array(H.alg.generators, dtype=np.int64)
+        ptr, _, A, B, c = H.comul
+        q, t = ar.csr_expand(ptr, gens)
+        delta = ar.zeros(H.field, (gens.size, H.dim, H.dim))
+        delta[q, A[t], B[t]] = c[t]
+        delta[np.arange(gens.size), gens] -= H.alg.unit
+        delta[np.arange(gens.size), :, gens] -= H.alg.unit
+        connected = not np.any(delta % H.field.p)
+    H._connected = connected
+    return connected
 
 
 def _identity_failures(A: SCAlgebra, H: HopfAlgebra, convention: str):

@@ -131,6 +131,8 @@ class HopfAlgebra:
             raise ShapeMismatch(f"counit shape {self.counit.shape}")
         if self.antipode.shape != (n, n, f.k):
             raise ShapeMismatch(f"antipode shape {self.antipode.shape}")
+        # set by galois._is_connected; nothing mutates H after construction
+        self._connected = None
 
     @property
     def field(self) -> Field:

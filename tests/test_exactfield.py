@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import time
@@ -342,6 +343,32 @@ def test_fmatmul_exact_up_to_the_prime_bound(p):
     A = np.full((1, MAX_INNER, 1), p - 1, dtype=np.int64)
     got = ar.fmatmul(f, A, A.transpose(1, 0, 2))
     assert int(got[0, 0, 0]) == MAX_INNER % p
+
+
+# (b, mod, inner): inner (mod - 1)^2 is below 2^b, the float32 (b = 24) or
+# float64 (b = 52) bound, and inner + 2 puts it above.  mod - 1 and inner
+# are odd, so every dot product of entries mod - 1 is odd: above a bound it
+# is not a float of the type below it (past 2^24 in float32, past 2^53 in
+# float64)
+IMATMUL_EDGES = [(24, 4, 1864135), (24, 66, 3969), (24, 4096, 1),
+                 (52, 2 ** 26, 1)]
+
+
+@pytest.mark.parametrize("b, mod, lo", IMATMUL_EDGES)
+def test_imatmul_exact_at_the_float_bounds(b, mod, lo):
+    assert lo * (mod - 1) ** 2 < 2 ** b <= (lo + 2) * (mod - 1) ** 2
+    rng = np.random.default_rng(mod)
+    for inner in (lo, lo + 2):
+        # m^2 inner > 32768 cells: the float paths are for large products
+        m = math.isqrt(32768 // inner) + 1
+        a = np.full((2, m, inner), mod - 1, dtype=np.int64)
+        got = ar._imatmul(a, a.transpose(0, 2, 1), mod)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.full((2, m, m),
+                                           inner * (mod - 1) ** 2 % mod))
+        x, y = rng.integers(0, mod, (2, 2, m, inner))
+        assert np.array_equal(ar._imatmul(x, y.transpose(0, 2, 1), mod),
+                              x @ y.transpose(0, 2, 1) % mod)
 
 
 def test_imatmul_exact_past_the_int64_bound():

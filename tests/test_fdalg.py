@@ -20,7 +20,7 @@ from hopfgal.errors import (
     SplittingCapExceeded,
 )
 from hopfgal.exactfield import P_MAX
-from hopfgal.speclab import sl2_algebra
+from hopfgal.speclab import borel_algebra, sl2_algebra
 
 
 def matrix_algebra(field, n):
@@ -785,6 +785,51 @@ def test_stack_trace_power_sum_is_exact_at_the_bound():
     W = np.full((1, n, n), mod - 1, dtype=np.int64)
     want = n * n * (mod - 1) ** 2 % mod
     assert fdalg._stack_trace_power(W, 2, mod).tolist() == [want]
+
+
+def int64_stack_trace_power(W, e, mod):
+    """Reference for fdalg._stack_trace_power: the whole stack at once, in
+    int64 matmuls, with no float BLAS and no blocks."""
+    if e == 1:
+        return np.trace(W, axis1=1, axis2=2) % mod
+    return ar.binary_power(
+        W, e, lambda a, b: a @ b % mod,
+        last=lambda a, b: np.einsum("tjk,tkj->t", a, b) % mod)
+
+
+@pytest.mark.parametrize("cells", [1, 2 * 40 * 40, 3 * 40 * 40 - 1,
+                                   4 * 40 * 40, 2 ** 20])
+def test_stack_trace_power_across_block_edges(monkeypatch, cells):
+    # blocks of max(1, cells // n^2) matrices of the 5: sizes 1, 2, 2, 4, 5;
+    # each block of (40, 40) matrices is a float32 product in _imatmul
+    rng = np.random.default_rng(cells)
+    W = rng.integers(0, 27, size=(5, 40, 40))
+    monkeypatch.setattr(fdalg, "TRACE_BLOCK_CELLS", cells)
+    assert np.array_equal(fdalg._stack_trace_power(W, 9, 27),
+                          int64_stack_trace_power(W, 9, 27))
+
+
+# sl2 at p = 5 on the three strata, the scan representatives over F_9 (dim
+# 54 over F_3: float32 products at every level) and a Borel fiber at p = 7
+@pytest.mark.parametrize("lie, field, point", [
+    (sl2_algebra(5), Field(5), [0, 0, 1]),
+    (sl2_algebra(5), Field(5), [1, 0, 0]),
+    (sl2_algebra(5), Field(5), [0, 0, 0]),
+    (sl2_algebra(3), Field(3, 2), [[0, 0], [0, 0], [0, 1]]),
+    (sl2_algebra(3), Field(3, 2), [[1, 2], [0, 2], [0, 0]]),
+    (sl2_algebra(3), Field(3, 2), [[0, 0], [0, 0], [1, 0]]),
+    (sl2_algebra(3), Field(3, 2), [[1, 0], [0, 0], [0, 0]]),
+    (sl2_algebra(3), Field(3, 2), [[0, 0], [0, 0], [0, 0]]),
+    (borel_algebra(7), Field(7), [0, 0]),
+], ids=["sl2-5-regular", "sl2-5-cone", "sl2-5-zero", "sl2-9-regular-1",
+        "sl2-9-regular-2", "sl2-9-regular-3", "sl2-9-cone", "sl2-9-zero",
+        "borel-7-zero"])
+def test_radical_matches_the_int64_trace_powers(monkeypatch, lie, field,
+                                                 point):
+    A = resliealg.Fiber(lie, resliealg.FiberPoint.make(field, point)).alg
+    rad = fdalg.radical(A)
+    monkeypatch.setattr(fdalg, "_stack_trace_power", int64_stack_trace_power)
+    assert np.array_equal(rad.basis, fdalg.radical(A).basis)
 
 
 def _sl2_fiber(p, point):

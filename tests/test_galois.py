@@ -333,6 +333,21 @@ def test_invertibility_from_the_coradical_agrees_with_the_solve(
             assert cocycle_verify(s) == want
 
 
+def test_connectedness_is_verified_once_per_hopf_algebra(monkeypatch):
+    """A JSON-loaded cocycle's H goes through hopf_verify on the first
+    cocycle_verify only, and the second call reads the kept result."""
+    sig = splitting_to_cocycle(pbw_splitting(
+        Fiber(sl2(3), FiberPoint.make(F3, [1, 0, 0]))), verify=False)
+    sig = Cocycle.from_json(sig.to_json())
+    calls = []
+    verify = galois.hopf_verify
+    monkeypatch.setattr(galois, "hopf_verify",
+                        lambda H: calls.append(H) or verify(H))
+    assert cocycle_verify(sig) == cocycle_verify(sig, "standard") == []
+    assert calls == [sig.hopf]
+    assert galois._is_connected(sig.hopf) and calls == [sig.hopf]
+
+
 def test_associative_twist_by_a_non_invertible_sigma():
     """sigma(g, g) = 0 on F_3[Z/2], normalised, satisfies the cocycle
     identity: the twisted product is F_3[T]/(T^2).  F_3[Z/2] is not
@@ -1207,7 +1222,8 @@ def _refuse_scan(monkeypatch, which):
 def test_generator_rows_agree_with_the_full_pair_scan(monkeypatch, case):
     """The generator rows are the full scan's rows at the generators; they
     fail exactly when some pair fails, and verify reports the same pairs
-    with and without them, through the fallback to the full scan."""
+    with and without them, through the fallback to the full scan (A then
+    has no generators and fails algebra_verify, which would find them)."""
     if case == "intact":
         F = Fiber(sl2(3), FiberPoint.make(Field(3, 2), [1, 0, 0]))
         CA = ComoduleAlgebra(F.alg, u_restricted(sl2(3), F.field)[0],
@@ -1223,8 +1239,39 @@ def test_generator_rows_agree_with_the_full_pair_scan(monkeypatch, case):
     assert rows.any() == full.any() == (case != "intact")
     reports = CA.verify(10 ** 6)
     _refuse_scan(monkeypatch, "generator")
+    monkeypatch.setattr(galois, "algebra_verify",
+                        lambda B, max_reports: ["refused"])
     CA.alg.generators = None
     assert CA.verify(10 ** 6) == reports
+
+
+@pytest.mark.parametrize("case", ["sl2 F_3", "intact"])
+def test_verify_of_a_json_loaded_coaction_matches_the_full_scan(
+        monkeypatch, case):
+    """Algebras read from JSON carry no generators: verify gets them from
+    algebra_verify, checks the generator rows, and reports what the full
+    pair scan alone reports; an intact coaction needs no full scan."""
+    CA = _corrupted_coaction(*CORRUPTED["sl2 F_3"] if case != "intact" else
+                             (sl2(3), F3, [1, 0, 0], {}))
+    nA, nH = CA.alg.dim, CA.hopf.dim
+
+    def loaded():
+        return ComoduleAlgebra(
+            SCAlgebra.from_json(CA.alg.to_json()),
+            hopf.HopfAlgebra.from_json(CA.hopf.to_json()),
+            CA.coaction.dense(nA, nH), check=False)
+    with monkeypatch.context() as m:
+        m.setattr(galois, "algebra_verify", lambda B, max_reports: ["no"])
+        m.setattr(ComoduleAlgebra, "_verify_algebra_map",
+                  lambda self, rows=None: algebra_map_failures_loop(self))
+        want = loaded().verify(10 ** 6)
+    assert (want == []) == (case == "intact")
+    if case == "intact":
+        _refuse_scan(monkeypatch, "full")
+    got = loaded()
+    assert got.alg.generators is None and got.hopf.alg.generators is None
+    assert got.verify(10 ** 6) == want
+    assert None not in (got.alg.generators, got.hopf.alg.generators)
 
 
 def test_the_algebra_map_law_is_checked_at_every_dimension():

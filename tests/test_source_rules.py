@@ -21,9 +21,9 @@ def test_package_has_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
-def test_no_float64_arithmetic_outside_imatmul():
-    # algebraic results are exact: float64 enters only _arrays._imatmul,
-    # whose BLAS path is exact under a stated bound
+def outside_imatmul(is_use):
+    """file:line of the package's AST nodes that `is_use` accepts, outside
+    the body of _arrays._imatmul."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -33,18 +33,37 @@ def test_no_float64_arithmetic_outside_imatmul():
                            if isinstance(node, ast.FunctionDef)
                            and node.name == "_imatmul")
             allowed = {id(node) for node in ast.walk(imatmul)}
-        for node in ast.walk(tree):
-            if id(node) in allowed:
-                continue
-            name = (node.attr if isinstance(node, ast.Attribute) else
-                    node.id if isinstance(node, ast.Name) else None)
-            func = node.func if isinstance(node, ast.Call) else None
-            weighted = (getattr(func, "attr", getattr(func, "id", None))
-                        == "bincount"
-                        and any(kw.arg == "weights" for kw in node.keywords))
-            if name == "float64" or weighted:
-                found.append(f"{path.name}:{node.lineno}")
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if id(node) not in allowed and is_use(node)]
+    return found
+
+
+def node_name(node):
+    return (node.attr if isinstance(node, ast.Attribute) else
+            node.id if isinstance(node, ast.Name) else None)
+
+
+def test_no_float64_arithmetic_outside_imatmul():
+    # algebraic results are exact: float64 enters only _arrays._imatmul,
+    # whose BLAS path is exact under a stated bound
+    def is_use(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        weighted = (getattr(func, "attr", getattr(func, "id", None))
+                    == "bincount"
+                    and any(kw.arg == "weights" for kw in node.keywords))
+        return node_name(node) == "float64" or weighted
+    found = outside_imatmul(is_use)
     assert not found, f"float64 arithmetic in the package: {found}"
+
+
+def test_no_float32_arithmetic_outside_imatmul():
+    # float32 BLAS is exact only under _imatmul's 2^24 bound: no other code
+    # names the type, as a numpy attribute or a dtype string
+    found = outside_imatmul(
+        lambda node: node_name(node) in {"float32", "single"}
+        or (isinstance(node, ast.Constant)
+            and node.value in {"float32", "f4", "single"}))
+    assert not found, f"float32 arithmetic in the package: {found}"
 
 
 def test_dict_engine_stays_out_of_hot_paths():
