@@ -18,7 +18,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import fdalg, resliealg
 from .errors import HopfgalError, NoOneDimRep
@@ -70,9 +70,11 @@ class Config:
         if not isinstance(data, dict):
             raise ValueError("a configuration is a JSON object")
         cfg = cls()
+        # only the declared fields: the methods are attributes too
+        names = {fld.name for fld in fields(cls)}
         for key, value in data.items():
             name = key.replace("-", "_")
-            if not hasattr(cfg, name):
+            if name not in names:
                 raise ValueError(f"unknown config key {key!r}")
             setattr(cfg, name, value)
         for name in ("dim_cap", "splitting_degree_cap"):

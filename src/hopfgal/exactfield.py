@@ -198,13 +198,6 @@ class Field:
     def one(self) -> "Scalar":
         return self.scalar(1)
 
-    @property
-    def gen(self) -> "Scalar":
-        """The class of T when k > 1, else 1."""
-        if self.k == 1:
-            return self.one
-        return Scalar(self, tuple([0, 1] + [0] * (self.k - 2)))
-
     def elements(self):
         """All field elements, low coordinate fastest."""
         for rev in itertools.product(range(self.p), repeat=self.k):

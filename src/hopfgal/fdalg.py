@@ -1,6 +1,8 @@
 """Finite-dimensional associative algebras given by structure constants,
 with linear algebra that stays correct in characteristic p: center, radical,
 blocks, simple-module dimensions, scalar extension, bilinear-form rank.
+The blocks come from the primitive idempotents of the Frobenius-fixed
+subalgebra {z : z^q = z} of the center, which is F_q^r.
 
 Conventions: mul has shape (n, n, n, k) with b_i b_j = sum_m mul[i,j,m] b_m;
 vectors are coordinate rows of shape (n, k).
@@ -117,9 +119,6 @@ class SCAlgebra:
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Product of coordinate vectors x, y (n, k)."""
-        return self._pair_product(x, y)
-
-    def _pair_product(self, x, y):
         f = self.field
         # contract i then j against the tensor
         t = ar.fmatmul(f, x[None, :, :],
@@ -131,9 +130,6 @@ class SCAlgebra:
     def left_mult_matrix(self, x: np.ndarray) -> np.ndarray:
         """(n, n, k) matrix of y -> x*y acting on coordinate rows: row j is
         the image of b_j."""
-        return self._lmat(x)
-
-    def _lmat(self, x):
         f = self.field
         # L[j, m] = sum_i x_i mul[i, j, m]
         out = ar.fmatmul(f, x[None, :, :],
@@ -151,7 +147,7 @@ class SCAlgebra:
     def power(self, x: np.ndarray, e: int) -> np.ndarray:
         if e == 0:
             return self.unit.copy()
-        return ar.binary_power(x, e, self._pair_product)
+        return ar.binary_power(x, e, self.multiply)
 
     def basis_vector(self, i: int) -> np.ndarray:
         v = ar.zeros(self.field, (self.dim,))
@@ -241,7 +237,7 @@ def algebra_verify(A: SCAlgebra, max_reports: int = 20) -> list[str]:
     f = A.field
     n = A.dim
     out = []
-    uL = A._lmat(A.unit)
+    uL = A.left_mult_matrix(A.unit)
     uR = A.right_mult_matrix(A.unit)
     eye = ar.identity(f, n)
     if np.any((uL - eye) % f.p):
@@ -456,15 +452,6 @@ def _is_nilpotent_subspace(A: SCAlgebra, basis: np.ndarray) -> bool:
     return False
 
 
-def is_ideal(A: SCAlgebra, sub: Subspace) -> bool:
-    """Whether the subspace is closed under products with A on both sides."""
-    f, n = A.field, A.dim
-    eye = ar.identity(f, n)
-    prods = np.concatenate([_products(A, eye, sub.basis).reshape(-1, n, f.k),
-                            _products(A, sub.basis, eye).reshape(-1, n, f.k)])
-    return ar.coords_in_row_space_many(f, sub.basis, prods) is not None
-
-
 def generating_set(A: SCAlgebra) -> tuple:
     """Basis indices whose left-nested words ((g_1 g_2) ...) g_r span A,
     given a two-sided unit: in basis order, each b_j outside the span S of
@@ -561,28 +548,6 @@ def subalgebra_on(A: SCAlgebra, sub: Subspace, unit_vec: np.ndarray | None = Non
 # blocks
 # ---------------------------------------------------------------------------
 
-def _nilradical_commutative(C: SCAlgebra) -> Subspace:
-    """Nilpotent elements of a commutative algebra: kernel of the additive
-    p^m-power map, m minimal with p^m >= dim."""
-    f = C.field
-    p, n = f.p, C.dim
-    m = 0
-    while p ** m < max(n, 2):
-        m += 1
-    B = _restrict_scalars(C)
-    N = B.dim
-    cols = []
-    for i in range(N):
-        v = B.basis_vector(i)
-        cols.append(B.power(v, p ** m))
-    # solve sum x_i (b_i)^(p^m) -- the map is additive, F_p-linear in x
-    M = np.stack(cols).transpose(1, 0, 2)  # rows: output coord, cols: i
-    ker = ar.nullspace(B.field, M)
-    if ker.shape[0] == 0:
-        return Subspace(f, n, ar.zeros(f, (0, n)))
-    return Subspace(f, n, ker.reshape(-1, n, f.k))
-
-
 def _primitive_idempotents_split_commutative(E: SCAlgebra):
     """Primitive idempotents of a commutative semisimple algebra all of whose
     residue fields equal the base field (so minimal polynomials split into
@@ -600,7 +565,7 @@ def _primitive_idempotents_split_commutative(E: SCAlgebra):
         split = False
         for gi in range(basis.shape[0]):
             z = basis[gi]
-            minpoly, _ = _minimal_polynomial(f, E._pair_product, z, unit,
+            minpoly, _ = _minimal_polynomial(f, E.multiply, z, unit,
                                              basis.shape[0])
             fac = minpoly.factor()
             if any(g.degree > 1 or m > 1 for g, m in fac):
@@ -619,11 +584,9 @@ def _primitive_idempotents_split_commutative(E: SCAlgebra):
                                         unit)) % f.p
                     scale = (c - c2).inverse()
                     diff = ar.fmul(f, np.array(scale.coeffs)[None, :], diff)
-                    proj = E._pair_product(proj, diff)
+                    proj = E.multiply(proj, diff)
                 # new component: proj * (old basis)
-                vecs = np.stack([E._pair_product(proj, basis[t])
-                                 for t in range(basis.shape[0])])
-                nb = ar.row_space(f, vecs)
+                nb = ar.row_space(f, _products(E, proj[None], basis)[0])
                 comps.append((nb, proj))
             split = True
             break
@@ -663,45 +626,27 @@ def _minimal_polynomial(field: Field, product, z: np.ndarray,
 
 def central_idempotents(A: SCAlgebra) -> list[np.ndarray]:
     """Complete list of orthogonal primitive central idempotents, summing to
-    the unit, ordered by their coordinate vectors (none if A = 0)."""
+    the unit, ordered by their coordinate vectors (none if A = 0).
+
+    They are the primitive idempotents of E = ker(x -> x^q - x) on the
+    center Z, q = |base field| (Berlekamp's subalgebra):
+    - Z is commutative of characteristic p, so x -> x^q - x is F_q-linear;
+    - its kernel E is a subalgebra holding 1;
+    - E is reduced: a nilpotent x = x^q = x^(q^2) = ... is 0;
+    - every x in E has x^q = x, so E is F_q^r;
+    - every idempotent of Z lies in E, so the primitive idempotents of E
+      are those of Z, the primitive central idempotents of A."""
     if A.dim == 0:
         return []
     f = A.field
-    Z = center(A)
-    ZA, zbasis = subalgebra_on(A, Z)
-    NZ = _nilradical_commutative(ZA)
-    B, proj = quotient_algebra(ZA, NZ)
-    # fixed points of the q-power Frobenius on B (q = |base field|)
-    q = f.order
-    n = B.dim
-    cols = []
-    for i in range(n):
-        v = B.basis_vector(i)
-        cols.append((B.power(v, q) - v) % f.p)
-    M = np.stack(cols).transpose(1, 0, 2)
-    # x -> x^q is base-field linear on a commutative algebra over F_q
-    fixed = ar.nullspace(f, M)
-    EA, ebasis = subalgebra_on(B, Subspace(f, B.dim, fixed))
-    prims_E = _primitive_idempotents_split_commutative(EA)
-    # map back from E coords to B coords
-    prims_B = [ar.fmatmul(f, e[None, :, :], ebasis)[0] for e in prims_E]
-    # lift to Z through the quotient: pick any preimage, then p-power until
-    # idempotent (valid in characteristic p for commutative algebras)
-    idems = []
-    for eb in prims_B:
-        lift = ar.solve(f, proj.transpose(1, 0, 2), eb)
-        if lift is None:
-            raise ConsistencyCheckFailed(
-                "idempotent of the quotient has no preimage in the center")
-        e = lift
-        for _ in range(2 * (ZA.dim + 2)):
-            if not np.any((ZA._pair_product(e, e) - e) % f.p):
-                break
-            e = ZA.power(e, f.p)
-        else:
-            raise ConsistencyCheckFailed("idempotent lifting did not converge")
-        # into A coordinates
-        idems.append(ar.fmatmul(f, e[None, :, :], zbasis)[0])
+    ZA, zbasis = subalgebra_on(A, center(A))
+    eye = ar.identity(f, ZA.dim)
+    M = np.stack([(ZA.power(v, f.order) - v) % f.p for v in eye])
+    EA, ebasis = subalgebra_on(
+        ZA, Subspace(f, ZA.dim, ar.nullspace(f, M.transpose(1, 0, 2))))
+    basis = ar.fmatmul(f, ebasis, zbasis)  # E's basis in A's coordinates
+    idems = [ar.fmatmul(f, e[None], basis)[0]
+             for e in _primitive_idempotents_split_commutative(EA)]
     idems.sort(key=lambda v: v.reshape(-1).tolist())
     return idems
 
@@ -713,7 +658,7 @@ def block_decompose(A: SCAlgebra) -> BlockReport:
     idems = central_idempotents(A)
     dims = []
     for e in idems:
-        L = A._lmat(e)
+        L = A.left_mult_matrix(e)
         dims.append(ar.rank(f, L))
     rep = BlockReport(center_dim=center(A).dim, blocks=dims)
     total = sum(dims)
@@ -727,7 +672,7 @@ def block_ideals(A: SCAlgebra):
     """The block ideals as unital subalgebras: list of (B, basis, idempotent)."""
     out = []
     for e in central_idempotents(A):
-        L = A._lmat(e)
+        L = A.left_mult_matrix(e)
         basis = ar.row_space(A.field, L)
         B, bas = subalgebra_on(A, Subspace(A.field, A.dim, basis), unit_vec=e)
         out.append((B, bas, e))
@@ -770,7 +715,7 @@ def simples(A: SCAlgebra) -> BlockReport:
     SZ = center(S)
     sizes, degs, dims = [], [], []
     for e in central_idempotents(S):
-        L = S._lmat(e)
+        L = S.left_mult_matrix(e)
         size = ar.rank(f, L)
         # the rows z L = e z span Z(S) e, the center of the block S e
         d = ar.rank(f, ar.fmatmul(f, SZ.basis, L))
@@ -803,32 +748,6 @@ def simples(A: SCAlgebra) -> BlockReport:
         simple_dims=sorted(dims),
         split_blocks=split_blocks,
     )
-
-
-def is_separable(A: SCAlgebra) -> bool:
-    """Over a finite (perfect) base field: separable iff the radical vanishes."""
-    return radical(A).dim == 0
-
-
-def separability_idempotent_exists(A: SCAlgebra) -> bool:
-    """Independent semisimplicity certificate: solve for e in A (x) A^op with
-    (x (x) 1) e = (1 (x) x) e for all x and mu(e) = 1.  Intended for small
-    algebras (the system has dim^2 unknowns)."""
-    f = A.field
-    n = A.dim
-    # unknown e[a,b]; constraint (c,d) of x=b_i: sum_a mul[i,a,c] e[a,d] -
-    # sum_b e[c,b] mul[b,i,d] = 0, so e[a,b] has the coefficient
-    # mul[i,a,c] delta_{b,d} - delta_{a,c} mul[b,i,d]
-    eye = np.eye(n, dtype=np.int64)
-    C = (np.einsum("iack,bd->icdabk", A.mul, eye)
-         - np.einsum("ac,bidk->icdabk", eye, A.mul)) % f.p
-    # mu(e) = sum_{a,b} e[a,b] b_a b_b = 1
-    mu = A.mul.transpose(2, 0, 1, 3).reshape(n, n * n, f.k)
-    M = np.concatenate([C.reshape(n ** 3, n * n, f.k), mu], axis=0)
-    rhs = ar.zeros(f, (M.shape[0],))
-    rhs[-n:] = A.unit
-    sol = ar.solve(f, M, rhs)
-    return sol is not None
 
 
 # ---------------------------------------------------------------------------

@@ -544,21 +544,3 @@ def group_algebra(field: Field, table) -> HopfAlgebra:
 
 def cyclic_group_table(m: int):
     return [[(i + j) % m for j in range(m)] for i in range(m)]
-
-
-# ---------------------------------------------------------------------------
-# internal dual
-# ---------------------------------------------------------------------------
-
-def _dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
-    """The dual Hopf algebra on the dual basis; internal helper for tests
-    and pointedness-free dualization."""
-    f, n = H.field, H.dim
-    mul = ar.zeros(f, (n, n, n))
-    _, I, A, B, c = H.comul
-    mul[A, B, I] = c
-    unit = H.counit.copy()
-    comul = H.alg.mul.transpose(2, 0, 1, 3).copy()
-    counit = H.alg.unit.copy()
-    antipode = H.antipode.transpose(1, 0, 2).copy()
-    return HopfAlgebra(SCAlgebra(f, mul, unit), comul, counit, antipode)

@@ -537,30 +537,6 @@ def baby_verma_oracle(p: int, lam, weight) -> BabyVerma:
     return BabyVerma(big, w, E, Fm, Hm)
 
 
-def matrix_algebra_rank(field: Field, mats) -> int:
-    """Dimension of the unital algebra of n x n matrices generated by the
-    given (n, n, k) matrices."""
-    n = mats[0].shape[0]
-    ident = ar.identity(field, n)
-    span = ar.row_space(field, np.stack(
-        [ident.reshape(n * n, field.k)]
-        + [m.reshape(n * n, field.k) for m in mats]))
-    while True:
-        # close under multiplication by the generators on either side
-        rows = [span]
-        cur = span.reshape(-1, n, n, field.k)
-        for m in mats:
-            left = ar.fmatmul(field, m, cur.transpose(1, 0, 2, 3).reshape(
-                n, -1, field.k)).reshape(n, -1, n, field.k)
-            rows += [left.transpose(1, 0, 2, 3).reshape(-1, n * n, field.k),
-                     ar.fmatmul(field, cur.reshape(-1, n, field.k), m)
-                     .reshape(-1, n * n, field.k)]
-        new = ar.row_space(field, np.concatenate(rows, axis=0))
-        if new.shape[0] == span.shape[0]:
-            return span.shape[0]
-        span = new
-
-
 # ---------------------------------------------------------------------------
 # the cyclic group-algebra bundle
 # ---------------------------------------------------------------------------

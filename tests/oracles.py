@@ -1,0 +1,125 @@
+"""Independent oracles and reference routines that only the tests use.
+
+Each one cross-checks a package routine by another construction, or keeps
+the construction that a package routine replaced; nothing in the package
+calls them.
+"""
+
+import numpy as np
+
+from hopfgal import _arrays as ar
+from hopfgal import fdalg
+from hopfgal.errors import ConsistencyCheckFailed
+from hopfgal.fdalg import SCAlgebra, Subspace
+from hopfgal.hopf import HopfAlgebra
+
+
+def separability_idempotent_exists(A: SCAlgebra) -> bool:
+    """Independent semisimplicity certificate: solve for e in A (x) A^op with
+    (x (x) 1) e = (1 (x) x) e for all x and mu(e) = 1.  Intended for small
+    algebras (the system has dim^2 unknowns and dim^5 cells)."""
+    f = A.field
+    n = A.dim
+    # unknown e[a,b]; constraint (c,d) of x=b_i: sum_a mul[i,a,c] e[a,d] -
+    # sum_b e[c,b] mul[b,i,d] = 0, so e[a,b] has the coefficient
+    # mul[i,a,c] delta_{b,d} - delta_{a,c} mul[b,i,d]
+    eye = np.eye(n, dtype=np.int64)
+    C = (np.einsum("iack,bd->icdabk", A.mul, eye)
+         - np.einsum("ac,bidk->icdabk", eye, A.mul)) % f.p
+    # mu(e) = sum_{a,b} e[a,b] b_a b_b = 1
+    mu = A.mul.transpose(2, 0, 1, 3).reshape(n, n * n, f.k)
+    M = np.concatenate([C.reshape(n ** 3, n * n, f.k), mu], axis=0)
+    rhs = ar.zeros(f, (M.shape[0],))
+    rhs[-n:] = A.unit
+    sol = ar.solve(f, M, rhs)
+    return sol is not None
+
+
+def is_ideal(A: SCAlgebra, sub: Subspace) -> bool:
+    """Whether the subspace is closed under products with A on both sides."""
+    f, n = A.field, A.dim
+    eye = ar.identity(f, n)
+    prods = np.concatenate(
+        [fdalg._products(A, eye, sub.basis).reshape(-1, n, f.k),
+         fdalg._products(A, sub.basis, eye).reshape(-1, n, f.k)])
+    return ar.coords_in_row_space_many(f, sub.basis, prods) is not None
+
+
+def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
+    """The dual Hopf algebra H* on the dual basis."""
+    f, n = H.field, H.dim
+    mul = ar.zeros(f, (n, n, n))
+    _, I, A, B, c = H.comul
+    mul[A, B, I] = c
+    unit = H.counit.copy()
+    comul = H.alg.mul.transpose(2, 0, 1, 3).copy()
+    counit = H.alg.unit.copy()
+    antipode = H.antipode.transpose(1, 0, 2).copy()
+    return HopfAlgebra(SCAlgebra(f, mul, unit), comul, counit, antipode)
+
+
+def matrix_algebra_rank(field, mats) -> int:
+    """Dimension of the unital algebra of n x n matrices generated by the
+    given (n, n, k) matrices."""
+    n = mats[0].shape[0]
+    ident = ar.identity(field, n)
+    span = ar.row_space(field, np.stack(
+        [ident.reshape(n * n, field.k)]
+        + [m.reshape(n * n, field.k) for m in mats]))
+    while True:
+        # close under multiplication by the generators on either side
+        rows = [span]
+        cur = span.reshape(-1, n, n, field.k)
+        for m in mats:
+            left = ar.fmatmul(field, m, cur.transpose(1, 0, 2, 3).reshape(
+                n, -1, field.k)).reshape(n, -1, n, field.k)
+            rows += [left.transpose(1, 0, 2, 3).reshape(-1, n * n, field.k),
+                     ar.fmatmul(field, cur.reshape(-1, n, field.k), m)
+                     .reshape(-1, n * n, field.k)]
+        new = ar.row_space(field, np.concatenate(rows, axis=0))
+        if new.shape[0] == span.shape[0]:
+            return span.shape[0]
+        span = new
+
+
+def central_idempotents_by_lift(A: SCAlgebra) -> list:
+    """The primitive central idempotents by the earlier route: the center Z,
+    its nilradical N (the kernel of the p^m-power map), the Frobenius-fixed
+    subalgebra of Z/N, its split idempotents, each lifted back into Z by a
+    preimage raised to p-th powers until idempotent."""
+    if A.dim == 0:
+        return []
+    f = A.field
+    ZA, zbasis = fdalg.subalgebra_on(A, fdalg.center(A))
+    # nilradical of Z: kernel of x -> x^(p^m), F_p-linear, p^m >= dim Z
+    m = 0
+    while f.p ** m < max(ZA.dim, 2):
+        m += 1
+    R = fdalg._restrict_scalars(ZA)
+    M = np.stack([R.power(R.basis_vector(i), f.p ** m)
+                  for i in range(R.dim)]).transpose(1, 0, 2)
+    ker = ar.nullspace(R.field, M)
+    N = Subspace(f, ZA.dim, ker.reshape(-1, ZA.dim, f.k) if ker.shape[0]
+                 else ar.zeros(f, (0, ZA.dim)))
+    B, proj = fdalg.quotient_algebra(ZA, N)
+    # fixed points of the q-power Frobenius on Z/N
+    M = np.stack([(B.power(B.basis_vector(i), f.order) - B.basis_vector(i))
+                  % f.p for i in range(B.dim)]).transpose(1, 0, 2)
+    EA, ebasis = fdalg.subalgebra_on(
+        B, Subspace(f, B.dim, ar.nullspace(f, M)))
+    idems = []
+    for e in fdalg._primitive_idempotents_split_commutative(EA):
+        eb = ar.fmatmul(f, e[None], ebasis)[0]
+        lift = ar.solve(f, proj.transpose(1, 0, 2), eb)
+        if lift is None:
+            raise ConsistencyCheckFailed(
+                "idempotent of the quotient has no preimage in the center")
+        for _ in range(2 * (ZA.dim + 2)):
+            if not np.any((ZA.multiply(lift, lift) - lift) % f.p):
+                break
+            lift = ZA.power(lift, f.p)
+        else:
+            raise ConsistencyCheckFailed("idempotent lifting did not converge")
+        idems.append(ar.fmatmul(f, lift[None], zbasis)[0])
+    idems.sort(key=lambda v: v.reshape(-1).tolist())
+    return idems

@@ -26,7 +26,6 @@ from hopfgal.fdalg import (
     form_is_symmetric,
     form_rank,
     radical,
-    separability_idempotent_exists,
     simples,
 )
 from hopfgal.galois import (
@@ -76,6 +75,7 @@ from hopfgal.speclab import (
     sl2_algebra,
     sl2_eq4_check,
 )
+from oracles import separability_idempotent_exists
 
 TIME_FACTOR = float(os.environ.get("HOPFGAL_TIME_FACTOR", "5"))
 
@@ -415,7 +415,7 @@ def _pointwise_inverse(v):
 def test_criterion_10_winding():
     with criterion(10, "winding isomorphism", 5):
         Lb = borel_algebra(3)
-        a = F9.gen
+        a = F9.scalar((0, 1))
         lam_h = a * a * a - a
         F = Fiber(Lb, FiberPoint(F9, (lam_h, F9.scalar(0))))
         alpha = find_one_dim_rep(F)

@@ -354,6 +354,8 @@ def test_config_file_values(tmp_path):
     {"dim_cap": True}, {"dim_cap": 27.0}, {"splitting_degree_cap": 0},
     {"splitting_degree_cap": "12"}, {"splitting_degree_cap": 65},
     {"seed": 5},
+    # attributes of Config that are not configuration fields
+    {"apply_caps": 1}, {"load": 1}, {"from_json": 1}, {"__class__": 1},
 ])
 def test_config_bad_values_exit_2(capsys, tmp_path, borel_file, settings):
     path = tmp_path / "cfg.json"

@@ -130,7 +130,7 @@ def test_extension_degree_above_the_bound_fails_at_once():
 
 
 def test_extension_multiplication():
-    t = F9.gen
+    t = F9.scalar((0, 1))
     # t^2 = -1 mod t^2+1
     assert t * t == F9.scalar(2)
 

@@ -1,6 +1,7 @@
 """Structure-constant algebra tests: verification, center, radical, blocks,
 simple-module dimensions, with independently computed expected values."""
 
+import itertools
 import math
 import random
 import time
@@ -21,6 +22,11 @@ from hopfgal.errors import (
 )
 from hopfgal.exactfield import P_MAX
 from hopfgal.speclab import borel_algebra, sl2_algebra
+from oracles import (
+    central_idempotents_by_lift,
+    is_ideal,
+    separability_idempotent_exists,
+)
 
 
 def matrix_algebra(field, n):
@@ -278,10 +284,10 @@ def test_center_imposes_the_generators_only():
 def check_radical_certificate(A, rad):
     """Independent certification: rad is a nilpotent two-sided ideal and the
     quotient admits a separability idempotent."""
-    assert fdalg.is_ideal(A, rad)
+    assert is_ideal(A, rad)
     assert fdalg._is_nilpotent_subspace(A, rad.basis)
     Q, _ = fdalg.quotient_algebra(A, rad)
-    assert fdalg.separability_idempotent_exists(Q)
+    assert separability_idempotent_exists(Q)
 
 
 def test_radical_matrix_algebra_zero():
@@ -399,7 +405,7 @@ def test_product_space_matches_pairwise_products():
         for du, dv in ((1, 1), (2, 3), (n, n)):
             U = rng.integers(0, f.p, (du, n, f.k))
             V = rng.integers(0, f.p, (dv, n, f.k))
-            pairwise = np.stack([A._pair_product(u, v) for u in U for v in V])
+            pairwise = np.stack([A.multiply(u, v) for u in U for v in V])
             assert np.array_equal(fdalg._product_space(A, U, V),
                                   ar.row_space(f, pairwise))
         assert fdalg._product_space(A, U[:0], V).shape == (0, n, f.k)
@@ -419,11 +425,11 @@ def test_subalgebra_and_quotient_tables_match_pairwise_products():
                 for j in range(B.dim):
                     assert np.array_equal(
                         ar.fmatmul(f, B.mul[i, j][None], basis)[0],
-                        A._pair_product(basis[i], basis[j]))
+                        A.multiply(basis[i], basis[j]))
         # quotients by the radical and by each proper block ideal:
         # proj(b_a) proj(b_b) = proj(b_a b_b) on all basis pairs
         ideals = [fdalg.radical(A)] + [
-            fdalg.Subspace(f, n, A._lmat(e))
+            fdalg.Subspace(f, n, A.left_mult_matrix(e))
             for e in fdalg.central_idempotents(A)]
         for ideal in ideals:
             if ideal.dim == n:
@@ -433,9 +439,9 @@ def test_subalgebra_and_quotient_tables_match_pairwise_products():
                      for a in range(n)]
             for a in range(n):
                 for b in range(n):
-                    prod = A._pair_product(A.basis_vector(a), A.basis_vector(b))
+                    prod = A.multiply(A.basis_vector(a), A.basis_vector(b))
                     assert np.array_equal(
-                        Q._pair_product(image[a], image[b]),
+                        Q.multiply(image[a], image[b]),
                         ar.fmatmul(f, prod[None], proj)[0])
 
 
@@ -551,6 +557,77 @@ def test_block_count_matches_polynomial_factorization():
         assert len(rep.blocks) == expected_blocks, (p, [int(c.coeffs[0]) for c in poly.coeffs])
 
 
+def idempotent_route_algebras():
+    """(name, algebra) pairs on which the primitive central idempotents
+    are compared with the earlier route: sl2 fibers over F_3, F_9 and F_5
+    (with the radical quotients of the p = 5 cone and zero fibers), Borel
+    fibers over F_3, and cyclic group algebras, two of them at large p."""
+    f3, f9, f5 = Field(3), Field(3, 2), Field(5)
+    sl2, borel = sl2_algebra(3), borel_algebra(3)
+
+    def fiber(L, field, pt):
+        return resliealg.Fiber(L, resliealg.FiberPoint.make(field, pt)).alg
+
+    for pt in itertools.product(range(3), repeat=3):
+        yield f"sl2 F_3 {pt}", fiber(sl2, f3, pt)
+    # one point per stratum and splitting degree over F_9
+    for pt in ([[0, 0], [0, 0], [0, 1]], [[1, 2], [0, 2], [0, 0]],
+               [[0, 0], [0, 0], [1, 0]], [[1, 0], [0, 0], [0, 0]],
+               [[0, 0], [0, 0], [0, 0]]):
+        yield f"sl2 F_9 {pt}", fiber(sl2, f9, pt)
+    for pt in ((0, 0, 1), (1, 2, 3), (1, 0, 0), (0, 0, 0)):
+        A = fiber(sl2_algebra(5), f5, pt)
+        yield f"sl2 F_5 {pt}", A
+        if pt in ((1, 0, 0), (0, 0, 0)):
+            yield (f"sl2 F_5 {pt} / J",
+                   fdalg.quotient_algebra(A, fdalg.radical(A))[0])
+    for pt in itertools.product(range(3), repeat=2):
+        yield f"Borel F_3 {pt}", fiber(borel, f3, pt)
+    for field, m in ((f3, 12), (Field(2), 14), (f3, 9), (Field(2), 8),
+                     (f9, 8), (f5, 10), (Field(2), 15), (f3, 13)):
+        yield f"{field}[Z/{m}]", cyclic_group_algebra(field, m)
+    for p, m in itertools.product((65537, P_MAX), (4, 6)):
+        yield f"F_{p}[Z/{m}]", cyclic_group_algebra(Field(p), m)
+
+
+def test_central_idempotents_match_the_lifted_route():
+    # the primitive central idempotents are unique, so the Frobenius-fixed
+    # subalgebra of the center and the earlier nilradical-quotient-lift
+    # route must give the same reduced vectors in the same order
+    for name, A in idempotent_route_algebras():
+        got = fdalg.central_idempotents(A)
+        want = central_idempotents_by_lift(A)
+        assert len(got) == len(want), name
+        for e, w in zip(got, want):
+            assert e.dtype == w.dtype and np.array_equal(e, w), name
+
+
+def multiplicative_order(p, d):
+    return next(r for r in range(1, d + 1) if pow(p, r, d) == 1 % d)
+
+
+@pytest.mark.parametrize("p", [65537, P_MAX])
+@pytest.mark.parametrize("m", [4, 6])
+def test_central_idempotents_at_large_p(p, m):
+    # F_p[Z/m] with p prime to m is the product of the fields F_p[t]/(g),
+    # g running over the irreducible factors of t^m - 1: phi(d) / ord_d(p)
+    # of them for each d | m
+    f = Field(p)
+    A = cyclic_group_algebra(f, m)
+    idems = fdalg.central_idempotents(A)
+    assert len(idems) == sum(
+        sum(math.gcd(a, d) == 1 for a in range(d)) // multiplicative_order(p, d)
+        for d in range(1, m + 1) if m % d == 0)
+    basis = ar.identity(f, m)
+    for i, e in enumerate(idems):
+        assert np.array_equal(A.multiply(e, e), e)
+        for b in basis:
+            assert np.array_equal(A.multiply(e, b), A.multiply(b, e))
+        for other in idems[i + 1:]:
+            assert not A.multiply(e, other).any()
+    assert np.array_equal(np.sum(idems, axis=0) % p, A.unit)
+
+
 def test_simples_matrix_algebra():
     f = Field(3)
     rep = fdalg.simples(matrix_algebra(f, 2))
@@ -608,19 +685,12 @@ def test_extend_scalars_preserves_structure():
     assert fdalg.center(B).dim == 1
 
 
-def test_is_separable():
-    f = Field(3)
-    assert fdalg.is_separable(matrix_algebra(f, 2))
-    assert not fdalg.is_separable(cyclic_group_algebra(f, 3))
-    assert fdalg.is_separable(cyclic_group_algebra(f, 4))
-
-
 def test_separability_idempotent_oracle_direct():
     f = Field(3)
-    assert fdalg.separability_idempotent_exists(matrix_algebra(f, 2))
-    assert fdalg.separability_idempotent_exists(cyclic_group_algebra(f, 2))
-    assert not fdalg.separability_idempotent_exists(dual_numbers(f))
-    assert not fdalg.separability_idempotent_exists(
+    assert separability_idempotent_exists(matrix_algebra(f, 2))
+    assert separability_idempotent_exists(cyclic_group_algebra(f, 2))
+    assert not separability_idempotent_exists(dual_numbers(f))
+    assert not separability_idempotent_exists(
         cyclic_group_algebra(f, 3))
 
 
@@ -635,7 +705,7 @@ def test_separability_system_matches_the_loop_reference(monkeypatch):
         for n in (1, 2, 3):
             mul = rng.integers(0, 3, (n, n, n, f.k))
             A = fdalg.SCAlgebra(f, mul, ar.identity(f, n)[0], check=False)
-            fdalg.separability_idempotent_exists(A)
+            separability_idempotent_exists(A)
             rows = []
             for i in range(n):
                 C = np.zeros((n, n, n, n, f.k), dtype=np.int64)
@@ -919,14 +989,14 @@ def test_restriction_past_the_cap_raises_before_allocating():
 def test_is_ideal_rejects_one_sided_ideals():
     f = Field(3)
     A = upper_triangular_2(f)
-    assert fdalg.is_ideal(A, fdalg.radical(A))
+    assert is_ideal(A, fdalg.radical(A))
     # in M_2 (basis E11, E12, E21, E22) the matrices with zero second
     # column form a left ideal, those with zero second row a right ideal
     M2 = matrix_algebra(f, 2)
     for rows in ([0, 2], [0, 1]):
         sub = fdalg.Subspace(f, 4, ar.identity(f, 4)[rows])
-        assert not fdalg.is_ideal(M2, sub)
-    assert fdalg.is_ideal(M2, fdalg.Subspace(f, 4, ar.identity(f, 4)))
+        assert not is_ideal(M2, sub)
+    assert is_ideal(M2, fdalg.Subspace(f, 4, ar.identity(f, 4)))
 
 
 def test_is_algebra_map_over_several_blocks():

@@ -190,7 +190,7 @@ def test_fiber_dimension_and_verify():
 def test_fiber_over_extension_field():
     L = sl2(3)
     f9 = Field(3, 2)
-    a = f9.gen
+    a = f9.scalar((0, 1))
     F = resliealg.Fiber(L, resliealg.FiberPoint.make(f9, [a, 0, 1]))
     assert fdalg.algebra_verify(F.alg) == []
     # e^3 = lambda_e * 1 in the fiber
@@ -495,7 +495,7 @@ def test_chi_convention():
     pt = resliealg.chi_convention(f, [0, 0, 2])
     assert pt.values[2] == f.scalar(2)
     f9 = Field(3, 2)
-    a = f9.gen  # a^2 = -1 with the deterministic modulus T^2 + 1
+    a = f9.scalar((0, 1))  # a^2 = -1 with the deterministic modulus T^2 + 1
     assert a * a == f9.scalar(-1)
     pt = resliealg.chi_convention(f9, [a, 0, 0])
     assert pt.values[0] == -a  # a^3 = a * a^2 = -a
