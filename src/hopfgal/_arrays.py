@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import PremiseFailed, ShapeMismatch
 # mul_images, binary_power and the memoised pivot inverses live with the
 # polynomials, which use them too; the names are kept here
 from .exactfield import Field, Scalar, _inv_images, binary_power, mul_images
@@ -86,10 +86,6 @@ def unit_scalar(field: Field, value=1) -> np.ndarray:
 
 def fadd(field: Field, a, b):
     return (a + b) % field.p
-
-
-def fsub(field: Field, a, b):
-    return (a - b) % field.p
 
 
 def fmul(field: Field, a, b):
@@ -301,21 +297,17 @@ def coords_in_row_space(field: Field, basis: np.ndarray, v: np.ndarray):
 
 def coords_in_row_space_many(field: Field, basis: np.ndarray, V: np.ndarray):
     """Coordinates (t, d, k) of each row of V (t, n, k) in the rref basis
-    rows, or None if any row falls outside the span."""
+    rows, or None if any row falls outside the span; PremiseFailed if the
+    basis is not in rref, where pivot entries are not coordinates."""
     d, t = basis.shape[0], V.shape[0]
     if d == 0:
         return None if np.any(V) else zeros(field, (t, 0))
     pivots = _pivot_columns(basis)
+    if not np.array_equal(basis[:, pivots], identity(field, d)):
+        raise PremiseFailed("basis is not in reduced row echelon form")
     coords = V[:, pivots, :].copy()
-    if np.array_equal(basis[:, pivots], identity(field, d)):
-        # basis is in rref: the only candidate coordinates are the pivot
-        # entries of each row, so a residual check settles membership
-        residual = (V - fmatmul(field, coords, basis)) % field.p
-        return None if np.any(residual) else coords
-    for v in V:
-        if rref(field, np.concatenate([basis, v[None]]))[0].shape[0] != d:
-            return None
-    return coords
+    residual = (V - fmatmul(field, coords, basis)) % field.p
+    return None if np.any(residual) else coords
 
 
 def _pivot_columns(basis: np.ndarray):
@@ -389,7 +381,7 @@ def sparse_times_dense(field: Field, n: int, rows: np.ndarray,
     their rows by `scatter_add`.  Returns (n, ..., k); a cell sums at most
     E reduced products in int64."""
     out = zeros(field, (n,) + X.shape[1:-1])
-    w = out[0].size // field.k
+    w = out[0].size // field.k if n else 0
     terms = fmul(field, vals.reshape((-1,) + (1,) * (X.ndim - 2)
                                      + (field.k,)), X[cols])
     scatter_add(out.reshape(-1, field.k),

@@ -20,7 +20,7 @@ import json
 import sys
 from dataclasses import dataclass, fields
 
-from . import fdalg, resliealg
+from . import fdalg
 from .errors import HopfgalError, NoOneDimRep
 from .exactfield import K_MAX, Field
 from .fdalg import SCAlgebra, decode_array, form_is_symmetric, form_rank
@@ -98,7 +98,6 @@ class Config:
 
     def apply_caps(self):
         fdalg.DIM_CAP = self.dim_cap
-        resliealg.DIM_CAP = self.dim_cap
         fdalg.SPLITTING_DEGREE_CAP = self.splitting_degree_cap
 
 
@@ -419,7 +418,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     # the caps are module globals: restore them on every exit path
-    saved = fdalg.DIM_CAP, resliealg.DIM_CAP, fdalg.SPLITTING_DEGREE_CAP
+    saved = fdalg.DIM_CAP, fdalg.SPLITTING_DEGREE_CAP
     try:
         cfg = (_load(args.config, "configuration", Config.from_json)
                if args.config else Config())
@@ -434,7 +433,7 @@ def main(argv=None) -> int:
     except HopfgalError as exc:
         return _fail2(f"{args.command}: {exc}")
     finally:
-        fdalg.DIM_CAP, resliealg.DIM_CAP, fdalg.SPLITTING_DEGREE_CAP = saved
+        fdalg.DIM_CAP, fdalg.SPLITTING_DEGREE_CAP = saved
 
 
 if __name__ == "__main__":

@@ -119,22 +119,12 @@ class SCAlgebra:
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Product of coordinate vectors x, y (n, k)."""
-        f = self.field
-        # contract i then j against the tensor
-        t = ar.fmatmul(f, x[None, :, :],
-                       self.mul.reshape(self.dim, self.dim ** 2, f.k))
-        t = t.reshape(self.dim, self.dim, f.k)
-        out = ar.fmatmul(f, y[None, :, :], t)
-        return out[0]
+        return _products(self, x[None], y[None])[0, 0]
 
     def left_mult_matrix(self, x: np.ndarray) -> np.ndarray:
         """(n, n, k) matrix of y -> x*y acting on coordinate rows: row j is
         the image of b_j."""
-        f = self.field
-        # L[j, m] = sum_i x_i mul[i, j, m]
-        out = ar.fmatmul(f, x[None, :, :],
-                         self.mul.reshape(self.dim, self.dim ** 2, f.k))
-        return out.reshape(self.dim, self.dim, f.k)
+        return _left_table(self, x[None])[0]
 
     def right_mult_matrix(self, x: np.ndarray) -> np.ndarray:
         f = self.field
@@ -154,19 +144,19 @@ class SCAlgebra:
         v[i, 0] = 1
         return v
 
-    def scalar_coeff(self, v: np.ndarray):
-        """If v is a scalar multiple of the unit, return that (k,) coefficient
-        array, else None; 0 in the zero algebra."""
+    def scalar_coeffs(self, V: np.ndarray):
+        """(C, ok) for a stack of vectors V (t, n, k): C (t, k) holds the
+        coefficients c with V[r] = c 1 when ok[r], read off the first
+        nonzero coordinate of the unit; all zero and True in the zero
+        algebra."""
         f = self.field
         if self.dim == 0:
-            return ar.zeros(f, ())
-        nz = np.flatnonzero(np.any(self.unit, axis=1))
-        i = int(nz[0])
-        c = ar.fmul(f, v[i][None, :],
-                    ar.scalar_inv(f, self.unit[i])[None, :])[0]
-        if np.any((v - ar.fmul(f, c[None, None, :], self.unit[None, :, :])[0]) % f.p):
-            return None
-        return c
+            return ar.zeros(f, (V.shape[0],)), np.ones(V.shape[0], dtype=bool)
+        i = int(np.flatnonzero(np.any(self.unit, axis=1))[0])
+        C = ar.fmul(f, V[:, i], ar.scalar_inv(f, self.unit[i])[None, :])
+        ok = ~np.any((V - ar.fmul(f, C[:, None], self.unit[None])) % f.p,
+                     axis=(1, 2))
+        return C, ok
 
     def is_commutative(self) -> bool:
         return not np.any((self.mul - self.mul.transpose(1, 0, 2, 3)) % self.field.p)
@@ -265,8 +255,8 @@ def _first_associator(A: SCAlgebra, i: int, proj=None):
     """The first (j, k') with (b_i b_j) b_k' != b_i (b_j b_k'), or None;
     with proj (n, e, k), the first whose difference proj does not kill."""
     f, n = A.field, A.dim
-    # lhs[j, (k', m)] = sum_t mul[i,j,t] mul[t,k',m]
-    lhs = ar.fmatmul(f, A.mul[i], A.mul.reshape(n, n * n, f.k))
+    # lhs[j, k', m] = sum_t mul[i,j,t] mul[t,k',m]
+    lhs = _left_table(A, A.mul[i])
     # rhs[(j, k'), m] = sum_t mul[j,k',t] mul[i,t,m]
     rhs = ar.fmatmul(f, A.mul.reshape(n * n, n, f.k), A.mul[i])
     diff = (lhs.reshape(n * n, n, f.k) - rhs) % f.p
@@ -423,14 +413,23 @@ def radical(A: SCAlgebra) -> Subspace:
     return sub
 
 
+def _left_table(A: SCAlgebra, U: np.ndarray) -> np.ndarray:
+    """The left table U mul: for each row u of U (d, n, k) the matrix of
+    y -> u y on coordinate rows, row j = u b_j, as a (d, n, n, k) array.
+    Every product of coordinate vectors through mul goes through it."""
+    f, n = A.field, A.dim
+    return ar.fmatmul(f, U, A.mul.reshape(n, n * n, f.k)).reshape(
+        U.shape[0], n, n, f.k)
+
+
 def _products(A: SCAlgebra, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """All products u v, u a row of U and v a row of V, as a (len U, len V,
-    n, k) array."""
+    n, k) array: the transposed view of a contiguous (len V, len U, n, k)
+    one."""
     f, n = A.field, A.dim
     d = U.shape[0]
-    # X[i, b] = u_i e_b, then u_i v_j = sum_b v_j[b] X[i, b]: all products
-    # as two matmuls
-    X = ar.fmatmul(f, U, A.mul.reshape(n, n * n, f.k)).reshape(d, n, n, f.k)
+    # u_i v_j = sum_b v_j[b] (u_i b_b): V against the left table of U
+    X = _left_table(A, U)
     prods = ar.fmatmul(f, V, X.transpose(1, 0, 2, 3).reshape(n, d * n, f.k))
     return prods.reshape(V.shape[0], d, n, f.k).transpose(1, 0, 2, 3)
 

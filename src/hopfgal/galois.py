@@ -32,8 +32,10 @@ import itertools
 import numpy as np
 
 from . import _arrays as ar
+from . import fdalg
 from .errors import (
     CocycleInvalid,
+    DimCapExceeded,
     InvariantsNotCentralScalars,
     NoOneDimRep,
     NotAlgebraMap,
@@ -51,6 +53,7 @@ from .fdalg import (
     Subspace,
     _first_associator,
     _is_algebra_map,
+    _left_table,
     _products,
     algebra_verify,
     center,
@@ -411,6 +414,10 @@ def cocycle_verify(sig: Cocycle, convention: str = "paper") -> list[str]:
     out = [f"unit condition sigma({side}) = eps(h) 1 fails" for side, v in
            zip(("h (x) 1", "1 (x) h"), s) if np.any((v - want) % f.p)]
     if not out:
+        # the product's tensors have (nR nH)^3 cells: check before them
+        if nR * nH > fdalg.DIM_CAP:
+            raise DimCapExceeded(f"twisted product dimension {nR * nH} "
+                                 f"exceeds cap {fdalg.DIM_CAP}")
         A = _twisted_product(R, sig, convention)
         bad = algebra_verify(A, max_reports=1)
         if bad:
@@ -463,9 +470,8 @@ def _twisted_product(R: SCAlgebra, sig: Cocycle, convention: str) -> SCAlgebra:
     if convention == "paper":
         val = val.transpose(1, 0, 2, 3)
     # trip[r, s, r1, t] = coordinate t of a_r a_s a_r1 in R
-    trip = ar.fmatmul(f, R.mul.reshape(nR * nR, nR, f.k),
-                      R.mul.reshape(nR, nR * nR, f.k))
-    trip = trip.reshape(nR, nR, nR, nR, f.k).transpose(0, 1, 3, 2, 4)
+    trip = _left_table(R, R.mul.reshape(nR * nR, nR, f.k)).reshape(
+        nR, nR, nR, nR, f.k).transpose(0, 1, 3, 2, 4)
     # mul[(r, i), (s, j), (t, m)] = sum_r1 trip[r, s, r1, t] val[i, j, (r1, m)]
     val = val.reshape(nH * nH, nR, nH, f.k).transpose(1, 0, 2, 3)
     mul = ar.fmatmul(f, trip.reshape(nR ** 3, nR, f.k),
@@ -774,15 +780,14 @@ def frobenius_form(CA: ComoduleAlgebra, lam: Integral) -> BilForm:
     _, I, A, U, coef = CA.coaction
     E = ar.sparse_times_dense(f, nA * nA, I * nA + A, U, coef,
                               Lam).reshape(nA, nA, f.k)
-    evec = ar.zeros(f, (nA,))
-    for m in range(nA):
-        c = CA.alg.scalar_coeff(E[m])
-        if c is None:
-            raise ValueNotInvariant(
-                f"E(b_{m}) is not a scalar multiple of the unit")
-        evec[m] = c
-    s = ar.fmatmul(f, CA.alg.mul.reshape(nA * nA, nA, f.k),
-                   evec[:, None, :]).reshape(nA, nA, f.k)
+    evec, ok = CA.alg.scalar_coeffs(E)
+    if not ok.all():
+        raise ValueNotInvariant(f"E(b_{int(np.argmin(ok))}) is not a "
+                                "scalar multiple of the unit")
+    # s[x, y] = sum_m mul[x, y, m] E(b_m), over the m with E(b_m) != 0
+    supp = np.flatnonzero(evec.any(axis=1))
+    s = ar.fmatmul(f, CA.alg.mul[:, :, supp].reshape(nA * nA, supp.size, f.k),
+                   evec[supp, None]).reshape(nA, nA, f.k)
     return BilForm(f, s)
 
 

@@ -29,6 +29,7 @@ from .fdalg import (
     SCAlgebra,
     _is_algebra_map,
     _minimal_polynomial,
+    _products,
     algebra_verify,
     decode_array,
     encode_array,
@@ -239,11 +240,8 @@ def convolution(H: HopfAlgebra, A: SCAlgebra, fmap: LinMap,
     nH, nA = H.dim, A.dim
     if fmap.matrix.shape != (nH, nA, f.k) or g.matrix.shape != (nH, nA, f.k):
         raise ShapeMismatch("convolution operands must map H into A")
-    # X[a, m2, c] = coords of f(b_a) b_m2, then P[b, a, c] = coords of
-    # f(b_a) g(b_b) in A
-    X = ar.fmatmul(f, fmap.matrix, A.mul.reshape(nA, nA * nA, f.k))
-    P = ar.fmatmul(f, g.matrix, X.reshape(nH, nA, nA, f.k).transpose(
-        1, 0, 2, 3).reshape(nA, nH * nA, f.k))
+    # P[b, a] = f(b_a) g(b_b) in A, `_products`' own contiguous layout
+    P = _products(A, fmap.matrix, g.matrix).transpose(1, 0, 2, 3)
     # out[i] = sum c P[b, a] over the terms c h_a (x) h_b of Delta(h_i)
     _, I, Ia, Ib, c = H.comul
     return LinMap(f, ar.sparse_times_dense(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays as ar
-from . import hopf
+from . import fdalg, hopf
 from .errors import (
     BadLabel,
     DimCapExceeded,
@@ -39,7 +39,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .exactfield import Field, Scalar
-from .fdalg import DIM_CAP, SCAlgebra
+from .fdalg import SCAlgebra
 from .hopf import HopfAlgebra, LinMap, Terms
 
 MAX_WORD_LETTERS = 32
@@ -413,10 +413,10 @@ class Fiber:
         field = point.field
         p, n = L.p, L.dim
         dim = p ** n
-        if dim > DIM_CAP:
+        if dim > fdalg.DIM_CAP:
             raise DimCapExceeded(
-                f"fiber dimension p^n = {dim} exceeds the cap {DIM_CAP}; "
-                "reduce p or the Lie algebra dimension")
+                f"fiber dimension p^n = {dim} exceeds the cap "
+                f"{fdalg.DIM_CAP}; reduce p or the Lie algebra dimension")
         self.L = L
         self.field = field
         self.point = point

@@ -170,58 +170,63 @@ class CentralElements:
     t_op: np.ndarray     # its left multiplication matrix, verified central
 
 
+# t = (h+1)^2 - 4ef = b_{h^2} + 2 b_h + b_1 - 4 b_{ef} on the PBW basis
+_T_TERMS = {(0, 0, 2): 1, (0, 0, 1): 2, (0, 0, 0): 1, (1, 1, 0): -4}
+
+
 def sl2_central_elements(F: Fiber) -> CentralElements:
     """Images of x=e^p, y=f^p, z=h^p-h (scalars, equal to the point
     coordinates) and t=(h+1)^2-4ef (a central multiplication operator) in a
-    fiber of the sl2 family."""
+    fiber of the sl2 family.  Products of PBW basis vectors are rows of
+    mul (e^p = mul[e^(p-1), e]), and t is central iff t b_g = b_g t for the
+    generators g: t (mul[:, g] - mul[g]) = 0, as `center` imposes."""
     if lie_kind(F.L) != "sl2":
         raise UnknownKind("central elements x,y,z,t are specific to sl2")
     f = F.field
     p = F.L.p
     A = F.alg
-    evec = A.basis_vector(F.index[(1, 0, 0)])
-    fvec = A.basis_vector(F.index[(0, 1, 0)])
-    hvec = A.basis_vector(F.index[(0, 0, 1)])
-
-    def as_scalar(v):
-        c = A.scalar_coeff(v)
-        if c is None:
-            raise RelationCheckFailed("expected a scalar multiple of the unit")
-        return Scalar(f, tuple(int(ci) for ci in c))
-
-    x = as_scalar(A.power(evec, p))
-    y = as_scalar(A.power(fvec, p))
-    z = as_scalar(ar.fsub(f, A.power(hvec, p), hvec))
+    gens = [F.index[a] for a in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    tops = [F.index[a] for a in ((p - 1, 0, 0), (0, p - 1, 0), (0, 0, p - 1))]
+    powers = A.mul[tops, gens]              # e^p, f^p, h^p
+    powers[2, gens[2], 0] -= 1              # h^p - h
+    coeffs, ok = A.scalar_coeffs(powers % p)
+    if not ok.all():
+        raise RelationCheckFailed("expected a scalar multiple of the unit")
+    x, y, z = (Scalar(f, tuple(int(ci) for ci in c)) for c in coeffs)
     lx, ly, lz = F.point.values
     if (x, y, z) != (lx, ly, lz):
         raise RelationCheckFailed(
             f"central generators evaluate to ({x}, {y}, {z}), "
             f"point is ({lx}, {ly}, {lz})")
-    t_vec = (A.multiply(hvec, hvec) + 2 * hvec + A.unit
-             - 4 * A.multiply(evec, fvec)) % p
-    t_op = A.left_mult_matrix(t_vec)
-    for g in (evec, fvec, hvec):
-        Lg = A.left_mult_matrix(g)
-        if np.any((ar.fmatmul(f, t_op, Lg) - ar.fmatmul(f, Lg, t_op)) % p):
-            raise RelationCheckFailed("t is not central")
+    terms = [F.index[a] for a in _T_TERMS]
+    c = np.array(list(_T_TERMS.values()), dtype=np.int64) % p
+    t_vec = ar.zeros(f, (A.dim,))
+    t_vec[terms, 0] = c
+    t_op = np.tensordot(c, A.mul[terms], axes=1) % p
+    # row g of L_t is t b_g; b_g t = sum_b t_b mul[g, b], over t's support
+    g_t = np.tensordot(c, A.mul[np.ix_(gens, terms)], axes=([0], [1]))
+    if np.any((t_op[gens] - g_t) % p):
+        raise RelationCheckFailed("t is not central")
     return CentralElements(x, y, z, t_vec, t_op)
 
 
 def sl2_eq4_check(F: Fiber):
     """Whether m(T) = T^p - 2 T^{(p+1)/2} + T - (z^2 - 4xy) annihilates the
-    multiplication operator of t, together with the root profile of m over
-    its splitting field: a list of (root, multiplicity) pairs."""
+    multiplication operator T = L_t of t, together with the root profile of
+    m over its splitting field: a list of (root, multiplicity) pairs.
+    m(T) = L_{m(t)} and L_x 1 = x, so m(T) = 0 iff m(t) = 0, checked on the
+    powers t^k = t^(k-1) T."""
     ce = sl2_central_elements(F)
     f = F.field
     p = F.L.p
     c = ce.z * ce.z - f.scalar(4) * ce.x * ce.y
-    T = ce.t_op
-    matmul = functools.partial(ar.fmatmul, f)
-    M = (ar.binary_power(T, p, matmul)
-         - 2 * ar.binary_power(T, (p + 1) // 2, matmul) + T) % p
-    ix = np.arange(T.shape[0])
-    M[ix, ix] = (M[ix, ix] - np.array(c.coeffs, dtype=np.int64)) % p
-    passed = not np.any(M)
+    powers = [F.alg.unit, ce.t_vec]
+    for _ in range(p - 1):
+        powers.append(ar.fmatmul(f, powers[-1][None], ce.t_op)[0])
+    cvec = np.array(c.coeffs, dtype=np.int64)
+    mt = (powers[p] - 2 * powers[(p + 1) // 2] + powers[1]
+          - ar.fmul(f, cvec[None], F.alg.unit)) % p
+    passed = not np.any(mt)
     coeffs = [f.zero] * (p + 1)
     coeffs[0] = -c
     coeffs[1] = f.one
@@ -589,9 +594,8 @@ def group_bundle_scan(field: Field | None = None, n: int = 9,
         shift = (zvec - ar.fmul(
             field, np.array(omega.coeffs, dtype=np.int64)[None, :],
             U.alg.unit)) % field.p
-        rows = np.stack([U.alg.multiply(U.alg.basis_vector(i), shift)
-                         for i in range(n)])
-        ideal = Subspace(field, n, ar.row_space(field, rows))
+        ideal = Subspace(field, n, ar.row_space(
+            field, U.alg.right_mult_matrix(shift)))
         B, _ = quotient_algebra(U.alg, ideal)
         fiber_dims.append(B.dim)
         center_dims.append(center(B).dim)

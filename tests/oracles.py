@@ -5,11 +5,18 @@ the construction that a package routine replaced; nothing in the package
 calls them.
 """
 
+import functools
+
 import numpy as np
 
 from hopfgal import _arrays as ar
 from hopfgal import fdalg
-from hopfgal.errors import ConsistencyCheckFailed
+from hopfgal.errors import (
+    ConsistencyCheckFailed,
+    RelationCheckFailed,
+    ValueNotInvariant,
+)
+from hopfgal.exactfield import Scalar
 from hopfgal.fdalg import SCAlgebra, Subspace
 from hopfgal.hopf import HopfAlgebra
 
@@ -123,3 +130,78 @@ def central_idempotents_by_lift(A: SCAlgebra) -> list:
         idems.append(ar.fmatmul(f, lift[None], zbasis)[0])
     idems.sort(key=lambda v: v.reshape(-1).tolist())
     return idems
+
+
+def scalar_coeff(A: SCAlgebra, v: np.ndarray):
+    """The (k,) coefficient c with v = c 1, read at the first nonzero
+    coordinate of the unit, or None; 0 in the zero algebra."""
+    f = A.field
+    if A.dim == 0:
+        return ar.zeros(f, ())
+    i = int(np.flatnonzero(np.any(A.unit, axis=1))[0])
+    c = ar.fmul(f, v[i][None, :], ar.scalar_inv(f, A.unit[i])[None, :])[0]
+    if np.any((v - ar.fmul(f, c[None, None, :], A.unit[None, :, :])[0])
+              % f.p):
+        return None
+    return c
+
+
+def sl2_central_elements_by_products(F):
+    """(x, y, z, t_vec, t_op) of an sl2 fiber by the earlier route: vector
+    powers e^p, f^p, h^p, products h h and e f, the left multiplication
+    matrix of t, and t checked central by operator commutators with the
+    left multiplications of e, f and h."""
+    f, p, A = F.field, F.L.p, F.alg
+    evec, fvec, hvec = (A.basis_vector(F.index[a])
+                        for a in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+    def as_scalar(v):
+        c = scalar_coeff(A, v)
+        if c is None:
+            raise RelationCheckFailed("expected a scalar multiple of the unit")
+        return Scalar(f, tuple(int(ci) for ci in c))
+
+    x = as_scalar(A.power(evec, p))
+    y = as_scalar(A.power(fvec, p))
+    z = as_scalar((A.power(hvec, p) - hvec) % p)
+    t_vec = (A.multiply(hvec, hvec) + 2 * hvec + A.unit
+             - 4 * A.multiply(evec, fvec)) % p
+    t_op = A.left_mult_matrix(t_vec)
+    for g in (evec, fvec, hvec):
+        Lg = A.left_mult_matrix(g)
+        if np.any((ar.fmatmul(f, t_op, Lg) - ar.fmatmul(f, Lg, t_op)) % p):
+            raise RelationCheckFailed("t is not central")
+    return x, y, z, t_vec, t_op
+
+
+def sl2_eq4_by_products(F) -> bool:
+    """Whether T^p - 2 T^((p+1)/2) + T - (z^2 - 4xy) vanishes for the
+    operator T = L_t of `sl2_central_elements_by_products`, by binary
+    powers of T."""
+    x, y, z, _, T = sl2_central_elements_by_products(F)
+    f, p = F.field, F.L.p
+    c = z * z - f.scalar(4) * x * y
+    matmul = functools.partial(ar.fmatmul, f)
+    M = (ar.binary_power(T, p, matmul)
+         - 2 * ar.binary_power(T, (p + 1) // 2, matmul) + T) % p
+    ix = np.arange(T.shape[0])
+    M[ix, ix] = (M[ix, ix] - np.array(c.coeffs, dtype=np.int64)) % p
+    return not np.any(M)
+
+
+def frobenius_form_by_rows(CA, lam) -> np.ndarray:
+    """The matrix of s(x, y) = E(x y) by the earlier route: E(b_m) tested
+    one row at a time, then contracted with all of mul."""
+    f, nA = CA.field, CA.alg.dim
+    _, I, A, U, coef = CA.coaction
+    E = ar.sparse_times_dense(f, nA * nA, I * nA + A, U, coef,
+                              lam.functional).reshape(nA, nA, f.k)
+    evec = ar.zeros(f, (nA,))
+    for m in range(nA):
+        c = scalar_coeff(CA.alg, E[m])
+        if c is None:
+            raise ValueNotInvariant(
+                f"E(b_{m}) is not a scalar multiple of the unit")
+        evec[m] = c
+    return ar.fmatmul(f, CA.alg.mul.reshape(nA * nA, nA, f.k),
+                      evec[:, None, :]).reshape(nA, nA, f.k)

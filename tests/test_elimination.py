@@ -3,12 +3,14 @@ Field.cmul / Field.cinv, over small and large primes and extension degrees,
 on row counts that cover zero, one and several row blocks of rref."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from hopfgal import Field
 from hopfgal import _arrays as ar
+from hopfgal.errors import PremiseFailed
 from hopfgal.exactfield import P_MAX
 
 # extension degree shrinks as p grows, to keep the reference loops fast
@@ -203,3 +205,14 @@ def test_rref_ignores_interleaved_zero_rows(case, extra, seed):
     R, pivots = ar.rref(field, M)
     R2, pivots2 = ar.rref(field, padded)
     assert pivots2 == pivots and np.array_equal(R2, R)
+
+
+def test_row_space_coordinates_need_an_rref_basis():
+    # over F_5, (1, 2) = 1 (1, 1) + 1 (0, 1): its pivot entries (1, 2) are
+    # coordinates only in an rref basis, so [[1, 1], [0, 1]] is refused
+    f = Field(5)
+    v = np.array([[[1], [2]]], dtype=np.int64)
+    with pytest.raises(PremiseFailed):
+        ar.coords_in_row_space_many(f, np.array([[[1], [1]], [[0], [1]]]), v)
+    coords = ar.coords_in_row_space_many(f, ar.identity(f, 2), v)
+    assert coords[0, :, 0].tolist() == [1, 2]

@@ -9,6 +9,7 @@ from hopfgal import _arrays as ar
 from hopfgal import fdalg, galois, hopf, resliealg
 from hopfgal.errors import (
     CocycleInvalid,
+    DimCapExceeded,
     NoOneDimRep,
     NotAlgebraMap,
     NotCocommutative,
@@ -67,7 +68,7 @@ from hopfgal.resliealg import (
     prop30_sigma,
     u_restricted,
 )
-from oracles import dual_hopf
+from oracles import dual_hopf, frobenius_form_by_rows
 
 F3 = Field(3)
 
@@ -554,6 +555,20 @@ def test_each_twisted_product_is_built_once(monkeypatch):
     assert len(built) == 2
 
 
+def test_cocycle_verify_checks_the_cap_before_the_product(monkeypatch):
+    # the Borel p = 3 PBW cocycle twists to a 9-dimensional product: under
+    # a cap of 8 the check refuses it before building any of its tensors
+    F = Fiber(borel(3), FiberPoint.make(F3, [1, 0]))
+    sig = splitting_to_cocycle(pbw_splitting(F), verify=False)
+
+    def refuse(*args):
+        raise AssertionError("twisted product built above the cap")
+    monkeypatch.setattr(galois, "_twisted_product", refuse)
+    monkeypatch.setattr(fdalg, "DIM_CAP", 8)
+    with pytest.raises(DimCapExceeded, match="dimension 9 exceeds cap 8"):
+        cocycle_verify(sig)
+
+
 @pytest.mark.parametrize("point", [(0, 1, 0), (1, 0, 0), (0, 0, 0)],
                          ids=["regular", "cone", "zero"])
 def test_twisted_product_round_trip_at_p5(point):
@@ -987,6 +1002,57 @@ def test_frobenius_form_bad_functional():
         frobenius_form(CA, Integral(F3, bad))
 
 
+@pytest.mark.parametrize("lie, field, point", [
+    ("borel", F3, (0, 1)),
+    ("sl2", F3, (0, 0, 1)),
+    ("sl2", F3, (1, 0, 0)),
+    ("sl2", F3, (0, 0, 0)),
+    ("sl2", Field(3, 2), ((1, 2), (0, 2), (0, 0))),
+    ("sl2", Field(5), (1, 2, 3)),
+])
+def test_frobenius_form_matches_the_row_loop(lie, field, point):
+    # one vectorized scalar test and the contraction over the support of E
+    # give the matrix of the per-row test and the full contraction
+    L = {"borel": borel, "sl2": sl2}[lie](field.p)
+    H, _ = u_restricted(L, field)
+    lam = left_integral_dual(H)
+    CA = fiber_coaction(Fiber(L, FiberPoint.make(field, point)), H)
+    s = frobenius_form(CA, lam)
+    assert np.array_equal(s.matrix, frobenius_form_by_rows(CA, lam))
+
+
+def test_frobenius_form_group_z24_over_f5():
+    f = Field(5)
+    G = group_algebra(f, cyclic_group_table(24))
+    CA = ComoduleAlgebra(G.alg, G, G.comul)
+    lam = left_integral_dual(G)
+    s = frobenius_form(CA, lam)
+    assert np.array_equal(s.matrix, frobenius_form_by_rows(CA, lam))
+    assert form_rank(s) == (24, True)
+
+
+def test_frobenius_form_names_the_first_bad_value():
+    # E(b_0) = E(b_1) = 0, while E(b_2) and E(b_3) are not scalars
+    Z4 = group_algebra(F3, cyclic_group_table(4))
+    CA = ComoduleAlgebra(Z4.alg, Z4, Z4.comul)
+    bad = Integral(F3, np.array([[0], [0], [1], [2]], dtype=np.int64))
+    with pytest.raises(ValueNotInvariant) as want:
+        frobenius_form_by_rows(CA, bad)
+    with pytest.raises(ValueNotInvariant) as got:
+        frobenius_form(CA, bad)
+    assert str(got.value) == str(want.value)
+    assert "E(b_2)" in str(got.value)
+
+
+def test_frobenius_form_of_the_zero_algebra():
+    Z4 = group_algebra(F3, cyclic_group_table(4))
+    zero = SCAlgebra(F3, np.zeros((0, 0, 0, 1), dtype=np.int64),
+                     np.zeros((0, 1), dtype=np.int64))
+    CA = ComoduleAlgebra(zero, Z4, np.zeros((0, 0, 4, 1), dtype=np.int64),
+                         check=False)
+    assert frobenius_form(CA, left_integral_dual(Z4)).matrix.shape == (0, 0, 1)
+
+
 # ---------------------------------------------------------------------------
 # winding isomorphisms
 # ---------------------------------------------------------------------------
@@ -1407,7 +1473,7 @@ def balanced_relations_loop(CA, B):
                 by = CA.alg.multiply(bvec, CA.alg.basis_vector(j))
                 v = ar.zeros(f, (nA, nA))
                 v[:, j] = xb
-                v[i] = ar.fsub(f, v[i], by)
+                v[i] = (v[i] - by) % f.p
                 rels.append(v.reshape(nA * nA, f.k))
     return ar.row_space(f, np.stack(rels))
 

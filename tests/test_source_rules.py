@@ -156,6 +156,44 @@ def test_traced_entry_points_exist():
     assert not missing, f"traced entry points not in the package: {missing}"
 
 
+def left_table_contractions(path):
+    """file:line of the fmatmul calls of a module whose third argument is
+    <expr>.mul.reshape(...), a row block contracted against the whole
+    structure tensor, outside the body of fdalg._left_table."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = {id(node) for top in tree.body
+               if isinstance(top, ast.FunctionDef)
+               and top.name == "_left_table" and path.name == "fdalg.py"
+               for node in ast.walk(top)}
+
+    def is_mul_reshape(arg):
+        return (isinstance(arg, ast.Call) and node_name(arg.func) == "reshape"
+                and isinstance(arg.func, ast.Attribute)
+                and node_name(arg.func.value) == "mul")
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in allowed
+            and node_name(node.func) == "fmatmul" and len(node.args) >= 3
+            and is_mul_reshape(node.args[2])]
+
+
+def test_one_left_table_kernel():
+    # a product of coordinate vectors through mul goes through
+    # fdalg._left_table, the left table U mul; PBW basis products in the
+    # sl2 central elements are read as rows of mul, with no product at all
+    found = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in left_table_contractions(path)]
+    path = PACKAGE / "speclab.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    products = {"power", "multiply", "left_mult_matrix", "binary_power"}
+    found += [f"{path.name}:{node.lineno} {top.name} calls "
+              f"{node_name(node.func)}"
+              for top in tree.body if isinstance(top, ast.FunctionDef)
+              and top.name in {"sl2_central_elements", "sl2_eq4_check"}
+              for node in ast.walk(top) if isinstance(node, ast.Call)
+              and node_name(node.func) in products]
+    assert not found, f"products outside the left-table kernel: {found}"
+
+
 def dense_coassociativity_buffers(path):
     """The zeros / empty / ones calls of a module whose arguments name nA
     once and nH twice: a dense (i, a, u, v) difference of (rho (x) id) rho

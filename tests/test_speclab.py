@@ -25,7 +25,11 @@ from hopfgal.resliealg import (
     restricted_verify,
 )
 from hopfgal import speclab as sl
-from oracles import matrix_algebra_rank
+from oracles import (
+    matrix_algebra_rank,
+    sl2_central_elements_by_products,
+    sl2_eq4_by_products,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +146,45 @@ def test_central_element_t_coefficients():
     expect[F.index[(0, 0, 2)], 0] = 1
     expect[F.index[(1, 1, 0)], 0] = (-4) % 3
     assert np.array_equal(ce.t_vec, expect)
+
+
+F9 = Field(3, 2)
+# the SCAN_REPS points of the benchmark's F_9 scan, one per stratum and
+# splitting degree
+F9_POINTS = [((0, 0), (0, 0), (0, 1)), ((1, 2), (0, 2), (0, 0)),
+             ((0, 0), (0, 0), (1, 0)), ((1, 0), (0, 0), (0, 0)),
+             ((0, 0), (0, 0), (0, 0))]
+CENTRAL_POINTS = (
+    [(Field(3), pt) for pt in itertools.product(range(3), repeat=3)]
+    + [(F9, pt) for pt in F9_POINTS]
+    + [(Field(5), pt) for pt in ((0, 0, 1), (1, 2, 3), (1, 0, 0), (0, 0, 0))]
+    + [(Field(7), (1, 2, 3))])
+
+
+@pytest.mark.parametrize("field, point", CENTRAL_POINTS,
+                         ids=[f"{f}-{pt}" for f, pt in CENTRAL_POINTS])
+def test_central_elements_match_the_product_route(field, point):
+    # rows of mul, the slices of L_t and the commutator rows of t give
+    # bit for bit what vector powers and operator products give
+    F = Fiber(sl.sl2_algebra(field.p), FiberPoint.make(field, point))
+    ce = sl.sl2_central_elements(F)
+    x, y, z, t_vec, t_op = sl2_central_elements_by_products(F)
+    assert (ce.x, ce.y, ce.z) == (x, y, z)
+    for got, want in ((ce.t_vec, t_vec), (ce.t_op, t_op)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    passed, _ = sl.sl2_eq4_check(F)
+    assert passed == sl2_eq4_by_products(F)
+
+
+def test_eq4_fails_for_a_wrong_constant(monkeypatch):
+    # m(t) = 0 must see the constant term: with z = 0 read as 1,
+    # z^2 - 4xy moves by 1 and eq. 4 fails
+    f = Field(3)
+    F = Fiber(sl.sl2_algebra(3), FiberPoint.make(f, (1, 2, 0)))
+    ce = sl.sl2_central_elements(F)
+    wrong = sl.CentralElements(ce.x, ce.y, ce.z + f.one, ce.t_vec, ce.t_op)
+    monkeypatch.setattr(sl, "sl2_central_elements", lambda F: wrong)
+    assert not sl.sl2_eq4_check(F)[0]
 
 
 def test_eq4_regular_has_p_distinct_roots():
