@@ -45,10 +45,6 @@ class NotAGroup(HopfgalError):
     pass
 
 
-class InvariantsNotCentralScalars(HopfgalError):
-    pass
-
-
 class CocycleInvalid(HopfgalError):
     pass
 

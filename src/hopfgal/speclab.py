@@ -2,8 +2,9 @@
 
 Built-in restricted Lie algebras (sl2 and the two-dimensional Borel), the
 central elements x, y, z, t of the sl2 family and the degree-p relation they
-satisfy, stratum classification of parameter points, per-point fiber reports,
-a scanner over many points, a baby-Verma matrix oracle used as an independent
+satisfy, stratum classification of parameter points, per-point fiber reports
+read off each fiber's own structure constants (no u(L) is built), a scanner
+over many points, a baby-Verma matrix oracle used as an independent
 cross-check, and a cyclic group-algebra bundle whose fibers have constant
 center dimension.
 
@@ -38,6 +39,7 @@ from .errors import (
 )
 from .exactfield import Field, Poly, Scalar, splitting_extension
 from .fdalg import (
+    BilForm,
     Subspace,
     center,
     form_is_symmetric,
@@ -45,12 +47,10 @@ from .fdalg import (
     quotient_algebra,
     simples,
 )
-from .hopf import LinMap, cyclic_group_table, group_algebra, left_integral_dual
+from .hopf import LinMap, cyclic_group_table, group_algebra
 from .galois import (
-    ComoduleAlgebra,
     Splitting,
     coinvariants,
-    frobenius_form,
     group_quotient_coaction,
     is_equivariant_splitting,
 )
@@ -291,27 +291,21 @@ class FiberReport:
         return row
 
 
-def _shared_hopf(L: RestrictedLie, field: Field):
-    from .resliealg import u_restricted
-
-    H, _ = u_restricted(L, field)
-    lam = left_integral_dual(H)
-    return H, lam
-
-
-def fiber_frobenius_form(F: Fiber, shared=None):
-    """The bilinear form E(x y) of the fiber, E from the dual integral of
-    u(L): `shared` is (u(L), integral) from `_shared_hopf`, or is built."""
-    H, lam = shared if shared is not None else _shared_hopf(F.L, F.field)
-    return frobenius_form(ComoduleAlgebra(F.alg, H, F.splittings(),
-                                          check=False), lam)
+def fiber_frobenius_form(F: Fiber) -> BilForm:
+    """The form s(x, y) = E(x y) of the fiber, E = (id (x) Lambda) rho with
+    Lambda the integral of u(L)*: the slice mul[:, :, top].  On the PBW
+    basis rho(e^a) = sum_b C(a, b) e^b (x) e^(a-b), so (id (x) delta_top)
+    rho(e^a) = delta_{a,top} 1: delta_top solves the left-integral equations,
+    whose space is one-dimensional (Larson and Sweedler, Amer. J. Math. 91,
+    1969), and E(e^a) = delta_{a,top} 1.  `galois.frobenius_form` with
+    `hopf.left_integral_dual` of `u_restricted` is the general route."""
+    return BilForm(F.field, F.alg.mul[:, :, F.dim - 1].copy())
 
 
-def fiber_report(L: RestrictedLie, point: FiberPoint,
-                 shared=None) -> FiberReport:
+def fiber_report(L: RestrictedLie, point: FiberPoint) -> FiberReport:
     """Full invariant report for one fiber: block structure, simple
-    dimensions, the rank and symmetry of the bilinear form built from the
-    dual integral, and (for sl2) the stratum and degree-p relation check.
+    dimensions, the rank and symmetry of `fiber_frobenius_form` (a slice of
+    mul), and (for sl2) the stratum and degree-p relation check.
 
     `blocks` counts the blocks over the splitting field, where each block
     carries one simple module type: dim Z(A) - dim J(Z(A)), as the residue
@@ -324,7 +318,7 @@ def fiber_report(L: RestrictedLie, point: FiberPoint,
     F = Fiber(L, point)
     A = F.alg
     rep = simples(A)
-    s = fiber_frobenius_form(F, shared)
+    s = fiber_frobenius_form(F)
     rank, _ = form_rank(s)
     if rank != A.dim:
         raise ConsistencyCheckFailed(
@@ -399,8 +393,7 @@ def scan(L: RestrictedLie, field: Field, points=None) -> ScanResult:
             raise TooManyPoints(
                 f"{len(pts)} points exceed the cap {MAX_SCAN_POINTS}")
         pts.sort(key=lambda pt: tuple(s.coeffs for s in pt.values))
-    shared = _shared_hopf(L, field)
-    reports = [fiber_report(L, pt, shared=shared) for pt in pts]
+    reports = [fiber_report(L, pt) for pt in pts]
     dims = sorted({r.center_dim for r in reports})
     return ScanResult(reports, dims, len(dims) <= 1)
 

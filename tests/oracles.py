@@ -10,7 +10,7 @@ import functools
 import numpy as np
 
 from hopfgal import _arrays as ar
-from hopfgal import fdalg
+from hopfgal import fdalg, galois
 from hopfgal.errors import (
     ConsistencyCheckFailed,
     RelationCheckFailed,
@@ -205,3 +205,35 @@ def frobenius_form_by_rows(CA, lam) -> np.ndarray:
         evec[m] = c
     return ar.fmatmul(f, CA.alg.mul.reshape(nA * nA, nA, f.k),
                       evec[:, None, :]).reshape(nA, nA, f.k)
+
+
+def balanced_relations_loop(CA, B):
+    """The relation rows x b (x) y - x (x) b y of A (x)_B A, built one
+    (t, i, j) at a time with two products each."""
+    f, nA = CA.field, CA.alg.dim
+    rels = []
+    for t in range(B.dim):
+        bvec = B.basis[t]
+        for i in range(nA):
+            xb = CA.alg.multiply(CA.alg.basis_vector(i), bvec)
+            for j in range(nA):
+                by = CA.alg.multiply(bvec, CA.alg.basis_vector(j))
+                v = ar.zeros(f, (nA, nA))
+                v[:, j] = xb
+                v[i] = (v[i] - by) % f.p
+                rels.append(v.reshape(nA * nA, f.k))
+    return ar.row_space(f, np.stack(rels))
+
+
+def galois_check_loop(CA) -> bool:
+    """Whether A (x)_B A -> A (x) H is bijective, B the coinvariants, with
+    the quotient A (x)_B A cut out by the relations of
+    balanced_relations_loop: can must kill them, and the quotient must have
+    dimension nA nH and can rank nA nH."""
+    f = CA.field
+    nA, nH = CA.alg.dim, CA.hopf.dim
+    M = galois._canonical_map_matrix(CA)
+    R = balanced_relations_loop(CA, galois.coinvariants(CA))
+    if np.any(ar.fmatmul(f, R, M) % f.p):
+        return False
+    return nA * nA - R.shape[0] == nA * nH and ar.rank(f, M) == nA * nH

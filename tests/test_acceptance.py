@@ -64,6 +64,7 @@ from hopfgal.resliealg import (
     Prop30Context,
     prop30_multiply,
     prop30_sigma,
+    u_restricted,
     uenv_normalize,
 )
 from hopfgal import speclab
@@ -110,9 +111,12 @@ def _sl2(p):
 
 
 def _shared(L, field):
+    """u(L) over field and the integral of its dual: the general route to
+    the Frobenius form, which criteria 06 and 13 take."""
     key = ("hopf", L.p, L.dim, field.order)
     if key not in _state:
-        _state[key] = speclab._shared_hopf(L, field)
+        H, _ = u_restricted(L, field)
+        _state[key] = H, left_integral_dual(H)
     return _state[key]
 
 

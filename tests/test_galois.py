@@ -68,7 +68,7 @@ from hopfgal.resliealg import (
     prop30_sigma,
     u_restricted,
 )
-from oracles import dual_hopf, frobenius_form_by_rows
+from oracles import dual_hopf, frobenius_form_by_rows, galois_check_loop
 
 F3 = Field(3)
 
@@ -1460,35 +1460,6 @@ def test_cocycle_transform_verifies_each_cocycle_once(monkeypatch):
     assert len(calls) == 1
 
 
-def balanced_relations_loop(CA, B):
-    """The relation rows x b (x) y - x (x) b y of A (x)_B A, built one
-    (t, i, j) at a time with two products each."""
-    f, nA = CA.field, CA.alg.dim
-    rels = []
-    for t in range(B.dim):
-        bvec = B.basis[t]
-        for i in range(nA):
-            xb = CA.alg.multiply(CA.alg.basis_vector(i), bvec)
-            for j in range(nA):
-                by = CA.alg.multiply(bvec, CA.alg.basis_vector(j))
-                v = ar.zeros(f, (nA, nA))
-                v[:, j] = xb
-                v[i] = (v[i] - by) % f.p
-                rels.append(v.reshape(nA * nA, f.k))
-    return ar.row_space(f, np.stack(rels))
-
-
-def galois_check_loop(CA):
-    """galois_check with the relations from balanced_relations_loop."""
-    f = CA.field
-    nA, nH = CA.alg.dim, CA.hopf.dim
-    M = galois._canonical_map_matrix(CA)
-    R = balanced_relations_loop(CA, coinvariants(CA))
-    if np.any(ar.fmatmul(f, R, M) % f.p):
-        return False
-    return nA * nA - R.shape[0] == nA * nH and ar.rank(f, M) == nA * nH
-
-
 @pytest.mark.parametrize("order, quotient, want", [
     (24, 2, True),     # F_5[Z/24] over F_5[Z/2]: coinvariants of dim 12
     (4, 1, False),     # trivial coaction of F_5[Z/2]: every x is coinvariant
@@ -1498,9 +1469,76 @@ def test_galois_check_relations_match_loop(order, quotient, want):
     G = group_algebra(f, cyclic_group_table(order))
     Z2 = group_algebra(f, cyclic_group_table(2))
     CA = group_quotient_coaction(G, [g % quotient for g in range(order)], Z2)
-    B = coinvariants(CA)
-    assert B.dim == order // quotient > 1
-    assert np.array_equal(galois._balanced_relations(CA.alg, B.basis),
-                          balanced_relations_loop(CA, B))
+    assert coinvariants(CA).dim == order // quotient > 1
     assert galois_check(CA) is want
     assert galois_check_loop(CA) is want
+
+
+def _m2_coactions():
+    """M_2(F_3) (x) F_3[Z/2] with rho(b (x) g) = b (x) g (x) g, and M_2(F_3)
+    with the trivial Z/2 coaction: in both the coinvariants are M_2(F_3),
+    neither the scalars nor central."""
+    M2 = _m2_with_unit_basis()
+    Z2 = group_algebra(F3, cyclic_group_table(2))
+    mul = np.zeros((8, 8, 8, 1), dtype=np.int64)
+    for g, h in itertools.product(range(2), repeat=2):
+        mul[g::2, h::2, (g + h) % 2::2] = M2.mul
+    unit = np.zeros((8, 1), dtype=np.int64)
+    unit[0::2] = M2.unit
+    rho = np.zeros((8, 8, 2, 1), dtype=np.int64)
+    rho[np.arange(8), np.arange(8), np.arange(8) % 2] = 1
+    graded = ComoduleAlgebra(SCAlgebra(F3, mul, unit), Z2, rho[..., 0])
+    rho = np.zeros((4, 4, 2), dtype=np.int64)
+    rho[np.arange(4), np.arange(4), 0] = 1
+    return [(graded, True), (ComoduleAlgebra(M2, Z2, rho), False)]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["graded", "trivial"])
+def test_galois_check_with_non_central_coinvariants(case):
+    # can: A (x) A -> A (x) H has the image of A (x)_B A -> A (x) H, and a
+    # surjective can is bijective (Kreimer and Takeuchi): rank 16 = nA nH
+    # for the graded algebra, rank 4 < 8 for the trivial coaction
+    CA, want = _m2_coactions()[case]
+    B = coinvariants(CA)
+    assert B.dim == 4 and not all(
+        fdalg.center(CA.alg).contains(B.basis[i]) for i in range(B.dim))
+    assert galois_check(CA) is want
+    assert galois_check_loop(CA) is want
+
+
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_cocycle_transform_over_a_non_cocommutative_hopf_algebra(convention):
+    # H = F_5[S_3]*, R = F_5[Z/2]: a (x) h -> a u(h_1) (x) h_2 is an
+    # isomorphism R #_sigma H -> R #_tau H in both conventions, for the
+    # trivial sigma and for a transformed one
+    F5 = Field(5)
+    H = dual_hopf(group_algebra(F5, [
+        [0, 1, 2, 3, 4, 5],
+        [1, 2, 0, 4, 5, 3],
+        [2, 0, 1, 5, 3, 4],
+        [3, 5, 4, 0, 2, 1],
+        [4, 3, 5, 1, 0, 2],
+        [5, 4, 3, 2, 1, 0],
+    ]))
+    assert not hopf.is_cocommutative(H)
+    R = group_algebra(F5, cyclic_group_table(2)).alg
+    rng = np.random.default_rng(29)
+
+    def gauge():
+        # u(1_H) = 1_R; the unit of H is the sum of its basis
+        while True:
+            u = rng.integers(0, 5, (6, 2, 1))
+            u[0] = (R.unit - u[1:].sum(axis=0)) % 5
+            try:
+                conv_inverse(H, R, LinMap(F5, u))
+            except NotConvInvertible:
+                continue
+            return LinMap(F5, u)
+
+    sig = trivial_cocycle(H, R)
+    for _ in range(2):
+        tau, iso = cocycle_transform(sig, gauge(), convention)
+        assert _is_algebra_map(twisted_product(R, sig, convention),
+                               twisted_product(R, tau, convention), iso)
+        assert not np.array_equal(tau.values, sig.values)
+        sig = tau

@@ -194,6 +194,19 @@ def test_one_left_table_kernel():
     assert not found, f"products outside the left-table kernel: {found}"
 
 
+def test_reports_stay_off_the_hopf_layer():
+    # a fiber report reads its Frobenius form off the fiber's own mul:
+    # no function of speclab builds u(L), its dual integral or a coaction
+    path = PACKAGE / "speclab.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hopf_route = {"u_restricted", "left_integral_dual", "frobenius_form",
+                  "ComoduleAlgebra"}
+    found = [f"{path.name}:{node.lineno} calls {node_name(node.func)}"
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and node_name(node.func) in hopf_route]
+    assert not found, f"speclab calls the Hopf route: {found}"
+
+
 def dense_coassociativity_buffers(path):
     """The zeros / empty / ones calls of a module whose arguments name nA
     once and nH twice: a dense (i, a, u, v) difference of (rho (x) id) rho

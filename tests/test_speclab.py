@@ -1,13 +1,15 @@
 """Tests for the built-in examples, fiber reports, and the scanner."""
 
 import itertools
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from hopfgal import _arrays as ar
-from hopfgal import fdalg
+from hopfgal import cli, fdalg
 from hopfgal.errors import (
     BadPrime,
     PremiseFailed,
@@ -17,12 +19,14 @@ from hopfgal.errors import (
 )
 from hopfgal.exactfield import Field
 from hopfgal.fdalg import Subspace, radical, subalgebra_on
-from hopfgal.hopf import cyclic_group_table, group_algebra
+from hopfgal.galois import ComoduleAlgebra, frobenius_form
+from hopfgal.hopf import cyclic_group_table, group_algebra, left_integral_dual
 from hopfgal.resliealg import (
     Fiber,
     FiberPoint,
     RestrictedLie,
     restricted_verify,
+    u_restricted,
 )
 from hopfgal import speclab as sl
 from oracles import (
@@ -272,6 +276,77 @@ def test_fiber_report_json_roundtrip_fields():
     assert list(data) == list(sl.REPORT_FIELDS)
     assert data["point"] == [0, 0]
     assert len(r.csv_row()) == len(sl.REPORT_FIELDS)
+
+
+# the general route: u(L), the integral of its dual, and galois.frobenius_form
+# on the fiber coaction
+_HOPF_ROUTE = {}
+
+
+def _hopf_route(kind, field):
+    key = (kind, field.order)
+    if key not in _HOPF_ROUTE:
+        L = sl.sl2_algebra(field.p) if kind == "sl2" else \
+            sl.borel_algebra(field.p)
+        H, _ = u_restricted(L, field)
+        _HOPF_ROUTE[key] = L, H, left_integral_dual(H)
+    return _HOPF_ROUTE[key]
+
+
+FORM_FIBERS = (
+    [("sl2", Field(3), pt) for pt in itertools.product(range(3), repeat=3)]
+    + [("borel", Field(3), pt) for pt in itertools.product(range(3), repeat=2)]
+    + [("sl2", F9, pt) for pt in F9_POINTS]
+    + [("sl2", Field(5), pt)
+       for pt in ((0, 0, 1), (1, 2, 3), (1, 0, 0), (0, 0, 0))]
+    + [("borel", Field(5), pt) for pt in ((0, 0), (1, 0), (2, 3))])
+
+
+@pytest.mark.parametrize("kind, field, point", FORM_FIBERS,
+                         ids=[f"{k}-{f}-{pt}" for k, f, pt in FORM_FIBERS])
+def test_fiber_frobenius_form_matches_the_integral_route(kind, field, point):
+    # the slice mul[:, :, top] is E(x y), E from u(L)'s dual integral,
+    # bit for bit and dtype included
+    L, H, lam = _hopf_route(kind, field)
+    F = Fiber(L, FiberPoint.make(field, point))
+    want = frobenius_form(ComoduleAlgebra(F.alg, H, F.splittings(),
+                                          check=False), lam).matrix
+    got = sl.fiber_frobenius_form(F).matrix
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["sl2", "borel"])
+@pytest.mark.parametrize("field", [Field(3), F9, Field(5)], ids=str)
+def test_the_dual_integral_of_u_l_is_the_top_coefficient(kind, field):
+    _, H, lam = _hopf_route(kind, field)
+    top = ar.zeros(field, (H.dim,))
+    top[H.dim - 1, 0] = 1
+    assert np.array_equal(lam.functional, top)
+
+
+def test_reports_build_no_hopf_algebra(monkeypatch, tmp_path, capsys):
+    # fiber_report, scan and `hopfgal frobenius` read the form off mul:
+    # they run with the general route refused wherever it is bound
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report built u(L) or its dual integral")
+
+    for name, mod in list(sys.modules.items()):
+        if name == "hopfgal" or name.startswith("hopfgal."):
+            for fn in ("u_restricted", "left_integral_dual",
+                       "frobenius_form"):
+                if hasattr(mod, fn):
+                    monkeypatch.setattr(mod, fn, refuse)
+    f = Field(3)
+    L = sl.sl2_algebra(3)
+    r = sl.fiber_report(L, FiberPoint.make(f, (1, 2, 0)))
+    assert r.frobenius_rank == 27 and r.frobenius_symmetric
+    res = sl.scan(sl.borel_algebra(3), f, points=[(1, 0), (0, 1)])
+    assert [r.frobenius_rank for r in res.reports] == [9, 9]
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(L.to_json()))
+    assert cli.main(["frobenius", "--lie", str(path), "--lambda",
+                     "1,0,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 27
 
 
 # ---------------------------------------------------------------------------
